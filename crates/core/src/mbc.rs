@@ -12,11 +12,12 @@
 //! while "the physical destination of the first load still contains its
 //! value".
 
-use crate::preg::PregFile;
+use crate::feedback::BaseIndex;
+use crate::preg::{PhysReg, PregFile};
 use crate::symval::SymValue;
 use contopt_isa::MemSize;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MbcEntry {
     aligned: u64,
     offset: u8,
@@ -56,7 +57,7 @@ impl MbcStats {
 ///
 /// let mut pregs = PregFile::new(8);
 /// let p = pregs.alloc().unwrap();
-/// let mut mbc = Mbc::new(4);
+/// let mut mbc = Mbc::new(4, &pregs);
 /// mbc.insert(0x1000, MemSize::Quad, SymValue::reg(p), &mut pregs);
 /// assert_eq!(mbc.lookup(0x1000, MemSize::Quad), Some(SymValue::reg(p)));
 /// assert_eq!(mbc.lookup(0x1000, MemSize::Long), None, "size must match");
@@ -65,19 +66,23 @@ impl MbcStats {
 pub struct Mbc {
     entries: Vec<Option<MbcEntry>>,
     stats: MbcStats,
+    /// Entries per data base register, for value feedback.
+    based: BaseIndex,
 }
 
 impl Mbc {
-    /// Creates an empty MBC with `entries` slots (must be a power of two).
+    /// Creates an empty MBC with `entries` slots (must be a power of two)
+    /// whose data may be based on any register of `pregs`.
     ///
     /// # Panics
     ///
     /// Panics if `entries` is not a power of two.
-    pub fn new(entries: usize) -> Mbc {
+    pub fn new(entries: usize, pregs: &PregFile) -> Mbc {
         assert!(entries.is_power_of_two(), "MBC size must be a power of two");
         Mbc {
             entries: vec![None; entries],
             stats: MbcStats::default(),
+            based: BaseIndex::new(pregs),
         }
     }
 
@@ -137,7 +142,9 @@ impl Mbc {
             if let Some(b) = old.data.base() {
                 pregs.release(b);
             }
+            self.based.remove(old.data);
         }
+        self.based.add(data);
         self.entries[slot] = Some(MbcEntry {
             aligned,
             offset,
@@ -157,6 +164,7 @@ impl Mbc {
                 if let Some(b) = e.data.base() {
                     pregs.release(b);
                 }
+                self.based.remove(e.data);
                 self.entries[slot] = None;
             }
         }
@@ -171,13 +179,25 @@ impl Mbc {
                 if let Some(b) = e.data.base() {
                     pregs.release(b);
                 }
+                self.based.remove(e.data);
             }
         }
     }
 
     /// CAM-style value feedback: every entry whose base is `p` becomes a
     /// known constant. Returns the number of entries converted.
-    pub fn feed_back(&mut self, p: crate::preg::PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
+    pub fn feed_back(&mut self, p: PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
+        let syms = self.entries.iter_mut().flatten().map(|e| &mut e.data);
+        self.based.feed_back(syms, p, v, pregs)
+    }
+}
+
+/// The unindexed paths [`Mbc::feed_back`] replaced, kept as the reference
+/// the index is tested against.
+#[cfg(test)]
+impl Mbc {
+    /// Value feedback as a full scan of every slot.
+    pub(crate) fn feed_back_scan(&mut self, p: PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
         let mut converted = 0;
         for slot in self.entries.iter_mut().flatten() {
             if let Some(k) = slot.data.feed_back(p, v) {
@@ -188,17 +208,32 @@ impl Mbc {
         }
         converted
     }
+
+    /// Entries based on `p`, counted by brute force.
+    pub(crate) fn count_based_scan(&self, p: PhysReg) -> u32 {
+        let bases = self.entries.iter().flatten().map(|e| e.data.base());
+        bases.filter(|&b| b == Some(p)).count() as u32
+    }
+
+    /// The index's count for `p`.
+    pub(crate) fn count_based(&self, p: PhysReg) -> u32 {
+        self.based.count(p)
+    }
+
+    /// Whether both caches hold the same entries (the index aside).
+    pub(crate) fn same_entries(&self, other: &Mbc) -> bool {
+        self.entries == other.entries
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preg::PhysReg;
 
     fn setup() -> (Mbc, PregFile, PhysReg) {
         let mut pregs = PregFile::new(16);
         let p = pregs.alloc().unwrap();
-        (Mbc::new(8), pregs, p)
+        (Mbc::new(8, &pregs), pregs, p)
     }
 
     #[test]

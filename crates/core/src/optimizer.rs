@@ -197,7 +197,9 @@ impl Optimizer {
             oracle[rat.map(a).index()] = if a.is_zero() { 0 } else { initial(a) };
         }
         Optimizer {
-            mbc: Mbc::new(cfg.mbc_entries),
+            // Sized from the normalized config: the size of an inactive
+            // MBC is inert and need not be a valid one.
+            mbc: Mbc::new(cfg.normalized().mbc_entries, &pregs),
             cfg,
             pregs,
             rat,

@@ -148,7 +148,7 @@ impl FromIterator<PhysReg> for SrcList {
 /// f.release(p);
 /// assert!(!f.is_live(p));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PregFile {
     refs: Vec<u32>,
     free: Vec<PhysReg>,

@@ -5,11 +5,12 @@
 //! register's contents symbolically (§3.1). Entries hold reference-counted
 //! claims on both the mapping register and the symbolic base register.
 
+use crate::feedback::BaseIndex;
 use crate::preg::{PhysReg, PregFile};
 use crate::symval::SymValue;
 use contopt_isa::{ArchReg, NUM_ARCH_REGS};
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RatEntry {
     map: PhysReg,
     sym: SymValue,
@@ -22,6 +23,8 @@ struct RatEntry {
 #[derive(Debug, Clone)]
 pub struct SymRat {
     entries: Vec<RatEntry>,
+    /// Entries per symbolic base register, for value feedback.
+    based: BaseIndex,
 }
 
 impl SymRat {
@@ -45,6 +48,7 @@ impl SymRat {
         track_known: bool,
     ) -> SymRat {
         let mut entries = Vec::with_capacity(NUM_ARCH_REGS);
+        let mut based = BaseIndex::new(pregs);
         for i in 0..NUM_ARCH_REGS {
             let a = ArchReg::from_index(i);
             let entry = if a.is_zero() {
@@ -74,9 +78,10 @@ impl SymRat {
             if let Some(b) = entry.sym.base() {
                 pregs.add_ref(b);
             }
+            based.add(entry.sym);
             entries.push(entry);
         }
-        SymRat { entries }
+        SymRat { entries, based }
     }
 
     /// The current mapping of `a`.
@@ -108,6 +113,8 @@ impl SymRat {
         if let Some(b) = e.sym.base() {
             pregs.release(b);
         }
+        self.based.remove(e.sym);
+        self.based.add(sym);
         *e = RatEntry { map, sym };
     }
 
@@ -124,6 +131,8 @@ impl SymRat {
         if let Some(b) = e.sym.base() {
             pregs.release(b);
         }
+        self.based.remove(e.sym);
+        self.based.add(sym);
         e.sym = sym;
     }
 
@@ -143,6 +152,8 @@ impl SymRat {
             if let Some(b) = e.sym.base() {
                 pregs.release(b);
             }
+            self.based.remove(e.sym);
+            self.based.add(plain);
             e.sym = plain;
         }
     }
@@ -150,6 +161,17 @@ impl SymRat {
     /// CAM-style value feedback: converts every entry whose symbolic base is
     /// `p` into a known constant. Returns the number converted.
     pub fn feed_back(&mut self, p: PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
+        let syms = self.entries.iter_mut().map(|e| &mut e.sym);
+        self.based.feed_back(syms, p, v, pregs)
+    }
+}
+
+/// The unindexed paths [`SymRat::feed_back`] replaced, kept as the
+/// reference the index is tested against.
+#[cfg(test)]
+impl SymRat {
+    /// Value feedback as a full scan of every entry.
+    pub(crate) fn feed_back_scan(&mut self, p: PhysReg, v: u64, pregs: &mut PregFile) -> u64 {
         let mut converted = 0;
         for e in &mut self.entries {
             if let Some(k) = e.sym.feed_back(p, v) {
@@ -159,6 +181,24 @@ impl SymRat {
             }
         }
         converted
+    }
+
+    /// Entries based on `p`, counted by brute force.
+    pub(crate) fn count_based_scan(&self, p: PhysReg) -> u32 {
+        self.entries
+            .iter()
+            .filter(|e| e.sym.base() == Some(p))
+            .count() as u32
+    }
+
+    /// The index's count for `p`.
+    pub(crate) fn count_based(&self, p: PhysReg) -> u32 {
+        self.based.count(p)
+    }
+
+    /// Whether both tables hold the same entries (the index aside).
+    pub(crate) fn same_entries(&self, other: &SymRat) -> bool {
+        self.entries == other.entries
     }
 }
 

@@ -18,7 +18,7 @@
 
 use crate::config::MachineConfig;
 use crate::stats::{PipelineStats, RunReport};
-use contopt::{Optimizer, RenameReq, Renamed, RenamedClass};
+use contopt::{Optimizer, RenameReq, Renamed, RenamedClass, SrcList};
 use contopt_bpred::Predictor;
 use contopt_emu::{ArchSnapshot, DynInst, Emulator, Step};
 use contopt_isa::{ArchReg, ExecClass, Inst, Program, Reg, STACK_TOP};
@@ -43,10 +43,15 @@ struct RobEntry {
     complete_at: u64,
 }
 
+/// A scheduler slot. It copies what issue reads from the renamed
+/// instruction, so scanning the schedulers never touches the ROB.
 #[derive(Debug, Clone, Copy)]
 struct SchedEntry {
     seq: u64,
     earliest: u64,
+    srcs: SrcList,
+    class: RenamedClass,
+    addr_known: bool,
 }
 
 const INT_SCHED: usize = 0;
@@ -102,7 +107,9 @@ pub struct Machine {
     renamed_buf: Vec<Renamed>,
 
     // FNV chain over the retired stream, folded at retire time
-    // (allocation-free) for differential comparison.
+    // (allocation-free) for differential comparison. Only the snapshot of
+    // `run_with_state` reads it, so only that path sets `fold_digest`.
+    fold_digest: bool,
     stream_digest: u64,
 
     stats: PipelineStats,
@@ -141,6 +148,7 @@ impl Machine {
             ready_at,
             rename_reqs: Vec::new(),
             renamed_buf: Vec::new(),
+            fold_digest: false,
             stream_digest: contopt_emu::STREAM_DIGEST_INIT,
             fetch_resume_at: 0,
             mispredict_outstanding: false,
@@ -167,6 +175,7 @@ impl Machine {
     /// time. Differential tests use this to prove the optimized pipeline
     /// changes timing, never semantics.
     pub fn run_with_state(mut self, max_insts: u64) -> (RunReport, ArchSnapshot) {
+        self.fold_digest = true;
         self.run_loop(max_insts);
         let snap = ArchSnapshot::capture(&self.emu, self.stats.retired, self.stream_digest);
         (self.report(), snap)
@@ -455,6 +464,9 @@ impl Machine {
                 self.scheds[sched].push(SchedEntry {
                     seq: entry.ren.seq,
                     earliest: self.cycle + self.cfg.sched_delay,
+                    srcs: entry.ren.srcs,
+                    class,
+                    addr_known: entry.ren.addr_known,
                 });
             }
         }
@@ -496,24 +508,20 @@ impl Machine {
             let mut i = 0;
             while i < self.scheds[sched].len() {
                 let e = self.scheds[sched][i];
-                if e.earliest > self.cycle || !self.srcs_ready(e.seq) {
+                let now = self.cycle;
+                if e.earliest > now || !e.srcs.iter().all(|p| self.ready_at[p.index()] <= now) {
                     i += 1;
                     continue;
                 }
-                let idx = self.rob_index(e.seq);
-                let (class, addr_known) = {
-                    let r = &self.rob[idx].ren;
-                    (r.class, r.addr_known)
-                };
                 // Functional-unit and port availability.
-                let ok = match class {
+                let ok = match e.class {
                     RenamedClass::SimpleInt => take(&mut fu_left[0]),
                     RenamedClass::ComplexInt => take(&mut fu_left[1]),
                     RenamedClass::Fp => take(&mut fu_left[2]),
                     RenamedClass::Load => {
-                        let agen_ok = addr_known || fu_left[3] > 0;
+                        let agen_ok = e.addr_known || fu_left[3] > 0;
                         if agen_ok && dports_left > 0 {
-                            if !addr_known {
+                            if !e.addr_known {
                                 fu_left[3] -= 1;
                             }
                             dports_left -= 1;
@@ -522,7 +530,7 @@ impl Machine {
                             false
                         }
                     }
-                    RenamedClass::Store => addr_known || take(&mut fu_left[3]),
+                    RenamedClass::Store => e.addr_known || take(&mut fu_left[3]),
                     RenamedClass::Done => unreachable!("Done never scheduled"),
                 };
                 if !ok {
@@ -530,18 +538,9 @@ impl Machine {
                     continue;
                 }
                 self.scheds[sched].remove(i);
-                self.execute(idx);
+                self.execute(self.rob_index(e.seq));
             }
         }
-    }
-
-    fn srcs_ready(&self, seq: u64) -> bool {
-        let idx = self.rob_index(seq);
-        self.rob[idx]
-            .ren
-            .srcs
-            .iter()
-            .all(|p| self.ready_at[p.index()] <= self.cycle)
     }
 
     #[expect(
@@ -628,7 +627,9 @@ impl Machine {
                 let addr = e.d.eff_addr.expect("store has an address");
                 self.hier.data_access(addr, true);
             }
-            self.stream_digest = e.d.fold_digest(self.stream_digest);
+            if self.fold_digest {
+                self.stream_digest = e.d.fold_digest(self.stream_digest);
+            }
             self.stats.retired += 1;
             n += 1;
         }

@@ -106,7 +106,7 @@ pub(crate) fn speedup(ours: &PipelineStats, baseline: &PipelineStats) -> Result<
 }
 
 /// Everything measured in one run: pipeline, optimizer, predictor, memory.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Core pipeline counters.
     pub pipeline: PipelineStats,

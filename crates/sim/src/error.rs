@@ -39,6 +39,9 @@ pub enum Error {
     },
     /// RLE/SF is enabled but the Memory Bypass Cache has zero entries.
     ZeroMbcEntries,
+    /// RLE/SF is enabled but the direct-mapped Memory Bypass Cache's size
+    /// (carried here) is not a power of two.
+    MbcEntriesNotPowerOfTwo(usize),
     /// The dynamic instruction budget is zero.
     ZeroInstructionBudget,
     /// No workload or program was supplied.
@@ -71,6 +74,11 @@ impl fmt::Display for Error {
                     "RLE/SF is enabled but the Memory Bypass Cache has 0 entries"
                 )
             }
+            Error::MbcEntriesNotPowerOfTwo(n) => write!(
+                f,
+                "RLE/SF is enabled but the Memory Bypass Cache size ({n} entries) \
+                 is not a power of two"
+            ),
             Error::ZeroInstructionBudget => {
                 write!(f, "instruction budget must be at least 1")
             }

@@ -42,7 +42,8 @@
 //! pathological program).
 
 use crate::json::{JsonError, JsonValue, ToJson};
-use crate::{MachineConfig, OptimizerConfig};
+use crate::session::validate_machine;
+use crate::{Error, MachineConfig, OptimizerConfig};
 use contopt::{ConfigFieldError, ConfigScalar};
 use contopt_isa::{analysis, asm_text, AnalysisReport, Program};
 use contopt_workloads::{Suite, Workload};
@@ -346,6 +347,13 @@ pub enum ScenarioError {
     },
     /// Two configurations share a label.
     DuplicateLabel(String),
+    /// A configuration's machine is one the session builder rejects.
+    Machine {
+        /// The configuration's label.
+        label: String,
+        /// The builder's error.
+        err: Error,
+    },
     /// A shipped program failed to assemble or its file could not be read.
     Program {
         /// The program's name.
@@ -392,6 +400,7 @@ impl fmt::Display for ScenarioError {
                 write!(f, "config {label:?} names unknown workload {name:?}")
             }
             ScenarioError::DuplicateLabel(l) => write!(f, "duplicate config label {l:?}"),
+            ScenarioError::Machine { label, err } => write!(f, "config {label:?}: {err}"),
             ScenarioError::Program { name, detail } => {
                 write!(f, "program {name:?}: {detail}")
             }
@@ -624,8 +633,8 @@ impl Scenario {
     }
 
     /// Semantic checks beyond JSON structure: a positive budget, at least
-    /// one configuration, unique labels, and workload names that exist in
-    /// Table 1.
+    /// one configuration, unique labels, machines the session builder
+    /// accepts, and workload names that exist in Table 1.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.insts == 0 {
             return Err(ScenarioError::ZeroInsts);
@@ -651,6 +660,10 @@ impl Scenario {
             if self.configs[..i].iter().any(|c| c.label == cfg.label) {
                 return Err(ScenarioError::DuplicateLabel(cfg.label.clone()));
             }
+            validate_machine(&cfg.machine).map_err(|err| ScenarioError::Machine {
+                label: cfg.label.clone(),
+                err,
+            })?;
             if cfg.workloads.is_empty() {
                 return Err(ScenarioError::Empty(format!(
                     "config {:?} workload list",

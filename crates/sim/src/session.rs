@@ -146,33 +146,7 @@ impl SimBuilder {
             OptSpec::Passes(set) => cfg.optimizer = set.to_config(),
             OptSpec::EmptyPasses => return Err(Error::EmptyPasses),
         }
-
-        if cfg.fetch_width == 0 {
-            return Err(Error::ZeroRenameWidth);
-        }
-        if cfg.retire_width == 0 {
-            return Err(Error::ZeroRetireWidth);
-        }
-        if cfg.rob_entries == 0 {
-            return Err(Error::ZeroRobEntries);
-        }
-        let need = NUM_ARCH_REGS + 1;
-        if cfg.preg_count < need {
-            return Err(Error::PregFileTooSmall {
-                need,
-                have: cfg.preg_count,
-            });
-        }
-        let o = &cfg.optimizer;
-        if o.enabled && o.value_feedback && o.feedback_delay > cfg.rob_entries as u64 {
-            return Err(Error::FeedbackDelayExceedsRob {
-                delay: o.feedback_delay,
-                rob: cfg.rob_entries,
-            });
-        }
-        if o.enabled && o.optimize && o.enable_rle_sf && o.mbc_entries == 0 {
-            return Err(Error::ZeroMbcEntries);
-        }
+        validate_machine(&cfg)?;
         if self.insts == 0 {
             return Err(Error::ZeroInstructionBudget);
         }
@@ -193,6 +167,44 @@ impl SimBuilder {
             insts: self.insts,
         })
     }
+}
+
+/// Rejects a machine no simulation can run: the structural checks of
+/// [`SimBuilder::build`], shared with scenario validation so a scenario
+/// file fails at load time rather than mid-sweep.
+pub(crate) fn validate_machine(cfg: &MachineConfig) -> Result<(), Error> {
+    if cfg.fetch_width == 0 {
+        return Err(Error::ZeroRenameWidth);
+    }
+    if cfg.retire_width == 0 {
+        return Err(Error::ZeroRetireWidth);
+    }
+    if cfg.rob_entries == 0 {
+        return Err(Error::ZeroRobEntries);
+    }
+    let need = NUM_ARCH_REGS + 1;
+    if cfg.preg_count < need {
+        return Err(Error::PregFileTooSmall {
+            need,
+            have: cfg.preg_count,
+        });
+    }
+    let o = &cfg.optimizer;
+    if o.enabled && o.value_feedback && o.feedback_delay > cfg.rob_entries as u64 {
+        return Err(Error::FeedbackDelayExceedsRob {
+            delay: o.feedback_delay,
+            rob: cfg.rob_entries,
+        });
+    }
+    if o.enabled && o.optimize && o.enable_rle_sf {
+        if o.mbc_entries == 0 {
+            return Err(Error::ZeroMbcEntries);
+        }
+        if !o.mbc_entries.is_power_of_two() {
+            return Err(Error::MbcEntriesNotPowerOfTwo(o.mbc_entries));
+        }
+    }
+    Ok(())
 }
 
 /// A validated, runnable simulation: one machine configuration bound to

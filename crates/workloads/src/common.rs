@@ -2,18 +2,20 @@
 
 use contopt_isa::{Asm, Reg};
 
-/// Minimal deterministic PRNG (splitmix64) for data-section initialization.
-/// The container has no registry access, so `rand` is replaced by this —
-/// only determinism and a reasonable distribution matter here.
+/// Minimal deterministic PRNG (splitmix64). It fills the kernels' data
+/// sections and drives seeded randomized tests; only determinism and a
+/// reasonable distribution matter.
 #[derive(Debug, Clone)]
-pub(crate) struct SplitMix64(u64);
+pub struct SplitMix64(u64);
 
 impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> SplitMix64 {
+    /// A generator whose stream is fixed by `seed`.
+    pub fn new(seed: u64) -> SplitMix64 {
         SplitMix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
     }
 
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    /// The next value of the stream.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -23,7 +25,7 @@ impl SplitMix64 {
 
     /// Uniform value in `[0, limit)` (rejection-free; the tiny modulo bias
     /// is irrelevant for synthetic data).
-    pub(crate) fn below(&mut self, limit: u64) -> u64 {
+    pub fn below(&mut self, limit: u64) -> u64 {
         self.next_u64() % limit.max(1)
     }
 

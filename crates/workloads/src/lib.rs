@@ -35,6 +35,7 @@ mod mediabench;
 mod specfp;
 mod specint;
 
+pub use common::SplitMix64;
 use contopt_isa::{AsmError, Program, DATA_BASE};
 
 /// Finalizes a kernel recipe, panicking with the kernel's name and the

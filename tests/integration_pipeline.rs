@@ -10,7 +10,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_sim::isa::{r, Asm, Program};
-use contopt_sim::{simulate, MachineConfig, OptimizerConfig};
+use contopt_sim::{simulate, Machine, MachineConfig, OptimizerConfig};
+use std::sync::Arc;
 
 fn counted_loop(n: i64, body: impl Fn(&mut Asm)) -> Program {
     let mut a = Asm::new();
@@ -62,6 +63,26 @@ fn simulation_is_deterministic() {
     );
     assert_eq!(a.pipeline.cycles, b.pipeline.cycles);
     assert_eq!(a.optimizer, b.optimizer);
+}
+
+/// `Machine::run` skips the retired-stream digest, which only the
+/// snapshot of `run_with_state` reads: skipping it must not change a report.
+#[test]
+fn run_reports_match_run_with_state() {
+    for w in contopt_sim::workloads::suite() {
+        for cfg in [
+            MachineConfig::default_paper(),
+            MachineConfig::default_with_optimizer(),
+        ] {
+            let run = Machine::new(cfg, Arc::clone(&w.program)).run(10_000);
+            let (with_state, _) = Machine::new(cfg, Arc::clone(&w.program)).run_with_state(10_000);
+            assert_eq!(
+                run, with_state,
+                "{} (optimizer on: {})",
+                w.name, cfg.optimizer.enabled
+            );
+        }
+    }
 }
 
 #[test]

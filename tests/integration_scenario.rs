@@ -13,8 +13,10 @@ use contopt_experiments::{
     fig9_plan, record_goldens, scenario_plan, smoke_scenario, table3_plan, DriftKind, Lab, Plan,
     TolerancePolicy,
 };
+use contopt_sim::workloads::SplitMix64;
 use contopt_sim::{
-    MachineConfig, OptimizerConfig, Scenario, ScenarioConfig, ToJson, ALL_WORKLOADS,
+    Error, MachineConfig, OptimizerConfig, Scenario, ScenarioConfig, ScenarioError, ToJson,
+    ALL_WORKLOADS,
 };
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -90,48 +92,48 @@ fn scenario_plans_match_the_builtin_figure_plans() {
     }
 }
 
-/// Deterministic splitmix64 (same generator the workload data sections
-/// use) to drive the round-trip property sweep.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+/// A one-config scenario running `cfg` on every workload.
+fn optimizer_scenario(name: String, insts: u64, cfg: OptimizerConfig) -> Scenario {
+    Scenario {
+        name,
+        insts,
+        ablation: None,
+        programs: vec![],
+        configs: vec![ScenarioConfig {
+            label: "x".into(),
+            machine: MachineConfig::default_paper().with_optimizer(cfg),
+            workloads: vec![ALL_WORKLOADS.into()],
+        }],
+    }
 }
 
 #[test]
 fn random_optimizer_configs_round_trip_through_scenario_json() {
-    let mut state = 0x5eed_c0de_u64;
-    let bit = |m: &mut u64| splitmix64(m) & 1 == 1;
+    let mut rng = SplitMix64::new(0x5eed_c0de);
+    let bit = |r: &mut SplitMix64| r.below(2) == 1;
+    let mut rle_sf_cases = 0;
     for i in 0..200 {
         let cfg = OptimizerConfig {
-            enabled: bit(&mut state),
-            optimize: bit(&mut state),
-            value_feedback: bit(&mut state),
-            feedback_delay: splitmix64(&mut state) % 16,
-            extra_stages: splitmix64(&mut state) % 8,
-            add_chain_depth: (splitmix64(&mut state) % 5) as u32,
-            mem_chain_depth: (splitmix64(&mut state) % 3) as u32,
-            mbc_entries: (splitmix64(&mut state) % 512 + 1) as usize,
-            flush_mbc_on_unknown_store: bit(&mut state),
-            enable_rle_sf: bit(&mut state),
-            enable_reassociation: bit(&mut state),
-            enable_branch_inference: bit(&mut state),
-            enable_early_exec: bit(&mut state),
-            discrete_interval: splitmix64(&mut state) % 1024,
+            enabled: bit(&mut rng),
+            optimize: bit(&mut rng),
+            value_feedback: bit(&mut rng),
+            feedback_delay: rng.below(16),
+            extra_stages: rng.below(8),
+            add_chain_depth: rng.below(5) as u32,
+            mem_chain_depth: rng.below(3) as u32,
+            // Any size a machine can run: a power of two up to 512.
+            mbc_entries: 1 << rng.below(10),
+            flush_mbc_on_unknown_store: bit(&mut rng),
+            enable_rle_sf: bit(&mut rng),
+            enable_reassociation: bit(&mut rng),
+            enable_branch_inference: bit(&mut rng),
+            enable_early_exec: bit(&mut rng),
+            discrete_interval: rng.below(1024),
         };
-        let sc = Scenario {
-            name: format!("prop{i}"),
-            insts: 1 + splitmix64(&mut state) % 1_000_000,
-            ablation: None,
-            programs: vec![],
-            configs: vec![ScenarioConfig {
-                label: "x".into(),
-                machine: MachineConfig::default_paper().with_optimizer(cfg),
-                workloads: vec![ALL_WORKLOADS.into()],
-            }],
-        };
+        if cfg.normalized().enable_rle_sf {
+            rle_sf_cases += 1;
+        }
+        let sc = optimizer_scenario(format!("prop{i}"), 1 + rng.below(1_000_000), cfg);
         // serialize → parse → serialize is the identity on bytes, and the
         // parsed struct is the normalized fixed point.
         let text = sc.canonical_json();
@@ -146,6 +148,32 @@ fn random_optimizer_configs_round_trip_through_scenario_json() {
             "case {i}"
         );
     }
+    // The MBC fields serialize only while RLE/SF is active.
+    assert!(
+        rle_sf_cases >= 10,
+        "{rle_sf_cases} cases with RLE/SF active"
+    );
+
+    // A size no MBC can have serializes, but parsing rejects it where
+    // RLE/SF uses the MBC, and normalizes it away where nothing does.
+    let active = OptimizerConfig {
+        mbc_entries: 100,
+        ..OptimizerConfig::default()
+    };
+    let text = optimizer_scenario("mbc100".into(), 1_000, active).canonical_json();
+    assert_eq!(
+        Scenario::parse(&text),
+        Err(ScenarioError::Machine {
+            label: "x".into(),
+            err: Error::MbcEntriesNotPowerOfTwo(100),
+        })
+    );
+    let inert = OptimizerConfig {
+        enable_rle_sf: false,
+        ..active
+    };
+    let sc = optimizer_scenario("mbc100".into(), 1_000, inert);
+    assert_eq!(Scenario::parse(&sc.canonical_json()), Ok(sc.normalized()));
 }
 
 #[test]

@@ -11,8 +11,9 @@ use contopt_sim::isa::{r, Asm, Program};
 use contopt_sim::passes::PassId;
 use contopt_sim::{
     CpRa, EarlyExec, Error, MachineConfig, OptPass, OptimizerConfig, Pass, PassSet, RleSf,
-    SimSession, ValueFeedback,
+    Scenario, ScenarioError, SimSession, ValueFeedback,
 };
+use std::process::Command;
 
 fn tiny_program() -> Program {
     let mut a = Asm::new();
@@ -149,6 +150,73 @@ fn rejects_other_degenerate_machines() {
         .build()
         .unwrap_err();
     assert_eq!(err, Error::ZeroMbcEntries);
+}
+
+/// A Memory Bypass Cache size that is not a power of two is inert on a
+/// machine whose optimizer is off, and a typed error wherever RLE/SF would
+/// use it: from the builder, from scenario validation, and from
+/// `contopt-experiments --validate`.
+#[test]
+fn mbc_size_is_checked_where_rle_sf_uses_it() {
+    let mut baseline = MachineConfig::default_paper();
+    baseline.optimizer.mbc_entries = 100;
+    let report = SimSession::builder()
+        .machine(baseline)
+        .program(tiny_program())
+        .build()
+        .unwrap()
+        .run();
+    assert!(report.pipeline.retired > 0);
+    let mut optimized = MachineConfig::default_with_optimizer();
+    optimized.optimizer.mbc_entries = 100;
+    let err = SimSession::builder()
+        .machine(optimized)
+        .program(tiny_program())
+        .build()
+        .unwrap_err();
+    assert_eq!(err, Error::MbcEntriesNotPowerOfTwo(100));
+    assert!(err.to_string().contains("100 entries"), "{err}");
+
+    let scenario = |optimizer: &str| {
+        format!(
+            r#"{{"version": 1, "name": "mbc100", "insts": 20000, "configs": [
+                {{"label": "x", "workloads": ["twf"], "machine": {{"optimizer": {optimizer}}}}}
+            ]}}"#
+        )
+    };
+    // An optimizer block starts from the paper's default optimizer.
+    let inert = scenario(r#"{"enabled": false, "mbc_entries": 100}"#);
+    let active = scenario(r#"{"mbc_entries": 100}"#);
+    assert!(Scenario::parse(&inert).is_ok());
+    assert_eq!(
+        Scenario::parse(&active).unwrap_err(),
+        ScenarioError::Machine {
+            label: "x".into(),
+            err: Error::MbcEntriesNotPowerOfTwo(100),
+        }
+    );
+
+    let dir = std::env::temp_dir().join(format!("contopt-mbc-size-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("inert.json"), inert).unwrap();
+    std::fs::write(dir.join("active.json"), active).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
+        .arg("--scenarios-dir")
+        .arg(&dir)
+        .arg("--goldens-dir")
+        .arg(dir.join("no-goldens"))
+        .arg("--validate")
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        stdout.contains("INVALID") && stdout.contains("active.json"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("inert.json"), "{stdout}");
+    assert_eq!(stdout.matches("INVALID").count(), 1, "{stdout}");
 }
 
 #[test]
