@@ -204,6 +204,49 @@ fn checked_in_smoke_goldens_reproduce() {
     );
 }
 
+/// Machines a scenario file cannot describe, because files pin the cache
+/// hierarchy to the paper's: an L1D that answers in zero cycles with no
+/// register-read stage (with the optimizer's early address generation a
+/// load completes in the cycle it issues), and a memory far slower than
+/// any completion window.
+fn cache_latency_scenario() -> Scenario {
+    let mut instant_l1d = MachineConfig {
+        regread_delay: 0,
+        ..MachineConfig::default_with_optimizer()
+    };
+    instant_l1d.hierarchy.l1d_latency = 0;
+    let mut slow_memory = MachineConfig::default_paper();
+    slow_memory.hierarchy.memory_latency = 20_000;
+    Scenario {
+        name: "cache_latency".into(),
+        insts: 100_000,
+        ablation: None,
+        programs: vec![],
+        configs: [("instant_l1d", instant_l1d), ("slow_memory", slow_memory)]
+            .into_iter()
+            .map(|(label, machine)| ScenarioConfig {
+                label: label.into(),
+                machine,
+                workloads: ["mcf", "gcc", "art", "untst"].map(String::from).to_vec(),
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn checked_in_cache_latency_goldens_reproduce() {
+    let sc = cache_latency_scenario();
+    let mut lab = Lab::new(sc.insts);
+    let drifts = check_goldens(
+        &mut lab,
+        &sc,
+        &repo_root().join("goldens"),
+        &TolerancePolicy::exact(),
+    )
+    .unwrap();
+    assert!(drifts.is_empty(), "cache-latency goldens drifted: {drifts:?}");
+}
+
 #[test]
 fn golden_harness_detects_flag_flips_and_missing_files() {
     let dir = std::env::temp_dir().join(format!("contopt-goldens-{}", std::process::id()));
