@@ -176,8 +176,9 @@ pub struct Optimizer {
     /// strict value checking, never to drive an optimization.
     pub(crate) oracle: Vec<u64>,
     /// Reusable per-bundle bookkeeping scratch (taken/restored around each
-    /// bundle so steady-state rename performs no heap allocation).
-    bundle_scratch: Bundle,
+    /// bundle so steady-state rename performs no heap allocation). Boxed so
+    /// the take and restore move a pointer, not the whole bundle.
+    bundle_scratch: Option<Box<Bundle>>,
 }
 
 impl Optimizer {
@@ -206,7 +207,7 @@ impl Optimizer {
             feedback: FeedbackQueue::new(),
             stats: PassStats::default(),
             oracle,
-            bundle_scratch: Bundle::new(),
+            bundle_scratch: Some(Box::new(Bundle::new())),
         }
     }
 
@@ -289,7 +290,7 @@ impl Optimizer {
                 self.stats.engine.trace_resets += 1;
             }
         }
-        let mut bundle = std::mem::take(&mut self.bundle_scratch);
+        let mut bundle = self.bundle_scratch.take().unwrap_or_default();
         bundle.reset();
         for req in reqs {
             if !self.can_rename() {
@@ -298,7 +299,7 @@ impl Optimizer {
             let r = self.process(req, &mut bundle);
             out.push(r);
         }
-        self.bundle_scratch = bundle;
+        self.bundle_scratch = Some(bundle);
     }
 
     // ---- shared engine internals ----------------------------------------

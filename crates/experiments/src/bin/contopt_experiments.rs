@@ -165,24 +165,7 @@ fn main() -> ExitCode {
         return validate(&args, Path::new(&scenarios_dir), &goldens_dir);
     }
 
-    let files_for = |flag: &'static str| -> Vec<&String> {
-        args.iter()
-            .enumerate()
-            .filter(|(_, a)| *a == flag)
-            .map(|(i, _)| {
-                args.get(i + 1)
-                    .unwrap_or_else(|| panic!("{flag} takes a file path"))
-            })
-            .collect()
-    };
-    // `--verify a.s b.json …` consumes every path up to the next flag
-    // (and the flag may repeat).
-    let verify_paths: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--verify")
-        .flat_map(|(i, _)| args[i + 1..].iter().take_while(|a| !a.starts_with("--")))
-        .collect();
+    let verify_paths = values_after(&args, "--verify");
     if args.iter().any(|a| a == "--verify") {
         if verify_paths.is_empty() {
             eprintln!("contopt-experiments: --verify takes one or more .s or scenario files");
@@ -203,9 +186,22 @@ fn main() -> ExitCode {
         return ExitCode::from(outcome.exit_code());
     }
 
-    let scenario_files = files_for("--scenario");
-    let ablate_files = files_for("--ablate");
-    if !scenario_files.is_empty() || !ablate_files.is_empty() {
+    let scenario_files = values_after(&args, "--scenario");
+    let ablate_files = values_after(&args, "--ablate");
+    if args.iter().any(|a| a == "--scenario" || a == "--ablate") {
+        if scenario_files.is_empty() && ablate_files.is_empty() {
+            eprintln!(
+                "contopt-experiments: --scenario and --ablate take one or more scenario files"
+            );
+            return ExitCode::from(3);
+        }
+        if let Some(arg) = stray_argument(&args) {
+            eprintln!(
+                "contopt-experiments: unexpected argument {arg:?}: scenario files go \
+                 after --scenario or --ablate, before the next flag"
+            );
+            return ExitCode::from(3);
+        }
         let record = args.iter().any(|a| a == "--record");
         let check = args.iter().any(|a| a == "--check");
         if record && check {
@@ -214,17 +210,8 @@ fn main() -> ExitCode {
         }
         // Explicit opt-in fields for intentional model changes; the
         // default (no --allow-field) is exact byte equality.
-        let policy = TolerancePolicy::allowing(
-            args.iter()
-                .enumerate()
-                .filter(|(_, a)| *a == "--allow-field")
-                .map(|(i, _)| {
-                    args.get(i + 1)
-                        .filter(|v| !v.starts_with("--"))
-                        .unwrap_or_else(|| panic!("--allow-field takes a JSON field path"))
-                        .clone()
-                }),
-        );
+        let policy =
+            TolerancePolicy::allowing(values_after(&args, "--allow-field").into_iter().cloned());
         // Evaluate both unconditionally: a scenario failure or drift must
         // not silently skip the requested ablation work (or vice versa).
         // The combined exit code keeps the most severe outcome (see the
@@ -321,6 +308,54 @@ fn main() -> ExitCode {
     emit!("--fig11", fig11(&mut lab));
     emit!("--fig12", fig12(&mut lab));
     ExitCode::SUCCESS
+}
+
+/// Flags that take exactly one value.
+const VALUE_FLAGS: [&str; 7] = [
+    "--insts",
+    "--jobs",
+    "--goldens",
+    "--scenarios-dir",
+    "--seed",
+    "--fuzz",
+    "--fuzz-parsers",
+];
+
+/// Flags that take every value up to the next flag.
+const LIST_FLAGS: [&str; 5] = [
+    "--scenario",
+    "--ablate",
+    "--allow-field",
+    "--verify",
+    "--validate",
+];
+
+/// The values after each occurrence of `flag`, up to the next flag (the
+/// flag may repeat): `--scenario a.json b.json` lists two files.
+fn values_after<'a>(args: &'a [String], flag: &str) -> Vec<&'a String> {
+    args.iter()
+        .enumerate()
+        .filter(|(_, a)| *a == flag)
+        .flat_map(|(i, _)| args[i + 1..].iter().take_while(|a| !a.starts_with("--")))
+        .collect()
+}
+
+/// The first argument that is neither a flag nor a value a flag takes,
+/// such as a file named after `--check`.
+fn stray_argument(args: &[String]) -> Option<&String> {
+    let mut in_list = false;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg.starts_with("--") {
+            in_list = LIST_FLAGS.contains(&arg.as_str());
+            if VALUE_FLAGS.contains(&arg.as_str()) {
+                rest.next();
+            }
+        } else if !in_list {
+            return Some(arg);
+        }
+    }
+    None
 }
 
 /// Writes every built-in scenario to `dir` in canonical form.

@@ -37,5 +37,5 @@ mod stats;
 
 pub use config::MachineConfig;
 pub use contopt_emu::ArchSnapshot;
-pub use machine::{simulate, Machine};
+pub use machine::{simulate, Machine, DEADLOCK_WINDOW};
 pub use stats::{PipelineStats, RunReport, SpeedupError};

@@ -15,6 +15,42 @@
 //! the rename stage), then pays the redirect latency. The resulting minimum
 //! penalty matches Table 2's 20 cycles on the baseline and 22 with the
 //! optimizer's two extra stages.
+//!
+//! # Bookkeeping
+//!
+//! The model's own bookkeeping does work in proportion to events, not to
+//! cycles or window size. Each of its three structures keeps the order of
+//! the plain queues it replaces, so every report is unchanged:
+//!
+//! - **One instruction window.** Every instruction lives in one ring of
+//!   slots indexed by `seq & mask`, from the emulator step that produces it
+//!   to retire. The ROB is `retire_seq..rename_seq`, the fetch queue is
+//!   `rename_seq..fetch_seq`, and an instruction stepped but not yet
+//!   fetched (an I-cache miss stopped fetch) waits in slot `fetch_seq`. The
+//!   ring has more slots than the ROB and fetch queue together can fill,
+//!   so no slot is reused while its instruction is in flight. The
+//!   emulator's record is written once; rename reads it in place, and
+//!   dispatch, execute, completion and retire update the slot. Both queues
+//!   are runs of consecutive sequence numbers, so their order is program
+//!   order, as in the queues this replaces.
+//! - **A completion calendar.** Completions sit in power-of-two buckets
+//!   indexed by cycle, sized from the machine's longest execution latency
+//!   up to a fixed cap. An event goes into bucket `max(complete_at,
+//!   now + 1)`: the first completion pass after its issue that a priority
+//!   queue keyed by `(cycle, seq)` would pop it in. A drained bucket is
+//!   sorted by `(cycle, seq)`, and an event a lap or more ahead stays in
+//!   its bucket until its cycle comes. Registers are therefore released in
+//!   the queue's order, so the free list and every later allocation come
+//!   out the same.
+//! - **Wakeup-gated issue.** Each scheduler keeps a cycle before which
+//!   none of its entries can issue, and the issue stage skips it until
+//!   then. Dispatch lowers the bound to the new entry's ready cycle,
+//!   executing a producer lowers every scheduler's bound to the producer's
+//!   completion (a tag broadcast), and a scan resets it to the minimum over
+//!   the entries it leaves. The bound never exceeds the cycle an entry
+//!   could first issue, so a skipped scan is one that would have issued
+//!   nothing. The scan itself is unchanged, which keeps oldest-first order
+//!   and unit/port arbitration.
 
 use crate::config::MachineConfig;
 use crate::stats::{PipelineStats, RunReport};
@@ -23,28 +59,37 @@ use contopt_bpred::Predictor;
 use contopt_emu::{ArchSnapshot, DynInst, Emulator, Step};
 use contopt_isa::{ArchReg, ExecClass, Inst, Program, Reg, STACK_TOP};
 use contopt_mem::MemHierarchy;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-#[derive(Debug, Clone, Copy)]
-struct Fetched {
-    d: DynInst,
-    mispredicted: bool,
-    rename_ready: u64,
-}
+/// Cycles without a retirement after which a run is declared deadlocked.
+/// Session validation rejects machines whose delays and latencies add up
+/// to this window, because they could stall that long without a bug.
+pub const DEADLOCK_WINDOW: u64 = 1_000_000;
 
+/// Upper bound on the completion calendar's bucket count. Events further
+/// ahead wrap around and wait in their bucket for the right lap.
+const CALENDAR_MAX_BUCKETS: u64 = 1024;
+
+/// End of a calendar bucket's event list.
+const NO_EVENT: u64 = u64::MAX;
+
+/// Timing state of one instruction in the window. The instruction itself,
+/// as the emulator produced it and fetch annotated it, sits at the same
+/// index of `Machine::insts`, so rename can read a bundle in place.
 #[derive(Debug, Clone)]
-struct RobEntry {
-    d: DynInst,
+struct Slot {
+    /// First cycle rename may take the instruction.
+    rename_ready: u64,
+    /// What rename made of it; valid once dispatched.
     ren: Renamed,
-    mispredicted: bool,
-    completed: bool,
+    /// Cycle its result is ready: the dispatch cycle for an instruction
+    /// the optimizer finished, set at execute for the rest, and
+    /// `u64::MAX` until then. Retire waits for it.
     complete_at: u64,
 }
 
 /// A scheduler slot. It copies what issue reads from the renamed
-/// instruction, so scanning the schedulers never touches the ROB.
+/// instruction, so scanning the schedulers never touches the window.
 #[derive(Debug, Clone, Copy)]
 struct SchedEntry {
     seq: u64,
@@ -58,6 +103,74 @@ const INT_SCHED: usize = 0;
 const CPLX_SCHED: usize = 1;
 const FP_SCHED: usize = 2;
 const MEM_SCHED: usize = 3;
+
+/// Pending completions, bucketed by cycle. Each bucket is a list threaded
+/// through one link per window slot, so filing and draining events never
+/// allocates.
+#[derive(Debug)]
+struct Calendar {
+    /// Per bucket: the sequence number of its newest event, or `NO_EVENT`.
+    heads: Box<[u64]>,
+    /// Per window slot: the event's completion cycle and the next event in
+    /// its bucket.
+    links: Box<[(u64, u64)]>,
+    bucket_mask: u64,
+    slot_mask: u64,
+    /// The events due in the current cycle as `(cycle, seq)`, sorted.
+    due: Vec<(u64, u64)>,
+}
+
+impl Calendar {
+    fn new(cfg: &MachineConfig, slots: usize) -> Calendar {
+        let h = &cfg.hierarchy;
+        let miss = [1, h.l1d_latency, h.l2_latency, h.memory_latency]
+            .into_iter()
+            .fold(0, u64::saturating_add);
+        let longest = cfg
+            .regread_delay
+            .saturating_add(miss.max(cfg.complex_latency).max(cfg.fp_latency));
+        let buckets = longest
+            .saturating_add(1)
+            .min(CALENDAR_MAX_BUCKETS)
+            .next_power_of_two();
+        Calendar {
+            heads: vec![NO_EVENT; buckets as usize].into_boxed_slice(),
+            links: vec![(0, NO_EVENT); slots].into_boxed_slice(),
+            bucket_mask: buckets - 1,
+            slot_mask: slots as u64 - 1,
+            due: Vec::with_capacity(slots),
+        }
+    }
+
+    /// Files the completion of `seq` at cycle `at`, issued in cycle `now`.
+    /// The first completion pass after issue runs in `now + 1`, so an
+    /// event that completes sooner waits in that bucket.
+    fn push(&mut self, seq: u64, at: u64, now: u64) {
+        let bucket = (at.max(now + 1) & self.bucket_mask) as usize;
+        self.links[(seq & self.slot_mask) as usize] = (at, self.heads[bucket]);
+        self.heads[bucket] = seq;
+    }
+
+    /// Moves the events due at `now` into `due`, sorted by
+    /// `(cycle, seq)`; events of a later lap stay in the bucket.
+    fn drain(&mut self, now: u64) {
+        self.due.clear();
+        let bucket = (now & self.bucket_mask) as usize;
+        let mut seq = std::mem::replace(&mut self.heads[bucket], NO_EVENT);
+        while seq != NO_EVENT {
+            let link = &mut self.links[(seq & self.slot_mask) as usize];
+            let (at, next) = *link;
+            if at <= now {
+                self.due.push((at, seq));
+            } else {
+                link.1 = self.heads[bucket];
+                self.heads[bucket] = seq;
+            }
+            seq = next;
+        }
+        self.due.sort_unstable();
+    }
+}
 
 /// The simulated machine: functional emulator + timing state.
 ///
@@ -88,22 +201,37 @@ pub struct Machine {
     pred: Predictor,
 
     cycle: u64,
-    lookahead: VecDeque<DynInst>,
     stream_done: bool,
-    insts_pulled: u64,
 
-    fetch_queue: VecDeque<Fetched>,
+    // The instruction window: what the emulator produced and fetch learned
+    // (`insts`) and the timing state (`slots`), both indexed by `seq & mask`.
+    insts: Box<[RenameReq]>,
+    slots: Box<[Slot]>,
+    mask: u64,
+    /// Oldest instruction in flight; `retire_seq..rename_seq` is the ROB.
+    retire_seq: u64,
+    /// Next instruction to rename; `rename_seq..fetch_seq` is the fetch queue.
+    rename_seq: u64,
+    /// Next instruction to fetch.
+    fetch_seq: u64,
+    /// Slot `fetch_seq` holds an instruction stepped but not yet fetched.
+    stepped: bool,
+    /// Fetch-queue capacity in instructions.
+    fetch_capacity: usize,
+
     fetch_resume_at: u64,
     mispredict_outstanding: bool,
 
-    rob: VecDeque<RobEntry>,
     scheds: [Vec<SchedEntry>; 4],
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Per scheduler: no entry can issue before this cycle.
+    sched_wake: [u64; 4],
+    calendar: Calendar,
     ready_at: Vec<u64>,
 
     // Scratch buffers reused every cycle so the steady-state rename path
-    // performs no heap allocation.
-    rename_reqs: Vec<RenameReq>,
+    // performs no heap allocation: a bundle that wraps around the end of
+    // the window is copied into `wrapped_reqs` to be renamed.
+    wrapped_reqs: Vec<RenameReq>,
     renamed_buf: Vec<Renamed>,
 
     // FNV chain over the retired stream, folded at retire time
@@ -130,24 +258,59 @@ impl Machine {
                 0
             }
         });
-        let ready_at = vec![0u64; cfg.preg_count];
+        let front_total = cfg.front_depth + cfg.optimizer_extra_stages();
+        let fetch_capacity = (front_total as usize + 8) * cfg.fetch_width;
+        let window = (cfg.rob_entries + fetch_capacity + 1).next_power_of_two();
+        let idle_inst = RenameReq {
+            d: DynInst {
+                seq: 0,
+                pc: 0,
+                inst: Inst::Nop,
+                result: None,
+                eff_addr: None,
+                store_value: None,
+                taken: false,
+                next_pc: 0,
+            },
+            mispredicted: false,
+        };
+        let idle_slot = Slot {
+            rename_ready: 0,
+            ren: Renamed {
+                seq: 0,
+                class: RenamedClass::Done,
+                srcs: SrcList::new(),
+                dst: None,
+                dst_new: false,
+                early_value: None,
+                resolved_early: false,
+                load_removed: false,
+                addr_known: false,
+            },
+            complete_at: 0,
+        };
         Machine {
             hier: MemHierarchy::new(cfg.hierarchy),
             pred: Predictor::new(cfg.predictor),
+            calendar: Calendar::new(&cfg, window),
+            ready_at: vec![0u64; cfg.preg_count],
+            wrapped_reqs: Vec::with_capacity(cfg.fetch_width),
+            renamed_buf: Vec::with_capacity(cfg.fetch_width),
             cfg,
             emu,
             opt,
             cycle: 0,
-            lookahead: VecDeque::new(),
             stream_done: false,
-            insts_pulled: 0,
-            fetch_queue: VecDeque::new(),
-            rob: VecDeque::new(),
+            insts: vec![idle_inst; window].into_boxed_slice(),
+            slots: vec![idle_slot; window].into_boxed_slice(),
+            mask: window as u64 - 1,
+            retire_seq: 0,
+            rename_seq: 0,
+            fetch_seq: 0,
+            stepped: false,
+            fetch_capacity,
             scheds: Default::default(),
-            completions: BinaryHeap::new(),
-            ready_at,
-            rename_reqs: Vec::new(),
-            renamed_buf: Vec::new(),
+            sched_wake: [u64::MAX; 4],
             fold_digest: false,
             stream_digest: contopt_emu::STREAM_DIGEST_INIT,
             fetch_resume_at: 0,
@@ -199,13 +362,13 @@ impl Machine {
             }
             if self.stats.retired > last_progress.1 {
                 last_progress = (self.cycle, self.stats.retired);
-            } else if self.cycle - last_progress.0 > 1_000_000 {
+            } else if self.cycle - last_progress.0 > DEADLOCK_WINDOW {
                 panic!(
                     "pipeline deadlock at cycle {} (retired {}, rob {}, fq {})",
                     self.cycle,
                     self.stats.retired,
-                    self.rob.len(),
-                    self.fetch_queue.len()
+                    self.rename_seq - self.retire_seq,
+                    self.fetch_seq - self.rename_seq
                 );
             }
         }
@@ -224,36 +387,44 @@ impl Machine {
     }
 
     fn finished(&self) -> bool {
-        self.stream_done
-            && self.lookahead.is_empty()
-            && self.fetch_queue.is_empty()
-            && self.rob.is_empty()
+        self.stream_done && !self.stepped && self.retire_seq == self.fetch_seq
+    }
+
+    /// The window slot of instruction `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
     }
 
     // ---- stream --------------------------------------------------------
 
+    /// Steps the emulator into slot `fetch_seq` unless an instruction
+    /// already waits there; returns whether one does.
     #[expect(
         clippy::expect_used,
         reason = "suite programs execute cleanly under the reference emulator"
     )]
-    fn peek_stream(&mut self, max_insts: u64) -> Option<DynInst> {
-        if self.lookahead.is_empty() && !self.stream_done {
-            if self.insts_pulled >= max_insts {
+    fn step_stream(&mut self, max_insts: u64) -> bool {
+        if !self.stepped && !self.stream_done {
+            if self.fetch_seq >= max_insts {
                 self.stream_done = true;
             } else {
                 match self.emu.step().expect("workload executes cleanly") {
                     Step::Inst(d) => {
-                        self.insts_pulled += 1;
                         if matches!(d.inst, Inst::Halt) {
                             self.stream_done = true;
                         }
-                        self.lookahead.push_back(d);
+                        let i = self.slot(self.fetch_seq);
+                        self.insts[i] = RenameReq {
+                            d,
+                            mispredicted: false,
+                        };
+                        self.stepped = true;
                     }
                     Step::Halted => self.stream_done = true,
                 }
             }
         }
-        self.lookahead.front().copied()
+        self.stepped
     }
 
     // ---- fetch -----------------------------------------------------------
@@ -266,18 +437,21 @@ impl Machine {
         if self.cycle < self.fetch_resume_at {
             return;
         }
-        let front_total = self.cfg.front_depth + self.cfg.optimizer_extra_stages();
-        let capacity = (front_total as usize + 8) * self.cfg.fetch_width;
+        let rename_ready = self.cycle + self.cfg.front_depth + self.cfg.optimizer_extra_stages();
         let mut fetched = 0;
         let mut line: Option<u64> = None;
-        while fetched < self.cfg.fetch_width && self.fetch_queue.len() < capacity {
-            let Some(d) = self.peek_stream(max_insts) else {
+        while fetched < self.cfg.fetch_width
+            && ((self.fetch_seq - self.rename_seq) as usize) < self.fetch_capacity
+        {
+            if !self.step_stream(max_insts) {
                 break;
-            };
+            }
+            let i = self.slot(self.fetch_seq);
             // Instruction cache: one access per line per fetch cycle.
-            let line_addr = d.pc / self.cfg.hierarchy.l1i.line_bytes;
+            let pc = self.insts[i].d.pc;
+            let line_addr = pc / self.cfg.hierarchy.l1i.line_bytes;
             if line != Some(line_addr) {
-                let lat = self.hier.inst_fetch(d.pc);
+                let lat = self.hier.inst_fetch(pc);
                 line = Some(line_addr);
                 if lat > self.cfg.hierarchy.l1i_latency {
                     // Miss: the line fills; fetch resumes once it arrives.
@@ -285,43 +459,19 @@ impl Machine {
                     break;
                 }
             }
-            self.lookahead.pop_front();
-            let mispredicted = self.predict(&d);
-            self.fetch_queue.push_back(Fetched {
-                d,
-                mispredicted,
-                rename_ready: self.cycle + front_total,
-            });
+            self.stepped = false;
+            self.fetch_seq += 1;
             fetched += 1;
-            if mispredicted {
+            let req = &mut self.insts[i];
+            req.mispredicted = predict(&mut self.pred, &req.d);
+            self.slots[i].rename_ready = rename_ready;
+            if req.mispredicted {
                 self.mispredict_outstanding = true;
                 break;
             }
-            if d.redirects() {
+            if req.d.redirects() {
                 break; // taken control flow ends the fetch block
             }
-        }
-    }
-
-    /// Consults/updates the predictor; returns whether the front end
-    /// mispredicted this instruction.
-    fn predict(&mut self, d: &DynInst) -> bool {
-        match d.inst {
-            Inst::Br { target, .. } => !self.pred.update_cond(d.pc, d.taken, target),
-            Inst::Bru { .. } => false, // direct, decoded in the front end
-            Inst::Bsr { .. } => {
-                self.pred.push_return(d.pc.wrapping_add(4));
-                false
-            }
-            Inst::Jmp { rd, ra } => {
-                let is_return = rd.is_zero() && ra == Reg::RA;
-                if is_return {
-                    !self.pred.predict_return(d.next_pc)
-                } else {
-                    !self.pred.update_indirect(d.pc, d.next_pc)
-                }
-            }
-            _ => false,
         }
     }
 
@@ -347,37 +497,22 @@ impl Machine {
         }
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "the optimizer renames exactly what was peeked"
-    )]
     fn rename_and_dispatch(&mut self) {
-        let mut rob_free = self.cfg.rob_entries - self.rob.len();
+        let mut rob_free = self.cfg.rob_entries - (self.rename_seq - self.retire_seq) as usize;
         // Scheduler slots are reserved against the *unoptimized* class; the
         // optimizer occasionally moves an instruction to the int scheduler
         // (strength-reduced multiplies, expression-forwarded loads), so the
         // occupancy may transiently exceed the nominal capacity by less than
         // one rename bundle — hence the saturating arithmetic.
-        let mut sched_free = [
-            self.cfg
-                .scheduler_entries
-                .saturating_sub(self.scheds[0].len()),
-            self.cfg
-                .scheduler_entries
-                .saturating_sub(self.scheds[1].len()),
-            self.cfg
-                .scheduler_entries
-                .saturating_sub(self.scheds[2].len()),
-            self.cfg
-                .scheduler_entries
-                .saturating_sub(self.scheds[3].len()),
-        ];
-        // Reuse the request/result scratch buffers across cycles (taken and
-        // restored around the loop because `dispatch` needs `&mut self`).
-        let mut reqs = std::mem::take(&mut self.rename_reqs);
-        reqs.clear();
-        for f in self.fetch_queue.iter().take(self.cfg.fetch_width) {
-            if f.rename_ready > self.cycle {
+        let mut sched_free = self
+            .scheds
+            .each_ref()
+            .map(|s| self.cfg.scheduler_entries.saturating_sub(s.len()));
+        let queued = (self.fetch_seq - self.rename_seq) as usize;
+        let mut n = 0;
+        while n < self.cfg.fetch_width.min(queued) {
+            let i = self.slot(self.rename_seq + n as u64);
+            if self.slots[i].rename_ready > self.cycle {
                 break;
             }
             if rob_free == 0 {
@@ -387,7 +522,7 @@ impl Machine {
             // Conservative structural pre-check: reserve a slot in the
             // scheduler the unoptimized instruction would use (the
             // optimizer can only reduce pressure).
-            if let Some(s) = Self::sched_for(f.d.inst.class()) {
+            if let Some(s) = Self::sched_for(self.insts[i].d.inst.class()) {
                 if sched_free[s] == 0 {
                     self.stats.sched_stall_cycles += 1;
                     break;
@@ -395,26 +530,30 @@ impl Machine {
                 sched_free[s] -= 1;
             }
             rob_free -= 1;
-            reqs.push(RenameReq {
-                d: f.d,
-                mispredicted: f.mispredicted,
-            });
+            n += 1;
         }
-        if reqs.is_empty() {
-            self.rename_reqs = reqs;
+        if n == 0 {
             return;
         }
+        // Taken and restored around the loop because `dispatch` needs
+        // `&mut self`.
         let mut renamed = std::mem::take(&mut self.renamed_buf);
         renamed.clear();
-        self.opt.rename_bundle_into(self.cycle, &reqs, &mut renamed);
-        for ren in renamed.drain(..) {
-            let f = self
-                .fetch_queue
-                .pop_front()
-                .expect("renamed what we peeked");
-            self.dispatch(f, ren);
+        let first = self.slot(self.rename_seq);
+        if first + n <= self.insts.len() {
+            self.opt
+                .rename_bundle_into(self.cycle, &self.insts[first..first + n], &mut renamed);
+        } else {
+            let wrap = first + n - self.insts.len();
+            self.wrapped_reqs.clear();
+            self.wrapped_reqs.extend_from_slice(&self.insts[first..]);
+            self.wrapped_reqs.extend_from_slice(&self.insts[..wrap]);
+            self.opt
+                .rename_bundle_into(self.cycle, &self.wrapped_reqs, &mut renamed);
         }
-        self.rename_reqs = reqs;
+        for ren in renamed.drain(..) {
+            self.dispatch(ren);
+        }
         self.renamed_buf = renamed;
     }
 
@@ -422,55 +561,60 @@ impl Machine {
         clippy::expect_used,
         reason = "renamed-class invariants established at rename time"
     )]
-    fn dispatch(&mut self, f: Fetched, ren: Renamed) {
+    fn dispatch(&mut self, ren: Renamed) {
+        debug_assert_eq!(ren.seq, self.rename_seq, "rename keeps program order");
+        self.rename_seq += 1;
+        let now = self.cycle;
+        let i = self.slot(ren.seq);
         if let (Some(dst), true) = (ren.dst, ren.dst_new) {
             self.ready_at[dst.index()] = u64::MAX;
         }
-        let mut entry = RobEntry {
-            d: f.d,
-            ren,
-            mispredicted: f.mispredicted,
-            completed: false,
-            complete_at: u64::MAX,
-        };
-        match entry.ren.class {
+        let complete_at = match ren.class {
             RenamedClass::Done => {
                 // Fully handled in the optimizer: completes immediately and
                 // only waits for retirement.
-                entry.completed = true;
-                entry.complete_at = self.cycle;
                 self.stats.bypassed_ooo += 1;
-                if entry.ren.load_removed {
+                if ren.load_removed {
                     self.stats.loads_bypassed += 1;
                 }
-                if let (Some(dst), true) = (entry.ren.dst, entry.ren.dst_new) {
-                    let v = entry
-                        .ren
+                let req = &self.insts[i];
+                if let (Some(dst), true) = (ren.dst, ren.dst_new) {
+                    let v = ren
                         .early_value
-                        .or(entry.d.result)
+                        .or(req.d.result)
                         .expect("early destination has a value");
-                    self.ready_at[dst.index()] = self.cycle;
-                    self.opt.complete(dst, v, self.cycle);
+                    self.ready_at[dst.index()] = now;
+                    self.opt.complete(dst, v, now);
                     self.opt.release(dst); // producer claim
                 }
-                if f.mispredicted {
-                    debug_assert!(entry.ren.resolved_early || entry.d.inst.is_control());
-                    self.redirect(self.cycle, true);
+                if req.mispredicted {
+                    debug_assert!(ren.resolved_early || req.d.inst.is_control());
+                    self.redirect(now, true);
                 }
+                now
             }
             class => {
                 self.stats.dispatched_to_ooo += 1;
                 let sched = Self::sched_for_renamed(class).expect("non-Done class");
+                let earliest = now + self.cfg.sched_delay;
+                let ready = ren
+                    .srcs
+                    .iter()
+                    .fold(earliest, |t, p| t.max(self.ready_at[p.index()]));
+                self.sched_wake[sched] = self.sched_wake[sched].min(ready);
                 self.scheds[sched].push(SchedEntry {
-                    seq: entry.ren.seq,
-                    earliest: self.cycle + self.cfg.sched_delay,
-                    srcs: entry.ren.srcs,
+                    seq: ren.seq,
+                    earliest,
+                    srcs: ren.srcs,
                     class,
-                    addr_known: entry.ren.addr_known,
+                    addr_known: ren.addr_known,
                 });
+                u64::MAX
             }
-        }
-        self.rob.push_back(entry);
+        };
+        let slot = &mut self.slots[i];
+        slot.ren = ren;
+        slot.complete_at = complete_at;
     }
 
     fn redirect(&mut self, resolved_at: u64, early: bool) {
@@ -486,16 +630,8 @@ impl Machine {
 
     // ---- issue / execute -------------------------------------------------
 
-    #[expect(
-        clippy::expect_used,
-        reason = "callers index into a non-empty reorder buffer"
-    )]
-    fn rob_index(&self, seq: u64) -> usize {
-        let head = self.rob.front().expect("rob non-empty").ren.seq;
-        (seq - head) as usize
-    }
-
     fn issue(&mut self) {
+        let now = self.cycle;
         let mut fu_left = [
             self.cfg.simple_int_fus,
             self.cfg.complex_int_fus,
@@ -505,11 +641,21 @@ impl Machine {
         let mut dports_left = self.cfg.hierarchy.l1d_ports as usize;
 
         for sched in 0..4 {
+            if now < self.sched_wake[sched] {
+                continue;
+            }
+            // Rebuilt by the scan from the entries it leaves (and lowered
+            // by whatever executes meanwhile).
+            self.sched_wake[sched] = u64::MAX;
             let mut i = 0;
             while i < self.scheds[sched].len() {
                 let e = self.scheds[sched][i];
-                let now = self.cycle;
-                if e.earliest > now || !e.srcs.iter().all(|p| self.ready_at[p.index()] <= now) {
+                let ready = e
+                    .srcs
+                    .iter()
+                    .fold(e.earliest, |t, p| t.max(self.ready_at[p.index()]));
+                if ready > now {
+                    self.sched_wake[sched] = self.sched_wake[sched].min(ready);
                     i += 1;
                     continue;
                 }
@@ -534,11 +680,12 @@ impl Machine {
                     RenamedClass::Done => unreachable!("Done never scheduled"),
                 };
                 if !ok {
+                    self.sched_wake[sched] = self.sched_wake[sched].min(now + 1);
                     i += 1;
                     continue;
                 }
                 self.scheds[sched].remove(i);
-                self.execute(self.rob_index(e.seq));
+                self.execute(e.seq);
             }
         }
     }
@@ -547,18 +694,18 @@ impl Machine {
         clippy::expect_used,
         reason = "memory ops carry effective addresses from the emulator"
     )]
-    fn execute(&mut self, idx: usize) {
+    fn execute(&mut self, seq: u64) {
         let now = self.cycle;
-        let (class, addr_known, eff_addr) = {
-            let e = &self.rob[idx];
-            (e.ren.class, e.ren.addr_known, e.d.eff_addr)
-        };
+        let i = self.slot(seq);
+        let ren = &self.slots[i].ren;
+        let (class, addr_known) = (ren.class, ren.addr_known);
+        let dst = ren.dst.filter(|_| ren.dst_new);
         let exec_lat = match class {
             RenamedClass::SimpleInt => 1,
             RenamedClass::ComplexInt => self.cfg.complex_latency,
             RenamedClass::Fp => self.cfg.fp_latency,
             RenamedClass::Load => {
-                let addr = eff_addr.expect("load has an address");
+                let addr = self.insts[i].d.eff_addr.expect("load has an address");
                 self.stats.dcache_loads += 1;
                 let agen = if addr_known { 0 } else { 1 };
                 agen + self.hier.data_access(addr, false)
@@ -567,43 +714,34 @@ impl Machine {
             RenamedClass::Done => unreachable!(),
         };
         let complete_at = now + self.cfg.regread_delay + exec_lat;
-        let e = &mut self.rob[idx];
-        e.complete_at = complete_at;
-        if let (Some(dst), true) = (e.ren.dst, e.ren.dst_new) {
+        self.slots[i].complete_at = complete_at;
+        if let Some(dst) = dst {
             self.ready_at[dst.index()] = complete_at;
+            // Tag broadcast: consumers of `dst` may issue from `complete_at`.
+            for wake in &mut self.sched_wake {
+                *wake = (*wake).min(complete_at);
+            }
         }
-        self.completions.push(Reverse((complete_at, e.ren.seq)));
+        self.calendar.push(seq, complete_at, now);
     }
 
     #[expect(clippy::expect_used, reason = "writers always produce a result value")]
     fn process_completions(&mut self) {
-        while let Some(&Reverse((t, seq))) = self.completions.peek() {
-            if t > self.cycle {
-                break;
-            }
-            self.completions.pop();
-            let idx = self.rob_index(seq);
-            let (srcs, dst, dst_new, value, mispredicted, is_control) = {
-                let e = &mut self.rob[idx];
-                e.completed = true;
-                (
-                    e.ren.srcs, // inline list: a plain copy, no allocation
-                    e.ren.dst,
-                    e.ren.dst_new,
-                    e.d.result,
-                    e.mispredicted,
-                    e.d.inst.is_control(),
-                )
-            };
-            for &p in &srcs {
+        self.calendar.drain(self.cycle);
+        for k in 0..self.calendar.due.len() {
+            let (t, seq) = self.calendar.due[k];
+            let i = self.slot(seq);
+            let ren = &self.slots[i].ren;
+            let req = &self.insts[i];
+            for &p in &ren.srcs {
                 self.opt.release(p);
             }
-            if let (Some(dst), true) = (dst, dst_new) {
+            if let (Some(dst), true) = (ren.dst, ren.dst_new) {
                 self.opt
-                    .complete(dst, value.expect("writer has a result"), t);
+                    .complete(dst, req.d.result.expect("writer has a result"), t);
                 self.opt.release(dst); // producer claim
             }
-            if mispredicted && is_control {
+            if req.mispredicted && req.d.inst.is_control() {
                 self.redirect(t, false);
             }
         }
@@ -611,28 +749,48 @@ impl Machine {
 
     // ---- retire -----------------------------------------------------------
 
-    #[expect(
-        clippy::expect_used,
-        reason = "the retire loop re-checks the head it pops"
-    )]
+    #[expect(clippy::expect_used, reason = "stores carry effective addresses")]
     fn retire(&mut self) {
         let mut n = 0;
-        while n < self.cfg.retire_width {
-            let Some(front) = self.rob.front() else { break };
-            if !front.completed || front.complete_at > self.cycle {
+        while n < self.cfg.retire_width && self.retire_seq < self.rename_seq {
+            let i = self.slot(self.retire_seq);
+            if self.slots[i].complete_at > self.cycle {
                 break;
             }
-            let e = self.rob.pop_front().expect("checked front");
-            if e.d.inst.is_store() {
-                let addr = e.d.eff_addr.expect("store has an address");
+            let d = &self.insts[i].d;
+            if d.inst.is_store() {
+                let addr = d.eff_addr.expect("store has an address");
                 self.hier.data_access(addr, true);
             }
             if self.fold_digest {
-                self.stream_digest = e.d.fold_digest(self.stream_digest);
+                self.stream_digest = d.fold_digest(self.stream_digest);
             }
+            self.retire_seq += 1;
             self.stats.retired += 1;
             n += 1;
         }
+    }
+}
+
+/// Consults/updates the predictor; returns whether the front end
+/// mispredicted this instruction.
+fn predict(pred: &mut Predictor, d: &DynInst) -> bool {
+    match d.inst {
+        Inst::Br { target, .. } => !pred.update_cond(d.pc, d.taken, target),
+        Inst::Bru { .. } => false, // direct, decoded in the front end
+        Inst::Bsr { .. } => {
+            pred.push_return(d.pc.wrapping_add(4));
+            false
+        }
+        Inst::Jmp { rd, ra } => {
+            let is_return = rd.is_zero() && ra == Reg::RA;
+            if is_return {
+                !pred.predict_return(d.next_pc)
+            } else {
+                !pred.update_indirect(d.pc, d.next_pc)
+            }
+        }
+        _ => false,
     }
 }
 

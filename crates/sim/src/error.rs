@@ -16,6 +16,22 @@ pub enum Error {
     ZeroRetireWidth,
     /// The reorder buffer has no entries.
     ZeroRobEntries,
+    /// The schedulers have no entries — nothing could ever issue.
+    ZeroSchedulerEntries,
+    /// A kind of functional unit (the carried `MachineConfig` field name)
+    /// has no units, so an instruction that needs one can never issue.
+    ZeroFunctionalUnits(&'static str),
+    /// The L1 data cache has no ports — no load could ever issue.
+    ZeroL1dPorts,
+    /// The machine's delays and latencies add up to at least the deadlock
+    /// detector's window, so a correct run could stall long enough to be
+    /// taken for a deadlock (or overflow the cycle arithmetic).
+    LatencyExceedsDeadlockWindow {
+        /// The saturating sum of every delay and latency, in cycles.
+        total: u64,
+        /// The deadlock detector's window, in cycles.
+        window: u64,
+    },
     /// The value-feedback transmission delay exceeds the ROB depth: every
     /// result would arrive after its consumers have long left the window,
     /// which is never a meaningful configuration.
@@ -56,6 +72,14 @@ impl fmt::Display for Error {
             Error::ZeroRenameWidth => write!(f, "fetch/rename width must be at least 1"),
             Error::ZeroRetireWidth => write!(f, "retire width must be at least 1"),
             Error::ZeroRobEntries => write!(f, "reorder buffer must have at least 1 entry"),
+            Error::ZeroSchedulerEntries => write!(f, "schedulers must have at least 1 entry"),
+            Error::ZeroFunctionalUnits(field) => write!(f, "{field} must be at least 1"),
+            Error::ZeroL1dPorts => write!(f, "the L1 data cache must have at least 1 port"),
+            Error::LatencyExceedsDeadlockWindow { total, window } => write!(
+                f,
+                "delays and latencies sum to {total} cycles, at least the \
+                 {window}-cycle deadlock window"
+            ),
             Error::FeedbackDelayExceedsRob { delay, rob } => write!(
                 f,
                 "value-feedback delay ({delay} cycles) exceeds the ROB depth ({rob} entries)"

@@ -68,7 +68,7 @@ pub use contopt::{
 
 // The cycle-level machine.
 pub use contopt_pipeline::{
-    simulate, Machine, MachineConfig, PipelineStats, RunReport, SpeedupError,
+    simulate, Machine, MachineConfig, PipelineStats, RunReport, SpeedupError, DEADLOCK_WINDOW,
 };
 
 /// The simulated instruction set and assembler.

@@ -4,7 +4,7 @@ use crate::error::Error;
 use crate::report::Report;
 use contopt::{OptimizerConfig, Pass, PassSet};
 use contopt_isa::{Program, NUM_ARCH_REGS};
-use contopt_pipeline::{Machine, MachineConfig};
+use contopt_pipeline::{Machine, MachineConfig, DEADLOCK_WINDOW};
 use std::sync::Arc;
 
 /// Default dynamic-instruction budget per run.
@@ -181,6 +181,44 @@ pub(crate) fn validate_machine(cfg: &MachineConfig) -> Result<(), Error> {
     }
     if cfg.rob_entries == 0 {
         return Err(Error::ZeroRobEntries);
+    }
+    if cfg.scheduler_entries == 0 {
+        return Err(Error::ZeroSchedulerEntries);
+    }
+    for (field, units) in [
+        ("simple_int_fus", cfg.simple_int_fus),
+        ("complex_int_fus", cfg.complex_int_fus),
+        ("fp_fus", cfg.fp_fus),
+        ("agen_fus", cfg.agen_fus),
+    ] {
+        if units == 0 {
+            return Err(Error::ZeroFunctionalUnits(field));
+        }
+    }
+    let h = &cfg.hierarchy;
+    if h.l1d_ports == 0 {
+        return Err(Error::ZeroL1dPorts);
+    }
+    let total = [
+        cfg.front_depth,
+        cfg.optimizer_extra_stages(),
+        cfg.sched_delay,
+        cfg.regread_delay,
+        cfg.redirect_delay,
+        cfg.complex_latency,
+        cfg.fp_latency,
+        h.l1i_latency,
+        h.l1d_latency,
+        h.l2_latency,
+        h.memory_latency,
+    ]
+    .into_iter()
+    .fold(0, u64::saturating_add);
+    if total >= DEADLOCK_WINDOW {
+        return Err(Error::LatencyExceedsDeadlockWindow {
+            total,
+            window: DEADLOCK_WINDOW,
+        });
     }
     let need = NUM_ARCH_REGS + 1;
     if cfg.preg_count < need {

@@ -20,6 +20,7 @@ use contopt_sim::{
 };
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// The repository root (tests are registered under `crates/experiments`).
 fn repo_root() -> PathBuf {
@@ -244,7 +245,52 @@ fn checked_in_cache_latency_goldens_reproduce() {
         &TolerancePolicy::exact(),
     )
     .unwrap();
-    assert!(drifts.is_empty(), "cache-latency goldens drifted: {drifts:?}");
+    assert!(
+        drifts.is_empty(),
+        "cache-latency goldens drifted: {drifts:?}"
+    );
+}
+
+/// `--scenario FILE ...` checks every file up to the next flag: a missing
+/// second file is an error (exit 3), not a silent pass on the first. A
+/// stray path after another flag is an error too, before anything runs.
+#[test]
+fn scenario_flag_takes_every_path_up_to_the_next_flag() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
+            .current_dir(repo_root())
+            .args(args)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = run(&[
+        "--scenario",
+        "scenarios/smoke.json",
+        "/nonexistent/file.json",
+        "--check",
+    ]);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("/nonexistent/file.json"), "{stderr}");
+
+    let (code, stderr) = run(&[
+        "--scenario",
+        "scenarios/smoke.json",
+        "--check",
+        "scenarios/fig9.json",
+    ]);
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(
+        stderr.contains("unexpected argument \"scenarios/fig9.json\""),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("simulating"), "nothing may run: {stderr}");
+
+    let (code, stderr) = run(&["--ablate", "--check"]);
+    assert_eq!(code, Some(3), "{stderr}");
 }
 
 #[test]

@@ -152,6 +152,94 @@ fn rejects_other_degenerate_machines() {
     assert_eq!(err, Error::ZeroMbcEntries);
 }
 
+/// Machines that can only deadlock, or whose latencies would outlast the
+/// deadlock detector or overflow the cycle arithmetic, are typed errors
+/// from the builder and from scenario loading, never a mid-sweep panic.
+#[test]
+fn rejects_machines_that_can_only_deadlock_or_overflow() {
+    let window = contopt_sim::DEADLOCK_WINDOW;
+    assert_eq!(window, 1_000_000);
+    // Every delay and latency of the default machine, summed.
+    let default_total = 14 + 2 + 2 + 1 + 7 + 4 + 1 + 2 + 10 + 100;
+    let mut cases = Vec::new();
+    let mut scalar = |field: &'static str, value: u64, want: Error| {
+        let mut cfg = MachineConfig::default_paper();
+        cfg.set_scalar_field(field, value).unwrap();
+        cases.push((cfg, want, Some(format!(r#"{{"{field}": {value}}}"#))));
+    };
+    scalar("scheduler_entries", 0, Error::ZeroSchedulerEntries);
+    for field in ["simple_int_fus", "complex_int_fus", "fp_fus", "agen_fus"] {
+        scalar(field, 0, Error::ZeroFunctionalUnits(field));
+    }
+    for complex_latency in [2_000_000, u64::MAX] {
+        scalar(
+            "complex_latency",
+            complex_latency,
+            Error::LatencyExceedsDeadlockWindow {
+                total: (default_total - 7u64).saturating_add(complex_latency),
+                window,
+            },
+        );
+    }
+    // Scenario files pin the cache hierarchy, so these two reach only the
+    // builder and `Scenario::validate`.
+    let mut no_ports = MachineConfig::default_paper();
+    no_ports.hierarchy.l1d_ports = 0;
+    cases.push((no_ports, Error::ZeroL1dPorts, None));
+    let mut slow_memory = MachineConfig::default_paper();
+    slow_memory.hierarchy.memory_latency = window - (default_total - 100);
+    cases.push((
+        slow_memory,
+        Error::LatencyExceedsDeadlockWindow {
+            total: window,
+            window,
+        },
+        None,
+    ));
+
+    for (cfg, want, machine_json) in cases {
+        let err = SimSession::builder()
+            .machine(cfg)
+            .program(tiny_program())
+            .build()
+            .unwrap_err();
+        assert_eq!(err, want);
+        let sc = Scenario {
+            name: "bad".into(),
+            insts: 1_000,
+            ablation: None,
+            programs: vec![],
+            configs: vec![contopt_sim::ScenarioConfig {
+                label: "x".into(),
+                machine: cfg,
+                workloads: vec!["twf".into()],
+            }],
+        };
+        let want = ScenarioError::Machine {
+            label: "x".into(),
+            err: want,
+        };
+        assert_eq!(sc.validate(), Err(want.clone()));
+        if let Some(machine) = machine_json {
+            let text = format!(
+                r#"{{"version": 1, "name": "bad", "insts": 1000, "configs": [
+                    {{"label": "x", "workloads": ["twf"], "machine": {machine}}}
+                ]}}"#
+            );
+            assert_eq!(Scenario::parse(&text), Err(want), "{machine}");
+        }
+    }
+
+    // One cycle under the window is still a machine that can run.
+    let mut ok = MachineConfig::default_paper();
+    ok.hierarchy.memory_latency = window - (default_total - 100) - 1;
+    assert!(SimSession::builder()
+        .machine(ok)
+        .program(tiny_program())
+        .build()
+        .is_ok());
+}
+
 /// A Memory Bypass Cache size that is not a power of two is inert on a
 /// machine whose optimizer is off, and a typed error wherever RLE/SF would
 /// use it: from the builder, from scenario validation, and from
