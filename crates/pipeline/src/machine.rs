@@ -99,6 +99,16 @@ struct SchedEntry {
     addr_known: bool,
 }
 
+impl SchedEntry {
+    /// First cycle the scheduler delay and the operands let the entry
+    /// issue; `u64::MAX` while a producer has not issued.
+    fn ready(&self, ready_at: &[u64]) -> u64 {
+        self.srcs
+            .iter()
+            .fold(self.earliest, |t, p| t.max(ready_at[p.index()]))
+    }
+}
+
 const INT_SCHED: usize = 0;
 const CPLX_SCHED: usize = 1;
 const FP_SCHED: usize = 2;
@@ -596,19 +606,16 @@ impl Machine {
             class => {
                 self.stats.dispatched_to_ooo += 1;
                 let sched = Self::sched_for_renamed(class).expect("non-Done class");
-                let earliest = now + self.cfg.sched_delay;
-                let ready = ren
-                    .srcs
-                    .iter()
-                    .fold(earliest, |t, p| t.max(self.ready_at[p.index()]));
-                self.sched_wake[sched] = self.sched_wake[sched].min(ready);
-                self.scheds[sched].push(SchedEntry {
+                let entry = SchedEntry {
                     seq: ren.seq,
-                    earliest,
+                    earliest: now + self.cfg.sched_delay,
                     srcs: ren.srcs,
                     class,
                     addr_known: ren.addr_known,
-                });
+                };
+                let wake = &mut self.sched_wake[sched];
+                *wake = (*wake).min(entry.ready(&self.ready_at));
+                self.scheds[sched].push(entry);
                 u64::MAX
             }
         };
@@ -650,10 +657,7 @@ impl Machine {
             let mut i = 0;
             while i < self.scheds[sched].len() {
                 let e = self.scheds[sched][i];
-                let ready = e
-                    .srcs
-                    .iter()
-                    .fold(e.earliest, |t, p| t.max(self.ready_at[p.index()]));
+                let ready = e.ready(&self.ready_at);
                 if ready > now {
                     self.sched_wake[sched] = self.sched_wake[sched].min(ready);
                     i += 1;
