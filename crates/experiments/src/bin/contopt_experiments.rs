@@ -6,7 +6,7 @@
 //! contopt-experiments --table1 --table2 --table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12
 //! contopt-experiments --scenario scenarios/fig9.json [--jobs N]
 //! contopt-experiments --scenario scenarios/smoke.json --record   # pin goldens
-//! contopt-experiments --scenario scenarios/smoke.json --check    # fail on drift
+//! contopt-experiments --scenario scenarios/smoke.json scenarios/fig9.json --check  # fail on drift
 //! contopt-experiments --ablate scenarios/ablate_smoke.json --table  # per-pass cycles
 //! contopt-experiments --ablate scenarios/ablate_smoke.json --check  # pin/verify ablation
 //! contopt-experiments --validate [FILE...]        # parse-check JSON artifacts

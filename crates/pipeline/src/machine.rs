@@ -19,8 +19,10 @@
 //! # Bookkeeping
 //!
 //! The model's own bookkeeping does work in proportion to events, not to
-//! cycles or window size. Each of its three structures keeps the order of
-//! the plain queues it replaces, so every report is unchanged:
+//! cycles or window size. Each of its three structures yields exactly the
+//! order of the plain model it stands for — FIFO queues, a priority queue
+//! of completions keyed by `(cycle, seq)`, and a scan of every scheduler
+//! in every cycle — so no report depends on it:
 //!
 //! - **One instruction window.** Every instruction lives in one ring of
 //!   slots indexed by `seq & mask`, from the emulator step that produces it
@@ -32,7 +34,7 @@
 //!   emulator's record is written once; rename reads it in place, and
 //!   dispatch, execute, completion and retire update the slot. Both queues
 //!   are runs of consecutive sequence numbers, so their order is program
-//!   order, as in the queues this replaces.
+//!   order, as a FIFO's would be.
 //! - **A completion calendar.** Completions sit in power-of-two buckets
 //!   indexed by cycle, sized from the machine's longest execution latency
 //!   up to a fixed cap. An event goes into bucket `max(complete_at,
@@ -49,8 +51,8 @@
 //!   completion (a tag broadcast), and a scan resets it to the minimum over
 //!   the entries it leaves. The bound never exceeds the cycle an entry
 //!   could first issue, so a skipped scan is one that would have issued
-//!   nothing. The scan itself is unchanged, which keeps oldest-first order
-//!   and unit/port arbitration.
+//!   nothing. A scan that does run is the plain one, so oldest-first
+//!   order and unit/port arbitration are those of the plain model.
 
 use crate::config::MachineConfig;
 use crate::stats::{PipelineStats, RunReport};
