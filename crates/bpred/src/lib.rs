@@ -38,6 +38,49 @@ pub struct PredictorConfig {
     pub ras_entries: usize,
 }
 
+/// The longest global history the gshare table is built for: the pattern
+/// table has `2^history_bits` counters.
+pub const MAX_HISTORY_BITS: u32 = 24;
+
+impl PredictorConfig {
+    /// Checks what [`Predictor::new`] relies on: a history of at most
+    /// [`MAX_HISTORY_BITS`] and a power-of-two BTB.
+    pub fn check(&self) -> Result<(), PredictorConfigError> {
+        if self.history_bits > MAX_HISTORY_BITS {
+            return Err(PredictorConfigError::HistoryTooLong(self.history_bits));
+        }
+        if !self.btb_entries.is_power_of_two() {
+            return Err(PredictorConfigError::BtbNotPowerOfTwo(self.btb_entries));
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`PredictorConfig`] cannot be built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PredictorConfigError {
+    /// The global history (carried, in bits) exceeds [`MAX_HISTORY_BITS`].
+    HistoryTooLong(u32),
+    /// The direct-mapped BTB's size (carried) is not a power of two.
+    BtbNotPowerOfTwo(usize),
+}
+
+impl std::fmt::Display for PredictorConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PredictorConfigError::HistoryTooLong(bits) => write!(
+                f,
+                "{bits} history bits exceed the {MAX_HISTORY_BITS}-bit gshare table"
+            ),
+            PredictorConfigError::BtbNotPowerOfTwo(n) => {
+                write!(f, "BTB size ({n} entries) must be a power of two")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PredictorConfigError {}
+
 impl Default for PredictorConfig {
     fn default() -> PredictorConfig {
         PredictorConfig {
@@ -105,14 +148,13 @@ impl Predictor {
     ///
     /// # Panics
     ///
-    /// Panics if the history is longer than 24 bits or the BTB size is not a
-    /// power of two.
+    /// Panics with the [`PredictorConfigError`] of
+    /// [`PredictorConfig::check`] if the history is longer than
+    /// [`MAX_HISTORY_BITS`] or the BTB size is not a power of two.
     pub fn new(cfg: PredictorConfig) -> Predictor {
-        assert!(cfg.history_bits <= 24, "history too long to table");
-        assert!(
-            cfg.btb_entries.is_power_of_two(),
-            "BTB must be a power of two"
-        );
+        if let Err(e) = cfg.check() {
+            panic!("invalid predictor: {e}");
+        }
         Predictor {
             counters: vec![1u8; 1 << cfg.history_bits],
             history: 0,

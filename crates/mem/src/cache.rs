@@ -22,25 +22,39 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the line size is not a power of two or the capacity is not
-    /// an integer number of sets.
+    /// Panics with the [`GeometryError`] of [`check`](Self::check) if the
+    /// geometry is not one a [`Cache`] can model.
     pub fn new(size_bytes: u64, ways: u64, line_bytes: u64) -> CacheConfig {
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(ways >= 1, "need at least one way");
-        let lines = size_bytes / line_bytes;
-        assert_eq!(lines % ways, 0, "capacity must divide evenly into sets");
-        assert!(
-            (lines / ways).is_power_of_two(),
-            "number of sets must be a power of two"
-        );
-        CacheConfig {
+        let cfg = CacheConfig {
             size_bytes,
             ways,
             line_bytes,
+        };
+        if let Err(e) = cfg.check() {
+            panic!("invalid cache geometry {size_bytes}/{ways}/{line_bytes}: {e}");
         }
+        cfg
+    }
+
+    /// Checks the geometry a [`Cache`] relies on: at least one way, a
+    /// power-of-two line size, a capacity that is a whole number of sets,
+    /// and a power-of-two number of sets.
+    pub fn check(&self) -> Result<(), GeometryError> {
+        if self.ways == 0 {
+            return Err(GeometryError::ZeroWays);
+        }
+        if !self.line_bytes.is_power_of_two() {
+            return Err(GeometryError::LineNotPowerOfTwo(self.line_bytes));
+        }
+        match self.ways.checked_mul(self.line_bytes) {
+            Some(set_bytes) if self.size_bytes % set_bytes == 0 => {}
+            _ => return Err(GeometryError::PartialSet),
+        }
+        let sets = self.sets();
+        if !sets.is_power_of_two() {
+            return Err(GeometryError::SetsNotPowerOfTwo(sets));
+        }
+        Ok(())
     }
 
     /// Number of sets.
@@ -48,6 +62,38 @@ impl CacheConfig {
         self.size_bytes / self.line_bytes / self.ways
     }
 }
+
+/// Why a [`CacheConfig`] is not a geometry a [`Cache`] can model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GeometryError {
+    /// The cache has no ways.
+    ZeroWays,
+    /// The line size (carried) is not a power of two.
+    LineNotPowerOfTwo(u64),
+    /// The capacity is not a whole number of sets (`ways * line_bytes`).
+    PartialSet,
+    /// The number of sets (carried) is not a power of two.
+    SetsNotPowerOfTwo(u64),
+}
+
+impl fmt::Display for GeometryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GeometryError::ZeroWays => write!(f, "a cache needs at least one way"),
+            GeometryError::LineNotPowerOfTwo(n) => {
+                write!(f, "line size ({n} bytes) must be a power of two")
+            }
+            GeometryError::PartialSet => {
+                write!(f, "capacity must be a whole number of sets")
+            }
+            GeometryError::SetsNotPowerOfTwo(n) => {
+                write!(f, "number of sets ({n}) must be a power of two")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GeometryError {}
 
 impl fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -20,5 +20,5 @@
 mod cache;
 mod hierarchy;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig, CacheStats, GeometryError};
 pub use hierarchy::{HierarchyConfig, HierarchyStats, MemHierarchy};

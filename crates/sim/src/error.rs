@@ -1,5 +1,7 @@
 //! Typed validation errors for the session builder.
 
+use contopt_bpred::PredictorConfigError;
+use contopt_mem::GeometryError;
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -23,6 +25,16 @@ pub enum Error {
     ZeroFunctionalUnits(&'static str),
     /// The L1 data cache has no ports — no load could ever issue.
     ZeroL1dPorts,
+    /// A cache (`"l1i"`, `"l1d"` or `"l2"`) has a geometry the
+    /// set-associative model cannot index.
+    CacheGeometry {
+        /// Which cache of the hierarchy.
+        cache: &'static str,
+        /// What is wrong with its geometry.
+        err: GeometryError,
+    },
+    /// The branch predictor's configuration cannot be built.
+    Predictor(PredictorConfigError),
     /// The machine's delays and latencies add up to at least the deadlock
     /// detector's window, so a correct run could stall long enough to be
     /// taken for a deadlock (or overflow the cycle arithmetic).
@@ -75,6 +87,8 @@ impl fmt::Display for Error {
             Error::ZeroSchedulerEntries => write!(f, "schedulers must have at least 1 entry"),
             Error::ZeroFunctionalUnits(field) => write!(f, "{field} must be at least 1"),
             Error::ZeroL1dPorts => write!(f, "the L1 data cache must have at least 1 port"),
+            Error::CacheGeometry { cache, err } => write!(f, "{cache} cache: {err}"),
+            Error::Predictor(err) => write!(f, "branch predictor: {err}"),
             Error::LatencyExceedsDeadlockWindow { total, window } => write!(
                 f,
                 "delays and latencies sum to {total} cycles, at least the \

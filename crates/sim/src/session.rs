@@ -199,6 +199,12 @@ pub(crate) fn validate_machine(cfg: &MachineConfig) -> Result<(), Error> {
     if h.l1d_ports == 0 {
         return Err(Error::ZeroL1dPorts);
     }
+    for (cache, geometry) in [("l1i", h.l1i), ("l1d", h.l1d), ("l2", h.l2)] {
+        geometry
+            .check()
+            .map_err(|err| Error::CacheGeometry { cache, err })?;
+    }
+    cfg.predictor.check().map_err(Error::Predictor)?;
     let total = [
         cfg.front_depth,
         cfg.optimizer_extra_stages(),

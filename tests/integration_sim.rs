@@ -7,7 +7,9 @@
 // lints, which police the library crates.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use contopt_sim::bpred::PredictorConfigError;
 use contopt_sim::isa::{r, Asm, Program};
+use contopt_sim::mem::{CacheConfig, GeometryError};
 use contopt_sim::passes::PassId;
 use contopt_sim::{
     CpRa, EarlyExec, Error, MachineConfig, OptPass, OptimizerConfig, Pass, PassSet, RleSf,
@@ -181,11 +183,61 @@ fn rejects_machines_that_can_only_deadlock_or_overflow() {
             },
         );
     }
-    // Scenario files pin the cache hierarchy, so these two reach only the
-    // builder and `Scenario::validate`.
+    // Scenario files pin the cache hierarchy and the predictor, so the
+    // cases below reach only the builder and `Scenario::validate`.
     let mut no_ports = MachineConfig::default_paper();
     no_ports.hierarchy.l1d_ports = 0;
     cases.push((no_ports, Error::ZeroL1dPorts, None));
+    // Cache geometries the set/tag arithmetic cannot index.
+    let mut geometry = |cache: &'static str, edit: fn(&mut CacheConfig), err: GeometryError| {
+        let mut cfg = MachineConfig::default_paper();
+        let h = &mut cfg.hierarchy;
+        edit(match cache {
+            "l1i" => &mut h.l1i,
+            "l1d" => &mut h.l1d,
+            _ => &mut h.l2,
+        });
+        cases.push((cfg, Error::CacheGeometry { cache, err }, None));
+    };
+    geometry("l1d", |c| c.ways = 0, GeometryError::ZeroWays);
+    geometry(
+        "l1d",
+        |c| c.line_bytes = 48,
+        GeometryError::LineNotPowerOfTwo(48),
+    );
+    geometry(
+        "l1i",
+        |c| c.line_bytes = 0,
+        GeometryError::LineNotPowerOfTwo(0),
+    );
+    // 64 KB plus one line is not a whole number of 4 x 64 B sets.
+    geometry("l1i", |c| c.size_bytes += 64, GeometryError::PartialSet);
+    geometry("l1i", |c| c.ways = u64::MAX, GeometryError::PartialSet);
+    // 3,072 sets of 2 x 128 B.
+    geometry(
+        "l2",
+        |c| c.size_bytes = 3072 * 2 * 128,
+        GeometryError::SetsNotPowerOfTwo(3072),
+    );
+    geometry(
+        "l2",
+        |c| c.size_bytes = 0,
+        GeometryError::SetsNotPowerOfTwo(0),
+    );
+    let mut btb = MachineConfig::default_paper();
+    btb.predictor.btb_entries = 3000;
+    cases.push((
+        btb,
+        Error::Predictor(PredictorConfigError::BtbNotPowerOfTwo(3000)),
+        None,
+    ));
+    let mut history = MachineConfig::default_paper();
+    history.predictor.history_bits = 30;
+    cases.push((
+        history,
+        Error::Predictor(PredictorConfigError::HistoryTooLong(30)),
+        None,
+    ));
     let mut slow_memory = MachineConfig::default_paper();
     slow_memory.hierarchy.memory_latency = window - (default_total - 100);
     cases.push((
