@@ -142,6 +142,27 @@ impl MachineConfig {
         }
     }
 
+    /// Fetch-queue capacity in instructions: the front end's depth plus
+    /// eight cycles of fetch at full width. `None` if that overflows.
+    pub fn fetch_queue_capacity(&self) -> Option<usize> {
+        let cycles = self
+            .front_depth
+            .checked_add(self.optimizer_extra_stages())?
+            .checked_add(8)?;
+        usize::try_from(cycles).ok()?.checked_mul(self.fetch_width)
+    }
+
+    /// Slots in the machine's instruction window: the power of two above
+    /// the ROB, the fetch queue and the one instruction stepped ahead of
+    /// fetch. `None` if that overflows. The machine allocates its window
+    /// from this, and session validation caps it.
+    pub fn window_slots(&self) -> Option<usize> {
+        self.rob_entries
+            .checked_add(self.fetch_queue_capacity()?)?
+            .checked_add(1)?
+            .checked_next_power_of_two()
+    }
+
     /// Every scalar field as a `(name, value)` pair, in declaration order —
     /// the serialization half of the scenario-file bridge. The nested
     /// blocks ([`hierarchy`](Self::hierarchy),
@@ -229,6 +250,27 @@ mod tests {
         assert_eq!(MachineConfig::fetch_bound().scheduler_entries, 16);
         assert_eq!(MachineConfig::exec_bound().fetch_width, 8);
         assert_eq!(MachineConfig::default_paper().rob_entries, 160);
+    }
+
+    #[test]
+    fn window_covers_the_rob_and_the_fetch_queue() {
+        let base = MachineConfig::default_paper();
+        assert_eq!(base.fetch_queue_capacity(), Some((14 + 8) * 4));
+        assert_eq!(base.window_slots(), Some(256));
+        let opt = MachineConfig::default_with_optimizer();
+        assert_eq!(opt.fetch_queue_capacity(), Some((14 + 2 + 8) * 4));
+        assert_eq!(opt.window_slots(), Some(512));
+        let wide = MachineConfig {
+            fetch_width: usize::MAX / 8,
+            ..base
+        };
+        assert_eq!(wide.fetch_queue_capacity(), None);
+        assert_eq!(wide.window_slots(), None);
+        let deep = MachineConfig {
+            rob_entries: usize::MAX - 88,
+            ..base
+        };
+        assert_eq!(deep.window_slots(), None);
     }
 
     #[test]

@@ -261,6 +261,16 @@ impl Machine {
     /// Accepts either an owned [`Program`] or a shared `Arc<Program>`; the
     /// latter lets many machines (e.g. a parallel experiment sweep) share
     /// one program image without deep-cloning it per run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window size overflows
+    /// ([`MachineConfig::window_slots`]); session validation rejects such
+    /// machines.
+    #[expect(
+        clippy::expect_used,
+        reason = "session validation caps the window size"
+    )]
     pub fn new(cfg: MachineConfig, program: impl Into<Arc<Program>>) -> Machine {
         let emu = Emulator::new(program);
         let opt = Optimizer::new(cfg.optimizer, cfg.preg_count, |a: ArchReg| {
@@ -270,9 +280,8 @@ impl Machine {
                 0
             }
         });
-        let front_total = cfg.front_depth + cfg.optimizer_extra_stages();
-        let fetch_capacity = (front_total as usize + 8) * cfg.fetch_width;
-        let window = (cfg.rob_entries + fetch_capacity + 1).next_power_of_two();
+        let fetch_capacity = cfg.fetch_queue_capacity().expect("fetch queue fits");
+        let window = cfg.window_slots().expect("window fits");
         let idle_inst = RenameReq {
             d: DynInst {
                 seq: 0,

@@ -8,7 +8,9 @@
 //!   cache — zero additional simulations,
 //! * concurrent overlapping sweeps dedupe by fingerprint: one
 //!   simulation per unique cell, server-wide,
-//! * `ping` answers with a live `server_status` snapshot.
+//! * `ping` answers with a live `server_status` snapshot,
+//! * a machine too large to allocate is a typed `bad-request`, and the
+//!   server keeps serving after it.
 //!
 //! Fault-path guarantees (injected panics, drops, truncation, black
 //! holes) live in `tests/faults.rs` behind `--features fault-injection`.
@@ -235,6 +237,41 @@ fn malformed_and_unknown_submissions_fail_typed() {
     let msg = err.to_string();
     assert!(msg.contains("bad-request"), "got: {msg}");
     assert_eq!(server.engine().total_simulations(), 0);
+}
+
+#[test]
+fn oversized_machines_are_rejected_and_the_server_keeps_serving() {
+    let server = spawn_server(2);
+    let client = Client::new(server.addr().to_string());
+
+    // A 2^40-entry ROB would need a window of 35 TB: a typed rejection
+    // before any allocation, not an aborted process.
+    let mut machine = contopt_sim::MachineConfig::default_paper();
+    machine.rob_entries = 1 << 40;
+    let result = client.submit_plan(
+        1000,
+        vec![PlanCell {
+            label: "huge".into(),
+            machine,
+            workload: "twf".into(),
+        }],
+        None,
+    );
+    let Err(err) = result else {
+        panic!("an oversized machine must be rejected");
+    };
+    let msg = err.to_string();
+    assert!(msg.contains("bad-request"), "got: {msg}");
+    assert!(msg.contains("window"), "got: {msg}");
+    assert_eq!(server.engine().total_simulations(), 0);
+
+    // The same server still answers and sweeps normally.
+    client.ping().expect("ping after the rejection");
+    let mut sweep = client.submit_scenario(&smoke(), Some(2)).expect("submit");
+    let status = sweep.status();
+    assert_eq!(status.errors, 0);
+    assert_accounted(&status);
+    assert_eq!(reports(sweep.fetch_reports().expect("fetch")).len(), 4);
 }
 
 #[test]

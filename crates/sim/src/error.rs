@@ -44,6 +44,13 @@ pub enum Error {
         /// The deadlock detector's window, in cycles.
         window: u64,
     },
+    /// The instruction window — the ROB, the fetch queue and one stepped
+    /// instruction, rounded up to a power of two — would need more than
+    /// `max` slots.
+    WindowTooLarge {
+        /// The cap on window slots.
+        max: usize,
+    },
     /// The value-feedback transmission delay exceeds the ROB depth: every
     /// result would arrive after its consumers have long left the window,
     /// which is never a meaningful configuration.
@@ -65,11 +72,26 @@ pub enum Error {
         /// Registers configured.
         have: usize,
     },
+    /// The physical register file is larger than the simulator allocates.
+    PregFileTooLarge {
+        /// The cap on physical registers.
+        max: usize,
+        /// Registers configured.
+        have: usize,
+    },
     /// RLE/SF is enabled but the Memory Bypass Cache has zero entries.
     ZeroMbcEntries,
     /// RLE/SF is enabled but the direct-mapped Memory Bypass Cache's size
     /// (carried here) is not a power of two.
     MbcEntriesNotPowerOfTwo(usize),
+    /// RLE/SF is enabled with a Memory Bypass Cache larger than the
+    /// simulator allocates.
+    MbcTooLarge {
+        /// The cap on MBC entries.
+        max: usize,
+        /// Entries configured.
+        have: usize,
+    },
     /// The dynamic instruction budget is zero.
     ZeroInstructionBudget,
     /// No workload or program was supplied.
@@ -94,6 +116,10 @@ impl fmt::Display for Error {
                 "delays and latencies sum to {total} cycles, at least the \
                  {window}-cycle deadlock window"
             ),
+            Error::WindowTooLarge { max } => write!(
+                f,
+                "the instruction window (ROB plus fetch queue) needs more than {max} slots"
+            ),
             Error::FeedbackDelayExceedsRob { delay, rob } => write!(
                 f,
                 "value-feedback delay ({delay} cycles) exceeds the ROB depth ({rob} entries)"
@@ -106,6 +132,10 @@ impl fmt::Display for Error {
                 f,
                 "physical register file too small: need at least {need}, have {have}"
             ),
+            Error::PregFileTooLarge { max, have } => write!(
+                f,
+                "physical register file too large: at most {max}, have {have}"
+            ),
             Error::ZeroMbcEntries => {
                 write!(
                     f,
@@ -116,6 +146,10 @@ impl fmt::Display for Error {
                 f,
                 "RLE/SF is enabled but the Memory Bypass Cache size ({n} entries) \
                  is not a power of two"
+            ),
+            Error::MbcTooLarge { max, have } => write!(
+                f,
+                "Memory Bypass Cache too large: at most {max} entries, have {have}"
             ),
             Error::ZeroInstructionBudget => {
                 write!(f, "instruction budget must be at least 1")

@@ -56,7 +56,9 @@ pub use scenario::{
     machine_from_json, machine_to_json, AblationSpec, ProgramSource, ProgramSpec, Scenario,
     ScenarioConfig, ScenarioError, VerifyPolicy, ALL_WORKLOADS, SCENARIO_VERSION,
 };
-pub use session::{SimBuilder, SimSession, DEFAULT_INSTS};
+pub use session::{
+    SimBuilder, SimSession, DEFAULT_INSTS, MAX_MBC_ENTRIES, MAX_PREG_COUNT, MAX_WINDOW_SLOTS,
+};
 
 // The core optimizer surface (passes, configs, stats, symbolic algebra).
 pub use contopt::{

@@ -10,6 +10,17 @@ use std::sync::Arc;
 /// Default dynamic-instruction budget per run.
 pub const DEFAULT_INSTS: u64 = 1_000_000;
 
+/// Most instruction-window slots ([`MachineConfig::window_slots`]) a
+/// machine may need. The figures build 256 and 512 slots.
+pub const MAX_WINDOW_SLOTS: usize = 65_536;
+
+/// Most physical registers a machine may have. The figures use 2,048.
+pub const MAX_PREG_COUNT: usize = 65_536;
+
+/// Most Memory Bypass Cache entries a machine running RLE/SF may have.
+/// The figures use at most 128.
+pub const MAX_MBC_ENTRIES: usize = 65_536;
+
 #[derive(Debug)]
 enum OptSpec {
     /// Use whatever the machine configuration carries (baseline for
@@ -171,7 +182,8 @@ impl SimBuilder {
 
 /// Rejects a machine no simulation can run: the structural checks of
 /// [`SimBuilder::build`], shared with scenario validation so a scenario
-/// file fails at load time rather than mid-sweep.
+/// file fails at load time rather than mid-sweep. The size caps keep one
+/// request from allocating enough to abort the process that runs it.
 pub(crate) fn validate_machine(cfg: &MachineConfig) -> Result<(), Error> {
     if cfg.fetch_width == 0 {
         return Err(Error::ZeroRenameWidth);
@@ -226,10 +238,24 @@ pub(crate) fn validate_machine(cfg: &MachineConfig) -> Result<(), Error> {
             window: DEADLOCK_WINDOW,
         });
     }
+    if cfg
+        .window_slots()
+        .is_none_or(|slots| slots > MAX_WINDOW_SLOTS)
+    {
+        return Err(Error::WindowTooLarge {
+            max: MAX_WINDOW_SLOTS,
+        });
+    }
     let need = NUM_ARCH_REGS + 1;
     if cfg.preg_count < need {
         return Err(Error::PregFileTooSmall {
             need,
+            have: cfg.preg_count,
+        });
+    }
+    if cfg.preg_count > MAX_PREG_COUNT {
+        return Err(Error::PregFileTooLarge {
+            max: MAX_PREG_COUNT,
             have: cfg.preg_count,
         });
     }
@@ -246,6 +272,12 @@ pub(crate) fn validate_machine(cfg: &MachineConfig) -> Result<(), Error> {
         }
         if !o.mbc_entries.is_power_of_two() {
             return Err(Error::MbcEntriesNotPowerOfTwo(o.mbc_entries));
+        }
+        if o.mbc_entries > MAX_MBC_ENTRIES {
+            return Err(Error::MbcTooLarge {
+                max: MAX_MBC_ENTRIES,
+                have: o.mbc_entries,
+            });
         }
     }
     Ok(())

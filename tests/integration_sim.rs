@@ -12,8 +12,9 @@ use contopt_sim::isa::{r, Asm, Program};
 use contopt_sim::mem::{CacheConfig, GeometryError};
 use contopt_sim::passes::PassId;
 use contopt_sim::{
-    CpRa, EarlyExec, Error, MachineConfig, OptPass, OptimizerConfig, Pass, PassSet, RleSf,
-    Scenario, ScenarioError, SimSession, ValueFeedback,
+    machine_from_json, CpRa, EarlyExec, Error, JsonValue, MachineConfig, OptPass, OptimizerConfig,
+    Pass, PassSet, RleSf, Scenario, ScenarioError, SimSession, ValueFeedback, MAX_MBC_ENTRIES,
+    MAX_PREG_COUNT, MAX_WINDOW_SLOTS,
 };
 use std::process::Command;
 
@@ -154,6 +155,50 @@ fn rejects_other_degenerate_machines() {
     assert_eq!(err, Error::ZeroMbcEntries);
 }
 
+/// A one-config scenario file whose machine block is `machine_json`.
+fn scenario_text(machine_json: &str) -> String {
+    format!(
+        r#"{{"version": 1, "name": "bad", "insts": 1000, "configs": [
+            {{"label": "x", "workloads": ["twf"], "machine": {machine_json}}}
+        ]}}"#
+    )
+}
+
+/// Asserts that the builder and `Scenario::validate` reject `cfg` with
+/// `want`, and so does `Scenario::parse` when a scenario file can express
+/// the machine (as `machine_json`).
+fn assert_rejected(cfg: MachineConfig, want: Error, machine_json: Option<&str>) {
+    let err = SimSession::builder()
+        .machine(cfg)
+        .program(tiny_program())
+        .build()
+        .unwrap_err();
+    assert_eq!(err, want);
+    let sc = Scenario {
+        name: "bad".into(),
+        insts: 1_000,
+        ablation: None,
+        programs: vec![],
+        configs: vec![contopt_sim::ScenarioConfig {
+            label: "x".into(),
+            machine: cfg,
+            workloads: vec!["twf".into()],
+        }],
+    };
+    let want = ScenarioError::Machine {
+        label: "x".into(),
+        err: want,
+    };
+    assert_eq!(sc.validate(), Err(want.clone()));
+    if let Some(machine) = machine_json {
+        assert_eq!(
+            Scenario::parse(&scenario_text(machine)),
+            Err(want),
+            "{machine}"
+        );
+    }
+}
+
 /// Machines that can only deadlock, or whose latencies would outlast the
 /// deadlock detector or overflow the cycle arithmetic, are typed errors
 /// from the builder and from scenario loading, never a mid-sweep panic.
@@ -250,36 +295,7 @@ fn rejects_machines_that_can_only_deadlock_or_overflow() {
     ));
 
     for (cfg, want, machine_json) in cases {
-        let err = SimSession::builder()
-            .machine(cfg)
-            .program(tiny_program())
-            .build()
-            .unwrap_err();
-        assert_eq!(err, want);
-        let sc = Scenario {
-            name: "bad".into(),
-            insts: 1_000,
-            ablation: None,
-            programs: vec![],
-            configs: vec![contopt_sim::ScenarioConfig {
-                label: "x".into(),
-                machine: cfg,
-                workloads: vec!["twf".into()],
-            }],
-        };
-        let want = ScenarioError::Machine {
-            label: "x".into(),
-            err: want,
-        };
-        assert_eq!(sc.validate(), Err(want.clone()));
-        if let Some(machine) = machine_json {
-            let text = format!(
-                r#"{{"version": 1, "name": "bad", "insts": 1000, "configs": [
-                    {{"label": "x", "workloads": ["twf"], "machine": {machine}}}
-                ]}}"#
-            );
-            assert_eq!(Scenario::parse(&text), Err(want), "{machine}");
-        }
+        assert_rejected(cfg, want, machine_json.as_deref());
     }
 
     // One cycle under the window is still a machine that can run.
@@ -290,6 +306,70 @@ fn rejects_machines_that_can_only_deadlock_or_overflow() {
         .program(tiny_program())
         .build()
         .is_ok());
+}
+
+/// A machine whose window, register file or Memory Bypass Cache would
+/// need more memory than one simulation should allocate is a typed error
+/// from the builder, from scenario parsing and from
+/// `contopt-experiments --validate`, before anything is allocated.
+#[test]
+fn rejects_machines_too_large_to_allocate() {
+    let huge = 1usize << 40;
+    let window = Error::WindowTooLarge {
+        max: MAX_WINDOW_SLOTS,
+    };
+    let cases = [
+        (r#"{"rob_entries": 1099511627776}"#, window.clone()),
+        (r#"{"fetch_width": 1099511627776}"#, window.clone()),
+        (
+            r#"{"preg_count": 1099511627776}"#,
+            Error::PregFileTooLarge {
+                max: MAX_PREG_COUNT,
+                have: huge,
+            },
+        ),
+        (
+            r#"{"optimizer": {"mbc_entries": 1099511627776}}"#,
+            Error::MbcTooLarge {
+                max: MAX_MBC_ENTRIES,
+                have: huge,
+            },
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("contopt-oversized-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (machine, want)) in cases.iter().enumerate() {
+        let cfg = machine_from_json(&JsonValue::parse(machine).unwrap(), "machine").unwrap();
+        assert_rejected(cfg, want.clone(), Some(machine));
+        std::fs::write(dir.join(format!("case{i}.json")), scenario_text(machine)).unwrap();
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
+        .arg("--scenarios-dir")
+        .arg(&dir)
+        .arg("--goldens-dir")
+        .arg(dir.join("no-goldens"))
+        .arg("--validate")
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(stdout.matches("INVALID").count(), cases.len(), "{stdout}");
+
+    // The largest machine under every cap builds; one more ROB entry
+    // takes the window past its cap.
+    let mut largest = MachineConfig::default_with_optimizer();
+    largest.rob_entries = MAX_WINDOW_SLOTS - largest.fetch_queue_capacity().unwrap() - 1;
+    largest.preg_count = MAX_PREG_COUNT;
+    largest.optimizer.mbc_entries = MAX_MBC_ENTRIES;
+    assert_eq!(largest.window_slots(), Some(MAX_WINDOW_SLOTS));
+    assert!(SimSession::builder()
+        .machine(largest)
+        .program(tiny_program())
+        .build()
+        .is_ok());
+    largest.rob_entries += 1;
+    assert_rejected(largest, window, None);
 }
 
 /// A Memory Bypass Cache size that is not a power of two is inert on a
