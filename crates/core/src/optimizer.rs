@@ -102,12 +102,14 @@ pub(crate) struct SrcView {
 /// Per-bundle serial-dependence bookkeeping (§6.2).
 ///
 /// One instance lives in the [`Optimizer`] and is reset at the top of every
-/// [`Optimizer::rename_bundle_into`], so the per-cycle rename path reuses
+/// [`Optimizer::rename_bundle_with`], so the per-cycle rename path reuses
 /// its buffers instead of reallocating them.
 #[derive(Debug, Clone)]
 pub(crate) struct Bundle {
     /// arch-reg index → slot that wrote it in this bundle.
     pub(crate) writer: [Option<u8>; contopt_isa::NUM_ARCH_REGS],
+    /// The `writer` entries this bundle set, so `reset` clears only those.
+    written: Vec<u8>,
     pub(crate) adds: Vec<u32>,
     pub(crate) mbcs: Vec<u32>,
     /// Aligned addresses written into the MBC this bundle.
@@ -118,6 +120,7 @@ impl Default for Bundle {
     fn default() -> Bundle {
         Bundle {
             writer: [None; contopt_isa::NUM_ARCH_REGS],
+            written: Vec::new(),
             adds: Vec::new(),
             mbcs: Vec::new(),
             mbc_written: Vec::new(),
@@ -132,7 +135,10 @@ impl Bundle {
 
     /// Empties the bundle, keeping the allocated capacity.
     pub(crate) fn reset(&mut self) {
-        self.writer = [None; contopt_isa::NUM_ARCH_REGS];
+        for &a in &self.written {
+            self.writer[a as usize] = None;
+        }
+        self.written.clear();
         self.adds.clear();
         self.mbcs.clear();
         self.mbc_written.clear();
@@ -151,6 +157,7 @@ impl Bundle {
         self.mbcs.push(mbcs);
         if let Some(a) = dst {
             self.writer[a.index()] = Some(slot);
+            self.written.push(a.index() as u8);
         }
     }
 }
@@ -277,6 +284,18 @@ impl Optimizer {
     /// and reuses across cycles) and recycles the internal per-bundle
     /// scratch, so steady-state rename performs no heap allocation.
     pub fn rename_bundle_into(&mut self, now: u64, reqs: &[RenameReq], out: &mut Vec<Renamed>) {
+        self.rename_bundle_with(now, reqs, |r| out.push(r));
+    }
+
+    /// Renames one bundle like [`rename_bundle`](Self::rename_bundle), but
+    /// hands each renamed instruction, in order, to `sink`, so a caller can
+    /// write it where it keeps it instead of collecting the bundle first.
+    pub fn rename_bundle_with(
+        &mut self,
+        now: u64,
+        reqs: &[RenameReq],
+        mut sink: impl FnMut(Renamed),
+    ) {
         self.apply_feedback(now);
         // Discrete (offline-style) optimization: invalidate the tables at
         // every trace boundary (§3.4).
@@ -296,8 +315,7 @@ impl Optimizer {
             if !self.can_rename() {
                 break;
             }
-            let r = self.process(req, &mut bundle);
-            out.push(r);
+            sink(self.process(req, &mut bundle));
         }
         self.bundle_scratch = Some(bundle);
     }
@@ -840,6 +858,40 @@ mod tests {
             adds.iter().map(|x| x.class).collect::<Vec<_>>()
         );
         assert!(opt.stats().chain_limited >= 1);
+    }
+
+    #[test]
+    fn a_bundle_reset_forgets_the_previous_bundles_writers() {
+        // Bundle 1 writes r2 through an add; bundle 2 first spends an add
+        // on r5 in its slot 0 (the slot r2's writer had), then reads r2.
+        // The reader must see r2 with no in-bundle cost, so its add is the
+        // only one on its chain and it executes early.
+        let mut a = Asm::new();
+        a.li(r(1), 1);
+        a.addq(r(1), 1, r(2));
+        a.addq(r(1), 1, r(5));
+        a.addq(r(2), 1, r(3));
+        a.halt();
+        let ds = stream(a);
+        let req = |d: DynInst| RenameReq {
+            d,
+            mispredicted: false,
+        };
+        let mut opt = opt_default();
+        opt.rename_bundle(0, &[req(ds[0])]);
+        let first = opt.rename_bundle(1, &[req(ds[1])]);
+        assert_eq!(first[0].early_value, Some(2));
+        let r2 = ArchReg::from(r(2));
+        let mut bundle = opt.bundle_scratch.take().expect("scratch bundle");
+        assert_eq!(bundle.costs(r2), (1, 0), "r2 took one add in bundle 1");
+        bundle.reset();
+        assert_eq!(bundle.costs(r2), (0, 0));
+        opt.bundle_scratch = Some(bundle);
+        let second = opt.rename_bundle(2, &[req(ds[2]), req(ds[3])]);
+        assert_eq!(second[0].early_value, Some(2));
+        assert_eq!(second[1].class, RenamedClass::Done, "not chain-limited");
+        assert_eq!(second[1].early_value, Some(3));
+        assert_eq!(opt.stats().chain_limited, 0);
     }
 
     #[test]

@@ -181,8 +181,31 @@ impl Emulator {
     ///
     /// Returns [`EmuError::UnmappedPc`] if the PC leaves the code segment.
     pub fn step(&mut self) -> Result<Step, EmuError> {
+        self.exec(Step::Halted, Step::Inst)
+    }
+
+    /// Executes one instruction and writes its [`DynInst`] record into
+    /// `out`, where the caller keeps it, instead of returning it. Returns
+    /// `false`, leaving `out` as it was, once the machine has halted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmuError::UnmappedPc`] if the PC leaves the code segment.
+    pub fn step_into(&mut self, out: &mut DynInst) -> Result<bool, EmuError> {
+        self.exec(false, |d| {
+            *out = d;
+            true
+        })
+    }
+
+    /// The body of [`step`](Self::step) and [`step_into`](Self::step_into):
+    /// returns `halted` once the machine has halted, and otherwise what
+    /// `emit` makes of the record. Inlined into each caller, so the record
+    /// is built where `emit` puts it, not copied through an intermediate.
+    #[inline(always)]
+    fn exec<R>(&mut self, halted: R, emit: impl FnOnce(DynInst) -> R) -> Result<R, EmuError> {
         if self.halted {
-            return Ok(Step::Halted);
+            return Ok(halted);
         }
         let pc = self.pc;
         let inst = *self.program.inst_at(pc).ok_or(EmuError::UnmappedPc(pc))?;
@@ -317,7 +340,7 @@ impl Emulator {
         };
         self.seq += 1;
         self.pc = next_pc;
-        Ok(Step::Inst(d))
+        Ok(emit(d))
     }
 
     /// Runs until `halt`, with a dynamic instruction budget.

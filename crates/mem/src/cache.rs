@@ -144,6 +144,11 @@ impl CacheStats {
 
 /// A set-associative, write-allocate, LRU cache (timing state only).
 ///
+/// The geometry must pass [`CacheConfig::check`]: the line size and the
+/// number of sets are powers of two, so an address splits into line
+/// offset, set index and tag with two shifts and a mask, computed once at
+/// construction.
+///
 /// # Examples
 ///
 /// ```
@@ -156,6 +161,13 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `log2(line_bytes)`: an address shifted right by it is a line number.
+    line_shift: u32,
+    /// `log2(sets)`: a line number shifted right by it is a tag.
+    set_shift: u32,
+    /// `sets - 1`: a line number masked by it is a set index.
+    set_mask: u64,
+    ways: usize,
     lines: Vec<Line>,
     clock: u64,
     stats: CacheStats,
@@ -163,11 +175,22 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry fails [`CacheConfig::check`].
     pub fn new(cfg: CacheConfig) -> Cache {
-        let n = (cfg.sets() * cfg.ways) as usize;
+        if let Err(e) = cfg.check() {
+            panic!("cache geometry {cfg:?}: {e}");
+        }
+        let sets = cfg.sets();
         Cache {
             cfg,
-            lines: vec![Line::default(); n],
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets - 1,
+            ways: cfg.ways as usize,
+            lines: vec![Line::default(); (sets * cfg.ways) as usize],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -183,12 +206,18 @@ impl Cache {
         self.stats
     }
 
+    /// The number of the line holding `addr`.
+    #[inline]
+    pub(crate) fn line(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
+    }
+
+    /// The first way of `addr`'s set in `lines`, and its tag.
     #[inline]
     fn set_range(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes;
-        let set = (line % self.cfg.sets()) as usize;
-        let tag = line / self.cfg.sets();
-        (set * self.cfg.ways as usize, tag)
+        let line = self.line(addr);
+        let set = (line & self.set_mask) as usize;
+        (set * self.ways, line >> self.set_shift)
     }
 
     /// Accesses `addr`; allocates on miss; returns `true` on hit.
@@ -196,10 +225,17 @@ impl Cache {
     /// Write misses allocate (write-allocate); a dirty eviction bumps the
     /// write-back counter.
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
+        let (base, tag) = self.set_range(addr);
+        self.access_set(base, tag, is_write)
+    }
+
+    /// [`access`](Self::access) of the line with `tag` in the set whose
+    /// first way is `base`.
+    #[inline]
+    fn access_set(&mut self, base: usize, tag: u64, is_write: bool) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
-        let (base, tag) = self.set_range(addr);
-        let ways = self.cfg.ways as usize;
+        let ways = self.ways;
 
         // Probe.
         for i in base..base + ways {
@@ -242,7 +278,7 @@ impl Cache {
     /// Whether `addr` currently resides in the cache (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let (base, tag) = self.set_range(addr);
-        self.lines[base..base + self.cfg.ways as usize]
+        self.lines[base..base + self.ways]
             .iter()
             .any(|l| l.valid && l.tag == tag)
     }
@@ -259,6 +295,51 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contopt_workloads::SplitMix64;
+
+    /// The set/tag split by division, as the cache computed it before it
+    /// indexed by shifts: the reference for `Cache::set_range`.
+    fn set_range_by_division(c: &Cache, addr: u64) -> (usize, u64) {
+        let cfg = c.config();
+        let line = addr / cfg.line_bytes;
+        let set = (line % cfg.sets()) as usize;
+        (set * cfg.ways as usize, line / cfg.sets())
+    }
+
+    #[test]
+    fn shift_indexing_matches_division_on_random_geometries() {
+        let mut rng = SplitMix64::new(0x00ca_c4e5);
+        for case in 0..200 {
+            let line_bytes = 8 << rng.below(6); // 8 to 256 bytes
+            let sets = 1 << rng.below(13); // 1 to 4,096 sets
+            let ways = 1 + rng.below(8);
+            let cfg = CacheConfig::new(line_bytes * sets * ways, ways, line_bytes);
+            let mut fast = Cache::new(cfg);
+            let mut reference = Cache::new(cfg);
+            // Mostly addresses within a few capacities of a random base,
+            // so sets conflict; some reuse a recent address, so lines hit;
+            // some lie anywhere, so every tag bit varies.
+            let base = rng.next_u64();
+            let span = 4 * cfg.size_bytes;
+            let mut recent = [base; 16];
+            for i in 0..2_000 {
+                let addr = match rng.below(8) {
+                    0 => rng.next_u64(),
+                    1..=3 => recent[rng.below(16) as usize],
+                    _ => base.wrapping_add(rng.below(span)),
+                };
+                recent[i % 16] = addr;
+                let is_write = rng.below(3) == 0;
+                let (set, tag) = set_range_by_division(&reference, addr);
+                assert_eq!(
+                    fast.access(addr, is_write),
+                    reference.access_set(set, tag, is_write),
+                    "case {case} ({cfg}, {sets} sets), access {i} at {addr:#x}"
+                );
+            }
+            assert_eq!(fast.stats(), reference.stats(), "case {case} ({cfg})");
+        }
+    }
 
     fn tiny() -> Cache {
         // 4 sets, 2 ways, 16B lines = 128B

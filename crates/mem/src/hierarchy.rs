@@ -91,6 +91,13 @@ impl MemHierarchy {
         self.cfg
     }
 
+    /// The number of the instruction-cache line holding `pc`: fetch
+    /// accesses the L1I once per line.
+    #[inline]
+    pub fn inst_line(&self, pc: u64) -> u64 {
+        self.l1i.line(pc)
+    }
+
     /// Fetches the instruction line containing `pc`; returns the total
     /// latency in cycles.
     pub fn inst_fetch(&mut self, pc: u64) -> u64 {

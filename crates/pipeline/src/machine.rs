@@ -19,10 +19,11 @@
 //! # Bookkeeping
 //!
 //! The model's own bookkeeping does work in proportion to events, not to
-//! cycles or window size. Each of its three structures yields exactly the
-//! order of the plain model it stands for — FIFO queues, a priority queue
-//! of completions keyed by `(cycle, seq)`, and a scan of every scheduler
-//! in every cycle — so no report depends on it:
+//! cycles or window size, and writes each instruction's records once.
+//! Each of its three structures yields exactly the order of the plain
+//! model it stands for — FIFO queues, a priority queue of completions
+//! keyed by `(cycle, seq)`, and a scan of every scheduler in every
+//! cycle — so no report depends on it:
 //!
 //! - **One instruction window.** Every instruction lives in one ring of
 //!   slots indexed by `seq & mask`, from the emulator step that produces it
@@ -30,11 +31,16 @@
 //!   `rename_seq..fetch_seq`, and an instruction stepped but not yet
 //!   fetched (an I-cache miss stopped fetch) waits in slot `fetch_seq`. The
 //!   ring has more slots than the ROB and fetch queue together can fill,
-//!   so no slot is reused while its instruction is in flight. The
-//!   emulator's record is written once; rename reads it in place, and
-//!   dispatch, execute, completion and retire update the slot. Both queues
+//!   so no slot is reused while its instruction is in flight. Dispatch,
+//!   execute, completion and retire update the slot in place. Both queues
 //!   are runs of consecutive sequence numbers, so their order is program
 //!   order, as a FIFO's would be.
+//! - **Each record is written once.** The emulator steps straight into the
+//!   slot of the instruction it produces (`Emulator::step_into`), and
+//!   rename reads the bundle there and hands each renamed record to a sink
+//!   that writes it into the same slot (`Optimizer::rename_bundle_with`),
+//!   where dispatch reads it. Only a bundle that wraps around the end of
+//!   the ring is copied, into one scratch buffer, to be renamed.
 //! - **A completion calendar.** Completions sit in power-of-two buckets
 //!   indexed by cycle, sized from the machine's longest execution latency
 //!   up to a fixed cap. An event goes into bucket `max(complete_at,
@@ -58,7 +64,7 @@ use crate::config::MachineConfig;
 use crate::stats::{PipelineStats, RunReport};
 use contopt::{Optimizer, RenameReq, Renamed, RenamedClass, SrcList};
 use contopt_bpred::Predictor;
-use contopt_emu::{ArchSnapshot, DynInst, Emulator, Step};
+use contopt_emu::{ArchSnapshot, DynInst, Emulator};
 use contopt_isa::{ArchReg, ExecClass, Inst, Program, Reg, STACK_TOP};
 use contopt_mem::MemHierarchy;
 use std::sync::Arc;
@@ -240,11 +246,10 @@ pub struct Machine {
     calendar: Calendar,
     ready_at: Vec<u64>,
 
-    // Scratch buffers reused every cycle so the steady-state rename path
-    // performs no heap allocation: a bundle that wraps around the end of
-    // the window is copied into `wrapped_reqs` to be renamed.
+    /// Scratch reused every cycle so the steady-state rename path performs
+    /// no heap allocation: a bundle that wraps around the end of the window
+    /// is copied here to be renamed.
     wrapped_reqs: Vec<RenameReq>,
-    renamed_buf: Vec<Renamed>,
 
     // FNV chain over the retired stream, folded at retire time
     // (allocation-free) for differential comparison. Only the snapshot of
@@ -316,7 +321,6 @@ impl Machine {
             calendar: Calendar::new(&cfg, window),
             ready_at: vec![0u64; cfg.preg_count],
             wrapped_reqs: Vec::with_capacity(cfg.fetch_width),
-            renamed_buf: Vec::with_capacity(cfg.fetch_width),
             cfg,
             emu,
             opt,
@@ -429,19 +433,19 @@ impl Machine {
             if self.fetch_seq >= max_insts {
                 self.stream_done = true;
             } else {
-                match self.emu.step().expect("workload executes cleanly") {
-                    Step::Inst(d) => {
-                        if matches!(d.inst, Inst::Halt) {
-                            self.stream_done = true;
-                        }
-                        let i = self.slot(self.fetch_seq);
-                        self.insts[i] = RenameReq {
-                            d,
-                            mispredicted: false,
-                        };
-                        self.stepped = true;
+                let i = self.slot(self.fetch_seq);
+                let req = &mut self.insts[i];
+                if self
+                    .emu
+                    .step_into(&mut req.d)
+                    .expect("workload executes cleanly")
+                {
+                    if matches!(req.d.inst, Inst::Halt) {
+                        self.stream_done = true;
                     }
-                    Step::Halted => self.stream_done = true,
+                    self.stepped = true;
+                } else {
+                    self.stream_done = true;
                 }
             }
         }
@@ -470,7 +474,7 @@ impl Machine {
             let i = self.slot(self.fetch_seq);
             // Instruction cache: one access per line per fetch cycle.
             let pc = self.insts[i].d.pc;
-            let line_addr = pc / self.cfg.hierarchy.l1i.line_bytes;
+            let line_addr = self.hier.inst_line(pc);
             if line != Some(line_addr) {
                 let lat = self.hier.inst_fetch(pc);
                 line = Some(line_addr);
@@ -556,37 +560,43 @@ impl Machine {
         if n == 0 {
             return;
         }
-        // Taken and restored around the loop because `dispatch` needs
-        // `&mut self`.
-        let mut renamed = std::mem::take(&mut self.renamed_buf);
-        renamed.clear();
         let first = self.slot(self.rename_seq);
-        if first + n <= self.insts.len() {
-            self.opt
-                .rename_bundle_into(self.cycle, &self.insts[first..first + n], &mut renamed);
+        let reqs = if first + n <= self.insts.len() {
+            &self.insts[first..first + n]
         } else {
             let wrap = first + n - self.insts.len();
             self.wrapped_reqs.clear();
             self.wrapped_reqs.extend_from_slice(&self.insts[first..]);
             self.wrapped_reqs.extend_from_slice(&self.insts[..wrap]);
-            self.opt
-                .rename_bundle_into(self.cycle, &self.wrapped_reqs, &mut renamed);
+            &self.wrapped_reqs
+        };
+        // Rename writes each record into its instruction's slot; dispatch
+        // then reads it there.
+        let (slots, mask) = (&mut self.slots, self.mask);
+        let mut next = self.rename_seq;
+        self.opt.rename_bundle_with(self.cycle, reqs, |ren| {
+            debug_assert_eq!(ren.seq, next, "rename keeps program order");
+            next += 1;
+            let i = (ren.seq & mask) as usize;
+            slots[i].ren = ren;
+        });
+        while self.rename_seq < next {
+            self.dispatch();
         }
-        for ren in renamed.drain(..) {
-            self.dispatch(ren);
-        }
-        self.renamed_buf = renamed;
     }
 
+    /// Dispatches instruction `rename_seq`, whose renamed record rename
+    /// has written into its slot.
     #[expect(
         clippy::expect_used,
         reason = "renamed-class invariants established at rename time"
     )]
-    fn dispatch(&mut self, ren: Renamed) {
-        debug_assert_eq!(ren.seq, self.rename_seq, "rename keeps program order");
+    fn dispatch(&mut self) {
+        let seq = self.rename_seq;
         self.rename_seq += 1;
         let now = self.cycle;
-        let i = self.slot(ren.seq);
+        let i = self.slot(seq);
+        let ren = &self.slots[i].ren;
         if let (Some(dst), true) = (ren.dst, ren.dst_new) {
             self.ready_at[dst.index()] = u64::MAX;
         }
@@ -618,7 +628,7 @@ impl Machine {
                 self.stats.dispatched_to_ooo += 1;
                 let sched = Self::sched_for_renamed(class).expect("non-Done class");
                 let entry = SchedEntry {
-                    seq: ren.seq,
+                    seq,
                     earliest: now + self.cfg.sched_delay,
                     srcs: ren.srcs,
                     class,
@@ -630,9 +640,7 @@ impl Machine {
                 u64::MAX
             }
         };
-        let slot = &mut self.slots[i];
-        slot.ren = ren;
-        slot.complete_at = complete_at;
+        self.slots[i].complete_at = complete_at;
     }
 
     fn redirect(&mut self, resolved_at: u64, early: bool) {

@@ -9,7 +9,8 @@
 // lints, which police the library crates.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use contopt_sim::emu::Emulator;
+use contopt_sim::emu::{ArchSnapshot, DynInst, Emulator, Step};
+use contopt_sim::isa::Inst;
 use contopt_sim::workloads::{suite, Suite, CHECKSUM_ADDR};
 use contopt_sim::{simulate, MachineConfig, OptimizerConfig};
 
@@ -38,6 +39,54 @@ fn all_workloads_retire_identically_on_all_machines() {
         for (name, n) in &retired {
             assert_eq!(*n, first, "{}: {name} retired a different count", w.name);
         }
+    }
+}
+
+/// `Emulator::step_into`, which the machine uses to step straight into
+/// its instruction window, yields the same records and the same end state
+/// as `Emulator::step` on every kernel.
+#[test]
+fn step_into_matches_step_on_every_kernel() {
+    const STEPS: u64 = 200_000;
+    for w in suite() {
+        let mut by_value = Emulator::new(w.program.clone());
+        let mut in_place = Emulator::new(w.program.clone());
+        // A stale record: every field must be overwritten.
+        let mut d = DynInst {
+            seq: u64::MAX,
+            pc: u64::MAX,
+            inst: Inst::Nop,
+            result: Some(u64::MAX),
+            eff_addr: Some(u64::MAX),
+            store_value: Some(u64::MAX),
+            taken: true,
+            next_pc: u64::MAX,
+        };
+        let mut n = 0;
+        while n < STEPS {
+            match by_value.step().unwrap() {
+                Step::Inst(want) => {
+                    assert!(in_place.step_into(&mut d).unwrap(), "{}", w.name);
+                    assert_eq!(d, want, "{}: record {n}", w.name);
+                    n += 1;
+                }
+                Step::Halted => {
+                    let last = d;
+                    assert!(!in_place.step_into(&mut d).unwrap(), "{}", w.name);
+                    assert_eq!(d, last, "{}: a halted step leaves the record", w.name);
+                    break;
+                }
+            }
+        }
+        assert!(n > 0, "{}", w.name);
+        assert_eq!(by_value.halted(), in_place.halted(), "{}", w.name);
+        assert_eq!(by_value.pc(), in_place.pc(), "{}", w.name);
+        assert_eq!(
+            ArchSnapshot::capture(&by_value, n, 0),
+            ArchSnapshot::capture(&in_place, n, 0),
+            "{}",
+            w.name
+        );
     }
 }
 
