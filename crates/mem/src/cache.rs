@@ -31,7 +31,7 @@ impl CacheConfig {
             line_bytes,
         };
         if let Err(e) = cfg.check() {
-            panic!("invalid cache geometry {size_bytes}/{ways}/{line_bytes}: {e}");
+            panic!("invalid cache geometry {cfg:?}: {e}");
         }
         cfg
     }
@@ -167,7 +167,6 @@ pub struct Cache {
     set_shift: u32,
     /// `sets - 1`: a line number masked by it is a set index.
     set_mask: u64,
-    ways: usize,
     lines: Vec<Line>,
     clock: u64,
     stats: CacheStats,
@@ -181,7 +180,7 @@ impl Cache {
     /// Panics if the geometry fails [`CacheConfig::check`].
     pub fn new(cfg: CacheConfig) -> Cache {
         if let Err(e) = cfg.check() {
-            panic!("cache geometry {cfg:?}: {e}");
+            panic!("invalid cache geometry {cfg:?}: {e}");
         }
         let sets = cfg.sets();
         Cache {
@@ -189,7 +188,6 @@ impl Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
             set_mask: sets - 1,
-            ways: cfg.ways as usize,
             lines: vec![Line::default(); (sets * cfg.ways) as usize],
             clock: 0,
             stats: CacheStats::default(),
@@ -217,7 +215,7 @@ impl Cache {
     fn set_range(&self, addr: u64) -> (usize, u64) {
         let line = self.line(addr);
         let set = (line & self.set_mask) as usize;
-        (set * self.ways, line >> self.set_shift)
+        (set * self.cfg.ways as usize, line >> self.set_shift)
     }
 
     /// Accesses `addr`; allocates on miss; returns `true` on hit.
@@ -235,7 +233,7 @@ impl Cache {
     fn access_set(&mut self, base: usize, tag: u64, is_write: bool) -> bool {
         self.clock += 1;
         self.stats.accesses += 1;
-        let ways = self.ways;
+        let ways = self.cfg.ways as usize;
 
         // Probe.
         for i in base..base + ways {
@@ -278,7 +276,7 @@ impl Cache {
     /// Whether `addr` currently resides in the cache (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let (base, tag) = self.set_range(addr);
-        self.lines[base..base + self.ways]
+        self.lines[base..base + self.cfg.ways as usize]
             .iter()
             .any(|l| l.valid && l.tag == tag)
     }
