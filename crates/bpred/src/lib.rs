@@ -44,13 +44,17 @@ pub const MAX_HISTORY_BITS: u32 = 24;
 
 impl PredictorConfig {
     /// Checks what [`Predictor::new`] relies on: a history of at most
-    /// [`MAX_HISTORY_BITS`] and a power-of-two BTB.
+    /// [`MAX_HISTORY_BITS`], a power-of-two BTB and a return-address stack
+    /// with room for one return.
     pub fn check(&self) -> Result<(), PredictorConfigError> {
         if self.history_bits > MAX_HISTORY_BITS {
             return Err(PredictorConfigError::HistoryTooLong(self.history_bits));
         }
         if !self.btb_entries.is_power_of_two() {
             return Err(PredictorConfigError::BtbNotPowerOfTwo(self.btb_entries));
+        }
+        if self.ras_entries == 0 {
+            return Err(PredictorConfigError::ZeroRasEntries);
         }
         Ok(())
     }
@@ -63,6 +67,8 @@ pub enum PredictorConfigError {
     HistoryTooLong(u32),
     /// The direct-mapped BTB's size (carried) is not a power of two.
     BtbNotPowerOfTwo(usize),
+    /// The return-address stack has no entries.
+    ZeroRasEntries,
 }
 
 impl std::fmt::Display for PredictorConfigError {
@@ -74,6 +80,9 @@ impl std::fmt::Display for PredictorConfigError {
             ),
             PredictorConfigError::BtbNotPowerOfTwo(n) => {
                 write!(f, "BTB size ({n} entries) must be a power of two")
+            }
+            PredictorConfigError::ZeroRasEntries => {
+                write!(f, "the return-address stack needs at least one entry")
             }
         }
     }
@@ -150,7 +159,8 @@ impl Predictor {
     ///
     /// Panics with the [`PredictorConfigError`] of
     /// [`PredictorConfig::check`] if the history is longer than
-    /// [`MAX_HISTORY_BITS`] or the BTB size is not a power of two.
+    /// [`MAX_HISTORY_BITS`], the BTB size is not a power of two or the
+    /// return-address stack has no entries.
     pub fn new(cfg: PredictorConfig) -> Predictor {
         if let Err(e) = cfg.check() {
             panic!("invalid predictor: {e}");
@@ -343,6 +353,17 @@ mod tests {
         assert!(p.predict_return(0x3));
         assert!(p.predict_return(0x2));
         assert!(!p.predict_return(0x1));
+    }
+
+    #[test]
+    #[should_panic(expected = "return-address stack needs at least one entry")]
+    fn zero_ras_entries_are_rejected() {
+        let cfg = PredictorConfig {
+            ras_entries: 0,
+            ..PredictorConfig::default()
+        };
+        assert_eq!(cfg.check(), Err(PredictorConfigError::ZeroRasEntries));
+        Predictor::new(cfg);
     }
 
     #[test]

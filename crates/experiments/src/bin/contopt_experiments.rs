@@ -10,32 +10,35 @@
 //! contopt-experiments --ablate scenarios/ablate_smoke.json --table  # per-pass cycles
 //! contopt-experiments --ablate scenarios/ablate_smoke.json --check  # pin/verify ablation
 //! contopt-experiments --validate [FILE...]        # parse-check JSON artifacts
-//! contopt-experiments --emit-scenarios            # regenerate scenarios/*.json
 //! ```
 //!
-//! The requested artifacts first declare their simulation cells into one
-//! [`Plan`]; the deduplicated plan is fanned across `--jobs` worker
-//! threads (default: `CONTOPT_JOBS` or the machine's available
-//! parallelism); the regenerators then read the filled cache, so the
-//! printed output is byte-identical at any worker count. Scenario files
-//! run the same way, except each carries its own pinned instruction
-//! budget (`--insts` does not apply to them).
+//! Each requested figure and Table 3 is defined by one scenario file,
+//! `<scenarios-dir>/<name>.json`. The files are loaded and checked before
+//! anything simulates; their cells merge into one [`Plan`] at the
+//! `--insts` budget; the deduplicated plan is fanned across `--jobs`
+//! worker threads (default: `CONTOPT_JOBS` or the machine's available
+//! parallelism); the renderers then read the filled cache, so the printed
+//! output is byte-identical at any worker count. `--scenario` runs files
+//! the same way, except each at its own pinned instruction budget.
 
 use contopt_experiments::{
-    builtin_scenarios, check_ablation_golden, check_goldens, default_jobs, fig10, fig10_plan,
-    fig11, fig11_plan, fig12, fig12_plan, fig6, fig6_plan, fig8, fig8_plan, fig9, fig9_plan,
-    record_ablation_golden, record_goldens, scenario_plan, table1, table2, table3, table3_plan,
-    validate_bench_trajectory, CheckOutcome, Lab, Plan, TolerancePolicy, BENCH_LOG_NAME,
-    DEFAULT_INSTS,
+    check_ablation_golden, check_figure, check_goldens, default_jobs, fig10, fig11, fig12, fig6,
+    fig8, fig9, record_ablation_golden, record_goldens, scenario_plan, table1, table2, table3,
+    CheckOutcome, FigureError, Lab, Plan, TolerancePolicy, DEFAULT_INSTS,
 };
 use contopt_sim::{JsonValue, Scenario, ToJson};
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const USAGE: &str = "usage: contopt-experiments [OPTIONS]
 
 artifacts (combinable; --all selects every table and figure):
   --all --table1 --table2 --table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12
+                           Table 3 and each figure render the scenario file
+                           <scenarios-dir>/<name>.json (table3.json,
+                           fig6.json, ...) at the --insts budget
 
 scenario files:
   --scenario FILE ...      run a checked-in sweep through the parallel Lab
@@ -74,16 +77,13 @@ differential fuzzing:
 
 maintenance:
   --validate [FILE...]     parse-check JSON artifacts (default: every
-                           scenarios/*.json, every checked-in golden under
-                           the --goldens directory, plus
-                           BENCH_throughput.json, whose run trajectory
-                           must be monotonically timestamped)
-  --emit-scenarios         regenerate scenarios/*.json from the builders
+                           scenarios/*.json and every checked-in golden
+                           under the --goldens directory)
   --scenarios-dir DIR      scenario directory (default: scenarios)
 
 tuning:
-  --insts N                instruction budget for built-in artifacts
-                           (scenario files pin their own budget)
+  --insts N                instruction budget for the tables and figures
+                           (--scenario and --ablate files pin their own)
   --jobs N                 worker threads; 0 means auto-detect via the
                            machine's available parallelism (the default;
                            the CONTOPT_JOBS env var behaves the same way)
@@ -94,8 +94,9 @@ these to report precise causes):
   0  success: goldens match (or the run/record completed)
   1  drift: at least one recorded golden differs from the fresh run
   2  missing: some goldens are not recorded (and none drifted)
-  3  error: the run itself failed (unreadable scenario, I/O failure;
-     contopt-client reports remote per-cell failures the same way)
+  3  error: the run itself failed (a bad flag value, an unreadable
+     scenario, I/O failure; contopt-client reports remote per-cell
+     failures the same way)
 
 exit codes (--verify runs, same 0..3 severity ladder):
   0  clean: no finding gated (warnings allowed explicitly or by policy)
@@ -109,48 +110,33 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let flag_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| -> u64 {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .filter(|&v| v > 0)
-                .unwrap_or_else(|| panic!("{flag} takes a positive number"))
-        })
-    };
-    let string_value = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .unwrap_or_else(|| panic!("{flag} takes a value"))
-                .clone()
-        })
-    };
-    let insts = flag_value("--insts").unwrap_or(DEFAULT_INSTS);
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("contopt-experiments: {e}");
+        ExitCode::from(3)
+    })
+}
+
+/// Runs the command line; an `Err` (a bad flag value, or a figure file
+/// that cannot be drawn) exits 3 before anything simulates.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let insts = number(args, "--insts", true)?.unwrap_or(DEFAULT_INSTS);
     // `--jobs 0` (like `CONTOPT_JOBS=0`) means auto-detect, so scripts can
     // pass an explicit "use every core" without knowing the core count.
-    let jobs = match args.iter().position(|a| a == "--jobs") {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(0) => default_jobs(),
-            Some(n) => n,
-            None => panic!("--jobs takes a non-negative number"),
-        },
-        None => default_jobs(),
+    let jobs = match number(args, "--jobs", false)? {
+        None | Some(0) => default_jobs(),
+        Some(n) => n,
     };
     let json = args.iter().any(|a| a == "--json");
-    let scenarios_dir = string_value("--scenarios-dir").unwrap_or_else(|| "scenarios".into());
-    let goldens_dir = PathBuf::from(string_value("--goldens").unwrap_or_else(|| "goldens".into()));
+    let scenarios_dir = PathBuf::from(value(args, "--scenarios-dir")?.unwrap_or("scenarios"));
+    let goldens_dir = PathBuf::from(value(args, "--goldens")?.unwrap_or("goldens"));
 
-    if args.iter().any(|a| a == "--emit-scenarios") {
-        return emit_scenarios(Path::new(&scenarios_dir));
+    let seed = number(args, "--seed", true)?.unwrap_or(1);
+    if let Some(count) = number(args, "--fuzz", true)? {
+        return Ok(run_fuzz(count, seed, &scenarios_dir));
     }
-    if let Some(count) = flag_value("--fuzz") {
-        let seed = flag_value("--seed").unwrap_or(1);
-        return run_fuzz(count, seed, Path::new(&scenarios_dir));
-    }
-    if let Some(count) = flag_value("--fuzz-parsers") {
-        let seed = flag_value("--seed").unwrap_or(1);
+    if let Some(count) = number(args, "--fuzz-parsers", true)? {
         eprintln!("contopt-experiments: fuzzing the parsers with {count} mutated input(s)");
-        return match contopt_sim::fuzz::fuzz_parsers(count, seed) {
+        return Ok(match contopt_sim::fuzz::fuzz_parsers(count, seed) {
             Ok(()) => {
                 println!("parser fuzz: {count} case(s): no panics, typed errors only");
                 ExitCode::SUCCESS
@@ -159,17 +145,16 @@ fn main() -> ExitCode {
                 eprintln!("contopt-experiments: {e}");
                 ExitCode::FAILURE
             }
-        };
+        });
     }
     if args.iter().any(|a| a == "--validate") {
-        return validate(&args, Path::new(&scenarios_dir), &goldens_dir);
+        return Ok(validate(args, &scenarios_dir, &goldens_dir));
     }
 
-    let verify_paths = values_after(&args, "--verify");
+    let verify_paths = values_after(args, "--verify");
     if args.iter().any(|a| a == "--verify") {
         if verify_paths.is_empty() {
-            eprintln!("contopt-experiments: --verify takes one or more .s or scenario files");
-            return ExitCode::from(3);
+            return Err("--verify takes one or more .s or scenario files".into());
         }
         let allow_warnings = args.iter().any(|a| a == "--allow-warnings");
         let (verdicts, outcome) = contopt_experiments::verify_files(&verify_paths, allow_warnings);
@@ -183,35 +168,31 @@ fn main() -> ExitCode {
                 print!("{}", contopt_experiments::render_verify_text(v));
             }
         }
-        return ExitCode::from(outcome.exit_code());
+        return Ok(ExitCode::from(outcome.exit_code()));
     }
 
-    let scenario_files = values_after(&args, "--scenario");
-    let ablate_files = values_after(&args, "--ablate");
+    let scenario_files = values_after(args, "--scenario");
+    let ablate_files = values_after(args, "--ablate");
     if args.iter().any(|a| a == "--scenario" || a == "--ablate") {
         if scenario_files.is_empty() && ablate_files.is_empty() {
-            eprintln!(
-                "contopt-experiments: --scenario and --ablate take one or more scenario files"
-            );
-            return ExitCode::from(3);
+            return Err("--scenario and --ablate take one or more scenario files".into());
         }
-        if let Some(arg) = stray_argument(&args) {
-            eprintln!(
-                "contopt-experiments: unexpected argument {arg:?}: scenario files go \
-                 after --scenario or --ablate, before the next flag"
-            );
-            return ExitCode::from(3);
+        if let Some(arg) = stray_argument(args) {
+            return Err(format!(
+                "unexpected argument {arg:?}: scenario files go after --scenario or \
+                 --ablate, before the next flag"
+            ));
         }
         let record = args.iter().any(|a| a == "--record");
         let check = args.iter().any(|a| a == "--check");
         if record && check {
             eprintln!("contopt-experiments: --record and --check are mutually exclusive");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         // Explicit opt-in fields for intentional model changes; the
         // default (no --allow-field) is exact byte equality.
         let policy =
-            TolerancePolicy::allowing(values_after(&args, "--allow-field").into_iter().cloned());
+            TolerancePolicy::allowing(values_after(args, "--allow-field").into_iter().cloned());
         // Evaluate both unconditionally: a scenario failure or drift must
         // not silently skip the requested ablation work (or vice versa).
         // The combined exit code keeps the most severe outcome (see the
@@ -234,46 +215,33 @@ fn main() -> ExitCode {
             &policy,
             json,
         );
-        return ExitCode::from(scenarios.merge(ablations).exit_code());
+        return Ok(ExitCode::from(scenarios.merge(ablations).exit_code()));
     }
 
     // Past this point no scenario or ablation was requested; a stray
     // `--table` would otherwise be a silent no-op.
     if args.iter().any(|a| a == "--table") {
         eprintln!("contopt-experiments: --table selects the per-pass table of an --ablate run");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     let all = args.iter().any(|a| a == "--all");
     let want = |flag: &str| all || args.iter().any(|a| a == flag);
 
-    let mut lab = Lab::new(insts);
-
-    // Phase 1: declare every requested artifact's cells.
+    // Phase 1: load every requested figure's scenario file, check that
+    // its renderer can draw it, and declare its cells.
+    let mut figures = Vec::new();
     let mut plan = Plan::new();
-    if want("--fig6") {
-        plan.merge(&fig6_plan(&lab));
-    }
-    if want("--table3") {
-        plan.merge(&table3_plan(&lab));
-    }
-    if want("--fig8") {
-        plan.merge(&fig8_plan(&lab));
-    }
-    if want("--fig9") {
-        plan.merge(&fig9_plan(&lab));
-    }
-    if want("--fig10") {
-        plan.merge(&fig10_plan(&lab));
-    }
-    if want("--fig11") {
-        plan.merge(&fig11_plan(&lab));
-    }
-    if want("--fig12") {
-        plan.merge(&fig12_plan(&lab));
+    for (name, render) in FIGURES {
+        if want(&format!("--{name}")) {
+            let (sc, cells) = load_figure(&scenarios_dir, name)?;
+            plan.merge(&cells);
+            figures.push((render, sc));
+        }
     }
 
     // Phase 2: simulate the unique cells across the worker pool.
+    let mut lab = Lab::new(insts);
     if !plan.is_empty() {
         eprintln!(
             "contopt-experiments: simulating {} unique cells on {} worker(s)",
@@ -283,31 +251,89 @@ fn main() -> ExitCode {
         lab.execute(&plan, jobs);
     }
 
-    // Phase 3: regenerate the artifacts from the filled cache.
-    macro_rules! emit {
-        ($flag:expr, $result:expr) => {
-            if want($flag) {
-                let r = $result;
-                if json {
-                    println!("{}", r.to_json().pretty());
-                } else {
-                    println!("{r}");
-                }
-                println!();
-            }
-        };
+    // Phase 3: render the artifacts from the filled cache.
+    if want("--table1") {
+        println!("{}\n", shown(&table1(&lab), json));
     }
+    if want("--table2") {
+        println!("{}\n", shown(&table2(), json));
+    }
+    for (render, sc) in &figures {
+        let text = render(&mut lab, sc, json).map_err(|e| e.to_string())?;
+        println!("{text}\n");
+    }
+    Ok(ExitCode::SUCCESS)
+}
 
-    emit!("--table1", table1(&lab));
-    emit!("--table2", table2());
-    emit!("--fig6", fig6(&mut lab));
-    emit!("--table3", table3(&mut lab));
-    emit!("--fig8", fig8(&mut lab));
-    emit!("--fig9", fig9(&mut lab));
-    emit!("--fig10", fig10(&mut lab));
-    emit!("--fig11", fig11(&mut lab));
-    emit!("--fig12", fig12(&mut lab));
-    ExitCode::SUCCESS
+/// Renders a figure or table from its scenario, as text or JSON.
+type Render = fn(&mut Lab, &Scenario, bool) -> Result<String, FigureError>;
+
+/// A [`Render`] drawing with the renderer `$draw`.
+macro_rules! render {
+    ($draw:ident) => {
+        |lab, sc, json| $draw(lab, sc).map(|r| shown(&r, json))
+    };
+}
+
+/// The artifacts drawn from `<scenarios-dir>/<name>.json`, in print order.
+const FIGURES: [(&str, Render); 7] = [
+    ("fig6", render!(fig6)),
+    ("table3", render!(table3)),
+    ("fig8", render!(fig8)),
+    ("fig9", render!(fig9)),
+    ("fig10", render!(fig10)),
+    ("fig11", render!(fig11)),
+    ("fig12", render!(fig12)),
+];
+
+/// Loads `<dir>/<name>.json`, checks that the `name` renderer can draw
+/// it, and lowers it to its cells.
+fn load_figure(dir: &Path, name: &str) -> Result<(Scenario, Plan), String> {
+    let path = dir.join(format!("{name}.json"));
+    let at = |e: &dyn Display| format!("{}: {e}", path.display());
+    let sc = Scenario::load(&path).map_err(|e| at(&e))?;
+    check_figure(name, &sc).map_err(|e| at(&e))?;
+    let cells = scenario_plan(&sc).map_err(|e| at(&e))?;
+    Ok((sc, cells))
+}
+
+/// An artifact as pretty JSON or as its text table.
+fn shown<T: ToJson + Display>(artifact: &T, json: bool) -> String {
+    if json {
+        artifact.to_json().pretty()
+    } else {
+        artifact.to_string()
+    }
+}
+
+/// The value after `flag`, if the flag is given.
+fn value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    args.get(i + 1)
+        .filter(|v| !v.starts_with("--"))
+        .map(|v| Some(v.as_str()))
+        .ok_or_else(|| format!("{flag} takes a value"))
+}
+
+/// The number after `flag`, if the flag is given; `positive` rejects 0.
+fn number<T: FromStr + PartialOrd + Default>(
+    args: &[String],
+    flag: &str,
+    positive: bool,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    args.get(i + 1)
+        .and_then(|v| v.parse().ok())
+        .filter(|n| !positive || *n > T::default())
+        .map(Some)
+        .ok_or_else(|| {
+            let kind = if positive { "positive" } else { "non-negative" };
+            format!("{flag} takes a {kind} number")
+        })
 }
 
 /// Flags that take exactly one value.
@@ -358,25 +384,6 @@ fn stray_argument(args: &[String]) -> Option<&String> {
     None
 }
 
-/// Writes every built-in scenario to `dir` in canonical form.
-fn emit_scenarios(dir: &Path) -> ExitCode {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("contopt-experiments: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let mut all = builtin_scenarios();
-    all.push(contopt_experiments::asm_smoke_scenario());
-    for sc in all {
-        let path = dir.join(format!("{}.json", sc.name));
-        if let Err(e) = std::fs::write(&path, sc.canonical_json()) {
-            eprintln!("contopt-experiments: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
-    }
-    ExitCode::SUCCESS
-}
-
 /// Collects every `*.json` under `dir`, recursively, in sorted order —
 /// the shape of the `goldens/` tree (`<scenario>/<label>/<workload>.json`
 /// plus `<scenario>/ablation.json`).
@@ -397,9 +404,9 @@ fn json_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Parse-checks JSON artifacts: the files listed after `--validate`, or
-/// (with none listed) every `<scenarios-dir>/*.json`, every checked-in
-/// golden under `<goldens-dir>/`, plus `BENCH_throughput.json`. Scenario
-/// files get full semantic validation; other JSON files must merely parse
+/// (with none listed) every `<scenarios-dir>/*.json` and every checked-in
+/// golden under `<goldens-dir>/`. Scenario files get full semantic
+/// validation; other JSON files must merely parse
 /// — which still catches a hand-edited or truncated golden before the
 /// regression job burns a full re-simulation discovering it.
 fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCode {
@@ -441,10 +448,6 @@ fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCo
                 return ExitCode::FAILURE;
             }
         }
-        let bench = Path::new("BENCH_throughput.json");
-        if bench.exists() {
-            files.push(bench.to_path_buf());
-        }
     }
     if files.is_empty() {
         eprintln!("contopt-experiments: --validate found no JSON files");
@@ -466,18 +469,12 @@ fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCo
         let result = if in_scenarios {
             Scenario::load(path).map(|_| ()).map_err(|e| e.to_string())
         } else {
-            let is_bench_log = path.file_name().is_some_and(|n| n == BENCH_LOG_NAME);
             std::fs::read_to_string(path)
                 .map_err(|e| e.to_string())
-                .and_then(|text| JsonValue::parse(&text).map_err(|e| e.to_string()))
-                .and_then(|doc| {
-                    if is_bench_log {
-                        // The bench trajectory must also be structurally
-                        // sound and monotonically timestamped.
-                        validate_bench_trajectory(&doc)
-                    } else {
-                        Ok(())
-                    }
+                .and_then(|text| {
+                    JsonValue::parse(&text)
+                        .map(|_| ())
+                        .map_err(|e| e.to_string())
                 })
         };
         match result {

@@ -1,46 +1,113 @@
-//! Regenerators for the paper's evaluation figures (6, 8, 9, 10, 11, 12).
+//! Renderers for the paper's evaluation figures (6, 8, 9, 10, 11, 12).
 //!
-//! Every optimizer variant is expressed as a pass list compiled through
-//! [`PassSet`] — the ablations are combinations of the same four pass
-//! units, not bespoke presets.
+//! Each figure's machines are defined once, in `scenarios/<name>.json`; a
+//! renderer reads that scenario's results from a [`Lab`]. Every speedup
+//! divides by the configuration labelled `baseline`, and
+//! [`check_figure`] says which files a renderer can draw.
 
-use crate::lab::{Lab, Plan, SuiteMeans};
-use contopt_sim::workloads::Suite;
-use contopt_sim::{
-    CpRa, JsonValue, MachineConfig, OptimizerConfig, Pass, PassSet, RleSf, ToJson, ValueFeedback,
-};
+use crate::lab::{geomean, Lab, SuiteMeans};
+use contopt_sim::workloads::{suite, Suite, Workload};
+use contopt_sim::{JsonValue, MachineConfig, Scenario, ScenarioConfig, ToJson, ALL_WORKLOADS};
 use std::fmt;
 
-pub(crate) fn base() -> MachineConfig {
-    MachineConfig::default_paper()
+/// The configuration every speedup divides by.
+const BASELINE: &str = "baseline";
+
+/// The configuration Figure 6 and Table 3 read.
+pub(crate) const OPTIMIZED: &str = "optimized";
+
+/// Why a renderer cannot draw a scenario file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FigureError {
+    /// The configuration with this label runs something other than the
+    /// whole suite, `["*"]`.
+    NotWholeSuite(String),
+    /// No configuration carries this label, which the renderer reads.
+    MissingLabel(&'static str),
 }
 
-pub(crate) fn opt() -> MachineConfig {
-    MachineConfig::default_with_optimizer()
-}
-
-/// The full pass pipeline as a list (identical to
-/// [`OptimizerConfig::default`]).
-fn full_passes() -> PassSet {
-    [
-        Pass::cp_ra(),
-        Pass::rle_sf(),
-        Pass::value_feedback(),
-        Pass::early_exec(),
-    ]
-    .into_iter()
-    .collect()
-}
-
-/// Declares `configs` — plus the shared baseline every speedup figure
-/// divides by — on the whole workload suite.
-fn suite_plan(lab: &Lab, configs: impl IntoIterator<Item = MachineConfig>) -> Plan {
-    let mut plan = Plan::new();
-    plan.config(base(), lab.workloads());
-    for cfg in configs {
-        plan.config(cfg, lab.workloads());
+impl fmt::Display for FigureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FigureError::NotWholeSuite(label) => write!(
+                f,
+                "configuration {label:?} must run the whole suite, [\"{ALL_WORKLOADS}\"]"
+            ),
+            FigureError::MissingLabel(label) => {
+                write!(f, "no configuration is labelled {label:?}")
+            }
+        }
     }
-    plan
+}
+
+impl std::error::Error for FigureError {}
+
+/// Checks that the renderer for `figure` (`"fig6"`, `"fig8"`…`"fig12"`
+/// or `"table3"`) can draw `sc`: every configuration runs exactly the
+/// whole suite (`["*"]`), and the labels the renderer reads exist —
+/// `baseline` for the figures, `optimized` for Figure 6 and Table 3. The
+/// renderers call it first, and `contopt-experiments` calls it on every
+/// figure file before any cell simulates.
+pub fn check_figure(figure: &str, sc: &Scenario) -> Result<(), FigureError> {
+    if let Some(cfg) = sc.configs.iter().find(|c| c.workloads != [ALL_WORKLOADS]) {
+        return Err(FigureError::NotWholeSuite(cfg.label.clone()));
+    }
+    let reads: &[&'static str] = match figure {
+        "fig6" => &[BASELINE, OPTIMIZED],
+        "table3" => &[OPTIMIZED],
+        _ => &[BASELINE],
+    };
+    for label in reads {
+        labelled(sc, label)?;
+    }
+    Ok(())
+}
+
+/// The configuration of `sc` labelled `label`.
+pub(crate) fn labelled<'a>(
+    sc: &'a Scenario,
+    label: &'static str,
+) -> Result<&'a ScenarioConfig, FigureError> {
+    sc.configs
+        .iter()
+        .find(|c| c.label == label)
+        .ok_or(FigureError::MissingLabel(label))
+}
+
+/// `cfg`'s speedup over `base` on every suite workload, in Table 1 order.
+#[expect(
+    clippy::expect_used,
+    reason = "both reports simulate the same workload"
+)]
+fn speedups(lab: &mut Lab, cfg: MachineConfig, base: MachineConfig) -> Vec<(Workload, f64)> {
+    suite()
+        .into_iter()
+        .map(|w| {
+            let b = lab.run(base, &w);
+            let s = lab
+                .run(cfg, &w)
+                .speedup_over(&b)
+                .expect("same workload under both configurations");
+            (w, s)
+        })
+        .collect()
+}
+
+/// Per-suite geometric means of per-workload speedups.
+fn suite_means(speedups: &[(Workload, f64)]) -> SuiteMeans {
+    let mean = |suite: Suite| {
+        let of_suite: Vec<f64> = speedups
+            .iter()
+            .filter(|(w, _)| w.suite == suite)
+            .map(|&(_, s)| s)
+            .collect();
+        geomean(&of_suite)
+    };
+    SuiteMeans {
+        specint: mean(Suite::SpecInt),
+        specfp: mean(Suite::SpecFp),
+        mediabench: mean(Suite::MediaBench),
+    }
 }
 
 /// Figure 6 — speedup of continuous optimization over the baseline, per
@@ -71,29 +138,19 @@ impl ToJson for Fig6 {
     }
 }
 
-/// Declares Figure 6's simulation cells.
-pub fn fig6_plan(lab: &Lab) -> Plan {
-    suite_plan(lab, [opt()])
-}
-
-/// Regenerates Figure 6.
-#[expect(
-    clippy::expect_used,
-    reason = "both reports simulate the same workload"
-)]
-pub fn fig6(lab: &mut Lab) -> Fig6 {
-    let ws = lab.workloads().to_vec();
-    let mut rows = Vec::new();
-    for w in &ws {
-        let b = lab.run(base(), w);
-        let o = lab.run(opt(), w);
-        let s = o
-            .speedup_over(&b)
-            .expect("same workload under both configurations");
-        rows.push((w.suite.to_string(), w.name.to_string(), s));
-    }
-    let means = lab.suite_speedups(opt(), base());
-    Fig6 { rows, means }
+/// Renders Figure 6 from `scenarios/fig6.json`: `optimized` over
+/// `baseline`.
+pub fn fig6(lab: &mut Lab, sc: &Scenario) -> Result<Fig6, FigureError> {
+    check_figure("fig6", sc)?;
+    let base = labelled(sc, BASELINE)?.machine;
+    let opt = labelled(sc, OPTIMIZED)?.machine;
+    let speedups = speedups(lab, opt, base);
+    let rows = speedups
+        .iter()
+        .map(|(w, s)| (w.suite.to_string(), w.name.to_string(), *s))
+        .collect();
+    let means = suite_means(&speedups);
+    Ok(Fig6 { rows, means })
 }
 
 fn bar(f: &mut fmt::Formatter<'_>, label: &str, v: f64) -> fmt::Result {
@@ -146,11 +203,26 @@ pub struct SuiteFigure {
 }
 
 impl SuiteFigure {
-    fn collect(title: &str, lab: &mut Lab, configs: &[(&str, MachineConfig)]) -> SuiteFigure {
-        let mut means = Vec::new();
-        for (_, cfg) in configs {
-            means.push(lab.suite_speedups(*cfg, base()));
-        }
+    /// Draws `sc` as one bar group per configuration other than
+    /// `baseline`, in file order and under its label: the per-suite
+    /// speedup over `baseline`.
+    fn render(
+        figure: &str,
+        title: &str,
+        lab: &mut Lab,
+        sc: &Scenario,
+    ) -> Result<SuiteFigure, FigureError> {
+        check_figure(figure, sc)?;
+        let base = labelled(sc, BASELINE)?.machine;
+        let (labels, means): (Vec<String>, Vec<SuiteMeans>) = sc
+            .configs
+            .iter()
+            .filter(|c| c.label != BASELINE)
+            .map(|c| {
+                let means = suite_means(&speedups(lab, c.machine, base));
+                (c.label.clone(), means)
+            })
+            .unzip();
         let bars = [
             (
                 Suite::SpecInt.to_string(),
@@ -165,11 +237,11 @@ impl SuiteFigure {
                 means.iter().map(|m| m.mediabench).collect(),
             ),
         ];
-        SuiteFigure {
+        Ok(SuiteFigure {
             title: title.to_string(),
-            labels: configs.iter().map(|(k, _)| k.to_string()).collect(),
+            labels,
             bars: bars.into(),
-        }
+        })
     }
 
     /// The speedups for one suite, in label order.
@@ -227,142 +299,53 @@ impl fmt::Display for SuiteFigure {
     }
 }
 
-pub(crate) fn fig8_configs() -> Vec<(&'static str, MachineConfig)> {
-    vec![
-        ("fetch bound", MachineConfig::fetch_bound()),
-        (
-            "fetch bound+opt",
-            MachineConfig::fetch_bound().with_optimizer(full_passes().into()),
-        ),
-        ("opt", opt()),
-        ("exec bound", MachineConfig::exec_bound()),
-        (
-            "exec bound+opt",
-            MachineConfig::exec_bound().with_optimizer(full_passes().into()),
-        ),
-    ]
-}
-
-/// Declares Figure 8's simulation cells.
-pub fn fig8_plan(lab: &Lab) -> Plan {
-    suite_plan(lab, fig8_configs().into_iter().map(|(_, c)| c))
-}
-
-/// Figure 8 — performance on fetch-bound and execution-bound machine models
-/// (all speedups relative to the default baseline).
-pub fn fig8(lab: &mut Lab) -> SuiteFigure {
-    SuiteFigure::collect(
+/// Renders Figure 8 from `scenarios/fig8.json` — performance on
+/// fetch-bound and execution-bound machine models, all relative to the
+/// default baseline.
+pub fn fig8(lab: &mut Lab, sc: &Scenario) -> Result<SuiteFigure, FigureError> {
+    SuiteFigure::render(
+        "fig8",
         "Figure 8. Performance relative to various machine configurations",
         lab,
-        &fig8_configs(),
+        sc,
     )
 }
 
-pub(crate) fn fig9_configs() -> Vec<(&'static str, MachineConfig)> {
-    let feedback_alone: PassSet = [Pass::value_feedback(), Pass::early_exec()]
-        .into_iter()
-        .collect();
-    vec![
-        ("feedback", base().with_optimizer(feedback_alone.into())),
-        ("feedback+opt", opt()),
-    ]
-}
-
-/// Declares Figure 9's simulation cells.
-pub fn fig9_plan(lab: &Lab) -> Plan {
-    suite_plan(lab, fig9_configs().into_iter().map(|(_, c)| c))
-}
-
-/// Figure 9 — value feedback alone versus feedback plus optimization.
-pub fn fig9(lab: &mut Lab) -> SuiteFigure {
-    SuiteFigure::collect(
+/// Renders Figure 9 from `scenarios/fig9.json` — value feedback alone
+/// versus feedback plus optimization.
+pub fn fig9(lab: &mut Lab, sc: &Scenario) -> Result<SuiteFigure, FigureError> {
+    SuiteFigure::render(
+        "fig9",
         "Figure 9. Continuous optimization vs. value feedback",
         lab,
-        &fig9_configs(),
+        sc,
     )
 }
 
-pub(crate) fn fig10_configs() -> Vec<(&'static str, MachineConfig)> {
-    let mk = |add: u32, mem: u32| {
-        let passes = PassSet::new()
-            .with(CpRa {
-                add_chain_depth: add,
-                ..CpRa::default()
-            })
-            .with(RleSf {
-                mem_chain_depth: mem,
-                ..RleSf::default()
-            })
-            .with(ValueFeedback::default())
-            .with(contopt_sim::EarlyExec);
-        base().with_optimizer(passes.into())
-    };
-    vec![
-        ("depth 0", opt()),
-        ("depth 1", mk(1, 0)),
-        ("depth 3", mk(3, 0)),
-        ("depth 3 & 1 mem", mk(3, 1)),
-    ]
-}
-
-/// Declares Figure 10's simulation cells.
-pub fn fig10_plan(lab: &Lab) -> Plan {
-    suite_plan(lab, fig10_configs().into_iter().map(|(_, c)| c))
-}
-
-/// Figure 10 — sensitivity to intra-bundle dependence depth.
-pub fn fig10(lab: &mut Lab) -> SuiteFigure {
-    SuiteFigure::collect(
+/// Renders Figure 10 from `scenarios/fig10.json` — sensitivity to
+/// intra-bundle dependence depth.
+pub fn fig10(lab: &mut Lab, sc: &Scenario) -> Result<SuiteFigure, FigureError> {
+    SuiteFigure::render(
+        "fig10",
         "Figure 10. Importance of processing dependent instructions in parallel",
         lab,
-        &fig10_configs(),
+        sc,
     )
 }
 
-pub(crate) fn fig11_configs() -> Vec<(&'static str, MachineConfig)> {
-    let mk = |stages: u64| base().with_optimizer(full_passes().extra_stages(stages).into());
-    vec![("delay 0", mk(0)), ("delay 2", opt()), ("delay 4", mk(4))]
+/// Renders Figure 11 from `scenarios/fig11.json` — sensitivity to the
+/// optimizer's extra pipeline stages.
+pub fn fig11(lab: &mut Lab, sc: &Scenario) -> Result<SuiteFigure, FigureError> {
+    SuiteFigure::render("fig11", "Figure 11. Optimizer latency sensitivity", lab, sc)
 }
 
-/// Declares Figure 11's simulation cells.
-pub fn fig11_plan(lab: &Lab) -> Plan {
-    suite_plan(lab, fig11_configs().into_iter().map(|(_, c)| c))
-}
-
-/// Figure 11 — sensitivity to the optimizer's extra pipeline stages.
-pub fn fig11(lab: &mut Lab) -> SuiteFigure {
-    SuiteFigure::collect(
-        "Figure 11. Optimizer latency sensitivity",
-        lab,
-        &fig11_configs(),
-    )
-}
-
-pub(crate) fn fig12_configs() -> Vec<(&'static str, MachineConfig)> {
-    let mk = |delay: u64| {
-        base().with_optimizer(OptimizerConfig {
-            feedback_delay: delay,
-            ..OptimizerConfig::default()
-        })
-    };
-    vec![
-        ("delay 0", mk(0)),
-        ("delay 1", opt()),
-        ("delay 5", mk(5)),
-        ("delay 10", mk(10)),
-    ]
-}
-
-/// Declares Figure 12's simulation cells.
-pub fn fig12_plan(lab: &Lab) -> Plan {
-    suite_plan(lab, fig12_configs().into_iter().map(|(_, c)| c))
-}
-
-/// Figure 12 — sensitivity to the value-feedback transmission delay.
-pub fn fig12(lab: &mut Lab) -> SuiteFigure {
-    SuiteFigure::collect(
+/// Renders Figure 12 from `scenarios/fig12.json` — sensitivity to the
+/// value-feedback transmission delay.
+pub fn fig12(lab: &mut Lab, sc: &Scenario) -> Result<SuiteFigure, FigureError> {
+    SuiteFigure::render(
+        "fig12",
         "Figure 12. Performance sensitivity to value feedback transmission delay",
         lab,
-        &fig12_configs(),
+        sc,
     )
 }

@@ -1,17 +1,17 @@
 //! The experiment runner: simulates workloads under machine configurations
 //! and caches results so figures sharing a configuration don't re-simulate.
 //!
-//! The runner is a plan/execute engine: figures and tables *declare* their
+//! The runner is a plan/execute engine: a scenario file *declares* its
 //! `(configuration, workload)` cells into a [`Plan`], [`Lab::execute`]
 //! dedupes the cells and fans the unique, not-yet-cached ones across
-//! scoped worker threads, and the regenerators then read the filled cache.
+//! scoped worker threads, and the renderers then read the filled cache.
 //! Results are keyed by a fingerprint derived from the configuration
 //! itself ([`OptimizerConfig::normalized`](contopt_sim::OptimizerConfig::normalized)
 //! plus every machine field), so two configurations that simulate
 //! identically share one cell and no caller-supplied string key can
 //! silently collide.
 
-use contopt_sim::workloads::{suite, Suite, Workload};
+use contopt_sim::workloads::{suite, Workload};
 use contopt_sim::{JsonValue, MachineConfig, Report, SimSession, ToJson};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,8 +100,7 @@ impl Plan {
     /// The deduplicated cell fingerprints (normalized configuration plus
     /// workload name), in declaration order. Two plans that would simulate
     /// the same cells — however their configurations were constructed —
-    /// yield equal fingerprint sets; the scenario round-trip tests rely on
-    /// this to prove checked-in files agree with the built-in plans.
+    /// yield equal fingerprint sets.
     pub fn fingerprints(&self) -> Vec<(MachineConfig, &'static str)> {
         self.cells
             .iter()
@@ -274,41 +273,6 @@ impl Lab {
         let report = Arc::new(self.session(cfg, w).run());
         self.cache.insert(key, Arc::clone(&report));
         report
-    }
-
-    /// Runs every workload under `cfg`; returns `(workload, report)` pairs
-    /// in Table 1 order.
-    pub fn run_all(&mut self, cfg: MachineConfig) -> Vec<(Workload, Arc<Report>)> {
-        (0..self.workloads.len())
-            .map(|i| {
-                let w = self.workloads[i].clone(); // cheap: the program is shared
-                let r = self.run(cfg, &w);
-                (w, r)
-            })
-            .collect()
-    }
-
-    /// Per-suite geometric-mean speedup of `cfg` over `base_cfg`.
-    #[expect(
-        clippy::expect_used,
-        reason = "both reports simulate the same workload"
-    )]
-    pub fn suite_speedups(&mut self, cfg: MachineConfig, base_cfg: MachineConfig) -> SuiteMeans {
-        let mut per_suite: HashMap<Suite, Vec<f64>> = HashMap::new();
-        for i in 0..self.workloads.len() {
-            let w = self.workloads[i].clone();
-            let base = self.run(base_cfg, &w);
-            let new = self.run(cfg, &w);
-            per_suite.entry(w.suite).or_default().push(
-                new.speedup_over(&base)
-                    .expect("same workload under both configurations"),
-            );
-        }
-        SuiteMeans {
-            specint: geomean(&per_suite[&Suite::SpecInt]),
-            specfp: geomean(&per_suite[&Suite::SpecFp]),
-            mediabench: geomean(&per_suite[&Suite::MediaBench]),
-        }
     }
 }
 

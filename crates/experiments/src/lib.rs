@@ -21,17 +21,16 @@
 //!
 //! Everything here runs through the [`contopt_sim`] facade: the [`Lab`]
 //! builds one `SimSession` per (configuration, workload) pair and caches
-//! the unified reports keyed by configuration fingerprint, and every
-//! optimizer variant is a pass list. Figures and tables *declare* their
-//! cells up front (`fig6_plan`, `table3_plan`, …); [`Lab::execute`] fans
-//! the deduplicated plan across scoped worker threads (`--jobs N` /
-//! `CONTOPT_JOBS` on the binary) before the regenerators read the cache.
+//! the unified reports keyed by configuration fingerprint.
 //!
-//! The same cells also live as checked-in `scenarios/*.json` files
-//! ([`contopt_sim::Scenario`]): [`scenario_plan`] lowers a parsed file to
-//! a [`Plan`], [`builtin_scenarios`] regenerates the canonical files from
-//! the figure constructors, and [`record_goldens`]/[`check_goldens`] pin
-//! per-cell reports under `goldens/` so result drift fails CI
+//! The machines of Figures 6 and 8–12 and Table 3 are defined once, in
+//! the checked-in `scenarios/<name>.json` files ([`contopt_sim::Scenario`]).
+//! [`scenario_plan`] lowers a parsed file to a [`Plan`]; [`Lab::execute`]
+//! fans the deduplicated plan across scoped worker threads (`--jobs N` /
+//! `CONTOPT_JOBS` on the binary); the renderers then read the scenario's
+//! results from the cache, after [`check_figure`] has confirmed they can
+//! draw the file. [`record_goldens`]/[`check_goldens`] pin per-cell
+//! reports under `goldens/` so result drift fails CI
 //! (`--scenario … --record/--check` on the binary).
 //!
 //! On top of the scenarios sits the **counterfactual ablation engine**
@@ -47,7 +46,6 @@
 #![forbid(unsafe_code)]
 
 mod ablation;
-mod bench_log;
 mod figures;
 mod lab;
 mod scenario;
@@ -58,20 +56,15 @@ pub use ablation::{
     ablation_golden_path, ablation_plan, ablation_report, check_ablation_golden,
     record_ablation_golden, AblationError,
 };
-pub use bench_log::{append_bench_run, validate_bench_trajectory, BENCH_LOG_NAME};
 pub use figures::{
-    fig10, fig10_plan, fig11, fig11_plan, fig12, fig12_plan, fig6, fig6_plan, fig8, fig8_plan,
-    fig9, fig9_plan, Fig6, SuiteFigure,
+    check_figure, fig10, fig11, fig12, fig6, fig8, fig9, Fig6, FigureError, SuiteFigure,
 };
 pub use lab::{default_jobs, geomean, Lab, Plan, SuiteMeans, DEFAULT_INSTS};
 pub use scenario::{
-    ablate_smoke_scenario, asm_smoke_scenario, builtin_scenarios, check_cell, check_goldens,
-    first_divergence, golden_path, record_goldens, scenario_plan, smoke_scenario, CellError,
-    CheckOutcome, DriftKind, GoldenDrift, LineDiff, TolerancePolicy,
+    check_cell, check_goldens, first_divergence, golden_path, record_goldens, scenario_plan,
+    CellError, CheckOutcome, DriftKind, GoldenDrift, LineDiff, TolerancePolicy,
 };
-pub use tables::{
-    table1, table2, table3, table3_plan, Table1, Table1Row, Table2, Table3, Table3Row,
-};
+pub use tables::{table1, table2, table3, Table1, Table1Row, Table2, Table3, Table3Row};
 pub use verify::{
     render_json as render_verify_json, render_text as render_verify_text, verify_file,
     verify_files, FileVerdict, ProgramVerdict, VerifyOutcome,

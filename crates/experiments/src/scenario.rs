@@ -3,22 +3,13 @@
 //! This module connects the checked-in [`Scenario`] files to the parallel
 //! [`Lab`] engine and pins their results:
 //!
-//! * [`scenario_plan`] lowers a scenario to the same deduplicated
-//!   [`Plan`] the built-in figures declare;
-//! * [`builtin_scenarios`] regenerates the paper's figure and table cells
-//!   as scenario values, so `scenarios/*.json` and the Rust plans can be
-//!   proven to agree byte-for-byte;
+//! * [`scenario_plan`] lowers a scenario to a deduplicated [`Plan`];
 //! * [`record_goldens`] / [`check_goldens`] write and byte-compare one
 //!   canonical [`Report`](contopt_sim::Report) JSON file per simulation
 //!   cell under `goldens/`, turning any result drift into a CI failure.
 
-use crate::figures::{
-    base, fig10_configs, fig11_configs, fig12_configs, fig8_configs, fig9_configs, opt,
-};
-use crate::lab::{Lab, Plan, DEFAULT_INSTS};
-use contopt_sim::{
-    JsonValue, MachineConfig, Scenario, ScenarioConfig, ScenarioError, ALL_WORKLOADS,
-};
+use crate::lab::{Lab, Plan};
+use contopt_sim::{JsonValue, Scenario, ScenarioConfig, ScenarioError};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -32,158 +23,6 @@ pub fn scenario_plan(sc: &Scenario) -> Result<Plan, ScenarioError> {
         }
     }
     Ok(plan)
-}
-
-/// Builds one scenario from `(label, machine)` pairs on the whole suite.
-fn suite_scenario(
-    name: &str,
-    insts: u64,
-    configs: impl IntoIterator<Item = (&'static str, MachineConfig)>,
-) -> Scenario {
-    Scenario {
-        name: name.to_string(),
-        insts,
-        ablation: None,
-        programs: vec![],
-        configs: configs
-            .into_iter()
-            .map(|(label, machine)| ScenarioConfig {
-                label: label.to_string(),
-                machine,
-                workloads: vec![ALL_WORKLOADS.to_string()],
-            })
-            .collect(),
-    }
-}
-
-/// The small CI gate scenario: baseline and optimized machines on two
-/// fast benchmarks at a reduced budget.
-pub fn smoke_scenario() -> Scenario {
-    Scenario {
-        name: "smoke".to_string(),
-        insts: 50_000,
-        ablation: None,
-        programs: vec![],
-        configs: [("baseline", base()), ("optimized", opt())]
-            .into_iter()
-            .map(|(label, machine)| ScenarioConfig {
-                label: label.to_string(),
-                machine,
-                workloads: vec!["twf".to_string(), "untst".to_string()],
-            })
-            .collect(),
-    }
-}
-
-/// The CI ablation gate: the default optimized machine on two fast
-/// benchmarks at a reduced budget, with the add-one-in direction on —
-/// the counterfactual matrix `--ablate` expands from this is pinned as
-/// `goldens/ablate_smoke/ablation.json`.
-pub fn ablate_smoke_scenario() -> Scenario {
-    Scenario {
-        name: "ablate_smoke".to_string(),
-        insts: 50_000,
-        ablation: Some(contopt_sim::AblationSpec { add_one_in: true }),
-        programs: vec![],
-        configs: vec![ScenarioConfig {
-            label: "optimized".to_string(),
-            machine: opt(),
-            workloads: vec!["twf".to_string(), "untst".to_string()],
-        }],
-    }
-}
-
-/// Every checked-in scenario, regenerated from the same configuration
-/// constructors the built-in figure plans use. `--emit-scenarios` writes
-/// these to `scenarios/`, and the round-trip tests assert the files on
-/// disk match them byte-for-byte — so code and files provably agree.
-pub fn builtin_scenarios() -> Vec<Scenario> {
-    let with_baseline = |configs: Vec<(&'static str, MachineConfig)>| {
-        std::iter::once(("baseline", base())).chain(configs)
-    };
-    vec![
-        smoke_scenario(),
-        ablate_smoke_scenario(),
-        suite_scenario(
-            "fig6",
-            DEFAULT_INSTS,
-            [("baseline", base()), ("optimized", opt())],
-        ),
-        suite_scenario("fig8", DEFAULT_INSTS, with_baseline(fig8_configs())),
-        suite_scenario("fig9", DEFAULT_INSTS, with_baseline(fig9_configs())),
-        suite_scenario("fig10", DEFAULT_INSTS, with_baseline(fig10_configs())),
-        suite_scenario("fig11", DEFAULT_INSTS, with_baseline(fig11_configs())),
-        suite_scenario("fig12", DEFAULT_INSTS, with_baseline(fig12_configs())),
-        suite_scenario("table3", DEFAULT_INSTS, [("optimized", opt())]),
-    ]
-}
-
-/// The assembler text of the `asm_smoke` scenario's inline program: a
-/// fill-then-fold kernel exercising loads, stores, multiplies, and
-/// shifts, authored in the `.s` text format rather than the builder API.
-const ASMK_SRC: &str = "\
-; asmk — text-authored smoke kernel for the workload authoring pipeline.
-.text
-        li   r1, arr            ; fill arr[i] = (i | 1) * K
-        li   r2, 512
-        li   r3, 0
-fill:   or   r3, 1, r4
-        mulq r4, 0x9e3779b97f4a7c15, r4
-        stq  r4, 0(r1)
-        lda  r1, 8(r1)
-        addq r3, 1, r3
-        subq r2, 1, r2
-        bne  r2, fill
-
-        li   r1, arr            ; fold: acc = mix(acc + 3*arr[i])
-        li   r2, 512
-        li   r3, 0
-fold:   ldq  r5, 0(r1)
-        mulq r5, 3, r5
-        addq r3, r5, r3
-        srl  r3, 11, r6
-        xor  r3, r6, r3
-        lda  r1, 8(r1)
-        subq r2, 1, r2
-        bne  r2, fold
-
-        li   r7, chk
-        stq  r3, 0(r7)
-        halt
-.data
-chk:    .zero 8                 ; checksum slot
-arr:    .zero 4096              ; 512 quads
-";
-
-/// The text-authoring smoke scenario (`scenarios/asm_smoke.json`).
-///
-/// Deliberately *not* part of [`builtin_scenarios`]: the builtins
-/// regenerate the paper's figures over the Table 1 suite, while this one
-/// pins the workload authoring pipeline end to end — an inline
-/// `"programs"` block assembled from `.s` text, swept under the baseline
-/// and optimized machines, with checked-in goldens under
-/// `goldens/asm_smoke/`.
-#[expect(
-    clippy::expect_used,
-    reason = "the checked-in asm_smoke program assembles"
-)]
-pub fn asm_smoke_scenario() -> Scenario {
-    let spec = contopt_sim::ProgramSpec::inline("asmk", ASMK_SRC)
-        .expect("the checked-in asm_smoke program assembles");
-    Scenario {
-        name: "asm_smoke".to_string(),
-        insts: 50_000,
-        ablation: None,
-        programs: vec![spec],
-        configs: [("baseline", base()), ("optimized", opt())]
-            .into_iter()
-            .map(|(label, machine)| ScenarioConfig {
-                label: label.to_string(),
-                machine,
-                workloads: vec!["asmk".to_string()],
-            })
-            .collect(),
-    }
 }
 
 /// Maps a scenario/label/workload name onto a filesystem-safe stem.
@@ -625,24 +464,12 @@ pub fn check_goldens(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builtin_scenarios_are_valid_and_uniquely_named() {
-        let all = builtin_scenarios();
-        assert_eq!(all.len(), 9);
-        for (i, sc) in all.iter().enumerate() {
-            sc.validate().unwrap_or_else(|e| panic!("{}: {e}", sc.name));
-            assert!(
-                !all[..i].iter().any(|other| other.name == sc.name),
-                "duplicate scenario name {}",
-                sc.name
-            );
-        }
-    }
+    use contopt_sim::MachineConfig;
 
     #[test]
     fn smoke_plan_has_four_cells() {
-        let plan = scenario_plan(&smoke_scenario()).unwrap();
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/smoke.json");
+        let plan = scenario_plan(&Scenario::load(path).unwrap()).unwrap();
         assert_eq!(plan.len(), 4);
     }
 
@@ -650,7 +477,7 @@ mod tests {
     fn colliding_sanitized_labels_are_rejected() {
         let cfg = |label: &str| ScenarioConfig {
             label: label.to_string(),
-            machine: base(),
+            machine: MachineConfig::default_paper(),
             workloads: vec!["twf".to_string()],
         };
         let sc = Scenario {
@@ -717,7 +544,7 @@ mod tests {
             programs: vec![],
             configs: vec![ScenarioConfig {
                 label: "baseline".to_string(),
-                machine: base(),
+                machine: MachineConfig::default_paper(),
                 workloads: vec!["twf".to_string()],
             }],
         };
@@ -791,14 +618,17 @@ mod tests {
             programs: vec![],
             configs: vec![ScenarioConfig {
                 label: "baseline".to_string(),
-                machine: base(),
+                machine: MachineConfig::default_paper(),
                 workloads: vec!["twf".to_string()],
             }],
         };
         let mut lab = Lab::new(sc.insts);
         record_goldens(&mut lab, &sc, &dir).unwrap();
         let canonical = lab
-            .run(base(), &contopt_sim::workloads::build("twf").unwrap())
+            .run(
+                MachineConfig::default_paper(),
+                &contopt_sim::workloads::build("twf").unwrap(),
+            )
             .canonical_json();
         let policy = TolerancePolicy::exact();
         assert_eq!(

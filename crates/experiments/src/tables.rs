@@ -1,9 +1,10 @@
 //! Regenerators for the paper's tables (1, 2, and 3).
 
-use crate::lab::{Lab, Plan};
+use crate::figures::{check_figure, labelled, FigureError, OPTIMIZED};
+use crate::lab::Lab;
 use contopt_sim::emu::Emulator;
-use contopt_sim::workloads::Suite;
-use contopt_sim::{JsonValue, MachineConfig, OptStats, PassStats, ToJson};
+use contopt_sim::workloads::{suite, Suite};
+use contopt_sim::{JsonValue, MachineConfig, OptStats, PassStats, Scenario, ToJson};
 use std::fmt;
 
 /// Table 1 — the experimental workload and its dynamic instruction counts.
@@ -238,18 +239,20 @@ impl ToJson for Table3 {
     }
 }
 
-/// Declares Table 3's simulation cells.
-pub fn table3_plan(lab: &Lab) -> Plan {
-    let mut plan = Plan::new();
-    plan.config(MachineConfig::default_with_optimizer(), lab.workloads());
-    plan
-}
-
-/// Regenerates Table 3 from default-optimizer runs. The percentages are
-/// computed from the aggregate counters; each row also carries the
-/// per-pass attribution blocks those aggregates are the sum of.
-pub fn table3(lab: &mut Lab) -> Table3 {
-    let runs = lab.run_all(MachineConfig::default_with_optimizer());
+/// Renders Table 3 from `scenarios/table3.json`'s `optimized` runs. The
+/// percentages are computed from the aggregate counters; each row also
+/// carries the per-pass attribution blocks those aggregates are the sum
+/// of.
+pub fn table3(lab: &mut Lab, sc: &Scenario) -> Result<Table3, FigureError> {
+    check_figure("table3", sc)?;
+    let opt = labelled(sc, OPTIMIZED)?.machine;
+    let runs: Vec<_> = suite()
+        .into_iter()
+        .map(|w| {
+            let r = lab.run(opt, &w);
+            (w, r)
+        })
+        .collect();
     let mut rows = Vec::new();
     let mut all = OptStats::default();
     let mut all_passes = PassStats::default();
@@ -279,7 +282,7 @@ pub fn table3(lab: &mut Lab) -> Table3 {
         loads_removed: all.pct_loads_removed(),
         passes: all_passes,
     });
-    Table3 { rows }
+    Ok(Table3 { rows })
 }
 
 impl fmt::Display for Table3 {

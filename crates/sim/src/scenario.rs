@@ -686,9 +686,8 @@ impl Scenario {
     }
 
     /// The canonical file serialization: pretty-printed canonical JSON
-    /// plus a trailing newline. Writing this is exactly what
-    /// `--emit-scenarios` does, and the round-trip tests compare checked-in
-    /// files against it byte-for-byte.
+    /// plus a trailing newline. Every checked-in `scenarios/*.json` file
+    /// is byte-for-byte the canonical serialization of what it parses to.
     pub fn canonical_json(&self) -> String {
         let mut out = self.to_json().pretty();
         out.push('\n');

@@ -9,8 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_experiments::{
-    ablate_smoke_scenario, ablation_plan, ablation_report, check_ablation_golden, Lab,
-    TolerancePolicy,
+    ablation_plan, ablation_report, check_ablation_golden, Lab, TolerancePolicy,
 };
 use contopt_sim::{AblationSpec, MachineConfig, PassId, Scenario, ScenarioConfig, ToJson};
 use std::collections::HashSet;
@@ -19,6 +18,11 @@ use std::path::{Path, PathBuf};
 /// The repository root (tests are registered under `crates/experiments`).
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The checked-in smoke ablation scenario.
+fn ablate_smoke_scenario() -> Scenario {
+    Scenario::load(repo_root().join("scenarios/ablate_smoke.json")).unwrap()
 }
 
 /// A reduced-budget copy of the smoke ablation scenario on one workload.
@@ -111,7 +115,7 @@ fn plan_cell_count_equals_unique_config_fingerprints() {
 
 #[test]
 fn checked_in_ablate_smoke_goldens_reproduce() {
-    let sc = Scenario::load(repo_root().join("scenarios/ablate_smoke.json")).unwrap();
+    let sc = ablate_smoke_scenario();
     assert_eq!(sc.ablation, Some(AblationSpec { add_one_in: true }));
     let mut lab = Lab::new(sc.insts);
     lab.execute(&ablation_plan(&sc).unwrap(), 2);

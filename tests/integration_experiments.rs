@@ -1,6 +1,7 @@
 //! Tests of the experiment harness: every table/figure regenerator runs at
-//! a reduced instruction budget, produces structurally complete output, and
-//! reproduces the qualitative claims of the paper's evaluation section.
+//! a reduced instruction budget over its checked-in scenario file, produces
+//! structurally complete output, and reproduces the qualitative claims of
+//! the paper's evaluation section.
 
 // Test harness code may panic freely; helper functions here sit outside
 // clippy's in-test-function exemption for the workspace unwrap/expect
@@ -8,12 +9,22 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_experiments::{
-    fig10, fig11, fig12, fig6, fig6_plan, fig8, fig9, geomean, table1, table2, table3, Lab,
+    fig10, fig11, fig12, fig6, fig8, fig9, geomean, scenario_plan, table1, table2, table3,
+    FigureError, Lab,
 };
 use contopt_sim::workloads::Suite;
-use contopt_sim::{MachineConfig, ToJson};
+use contopt_sim::{MachineConfig, Scenario, ToJson};
+use std::path::Path;
 
 const INSTS: u64 = 60_000;
+
+/// The checked-in `scenarios/<name>.json`.
+fn scenario(name: &str) -> Scenario {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../scenarios")
+        .join(format!("{name}.json"));
+    Scenario::load(path).unwrap()
+}
 
 #[test]
 fn table1_lists_all_twentyfour_benchmarks() {
@@ -48,7 +59,7 @@ fn table2_matches_the_paper() {
 #[test]
 fn fig6_speedups_are_in_the_papers_band() {
     let mut lab = Lab::new(INSTS);
-    let f = fig6(&mut lab);
+    let f = fig6(&mut lab, &scenario("fig6")).unwrap();
     assert_eq!(f.rows.len(), 24);
     for (_, name, s) in &f.rows {
         assert!(
@@ -66,7 +77,7 @@ fn fig6_speedups_are_in_the_papers_band() {
 #[test]
 fn table3_percentages_are_sane_and_paper_shaped() {
     let mut lab = Lab::new(INSTS);
-    let t = table3(&mut lab);
+    let t = table3(&mut lab, &scenario("table3")).unwrap();
     assert_eq!(t.rows.len(), 4); // 3 suites + avg
     for r in &t.rows {
         for v in [
@@ -93,7 +104,7 @@ fn table3_percentages_are_sane_and_paper_shaped() {
 #[test]
 fn fig8_exec_bound_benefits_most_from_optimization() {
     let mut lab = Lab::new(INSTS);
-    let f = fig8(&mut lab);
+    let f = fig8(&mut lab, &scenario("fig8")).unwrap();
     assert_eq!(f.labels.len(), 5);
     for s in [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench] {
         let bars = f.suite(s);
@@ -116,7 +127,7 @@ fn fig8_exec_bound_benefits_most_from_optimization() {
 #[test]
 fn fig9_feedback_alone_offers_little() {
     let mut lab = Lab::new(INSTS);
-    let f = fig9(&mut lab);
+    let f = fig9(&mut lab, &scenario("fig9")).unwrap();
     for s in [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench] {
         let bars = f.suite(s);
         let (feedback, full) = (bars[0], bars[1]);
@@ -130,7 +141,7 @@ fn fig9_feedback_alone_offers_little() {
 #[test]
 fn fig10_deeper_chains_never_hurt_and_help_mediabench() {
     let mut lab = Lab::new(INSTS);
-    let f = fig10(&mut lab);
+    let f = fig10(&mut lab, &scenario("fig10")).unwrap();
     for s in [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench] {
         let bars = f.suite(s);
         assert!(
@@ -150,7 +161,7 @@ fn fig10_deeper_chains_never_hurt_and_help_mediabench() {
 #[test]
 fn fig11_latency_degrades_gracefully() {
     let mut lab = Lab::new(INSTS);
-    let f = fig11(&mut lab);
+    let f = fig11(&mut lab, &scenario("fig11")).unwrap();
     for s in [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench] {
         let bars = f.suite(s);
         let (d0, d2, d4) = (bars[0], bars[1], bars[2]);
@@ -162,7 +173,7 @@ fn fig11_latency_degrades_gracefully() {
 #[test]
 fn fig12_feedback_delay_is_flat() {
     let mut lab = Lab::new(INSTS);
-    let f = fig12(&mut lab);
+    let f = fig12(&mut lab, &scenario("fig12")).unwrap();
     for s in [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench] {
         let bars = f.suite(s);
         let spread = bars.iter().cloned().fold(0.0f64, f64::max)
@@ -177,7 +188,7 @@ fn fig12_feedback_delay_is_flat() {
 #[test]
 fn results_serialize_to_json() {
     let mut lab = Lab::new(30_000);
-    let f = fig9(&mut lab);
+    let f = fig9(&mut lab, &scenario("fig9")).unwrap();
     let j = f.to_json().to_string();
     assert!(j.contains("feedback"));
     let t = table2();
@@ -191,12 +202,12 @@ fn parallel_execution_is_deterministic() {
     // The same plan executed on one worker and on four must fill the cache
     // with byte-identical reports for every cell, and the figures
     // regenerated from either cache must serialize identically.
+    let fig6_sc = scenario("fig6");
+    let plan = scenario_plan(&fig6_sc).unwrap();
     let mut lab1 = Lab::new(30_000);
-    let plan1 = fig6_plan(&lab1);
-    lab1.execute(&plan1, 1);
+    lab1.execute(&plan, 1);
     let mut lab4 = Lab::new(30_000);
-    let plan4 = fig6_plan(&lab4);
-    lab4.execute(&plan4, 4);
+    lab4.execute(&plan, 4);
 
     let configs = [
         MachineConfig::default_paper(),
@@ -215,10 +226,41 @@ fn parallel_execution_is_deterministic() {
         }
     }
     assert_eq!(
-        fig6(&mut lab1).to_json().to_string(),
-        fig6(&mut lab4).to_json().to_string(),
+        fig6(&mut lab1, &fig6_sc).unwrap().to_json().to_string(),
+        fig6(&mut lab4, &fig6_sc).unwrap().to_json().to_string(),
         "figure output must not depend on the worker count"
     );
+}
+
+/// A renderer refuses a file it cannot draw, before anything simulates.
+#[test]
+fn renderers_reject_files_they_cannot_draw() {
+    let mut lab = Lab::new(INSTS);
+    let full = scenario("fig6");
+    let without = |label: &str| {
+        let mut sc = full.clone();
+        sc.configs.retain(|c| c.label != label);
+        sc
+    };
+    let missing = |label| Some(FigureError::MissingLabel(label));
+    let no_baseline = without("baseline");
+    assert_eq!(fig6(&mut lab, &no_baseline).err(), missing("baseline"));
+    assert_eq!(fig9(&mut lab, &no_baseline).err(), missing("baseline"));
+    let no_optimized = without("optimized");
+    assert_eq!(fig6(&mut lab, &no_optimized).err(), missing("optimized"));
+    assert_eq!(table3(&mut lab, &no_optimized).err(), missing("optimized"));
+
+    let mut one_workload = full.clone();
+    one_workload.configs[1].workloads = vec!["twf".into()];
+    let not_whole = Some(FigureError::NotWholeSuite("optimized".into()));
+    assert_eq!(fig6(&mut lab, &one_workload).err(), not_whole);
+    assert_eq!(fig8(&mut lab, &one_workload).err(), not_whole);
+    assert_eq!(table3(&mut lab, &one_workload).err(), not_whole);
+
+    let twf = contopt_sim::workloads::build("twf").unwrap();
+    for cfg in &full.configs {
+        assert!(lab.cached(&cfg.machine, twf.name).is_none(), "nothing ran");
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Tests of the scenario-file subsystem: the checked-in `scenarios/*.json`
-//! files provably agree with the built-in figure plans, parsing is total
-//! (typed errors, no panics), serialization round-trips byte-for-byte, and
-//! the golden harness detects result drift.
+//! files are canonical and the figure files drawable at the paper budget,
+//! parsing is total (typed errors, no panics), serialization round-trips
+//! byte-for-byte, and the golden harness detects result drift.
 
 // Test harness code may panic freely; helper functions here sit outside
 // clippy's in-test-function exemption for the workspace unwrap/expect
@@ -9,16 +9,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_experiments::{
-    builtin_scenarios, check_goldens, fig10_plan, fig11_plan, fig12_plan, fig6_plan, fig8_plan,
-    fig9_plan, record_goldens, scenario_plan, smoke_scenario, table3_plan, DriftKind, Lab, Plan,
-    TolerancePolicy,
+    check_figure, check_goldens, record_goldens, DriftKind, Lab, TolerancePolicy, DEFAULT_INSTS,
 };
 use contopt_sim::workloads::SplitMix64;
 use contopt_sim::{
     Error, MachineConfig, OptimizerConfig, Scenario, ScenarioConfig, ScenarioError, ToJson,
     ALL_WORKLOADS,
 };
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -27,69 +24,46 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// Every `scenarios/*.json` is the canonical serialization of what it
+/// parses to, and is named after its file.
 #[test]
-fn checked_in_scenario_files_match_the_builtin_builders_byte_for_byte() {
-    for sc in builtin_scenarios() {
-        let path = repo_root()
-            .join("scenarios")
-            .join(format!("{}.json", sc.name));
-        let on_disk = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (run --emit-scenarios)", path.display()));
+fn checked_in_scenario_files_are_canonical() {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(repo_root().join("scenarios"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 11, "{paths:?}");
+    for path in paths {
+        let on_disk = std::fs::read_to_string(&path).unwrap();
+        let sc = Scenario::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert_eq!(
             on_disk,
             sc.canonical_json(),
-            "{} differs from the built-in builder; regenerate with \
-             `cargo run -p contopt-experiments -- --emit-scenarios`",
+            "{} is not in canonical form",
             path.display()
         );
-        let parsed = Scenario::load(&path).unwrap();
-        assert_eq!(parsed, sc.normalized(), "{} round-trip", sc.name);
+        assert_eq!(Scenario::parse(&on_disk).unwrap(), sc, "{}", path.display());
+        assert_eq!(
+            Some(sc.name.as_str()),
+            path.file_stem().and_then(|s| s.to_str()),
+            "{} names another scenario",
+            path.display()
+        );
     }
 }
 
+/// The figure and table files pin the paper budget, so `--figN` at the
+/// default `--insts` renders exactly the cells `--scenario … --check`
+/// pins, and every one is a file its renderer can draw.
 #[test]
-fn scenario_plans_match_the_builtin_figure_plans() {
-    let lab = Lab::new(1_000);
-    let builtin: Vec<(&str, Plan)> = vec![
-        ("fig6", fig6_plan(&lab)),
-        ("fig8", fig8_plan(&lab)),
-        ("fig9", fig9_plan(&lab)),
-        ("fig10", fig10_plan(&lab)),
-        ("fig11", fig11_plan(&lab)),
-        ("fig12", fig12_plan(&lab)),
-        ("table3", table3_plan(&lab)),
-    ];
-    for (name, plan) in builtin {
-        let path = repo_root().join("scenarios").join(format!("{name}.json"));
-        let sc = Scenario::load(&path).unwrap();
-        let from_file = scenario_plan(&sc).unwrap();
-        let file_cells: HashSet<_> = from_file.fingerprints().into_iter().collect();
-        let code_cells: HashSet<_> = plan.fingerprints().into_iter().collect();
-        // The scenario may add the shared baseline beyond what a plan
-        // strictly declares (table3 declares only the optimized machine),
-        // but every built-in cell must be covered, and nothing beyond the
-        // built-in cells plus the baseline may appear.
-        for cell in &code_cells {
-            assert!(
-                file_cells.contains(cell),
-                "{name}: cell for {:?} missing from scenario file",
-                cell.1
-            );
-        }
-        let baseline_key = {
-            let mut p = Plan::new();
-            for w in contopt_sim::workloads::suite() {
-                p.cell(MachineConfig::default_paper(), &w);
-            }
-            p.fingerprints().into_iter().collect::<HashSet<_>>()
-        };
-        for cell in &file_cells {
-            assert!(
-                code_cells.contains(cell) || baseline_key.contains(cell),
-                "{name}: scenario file declares unexpected cell {:?}",
-                cell.1
-            );
-        }
+fn figure_scenarios_pin_the_default_budget() {
+    for name in ["fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "table3"] {
+        let sc =
+            Scenario::load(repo_root().join("scenarios").join(format!("{name}.json"))).unwrap();
+        assert_eq!(sc.insts, DEFAULT_INSTS, "{name}");
+        check_figure(name, &sc).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -179,7 +153,7 @@ fn random_optimizer_configs_round_trip_through_scenario_json() {
 
 #[test]
 fn compact_and_pretty_scenario_json_parse_identically() {
-    let sc = smoke_scenario();
+    let sc = Scenario::load(repo_root().join("scenarios/smoke.json")).unwrap();
     let compact = sc.to_json().to_string();
     let pretty = sc.canonical_json();
     assert_eq!(
@@ -291,6 +265,69 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
 
     let (code, stderr) = run(&["--ablate", "--check"]);
     assert_eq!(code, Some(3), "{stderr}");
+
+    // A bad flag value is a one-line error, not a panic.
+    for (args, message) in [
+        (
+            &["--fig9", "--insts", "abc"][..],
+            "--insts takes a positive number",
+        ),
+        (
+            &["--fig9", "--jobs", "-1"],
+            "--jobs takes a non-negative number",
+        ),
+        (
+            &["--scenario", "scenarios/smoke.json", "--goldens"],
+            "--goldens takes a value",
+        ),
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(3), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("contopt-experiments: {message}\n"),
+            "{args:?}"
+        );
+    }
+}
+
+/// `--fig9` reads `<scenarios-dir>/fig9.json` and refuses, before any
+/// cell simulates, a file its renderer cannot draw or no file at all.
+#[test]
+fn figure_flags_reject_undrawable_files_before_simulating() {
+    let dir = std::env::temp_dir().join(format!("contopt-figdir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let fig9 = dir.join("fig9.json");
+    let run = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
+            .args(["--fig9", "--insts", "1000", "--scenarios-dir"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(3), "{stderr}");
+        assert!(!stderr.contains("simulating"), "nothing may run: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing may print");
+        stderr
+    };
+
+    let stderr = run();
+    assert!(stderr.contains("fig9.json"), "{stderr}");
+
+    let mut sc = Scenario::load(repo_root().join("scenarios/fig9.json")).unwrap();
+    sc.configs.retain(|c| c.label != "baseline");
+    std::fs::write(&fig9, sc.canonical_json()).unwrap();
+    let stderr = run();
+    assert!(stderr.contains("labelled \"baseline\""), "{stderr}");
+
+    // A file shipping its own program: the suite figures cannot draw it.
+    let shipped = std::fs::read_to_string(repo_root().join("scenarios/asm_smoke.json")).unwrap();
+    std::fs::write(&fig9, shipped).unwrap();
+    let stderr = run();
+    assert!(stderr.contains("whole suite"), "{stderr}");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -283,6 +283,13 @@ fn rejects_machines_that_can_only_deadlock_or_overflow() {
         Error::Predictor(PredictorConfigError::HistoryTooLong(30)),
         None,
     ));
+    let mut no_ras = MachineConfig::default_paper();
+    no_ras.predictor.ras_entries = 0;
+    cases.push((
+        no_ras,
+        Error::Predictor(PredictorConfigError::ZeroRasEntries),
+        None,
+    ));
     let mut slow_memory = MachineConfig::default_paper();
     slow_memory.hierarchy.memory_latency = window - (default_total - 100);
     cases.push((
@@ -306,6 +313,31 @@ fn rejects_machines_that_can_only_deadlock_or_overflow() {
         .program(tiny_program())
         .build()
         .is_ok());
+
+    // No suite kernel calls a subroutine; a program that does pushes its
+    // return address, which a stack without entries cannot hold. One
+    // entry is enough to run it.
+    let calls = || {
+        contopt_sim::isa::asm_text::parse(
+            "        li   r1, 3
+        li   r2, 1
+loop:   bsr  ra, double
+        subq r1, 1, r1
+        bne  r1, loop
+        halt
+double: addq r2, r2, r2
+        ret
+",
+        )
+        .unwrap()
+    };
+    let build = |cfg| SimSession::builder().machine(cfg).program(calls()).build();
+    assert_eq!(
+        build(no_ras).unwrap_err(),
+        Error::Predictor(PredictorConfigError::ZeroRasEntries)
+    );
+    no_ras.predictor.ras_entries = 1;
+    assert!(build(no_ras).unwrap().run().pipeline.retired > 0);
 }
 
 /// A machine whose window, register file or Memory Bypass Cache would
