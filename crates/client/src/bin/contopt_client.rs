@@ -43,8 +43,9 @@ OPTIONS:
                            exponential with deterministic jitter
   --goldens DIR            goldens directory for --check
                            (default: goldens)
-  --allow-field PATH ...   with --check: JSON field paths allowed to
-                           differ (default: exact byte equality)
+  --allow-field PATH       with --check: a JSON field path allowed to
+                           differ (repeatable; default: exact byte
+                           equality)
   --help                   print this help
 
 EXIT CODES (matching contopt-experiments --check):
@@ -54,6 +55,30 @@ EXIT CODES (matching contopt-experiments --check):
   3  error: connection, protocol, I/O, per-cell server failure, or bad
      invocation
 ";
+
+/// Flags that take one value each (every one may repeat).
+const VALUE_FLAGS: [&str; 7] = [
+    "--addr",
+    "--scenario",
+    "--jobs",
+    "--timeout",
+    "--retries",
+    "--goldens",
+    "--allow-field",
+];
+
+/// The first argument that is neither a known flag nor a flag's value.
+fn unexpected_argument(args: &[String]) -> Option<&String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if !["--ping", "--check", "--json"].contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,6 +97,13 @@ fn main() -> ExitCode {
         eprintln!("contopt-client: {msg}");
         ExitCode::from(CheckOutcome::Error.exit_code())
     };
+    if let Some(arg) = unexpected_argument(&args) {
+        return bad(&if arg.starts_with("--") {
+            format!("unknown flag {arg:?} (see --help)")
+        } else {
+            format!("unexpected argument {arg:?}: each --scenario takes one file")
+        });
+    }
 
     let addr = match value_of("--addr") {
         Some(Some(a)) => a,

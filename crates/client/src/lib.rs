@@ -54,6 +54,7 @@
 
 pub mod protocol;
 
+use contopt_sim::workloads::splitmix64;
 use contopt_sim::{ProgramSpec, Scenario};
 use protocol::{
     read_frame, write_frame, CellReply, Message, PlanCell, ProtocolError, ServerStatus,
@@ -112,16 +113,6 @@ impl From<ProtocolError> for ClientError {
     fn from(e: ProtocolError) -> ClientError {
         ClientError::Protocol(e)
     }
-}
-
-/// One splitmix64 round: the repo's in-tree PRNG (also behind workload
-/// data-section initialization), used here for deterministic backoff
-/// jitter — no `rand` dependency, reproducible schedules.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// When and how often to retry transient failures.

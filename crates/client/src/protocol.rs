@@ -50,7 +50,6 @@
 //! write locally — so a remote `--check` can byte-compare without any
 //! re-serialization step that could perturb formatting.
 
-use contopt_sim::isa::{asm_text, Program};
 use contopt_sim::{
     machine_from_json, machine_to_json, JsonError, JsonValue, MachineConfig, ProgramSpec, Scenario,
     ScenarioError, ToJson,
@@ -133,8 +132,9 @@ pub struct CellResult {
     pub label: String,
     /// The workload short name.
     pub workload: String,
-    /// The cell's behavioural fingerprint ([`cell_fingerprint`]) — the
-    /// server's result-cache key in hex form.
+    /// The cell's behavioural fingerprint
+    /// ([`CellKey::fingerprint`](contopt_sim::CellKey::fingerprint)) —
+    /// the server's result-cache key in hex form.
     pub fingerprint: String,
     /// The canonical `Report` JSON, byte-for-byte as
     /// `Report::canonical_json` produced it on the server.
@@ -150,7 +150,8 @@ pub struct CellError {
     pub label: String,
     /// The workload short name of the failed cell.
     pub workload: String,
-    /// The cell's behavioural fingerprint ([`cell_fingerprint`]).
+    /// The cell's behavioural fingerprint
+    /// ([`CellKey::fingerprint`](contopt_sim::CellKey::fingerprint)).
     pub fingerprint: String,
     /// A stable machine-readable cause (`"panic"`, `"internal"`).
     pub code: String,
@@ -830,61 +831,11 @@ pub fn read_frame(r: &mut impl Read) -> Result<Message, ProtocolError> {
     Message::from_json(&doc)
 }
 
-/// The behavioural fingerprint of one simulation cell, as a 16-hex-digit
-/// string: FNV-1a over the canonical machine JSON ([`machine_to_json`],
-/// which normalizes the optimizer block), the workload name, and the
-/// instruction budget. For a cell bound to a named Table 1 workload —
-/// shorthand for [`cell_fingerprint_for`] with no program.
-///
-/// Two cells that cannot differ in simulation — however their
-/// configurations were constructed — fingerprint identically, which is
-/// what lets the server's result cache and in-flight dedup collapse
-/// overlapping sweeps from unrelated clients. (The server keys its cache
-/// on the full configuration value, not this hash, so a hash collision
-/// can never serve the wrong report; the fingerprint is the wire-visible
-/// name of the key.)
-pub fn cell_fingerprint(machine: &MachineConfig, workload: &str, insts: u64) -> String {
-    cell_fingerprint_for(machine, workload, insts, None)
-}
-
-/// [`cell_fingerprint`] for a cell that may carry a text-authored
-/// program: the program's canonical [`asm_text::emit`] encoding is
-/// folded into the same FNV-1a stream, so two shipped programs with the
-/// same behaviour (identical assembled `Program`) fingerprint
-/// identically regardless of source formatting, and a shipped program
-/// can never collide with a Table 1 workload of the same name. With
-/// `None` the digest is byte-for-byte the pre-federation
-/// [`cell_fingerprint`], so existing caches and goldens stay valid.
-pub fn cell_fingerprint_for(
-    machine: &MachineConfig,
-    workload: &str,
-    insts: u64,
-    program: Option<&Program>,
-) -> String {
-    let canonical = machine_to_json(machine).to_string();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(canonical.as_bytes());
-    eat(&[0]);
-    eat(workload.as_bytes());
-    eat(&[0]);
-    eat(&insts.to_be_bytes());
-    if let Some(program) = program {
-        eat(&[0]);
-        eat(asm_text::emit(program).as_bytes());
-    }
-    format!("{h:016x}")
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use contopt_sim::isa::asm_text;
     use contopt_sim::ScenarioConfig;
 
     fn smoke_like_scenario() -> Scenario {
@@ -1182,31 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_cover_program_bytes() {
-        let base = MachineConfig::default_paper();
-        let twf = contopt_sim::workloads::build("twf").unwrap().program;
-        let untst = contopt_sim::workloads::build("untst").unwrap().program;
-        let plain = cell_fingerprint(&base, "k", 1000);
-        let with_twf = cell_fingerprint_for(&base, "k", 1000, Some(&twf));
-        assert_ne!(plain, with_twf, "program bytes matter");
-        assert_eq!(
-            with_twf,
-            cell_fingerprint_for(&base, "k", 1000, Some(&twf)),
-            "deterministic"
-        );
-        assert_ne!(
-            with_twf,
-            cell_fingerprint_for(&base, "k", 1000, Some(&untst)),
-            "different programs differ"
-        );
-        assert_eq!(
-            plain,
-            cell_fingerprint_for(&base, "k", 1000, None),
-            "None is byte-identical to the pre-federation digest"
-        );
-    }
-
-    #[test]
     fn unknown_type_and_malformed_payloads_are_typed_errors() {
         let doc = JsonValue::parse(r#"{"v": 1, "type": "frobnicate"}"#).unwrap();
         assert!(matches!(
@@ -1273,23 +1199,5 @@ mod tests {
             read_frame(&mut &buf[..]),
             Err(ProtocolError::Io(_))
         ));
-    }
-
-    #[test]
-    fn fingerprints_normalize_and_discriminate() {
-        let base = MachineConfig::default_paper();
-        let mut inert = base;
-        inert.optimizer.mbc_entries = 7; // inert: optimizer disabled
-        assert_eq!(
-            cell_fingerprint(&base, "twf", 1000),
-            cell_fingerprint(&inert, "twf", 1000),
-            "behaviourally identical configs share a fingerprint"
-        );
-        let opt = MachineConfig::default_with_optimizer();
-        let f = cell_fingerprint(&base, "twf", 1000);
-        assert_ne!(f, cell_fingerprint(&opt, "twf", 1000), "config matters");
-        assert_ne!(f, cell_fingerprint(&base, "mcf", 1000), "workload matters");
-        assert_ne!(f, cell_fingerprint(&base, "twf", 2000), "budget matters");
-        assert_eq!(f.len(), 16);
     }
 }

@@ -47,13 +47,7 @@ impl DynInst {
     /// record in order produces the same digest (up to hash collision).
     /// Allocation-free; differential tests call it at retire time.
     pub fn fold_digest(&self, mut h: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut eat = |v: u64| h = fnv1a(h, &v.to_le_bytes());
         // The PC identifies the static instruction (one program per
         // comparison), so hashing the dynamic fields pins the semantics.
         eat(self.seq);
@@ -74,8 +68,21 @@ impl DynInst {
 }
 
 /// The FNV-1a offset basis — the initial value for a
-/// [`DynInst::fold_digest`] chain.
+/// [`DynInst::fold_digest`] chain, and for any other [`fnv1a`] chain.
 pub const STREAM_DIGEST_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running 64-bit FNV-1a hash `h`; a chain starts
+/// from [`STREAM_DIGEST_INIT`]. The workspace's one FNV-1a: the retired
+/// stream digest, the memory image digest and the wire cell fingerprint
+/// all fold through it.
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 #[cfg(test)]
 mod tests {

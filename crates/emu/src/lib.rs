@@ -35,7 +35,7 @@ mod machine;
 mod mem_image;
 mod snapshot;
 
-pub use dyninst::{DynInst, STREAM_DIGEST_INIT};
+pub use dyninst::{fnv1a, DynInst, STREAM_DIGEST_INIT};
 pub use machine::{EmuError, Emulator, RunSummary, Step};
 pub use mem_image::MemImage;
 pub use snapshot::ArchSnapshot;

@@ -1,5 +1,6 @@
 //! Sparse byte-addressable memory image.
 
+use crate::{fnv1a, STREAM_DIGEST_INIT};
 use std::collections::HashMap;
 
 const PAGE_SHIFT: u64 = 12;
@@ -164,18 +165,7 @@ impl MemImage {
             }
             // FNV-1a over (page number, page bytes); pages are combined
             // with XOR so HashMap iteration order cannot matter.
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let mut eat = |b: u8| {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            };
-            for b in pno.to_le_bytes() {
-                eat(b);
-            }
-            for &b in page.iter() {
-                eat(b);
-            }
-            digest ^= h;
+            digest ^= fnv1a(fnv1a(STREAM_DIGEST_INIT, &pno.to_le_bytes()), &page[..]);
         }
         digest
     }

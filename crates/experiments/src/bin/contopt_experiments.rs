@@ -94,9 +94,9 @@ these to report precise causes):
   0  success: goldens match (or the run/record completed)
   1  drift: at least one recorded golden differs from the fresh run
   2  missing: some goldens are not recorded (and none drifted)
-  3  error: the run itself failed (a bad flag value, an unreadable
-     scenario, I/O failure; contopt-client reports remote per-cell
-     failures the same way)
+  3  error: the run itself failed (an unknown flag or stray argument,
+     a bad flag value, an unreadable scenario, I/O failure;
+     contopt-client reports remote per-cell failures the same way)
 
 exit codes (--verify runs, same 0..3 severity ladder):
   0  clean: no finding gated (warnings allowed explicitly or by policy)
@@ -116,9 +116,11 @@ fn main() -> ExitCode {
     })
 }
 
-/// Runs the command line; an `Err` (a bad flag value, or a figure file
-/// that cannot be drawn) exits 3 before anything simulates.
+/// Runs the command line; an `Err` (an unknown flag, a bad flag value,
+/// or a figure file that cannot be drawn) exits 3 before anything
+/// simulates.
 fn run(args: &[String]) -> Result<ExitCode, String> {
+    check_arguments(args)?;
     let insts = number(args, "--insts", true)?.unwrap_or(DEFAULT_INSTS);
     // `--jobs 0` (like `CONTOPT_JOBS=0`) means auto-detect, so scripts can
     // pass an explicit "use every core" without knowing the core count.
@@ -176,12 +178,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--scenario" || a == "--ablate") {
         if scenario_files.is_empty() && ablate_files.is_empty() {
             return Err("--scenario and --ablate take one or more scenario files".into());
-        }
-        if let Some(arg) = stray_argument(args) {
-            return Err(format!(
-                "unexpected argument {arg:?}: scenario files go after --scenario or \
-                 --ablate, before the next flag"
-            ));
         }
         let record = args.iter().any(|a| a == "--record");
         let check = args.iter().any(|a| a == "--check");
@@ -336,6 +332,25 @@ fn number<T: FromStr + PartialOrd + Default>(
         })
 }
 
+/// Flags that take no value.
+const SWITCHES: [&str; 15] = [
+    "--all",
+    "--table1",
+    "--table2",
+    "--table3",
+    "--fig6",
+    "--fig8",
+    "--fig9",
+    "--fig10",
+    "--fig11",
+    "--fig12",
+    "--json",
+    "--record",
+    "--check",
+    "--table",
+    "--allow-warnings",
+];
+
 /// Flags that take exactly one value.
 const VALUE_FLAGS: [&str; 7] = [
     "--insts",
@@ -366,22 +381,31 @@ fn values_after<'a>(args: &'a [String], flag: &str) -> Vec<&'a String> {
         .collect()
 }
 
-/// The first argument that is neither a flag nor a value a flag takes,
-/// such as a file named after `--check`.
-fn stray_argument(args: &[String]) -> Option<&String> {
+/// Rejects an unknown flag, and any argument that no flag takes, such as
+/// a file named after `--check`.
+fn check_arguments(args: &[String]) -> Result<(), String> {
     let mut in_list = false;
-    let mut rest = args.iter();
+    let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
-        if arg.starts_with("--") {
-            in_list = LIST_FLAGS.contains(&arg.as_str());
-            if VALUE_FLAGS.contains(&arg.as_str()) {
-                rest.next();
+        let flag = arg.as_str();
+        if !flag.starts_with("--") {
+            if !in_list {
+                return Err(format!(
+                    "unexpected argument {arg:?}: files go after --scenario, --ablate, \
+                     --verify or --validate, before the next flag"
+                ));
             }
-        } else if !in_list {
-            return Some(arg);
+        } else if VALUE_FLAGS.contains(&flag) {
+            in_list = false;
+            rest.next_if(|v| !v.starts_with("--"));
+        } else {
+            in_list = LIST_FLAGS.contains(&flag);
+            if !in_list && !SWITCHES.contains(&flag) {
+                return Err(format!("unknown flag {arg:?} (see --help)"));
+            }
         }
     }
-    None
+    Ok(())
 }
 
 /// Collects every `*.json` under `dir`, recursively, in sorted order —
@@ -523,10 +547,6 @@ fn run_scenarios(
         // Each scenario pins its own instruction budget, so each gets its
         // own lab; the plan still dedupes and parallelizes within it.
         let mut lab = Lab::new(sc.insts);
-        if let Err(e) = register_programs(&mut lab, &sc) {
-            eprintln!("contopt-experiments: {file}: {e}");
-            return CheckOutcome::Error;
-        }
         eprintln!(
             "contopt-experiments: scenario {:?}: simulating {} unique cells on {} worker(s)",
             sc.name,
@@ -602,10 +622,6 @@ fn run_ablations(
             }
         };
         let mut lab = Lab::new(sc.insts);
-        if let Err(e) = register_programs(&mut lab, &sc) {
-            eprintln!("contopt-experiments: {file}: {e}");
-            return CheckOutcome::Error;
-        }
         eprintln!(
             "contopt-experiments: ablation {:?}: simulating {} unique counterfactual cells \
              on {} worker(s)",
@@ -704,15 +720,6 @@ fn run_fuzz(count: u64, seed: u64, scenarios_dir: &Path) -> ExitCode {
         }
     }
     ExitCode::FAILURE
-}
-
-/// Makes a scenario's shipped `"programs"` resolvable by name in
-/// [`Lab::execute`] (`Scenario::load` already assembled them).
-fn register_programs(lab: &mut Lab, sc: &Scenario) -> Result<(), contopt_sim::ScenarioError> {
-    for p in &sc.programs {
-        lab.register(p.workload()?);
-    }
-    Ok(())
 }
 
 /// Prints per-cell results of a scenario run (no goldens involved).

@@ -4,39 +4,24 @@
 //! The runner is a plan/execute engine: a scenario file *declares* its
 //! `(configuration, workload)` cells into a [`Plan`], [`Lab::execute`]
 //! dedupes the cells and fans the unique, not-yet-cached ones across
-//! scoped worker threads, and the renderers then read the filled cache.
-//! Results are keyed by a fingerprint derived from the configuration
-//! itself ([`OptimizerConfig::normalized`](contopt_sim::OptimizerConfig::normalized)
-//! plus every machine field), so two configurations that simulate
-//! identically share one cell and no caller-supplied string key can
-//! silently collide.
+//! [`run_parallel`]'s scoped worker threads, and the renderers then read
+//! the filled cache. Cells are keyed by [`CellKey`], the same identity
+//! the sweep server caches by and the wire fingerprint is computed from:
+//! the normalized machine, the workload name and, for a scenario-shipped
+//! program, its text. Two configurations that simulate identically share
+//! one cell, and two programs that share a name never do.
 
-use contopt_sim::workloads::{suite, Workload};
-use contopt_sim::{JsonValue, MachineConfig, Report, SimSession, ToJson};
+use contopt_sim::workloads::Workload;
+use contopt_sim::{run_parallel, CellKey, JsonValue, MachineConfig, Report, SimSession, ToJson};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default dynamic-instruction budget per benchmark (all workloads halt
 /// naturally below this).
 pub const DEFAULT_INSTS: u64 = 2_000_000;
 
-/// A cache key naming one simulation cell: the *behavioural fingerprint*
-/// of a machine configuration plus the workload name. The optimizer block
-/// is normalized so configurations that cannot differ in simulation
-/// compare (and hash) equal.
-type CellKey = (MachineConfig, &'static str);
-
-fn cell_key(cfg: &MachineConfig, workload: &'static str) -> CellKey {
-    let fingerprint = MachineConfig {
-        optimizer: cfg.optimizer.normalized(),
-        ..*cfg
-    };
-    (fingerprint, workload)
-}
-
 /// A declared set of `(configuration, workload)` simulation cells,
-/// deduplicated by configuration fingerprint.
+/// deduplicated by [`CellKey`].
 ///
 /// # Examples
 ///
@@ -52,7 +37,7 @@ fn cell_key(cfg: &MachineConfig, workload: &'static str) -> CellKey {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Plan {
-    cells: Vec<(MachineConfig, &'static str)>,
+    cells: Vec<(CellKey, MachineConfig, Workload)>,
     seen: HashSet<CellKey>,
 }
 
@@ -62,15 +47,12 @@ impl Plan {
         Plan::default()
     }
 
-    fn insert(&mut self, cfg: MachineConfig, name: &'static str) {
-        if self.seen.insert(cell_key(&cfg, name)) {
-            self.cells.push((cfg, name));
-        }
-    }
-
-    /// Declares one cell; duplicates (by fingerprint) are ignored.
+    /// Declares one cell; duplicates (by [`CellKey`]) are ignored.
     pub fn cell(&mut self, cfg: MachineConfig, w: &Workload) {
-        self.insert(cfg, w.name);
+        let key = CellKey::of(&cfg, w);
+        if self.seen.insert(key.clone()) {
+            self.cells.push((key, cfg, w.clone()));
+        }
     }
 
     /// Declares `cfg` on every workload in `ws`.
@@ -82,8 +64,8 @@ impl Plan {
 
     /// Absorbs every cell of `other`.
     pub fn merge(&mut self, other: &Plan) {
-        for (cfg, name) in &other.cells {
-            self.insert(*cfg, name);
+        for (_, cfg, w) in &other.cells {
+            self.cell(*cfg, w);
         }
     }
 
@@ -97,15 +79,11 @@ impl Plan {
         self.cells.is_empty()
     }
 
-    /// The deduplicated cell fingerprints (normalized configuration plus
-    /// workload name), in declaration order. Two plans that would simulate
-    /// the same cells — however their configurations were constructed —
-    /// yield equal fingerprint sets.
-    pub fn fingerprints(&self) -> Vec<(MachineConfig, &'static str)> {
-        self.cells
-            .iter()
-            .map(|(cfg, name)| cell_key(cfg, name))
-            .collect()
+    /// The deduplicated cell keys, in declaration order. Two plans that
+    /// would simulate the same cells — however their configurations were
+    /// constructed — yield equal key sets.
+    pub fn fingerprints(&self) -> Vec<CellKey> {
+        self.cells.iter().map(|(key, ..)| key.clone()).collect()
     }
 }
 
@@ -142,7 +120,6 @@ pub fn default_jobs() -> usize {
 /// ```
 pub struct Lab {
     insts: u64,
-    workloads: Vec<Workload>,
     cache: HashMap<CellKey, Arc<Report>>,
 }
 
@@ -151,30 +128,8 @@ impl Lab {
     pub fn new(insts: u64) -> Lab {
         Lab {
             insts,
-            workloads: suite(),
             cache: HashMap::new(),
         }
-    }
-
-    /// The workload suite under test.
-    pub fn workloads(&self) -> &[Workload] {
-        &self.workloads
-    }
-
-    /// Registers a scenario-defined workload so [`execute`](Self::execute)
-    /// can resolve it by name. Re-registering an identical workload is a
-    /// no-op; registering a different program under an existing name
-    /// panics (the cell cache is keyed by name).
-    pub fn register(&mut self, w: Workload) {
-        if let Some(prev) = self.workloads.iter().find(|p| p.name == w.name) {
-            assert!(
-                *prev.program == *w.program,
-                "workload {:?} re-registered with a different program",
-                w.name
-            );
-            return;
-        }
-        self.workloads.push(w);
     }
 
     /// The per-benchmark instruction budget.
@@ -182,10 +137,13 @@ impl Lab {
         self.insts
     }
 
-    /// The cached report for a cell, if [`run`](Self::run) or
-    /// [`execute`](Self::execute) already simulated it.
-    pub fn cached(&self, cfg: &MachineConfig, workload: &'static str) -> Option<Arc<Report>> {
-        self.cache.get(&cell_key(cfg, workload)).map(Arc::clone)
+    /// The cached report for a Table 1 benchmark's cell, if
+    /// [`run`](Self::run) or [`execute`](Self::execute) already simulated
+    /// it.
+    pub fn cached(&self, cfg: &MachineConfig, workload: &str) -> Option<Arc<Report>> {
+        self.cache
+            .get(&CellKey::new(cfg, workload, None))
+            .map(Arc::clone)
     }
 
     #[expect(
@@ -207,66 +165,27 @@ impl Lab {
     /// cache is keyed identically however many workers ran.
     #[expect(
         clippy::expect_used,
-        reason = "worker panics and missing cells are sweep-harness bugs"
+        reason = "a panicking simulation is a sweep-harness bug"
     )]
     pub fn execute(&mut self, plan: &Plan, jobs: usize) {
-        let todo: Vec<(CellKey, SimSession)> = plan
+        let todo: Vec<(&CellKey, SimSession)> = plan
             .cells
             .iter()
-            .filter_map(|(cfg, name)| {
-                let key = cell_key(cfg, name);
-                if self.cache.contains_key(&key) {
-                    return None;
-                }
-                let w = self
-                    .workloads
-                    .iter()
-                    .find(|w| w.name == *name)
-                    .unwrap_or_else(|| panic!("plan names unknown workload {name}"));
-                Some((key, self.session(*cfg, w)))
-            })
+            .filter(|(key, ..)| !self.cache.contains_key(key))
+            .map(|(key, cfg, w)| (key, self.session(*cfg, w)))
             .collect();
-        if todo.is_empty() {
-            return;
-        }
-
-        let jobs = jobs.max(1).min(todo.len());
-        let next = AtomicUsize::new(0);
-        let mut reports: Vec<Option<Report>> = (0..todo.len()).map(|_| None).collect();
-        let done = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((_, session)) = todo.get(i) else {
-                                return out;
-                            };
-                            out.push((i, session.run()));
-                        }
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (i, report) in done {
-            reports[i] = Some(report);
-        }
+        let reports = run_parallel(&todo, jobs, |(_, session)| session.run());
         for ((key, _), report) in todo.into_iter().zip(reports) {
-            let report = report.expect("every claimed cell produced a report");
-            self.cache.insert(key, Arc::new(report));
+            let report = report.expect("sweep worker panicked");
+            self.cache.insert(key.clone(), Arc::new(report));
         }
     }
 
-    /// Simulates `w` under `cfg`, memoized by configuration fingerprint.
-    /// Cells already filled by [`execute`](Self::execute) return from the
-    /// cache without simulating.
+    /// Simulates `w` under `cfg`, memoized by [`CellKey`]. Cells already
+    /// filled by [`execute`](Self::execute) return from the cache without
+    /// simulating.
     pub fn run(&mut self, cfg: MachineConfig, w: &Workload) -> Arc<Report> {
-        let key = cell_key(&cfg, w.name);
+        let key = CellKey::of(&cfg, w);
         if let Some(r) = self.cache.get(&key) {
             return Arc::clone(r);
         }
@@ -374,16 +293,43 @@ mod tests {
 
     #[test]
     fn plan_dedupes_and_merges() {
-        let lab = Lab::new(10_000);
-        let ws = lab.workloads();
+        let ws = contopt_sim::workloads::suite();
         let mut a = Plan::new();
-        a.config(MachineConfig::default_paper(), ws);
+        a.config(MachineConfig::default_paper(), &ws);
         let n = a.len();
         assert_eq!(n, ws.len());
         let mut b = Plan::new();
-        b.config(MachineConfig::default_paper(), ws);
-        b.config(MachineConfig::default_with_optimizer(), ws);
+        b.config(MachineConfig::default_paper(), &ws);
+        b.config(MachineConfig::default_with_optimizer(), &ws);
         a.merge(&b);
         assert_eq!(a.len(), 2 * n, "merge dedupes shared cells");
+    }
+
+    #[test]
+    fn programs_that_share_a_name_are_separate_cells() {
+        let build = |name| contopt_sim::workloads::build(name).unwrap();
+        let k = |program| Workload {
+            name: "k",
+            ..build(program)
+        };
+        let mut lab = Lab::new(20_000);
+        let cfg = MachineConfig::default_paper();
+        let twf = lab.run(cfg, &k("twf"));
+        let untst = lab.run(cfg, &k("untst"));
+        assert!(!Arc::ptr_eq(&twf, &untst), "two programs, two reports");
+        assert_eq!(
+            untst.pipeline.cycles,
+            lab.run(cfg, &build("untst")).pipeline.cycles
+        );
+        assert_ne!(twf.pipeline.cycles, untst.pipeline.cycles);
+        // The same program twice is one cell, in a plan as in the cache.
+        assert!(Arc::ptr_eq(&twf, &lab.run(cfg, &k("twf"))));
+        let mut plan = Plan::new();
+        plan.config(cfg, &[k("twf"), k("untst"), k("twf")]);
+        assert_eq!(plan.len(), 2);
+        let mut fresh = Lab::new(20_000);
+        fresh.execute(&plan, 2);
+        assert_eq!(fresh.run(cfg, &k("untst")).pipeline, untst.pipeline);
+        assert_eq!(fresh.run(cfg, &k("twf")).pipeline, twf.pipeline);
     }
 }

@@ -50,8 +50,7 @@ impl ToJson for Table1 {
     reason = "every suite workload halts within its budget"
 )]
 pub fn table1(lab: &Lab) -> Table1 {
-    let rows = lab
-        .workloads()
+    let rows = suite()
         .iter()
         .map(|w| {
             let mut emu = Emulator::new(w.program.clone());

@@ -50,6 +50,16 @@ fn write_port_file(path: &str, port: u16) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
+/// The flags `contopt-server` knows; each takes one value.
+const FLAGS: [&str; 6] = [
+    "--addr",
+    "--jobs",
+    "--cache",
+    "--request-timeout",
+    "--port-file",
+    "--downstream",
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -65,6 +75,17 @@ fn main() -> ExitCode {
         eprintln!("contopt-server: {msg}");
         ExitCode::FAILURE
     };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !FLAGS.contains(&arg.as_str()) {
+            return bad(if arg.starts_with("--") {
+                format!("unknown flag {arg:?} (see --help)")
+            } else {
+                format!("unexpected argument {arg:?}: each flag takes one value")
+            });
+        }
+        rest.next();
+    }
 
     let addr = match value_of("--addr") {
         Some(Some(a)) => a,

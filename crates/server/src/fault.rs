@@ -29,21 +29,13 @@
 //! `--features fault-injection` (see [`FaultPlan::parse`] for the
 //! grammar).
 
+use contopt_sim::workloads::splitmix64;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Budget value meaning "fires every time".
 const UNLIMITED: u64 = u64::MAX;
-
-/// One splitmix64 round, for deterministic delay jitter (the same
-/// in-tree PRNG the workloads and the client's retry backoff use).
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 #[derive(Debug)]
 enum FaultKind {

@@ -10,9 +10,10 @@
 //! Two mechanisms make concurrent clients cheap:
 //!
 //! * **Result cache** — completed cell reports live in a bounded LRU
-//!   keyed by the cell's full behavioural identity (normalized machine
-//!   configuration, workload, instruction budget). A resubmitted sweep is
-//!   answered without simulating anything.
+//!   keyed by the cell's full behavioural identity: its [`CellKey`]
+//!   (normalized machine configuration, workload, shipped program text)
+//!   and instruction budget. A resubmitted sweep is answered without
+//!   simulating anything.
 //! * **In-flight dedup** — while a cell is being simulated for one
 //!   request, any other request needing the same cell *joins* the
 //!   in-flight work (waits on its completion) instead of simulating it
@@ -52,8 +53,8 @@
 //! is absorbed by the local pool — no cell is lost or simulated twice.
 //!
 //! Everything is `std`: `TcpListener` + one thread per connection,
-//! `Mutex`/`Condvar` for the engine, scoped threads for the per-request
-//! worker pool.
+//! `Mutex`/`Condvar` for the engine, and the per-request worker pool is
+//! [`contopt_sim::run_parallel`], the one the experiments `Lab` runs on.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -99,18 +100,20 @@ mod fault_stub {
 use fault_stub::{ConnFaults, FrameFate};
 
 use contopt_client::protocol::{
-    cell_fingerprint_for, read_frame, write_frame, CellError, CellReply, CellResult,
-    DownstreamStatus, Message, PlanCell, ProtocolError, ServerStatus, SweepStatus, WireError,
-    PROTOCOL_VERSION,
+    read_frame, write_frame, CellError, CellReply, CellResult, DownstreamStatus, Message, PlanCell,
+    ProtocolError, ServerStatus, SweepStatus, WireError, PROTOCOL_VERSION,
 };
 use contopt_sim::isa::{asm_text, Program};
-use contopt_sim::{MachineConfig, ProgramSource, ProgramSpec, SimSession, VerifyPolicy};
+use contopt_sim::{
+    run_parallel, CellKey, MachineConfig, ProgramSource, ProgramSpec, SimSession, VerifyPolicy,
+    ALL_WORKLOADS,
+};
 use federation::{DownstreamLink, Federation, FederationConfig};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -156,34 +159,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// The full behavioural identity of a simulation cell. The optimizer
-/// block is normalized, so configurations that cannot differ in
-/// simulation share a key — the in-memory form of the wire-visible
-/// [`cell_fingerprint_for`]. Unlike the experiments `Lab` (one budget
-/// per lab), the budget is part of the key: submissions choose their
-/// own. A cell bound to a shipped program additionally carries the
-/// program's canonical text — the full encoding, not a digest, so a
-/// hash collision can never serve the wrong report.
-type CellKey = (MachineConfig, String, u64, Option<Arc<str>>);
-
-fn cell_key(
-    machine: &MachineConfig,
-    workload: &str,
-    insts: u64,
-    program: Option<&CellProgram>,
-) -> CellKey {
-    let normalized = MachineConfig {
-        optimizer: machine.optimizer.normalized(),
-        ..*machine
-    };
-    (
-        normalized,
-        workload.to_string(),
-        insts,
-        program.map(|cp| Arc::clone(&cp.text)),
-    )
 }
 
 /// A text-authored program bound to a cell (from a scenario's or plan's
@@ -269,10 +244,13 @@ struct CacheEntry {
     tick: u64,
 }
 
+/// The engine caches and claims cells by [`CellKey`] and instruction
+/// budget: unlike the experiments `Lab` (one budget per lab), submissions
+/// choose their own.
 #[derive(Default)]
 struct EngineState {
-    cache: HashMap<CellKey, CacheEntry>,
-    in_flight: HashSet<CellKey>,
+    cache: HashMap<(CellKey, u64), CacheEntry>,
+    in_flight: HashSet<(CellKey, u64)>,
     tick: u64,
     total_simulations: u64,
 }
@@ -474,40 +452,34 @@ impl SweepEngine {
     ) -> Result<SweepResponse, WireError> {
         // Dedup: map each requested cell to its unique-cell index.
         let mut uniq_index: HashMap<CellKey, usize> = HashMap::new();
-        let mut uniq: Vec<&SweepCell> = Vec::new();
+        let mut firsts: Vec<(&SweepCell, CellKey)> = Vec::new();
         let cell_to_uniq: Vec<usize> = cells
             .iter()
             .map(|cell| {
-                let key = cell_key(&cell.machine, &cell.workload, insts, cell.program.as_ref());
-                *uniq_index.entry(key).or_insert_with(|| {
-                    uniq.push(cell);
-                    uniq.len() - 1
+                let program = cell.program.as_ref().map(|cp| Arc::clone(&cp.text));
+                let key = CellKey::new(&cell.machine, &cell.workload, program);
+                *uniq_index.entry(key).or_insert_with_key(|key| {
+                    firsts.push((cell, key.clone()));
+                    firsts.len() - 1
                 })
             })
             .collect();
 
         // Pre-build every session so an invalid cell rejects the whole
         // request up front instead of failing mid-sweep.
-        let sessions: Vec<(CellKey, SimSession)> = uniq
-            .iter()
-            .map(|cell| {
+        let uniq: Vec<(&SweepCell, (CellKey, u64), SimSession)> = firsts
+            .into_iter()
+            .map(|(cell, key)| {
                 let builder = SimSession::builder().machine(cell.machine).insts(insts);
                 let builder = match &cell.program {
                     Some(cp) => builder.program(Arc::clone(&cp.program)),
                     None => builder.workload(cell.workload.clone()),
                 };
-                builder
-                    .build()
-                    .map(|s| {
-                        (
-                            cell_key(&cell.machine, &cell.workload, insts, cell.program.as_ref()),
-                            s,
-                        )
-                    })
-                    .map_err(|e| WireError {
-                        code: "bad-request".to_string(),
-                        message: format!("cell {:?}/{}: {e}", cell.label, cell.workload),
-                    })
+                let session = builder.build().map_err(|e| WireError {
+                    code: "bad-request".to_string(),
+                    message: format!("cell {:?}/{}: {e}", cell.label, cell.workload),
+                })?;
+                Ok((cell, (key, insts), session))
             })
             .collect::<Result<_, _>>()?;
 
@@ -516,16 +488,14 @@ impl SweepEngine {
         // results are byte-identical at any topology.
         let links = self.federation.healthy_links();
         let assignment = if links.is_empty() {
-            vec![0; sessions.len()]
+            vec![0; uniq.len()]
         } else {
             let mut loads = Vec::with_capacity(links.len() + 1);
             loads.push(self.in_flight_cells() as u64);
             loads.extend(links.iter().map(|l| l.outstanding()));
-            scheduler::place(sessions.len(), &loads)
+            scheduler::place(uniq.len(), &loads)
         };
-        let local_cells: Vec<usize> = (0..sessions.len())
-            .filter(|&i| assignment[i] == 0)
-            .collect();
+        let local_cells: Vec<usize> = (0..uniq.len()).filter(|&i| assignment[i] == 0).collect();
         let mut per_link: Vec<Vec<usize>> = vec![Vec::new(); links.len()];
         for (i, &backend) in assignment.iter().enumerate() {
             if backend > 0 {
@@ -535,61 +505,42 @@ impl SweepEngine {
 
         let jobs = jobs_hint
             .map(|h| h.clamp(1, self.jobs as u64) as usize)
-            .unwrap_or(self.jobs)
-            .min(local_cells.len().max(1));
-        let next = AtomicUsize::new(0);
-        let mut obtained: Vec<Option<CellOutcome>> = (0..sessions.len()).map(|_| None).collect();
-        let sessions_ref = &sessions;
+            .unwrap_or(self.jobs);
         let uniq_ref = &uniq;
-        let local_ref = &local_cells;
-        let (done, ds_statuses) = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&cell) = local_ref.get(i) else {
-                                return out;
-                            };
-                            let (key, session) = &sessions_ref[cell];
-                            out.push((cell, self.obtain(key, session)));
-                        }
-                    })
-                })
-                .collect();
+        let (local, forwarded) = std::thread::scope(|s| {
             let forwarders: Vec<_> = per_link
                 .into_iter()
                 .zip(links.iter())
                 .filter(|(batch, _)| !batch.is_empty())
                 .map(|(batch, link)| {
                     let link = Arc::clone(link);
-                    s.spawn(move || {
-                        self.forward_batch(insts, uniq_ref, sessions_ref, &batch, &link)
-                    })
+                    s.spawn(move || self.forward_batch(insts, uniq_ref, &batch, &link))
                 })
                 .collect();
-            // A panicking worker loses only its own cells (simulation
-            // panics are already caught inside `obtain`, so this is a
-            // second line of defense, not the expected path); the
-            // unfilled slots degrade to typed internal errors below.
+            // Simulation panics are caught inside `obtain`; a worker that
+            // dies anyway loses only the cell it was running.
+            let local = run_parallel(&local_cells, jobs, |&i| {
+                let (_, key, session) = &uniq[i];
+                self.obtain(key, session)
+            });
             // Forwarder claims release on unwind (ClaimSet), so joiners
             // re-claim instead of deadlocking.
-            let mut done: Vec<(usize, CellOutcome)> = workers
+            let forwarded: Vec<_> = forwarders
                 .into_iter()
-                .flat_map(|h| h.join().unwrap_or_default())
+                .filter_map(|h| h.join().ok())
                 .collect();
-            let mut ds_statuses: Vec<SweepStatus> = Vec::new();
-            for h in forwarders {
-                if let Ok((out, status)) = h.join() {
-                    done.extend(out);
-                    ds_statuses.extend(status);
-                }
-            }
-            (done, ds_statuses)
+            (local, forwarded)
         });
-        for (i, result) in done {
-            obtained[i] = Some(result);
+        let mut obtained: Vec<Option<CellOutcome>> = (0..uniq.len()).map(|_| None).collect();
+        for (&i, outcome) in local_cells.iter().zip(local) {
+            obtained[i] = outcome;
+        }
+        let mut ds_statuses: Vec<SweepStatus> = Vec::new();
+        for (out, status) in forwarded {
+            for (i, outcome) in out {
+                obtained[i] = Some(outcome);
+            }
+            ds_statuses.extend(status);
         }
 
         let mut simulated = 0u64;
@@ -597,7 +548,7 @@ impl SweepEngine {
         let mut joined = 0u64;
         let mut errors = 0u64;
         let mut forwarded = 0u64;
-        for entry in obtained.iter() {
+        for entry in &obtained {
             match entry {
                 Some(CellOutcome::Ready(_, Obtained::Simulated)) => simulated += 1,
                 Some(CellOutcome::Ready(_, Obtained::CacheHit)) => cache_hits += 1,
@@ -617,16 +568,17 @@ impl SweepEngine {
             joined += ds.joined;
         }
 
+        // Each unique cell's fingerprint, computed once; a duplicate
+        // carries its original's.
+        let fingerprints: Vec<String> = uniq
+            .iter()
+            .map(|(_, (key, _), _)| key.fingerprint(insts))
+            .collect();
         let results: Vec<CellReply> = cells
             .iter()
             .zip(&cell_to_uniq)
             .map(|(cell, &u)| {
-                let fingerprint = cell_fingerprint_for(
-                    &cell.machine,
-                    &cell.workload,
-                    insts,
-                    cell.program.as_ref().map(|cp| cp.program.as_ref()),
-                );
+                let fingerprint = fingerprints[u].clone();
                 match &obtained[u] {
                     Some(CellOutcome::Ready(report, _)) => CellReply::Report(CellResult {
                         label: cell.label.clone(),
@@ -641,6 +593,7 @@ impl SweepEngine {
                         code: code.clone(),
                         message: message.clone(),
                     }),
+                    // The worker running this cell died.
                     None => CellReply::Failed(CellError {
                         label: cell.label.clone(),
                         workload: cell.workload.clone(),
@@ -655,7 +608,7 @@ impl SweepEngine {
         let state = self.lock();
         let status = SweepStatus {
             results: results.len() as u64,
-            unique: sessions.len() as u64,
+            unique: uniq.len() as u64,
             simulated,
             cache_hits,
             joined,
@@ -683,8 +636,7 @@ impl SweepEngine {
     fn forward_batch(
         &self,
         insts: u64,
-        uniq: &[&SweepCell],
-        sessions: &[(CellKey, SimSession)],
+        uniq: &[(&SweepCell, (CellKey, u64), SimSession)],
         batch: &[usize],
         link: &Arc<DownstreamLink>,
     ) -> (Vec<(usize, CellOutcome)>, Option<SweepStatus>) {
@@ -695,7 +647,7 @@ impl SweepEngine {
         // a busy cell waits its turn locally, everything else is
         // claimed for the downstream batch.
         for &i in batch {
-            match self.try_obtain(&sessions[i].0) {
+            match self.try_obtain(&uniq[i].1) {
                 TryObtain::Hit(report) => {
                     out.push((i, CellOutcome::Ready(report, Obtained::CacheHit)));
                 }
@@ -711,10 +663,10 @@ impl SweepEngine {
             // instead of deadlocking on cells nobody owns.
             struct ClaimSet<'a> {
                 engine: &'a SweepEngine,
-                keys: Vec<Option<&'a CellKey>>,
+                keys: Vec<Option<&'a (CellKey, u64)>>,
             }
             impl<'a> ClaimSet<'a> {
-                fn take(&mut self, j: usize) -> Option<&'a CellKey> {
+                fn take(&mut self, j: usize) -> Option<&'a (CellKey, u64)> {
                     self.keys.get_mut(j).and_then(Option::take)
                 }
             }
@@ -727,13 +679,13 @@ impl SweepEngine {
             }
             let mut claims = ClaimSet {
                 engine: self,
-                keys: claimed.iter().map(|&i| Some(&sessions[i].0)).collect(),
+                keys: claimed.iter().map(|&i| Some(&uniq[i].1)).collect(),
             };
 
             let mut plan = Vec::with_capacity(claimed.len());
             let mut programs: Vec<ProgramSpec> = Vec::new();
             for &i in &claimed {
-                let cell = uniq[i];
+                let cell = uniq[i].0;
                 if let Some(cp) = &cell.program {
                     if !programs.iter().any(|p| p.name == cell.workload) {
                         programs.push(ProgramSpec {
@@ -796,7 +748,7 @@ impl SweepEngine {
                     link.mark_unhealthy();
                     for (j, &i) in claimed.iter().enumerate() {
                         let Some(key) = claims.take(j) else { continue };
-                        out.push((i, self.simulate_claimed(key, &sessions[i].1)));
+                        out.push((i, self.simulate_claimed(key, &uniq[i].2)));
                     }
                 }
             }
@@ -806,7 +758,7 @@ impl SweepEngine {
         // was placed — every claim of ours is resolved by now, so
         // blocking on their owners cannot deadlock.
         for &i in &deferred {
-            let (key, session) = &sessions[i];
+            let (_, key, session) = &uniq[i];
             out.push((i, self.obtain(key, session)));
         }
         (out, ds_status)
@@ -818,7 +770,7 @@ impl SweepEngine {
     /// [`CellOutcome::Failed`]; its in-flight claim is released so
     /// joiners wake and re-claim instead of deadlocking on a cell
     /// nobody owns.
-    fn obtain(&self, key: &CellKey, session: &SimSession) -> CellOutcome {
+    fn obtain(&self, key: &(CellKey, u64), session: &SimSession) -> CellOutcome {
         let mut waited = false;
         let mut state = self.lock();
         loop {
@@ -855,7 +807,7 @@ impl SweepEngine {
     /// [`simulate_claimed`](Self::simulate_claimed),
     /// [`publish_forwarded`](Self::publish_forwarded), or
     /// [`release_claim`](Self::release_claim).
-    fn try_obtain(&self, key: &CellKey) -> TryObtain {
+    fn try_obtain(&self, key: &(CellKey, u64)) -> TryObtain {
         let mut state = self.lock();
         let s = &mut *state;
         if let Some(entry) = s.cache.get_mut(key) {
@@ -874,10 +826,10 @@ impl SweepEngine {
     /// publishing the report (or releasing the claim on panic, so
     /// joiners wake and re-claim instead of deadlocking on a cell
     /// nobody owns).
-    fn simulate_claimed(&self, key: &CellKey, session: &SimSession) -> CellOutcome {
+    fn simulate_claimed(&self, key: &(CellKey, u64), session: &SimSession) -> CellOutcome {
         struct Claim<'a> {
             engine: &'a SweepEngine,
-            key: &'a CellKey,
+            key: &'a (CellKey, u64),
             published: bool,
         }
         impl Drop for Claim<'_> {
@@ -896,7 +848,7 @@ impl SweepEngine {
         #[cfg(any(test, feature = "fault-injection"))]
         let injected = self
             .fault_plan()
-            .is_some_and(|plan| plan.take_panic(&key.1));
+            .is_some_and(|plan| plan.take_panic(key.0.workload()));
         #[cfg(not(any(test, feature = "fault-injection")))]
         let injected = false;
 
@@ -932,7 +884,7 @@ impl SweepEngine {
     /// under a claim this frontier holds. Identical to the local
     /// publish except the engine's own simulation counter does not
     /// move — the downstream's `sweep_status` accounts for the work.
-    fn publish_forwarded(&self, key: &CellKey, report: &Arc<String>) {
+    fn publish_forwarded(&self, key: &(CellKey, u64), report: &Arc<String>) {
         let mut state = self.lock();
         self.publish_locked(&mut state, key, report);
         drop(state);
@@ -942,7 +894,7 @@ impl SweepEngine {
     /// Caches `report` under `key` (tick-stamped, capacity-gated LRU)
     /// and releases the in-flight claim. Callers notify the Condvar
     /// after unlocking.
-    fn publish_locked(&self, state: &mut EngineState, key: &CellKey, report: &Arc<String>) {
+    fn publish_locked(&self, state: &mut EngineState, key: &(CellKey, u64), report: &Arc<String>) {
         state.tick += 1;
         let tick = state.tick;
         if self.cache_capacity > 0 {
@@ -971,7 +923,7 @@ impl SweepEngine {
 
     /// Releases an unresolved in-flight claim and wakes joiners so they
     /// re-claim the cell.
-    fn release_claim(&self, key: &CellKey) {
+    fn release_claim(&self, key: &(CellKey, u64)) {
         self.lock().in_flight.remove(key);
         self.cond.notify_all();
     }
@@ -1034,33 +986,48 @@ fn program_table(programs: &[ProgramSpec]) -> Result<Vec<(String, CellProgram)>,
     Ok(table)
 }
 
+/// A requested cell: `workload` runs the submission's shipped program of
+/// that name when there is one, and the Table 1 benchmark otherwise.
+fn sweep_cell(
+    label: &str,
+    machine: MachineConfig,
+    workload: &str,
+    table: &[(String, CellProgram)],
+) -> SweepCell {
+    SweepCell {
+        label: label.to_string(),
+        machine,
+        workload: workload.to_string(),
+        program: table
+            .iter()
+            .find(|(name, _)| name == workload)
+            .map(|(_, cp)| cp.clone()),
+    }
+}
+
 /// Expands a submission message into the flat cell list the engine runs.
 /// Returns `(insts, cells, jobs_hint)`.
 fn expand_request(msg: Message) -> Result<(u64, Vec<SweepCell>, Option<u64>), WireError> {
     match msg {
         Message::SubmitScenario { jobs, scenario } => {
-            // Scenario programs arrive assembled and verified (the
-            // protocol layer enforces inline text and runs the
-            // verifier); cells carrying one are cache-keyed by the
-            // canonical program text, so client-chosen names can never
-            // alias each other or Table 1 workloads.
+            // Scenario programs arrive assembled and verified, and every
+            // name was validated on receipt (the protocol layer enforces
+            // inline text and runs the verifier). Cells expand by name —
+            // nothing a client names outlives its request — and cells
+            // carrying a program are cache-keyed by its canonical text,
+            // so client-chosen names can never alias each other or
+            // Table 1 workloads.
             let table = program_table(&scenario.programs)?;
             let mut cells = Vec::new();
             for cfg in &scenario.configs {
-                let workloads = scenario.workloads_for(cfg).map_err(|e| WireError {
-                    code: "bad-request".to_string(),
-                    message: e.to_string(),
-                })?;
-                for w in workloads {
-                    cells.push(SweepCell {
-                        label: cfg.label.clone(),
-                        machine: cfg.machine,
-                        program: table
-                            .iter()
-                            .find(|(name, _)| *name == w.name)
-                            .map(|(_, cp)| cp.clone()),
-                        workload: w.name.to_string(),
-                    });
+                for name in &cfg.workloads {
+                    if name == ALL_WORKLOADS {
+                        for w in contopt_sim::workloads::names() {
+                            cells.push(sweep_cell(&cfg.label, cfg.machine, w, &table));
+                        }
+                    } else {
+                        cells.push(sweep_cell(&cfg.label, cfg.machine, name, &table));
+                    }
                 }
             }
             Ok((scenario.insts, cells, jobs))
@@ -1072,22 +1039,11 @@ fn expand_request(msg: Message) -> Result<(u64, Vec<SweepCell>, Option<u64>), Wi
             programs,
         } => {
             let table = program_table(&programs)?;
-            Ok((
-                insts,
-                cells
-                    .into_iter()
-                    .map(|c| SweepCell {
-                        label: c.label,
-                        machine: c.machine,
-                        program: table
-                            .iter()
-                            .find(|(name, _)| *name == c.workload)
-                            .map(|(_, cp)| cp.clone()),
-                        workload: c.workload,
-                    })
-                    .collect(),
-                jobs,
-            ))
+            let cells = cells
+                .iter()
+                .map(|c| sweep_cell(&c.label, c.machine, &c.workload, &table))
+                .collect();
+            Ok((insts, cells, jobs))
         }
         other => Err(WireError {
             code: "bad-request".to_string(),
@@ -1334,5 +1290,90 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use contopt_sim::Scenario;
+
+    fn asm_smoke() -> Scenario {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        Scenario::load(format!("{dir}/asm_smoke.json")).unwrap()
+    }
+
+    #[test]
+    fn scenarios_expand_by_name_as_workloads_for_walks_them() {
+        let mut sc = asm_smoke();
+        sc.configs[0].workloads = vec![ALL_WORKLOADS.to_string()];
+        sc.configs[1].workloads = vec!["asmk".to_string(), "twf".to_string()];
+        let mut walked = Vec::new();
+        for cfg in &sc.configs {
+            for w in sc.workloads_for(cfg).unwrap() {
+                let shipped = sc.programs.iter().any(|p| p.name == w.name);
+                walked.push((cfg.label.clone(), w.name.to_string(), shipped));
+            }
+        }
+        let msg = Message::SubmitScenario {
+            jobs: None,
+            scenario: sc.clone(),
+        };
+        let (insts, cells, _) = expand_request(msg).unwrap();
+        assert_eq!(insts, sc.insts);
+        let expanded: Vec<_> = cells
+            .iter()
+            .map(|c| (c.label.clone(), c.workload.clone(), c.program.is_some()))
+            .collect();
+        assert_eq!(expanded, walked);
+        assert_eq!(expanded.len(), 24 + 2);
+        for c in &cells {
+            assert_eq!(
+                c.machine,
+                sc.configs
+                    .iter()
+                    .find(|g| g.label == c.label)
+                    .unwrap()
+                    .machine
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_cells_carry_their_originals_fingerprint() {
+        let sc = asm_smoke();
+        let engine = SweepEngine::new(ServerConfig {
+            jobs: 2,
+            ..ServerConfig::default()
+        });
+        let (insts, mut cells, _) = expand_request(Message::SubmitScenario {
+            jobs: None,
+            scenario: sc,
+        })
+        .unwrap();
+        let base = cells[0].machine;
+        let mut inert = base;
+        inert.optimizer.mbc_entries = 7; // inert: optimizer disabled
+        let twf = |machine| SweepCell {
+            label: "t".to_string(),
+            machine,
+            workload: "twf".to_string(),
+            program: None,
+        };
+        let asmk = cells[0].clone();
+        cells.extend([twf(base), asmk.clone(), twf(inert), asmk]);
+        let response = engine.sweep(insts, &cells, None).unwrap();
+        assert_eq!(response.status.unique, 3);
+        let fp: Vec<&str> = response
+            .cells
+            .iter()
+            .map(|reply| match reply {
+                CellReply::Report(r) => r.fingerprint.as_str(),
+                CellReply::Failed(e) => panic!("{}: {}", e.workload, e.message),
+            })
+            .collect();
+        assert_eq!(fp[..2], ["86dd975387b453a4", "d75c06b39f4e9cfb"]);
+        assert_eq!(fp[2], CellKey::new(&base, "twf", None).fingerprint(insts));
+        assert_eq!([fp[3], fp[4], fp[5]], [fp[0], fp[2], fp[0]]);
     }
 }

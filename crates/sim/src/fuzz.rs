@@ -28,6 +28,7 @@ use crate::scenario::{ProgramSpec, Scenario, ScenarioConfig, VerifyPolicy};
 use contopt_emu::{ArchSnapshot, Emulator, Step, STREAM_DIGEST_INIT};
 use contopt_isa::{analysis, asm_text, f, r, Asm, Program, DATA_BASE};
 use contopt_pipeline::{Machine, MachineConfig};
+use contopt_workloads::SplitMix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -38,26 +39,6 @@ pub const MAX_DYN_INSTS: u64 = 100_000;
 /// Scratch-arena size in bytes; all generated memory traffic stays
 /// inside `[DATA_BASE, DATA_BASE + ARENA)`.
 const ARENA: u64 = 4096;
-
-// ---- PRNG ----------------------------------------------------------------
-
-/// splitmix64 — tiny, seedable, and good enough to decorrelate ops.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-ish value in `0..n` (`n > 0`).
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 // ---- generator plan ------------------------------------------------------
 
@@ -115,7 +96,7 @@ fn pick_imm(rng: &mut SplitMix64) -> i64 {
         0 => rng.below(256) as i64,
         1 => -(rng.below(256) as i64),
         2 => rng.below(1 << 32) as i64,
-        _ => rng.next() as i64,
+        _ => rng.next_u64() as i64,
     }
 }
 
@@ -178,7 +159,7 @@ fn body(rng: &mut SplitMix64, len: u64) -> Vec<GenOp> {
 
 /// The deterministic generator plan for a seed.
 fn plan(seed: u64) -> Vec<GenOp> {
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::from_state(seed);
     let mut ops = Vec::new();
     // Seed the whole integer pool — and f1..f4 through it — so no
     // generated op can ever read an uninitialized register. The static
@@ -650,7 +631,7 @@ fn mutate(rng: &mut SplitMix64, base: &[u8], corpus: &[(ParserKind, String)]) ->
 /// first panicking input, base64-free and truncated for the report.
 pub fn fuzz_parsers(count: u64, seed0: u64) -> Result<(), String> {
     let corpus = parser_corpus();
-    let mut rng = SplitMix64(seed0 ^ 0x7061_7273_6572_7321); // "parsers!"
+    let mut rng = SplitMix64::from_state(seed0 ^ 0x7061_7273_6572_7321); // "parsers!"
     for case in 0..count {
         let (kind, base) = &corpus[rng.below(corpus.len() as u64) as usize];
         let mutated = mutate(&mut rng, base.as_bytes(), &corpus);

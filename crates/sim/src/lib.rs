@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 mod ablation;
+mod cell;
 mod error;
 pub mod fuzz;
 mod json;
@@ -49,6 +50,7 @@ mod scenario;
 mod session;
 
 pub use ablation::{AblationReport, AddOneIn, ConfigAblation, PassAblation, WorkloadAblation};
+pub use cell::{run_parallel, CellKey};
 pub use error::Error;
 pub use json::{JsonError, JsonErrorKind, JsonValue, ToJson};
 pub use report::Report;

@@ -806,25 +806,6 @@ impl ToJson for ProgramSpec {
 }
 
 impl ScenarioConfig {
-    /// The workloads this configuration runs on, expanded and in
-    /// declaration order ([`ALL_WORKLOADS`] becomes the whole suite).
-    /// Scenario-shipped programs are not visible here — resolve through
-    /// [`Scenario::workloads_for`] when the scenario may ship its own.
-    pub fn resolved_workloads(&self) -> Result<Vec<Workload>, ScenarioError> {
-        if self.workloads.iter().any(|n| n == ALL_WORKLOADS) {
-            return Ok(contopt_workloads::suite());
-        }
-        self.workloads
-            .iter()
-            .map(|name| {
-                contopt_workloads::build(name).ok_or_else(|| ScenarioError::UnknownWorkload {
-                    label: self.label.clone(),
-                    name: name.clone(),
-                })
-            })
-            .collect()
-    }
-
     fn from_json(doc: &JsonValue, at: &str) -> Result<ScenarioConfig, ScenarioError> {
         let fields = doc.as_object().ok_or(expected(at, "an object"))?;
         let mut label = None;
@@ -1232,15 +1213,14 @@ mod tests {
     fn workload_expansion() {
         let sc = two_config_scenario();
         assert_eq!(
-            sc.configs[0]
-                .resolved_workloads()
+            sc.workloads_for(&sc.configs[0])
                 .unwrap()
                 .iter()
                 .map(|w| w.name)
                 .collect::<Vec<_>>(),
             ["twf", "untst"]
         );
-        assert_eq!(sc.configs[1].resolved_workloads().unwrap().len(), 24);
+        assert_eq!(sc.workloads_for(&sc.configs[1]).unwrap().len(), 24);
     }
 
     const SPIN_SRC: &str = "        li   r1, 5\nspin:   subq r1, 1, r1\n        bne  r1, spin\n        li   r2, 0x100000\n        stq  r1, 8(r2)\n        halt\n";

@@ -2,6 +2,19 @@
 
 use contopt_isa::{Asm, Reg};
 
+/// The splitmix64 increment (the golden-ratio "gamma").
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One splitmix64 round: the output a [`SplitMix64`] whose state is
+/// `seed` produces next. The workspace's one splitmix64; the client's
+/// retry backoff and the server's injected-delay jitter draw from it.
+pub fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Minimal deterministic PRNG (splitmix64). It fills the kernels' data
 /// sections and drives seeded randomized tests; only determinism and a
 /// reasonable distribution matter.
@@ -9,18 +22,23 @@ use contopt_isa::{Asm, Reg};
 pub struct SplitMix64(u64);
 
 impl SplitMix64 {
-    /// A generator whose stream is fixed by `seed`.
+    /// A generator whose stream is fixed by `seed`. The kernels' data
+    /// sections, and so every golden, depend on this stream.
     pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15))
+        SplitMix64(seed.wrapping_add(GAMMA))
+    }
+
+    /// A generator starting from the raw state `state`, as the reference
+    /// splitmix64 does: its first output is [`splitmix64`]`(state)`.
+    pub fn from_state(state: u64) -> SplitMix64 {
+        SplitMix64(state)
     }
 
     /// The next value of the stream.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(GAMMA);
+        out
     }
 
     /// Uniform value in `[0, limit)` (rejection-free; the tiny modulo bias
@@ -91,6 +109,22 @@ mod tests {
         s ^= s >> 7;
         s ^= s << 17;
         assert_eq!(emu.reg(r(1)), s);
+    }
+
+    #[test]
+    fn splitmix64_streams_are_pinned() {
+        // The kernels' data sections, and so every golden, depend on
+        // these streams.
+        let mut rng = SplitMix64::new(0);
+        assert_eq!(rng.next_u64(), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(rng.next_u64(), 0x06c4_5d18_8009_454f);
+        assert_eq!(SplitMix64::new(42).next_u64(), 0x28ef_e333_b266_f103);
+        let mut rng = SplitMix64::from_state(0);
+        assert_eq!(rng.next_u64(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(rng.next_u64(), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(SplitMix64::from_state(42).next_u64(), 0xbdd7_3226_2feb_6e95);
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(42), 0xbdd7_3226_2feb_6e95);
     }
 
     #[test]

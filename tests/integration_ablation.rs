@@ -109,7 +109,7 @@ fn plan_cell_count_equals_unique_config_fingerprints() {
     // Full default optimizer: full + baseline + 4 LOO + 4 add-one-in =
     // 10 distinct machines on 2 workloads.
     assert_eq!(plan.len(), 20);
-    let machines: HashSet<_> = fingerprints.iter().map(|(m, _)| *m).collect();
+    let machines: HashSet<_> = fingerprints.iter().map(|k| *k.machine()).collect();
     assert_eq!(machines.len(), 10);
 }
 

@@ -214,7 +214,7 @@ fn parallel_execution_is_deterministic() {
         MachineConfig::default_with_optimizer(),
     ];
     for cfg in configs {
-        for w in lab1.workloads().to_vec() {
+        for w in contopt_sim::workloads::suite() {
             let a = lab1.cached(&cfg, w.name).expect("jobs=1 simulated cell");
             let b = lab4.cached(&cfg, w.name).expect("jobs=4 simulated cell");
             assert_eq!(

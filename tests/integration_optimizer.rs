@@ -9,6 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_sim::isa::{r, Asm, Program};
+use contopt_sim::workloads::SplitMix64;
 use contopt_sim::{
     sym_add, sym_add_imm, sym_shl, sym_sub, MachineConfig, OptimizerConfig, PhysReg, Report,
     SimSession, SymValue,
@@ -397,34 +398,18 @@ fn feedback_alone_is_weaker_than_optimization() {
 // the same properties are swept with a deterministic splitmix64 generator
 // (512 cases each, mirroring the original ProptestConfig).
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, limit: u64) -> u64 {
-        self.next() % limit
-    }
-}
-
 /// A symbol together with the (oracle) value of its base register.
-fn arb_sym(rng: &mut Rng) -> (SymValue, u64) {
+fn arb_sym(rng: &mut SplitMix64) -> (SymValue, u64) {
     if rng.below(2) == 0 {
-        (SymValue::Known(rng.next()), 0)
+        (SymValue::Known(rng.next_u64()), 0)
     } else {
         (
             SymValue::Expr {
                 base: PhysReg::from_index(1 + rng.below(63) as usize),
                 scale: rng.below(4) as u8,
-                offset: rng.next() as i64,
+                offset: rng.next_u64() as i64,
             },
-            rng.next(),
+            rng.next_u64(),
         )
     }
 }
@@ -433,10 +418,10 @@ fn arb_sym(rng: &mut Rng) -> (SymValue, u64) {
 /// value. This is what makes the hardware transformations safe.
 #[test]
 fn folds_preserve_value() {
-    let mut rng = Rng(0xC0FFEE);
+    let mut rng = SplitMix64::from_state(0xC0FFEE);
     for _ in 0..512 {
         let (s, bv) = arb_sym(&mut rng);
-        let k = rng.next() as i64;
+        let k = rng.next_u64() as i64;
         let sh = rng.below(4) as u32;
         let eval = |x: SymValue| x.eval_with(|_| bv);
         let v = eval(s);
@@ -456,12 +441,12 @@ fn folds_preserve_value() {
 /// Value feedback folds scale and offset exactly like evaluation.
 #[test]
 fn feedback_matches_eval() {
-    let mut rng = Rng(0xFEEDBACC);
+    let mut rng = SplitMix64::from_state(0xFEEDBACC);
     for _ in 0..512 {
         let p = 1 + rng.below(63) as usize;
         let s = rng.below(4) as u8;
-        let o = rng.next() as i64;
-        let bv = rng.next();
+        let o = rng.next_u64() as i64;
+        let bv = rng.next_u64();
         let sym = SymValue::Expr {
             base: PhysReg::from_index(p),
             scale: s,

@@ -10,6 +10,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_sim::isa::{r, Asm, Program};
+use contopt_sim::workloads::SplitMix64;
 use contopt_sim::{simulate, Machine, MachineConfig, OptimizerConfig};
 use std::sync::Arc;
 
@@ -216,41 +217,25 @@ fn assemble(ops: &[Op], iterations: i64) -> Program {
     a.finish().expect("generated program assembles")
 }
 
-/// Deterministic splitmix64 generator standing in for proptest (no
-/// registry access in this container).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, limit: u64) -> u64 {
-        self.next() % limit
-    }
-
-    fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {
-        lo + self.below((hi - lo) as u64) as i64
-    }
+/// A value in `lo..hi` from the deterministic splitmix64 stream standing
+/// in for proptest.
+fn range_i64(rng: &mut SplitMix64, lo: i64, hi: i64) -> i64 {
+    lo + rng.below((hi - lo) as u64) as i64
 }
 
-fn arb_op(rng: &mut Rng) -> Op {
-    let reg = |rng: &mut Rng| 1 + rng.below(15) as u8;
+fn arb_op(rng: &mut SplitMix64) -> Op {
+    let reg = |rng: &mut SplitMix64| 1 + rng.below(15) as u8;
     match rng.below(11) {
-        0 => Op::Addq(reg(rng), rng.range_i64(-64, 64), reg(rng)),
+        0 => Op::Addq(reg(rng), range_i64(rng, -64, 64), reg(rng)),
         1 => Op::Subq(reg(rng), reg(rng), reg(rng)),
         2 => Op::Sll(reg(rng), rng.below(8) as u8, reg(rng)),
         3 => Op::Xor(reg(rng), reg(rng), reg(rng)),
-        4 => Op::Mulq(reg(rng), rng.range_i64(-16, 17), reg(rng)),
+        4 => Op::Mulq(reg(rng), range_i64(rng, -16, 17), reg(rng)),
         5 => Op::S8Addq(reg(rng), reg(rng), reg(rng)),
-        6 => Op::Li(reg(rng), rng.range_i64(-1000, 1000)),
+        6 => Op::Li(reg(rng), range_i64(rng, -1000, 1000)),
         7 => Op::Mov(reg(rng), reg(rng)),
-        8 => Op::Store(reg(rng), rng.range_i64(0, 24) * 8),
-        9 => Op::Load(reg(rng), rng.range_i64(0, 24) * 8),
+        8 => Op::Store(reg(rng), range_i64(rng, 0, 24) * 8),
+        9 => Op::Load(reg(rng), range_i64(rng, 0, 24) * 8),
         _ => Op::SkipIfZero(reg(rng)),
     }
 }
@@ -261,7 +246,7 @@ fn arb_op(rng: &mut Rng) -> Op {
 /// deterministic 24-case sweep.
 #[test]
 fn fuzz_random_loops() {
-    let mut rng = Rng(0x5EED_CA5E);
+    let mut rng = SplitMix64::from_state(0x5EED_CA5E);
     for case in 0..24 {
         let n_ops = 1 + rng.below(23) as usize;
         let ops: Vec<Op> = (0..n_ops).map(|_| arb_op(&mut rng)).collect();

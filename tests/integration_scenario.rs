@@ -266,6 +266,27 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
     let (code, stderr) = run(&["--ablate", "--check"]);
     assert_eq!(code, Some(3), "{stderr}");
 
+    // A misspelled flag is rejected by name before anything runs, not
+    // ignored.
+    for (args, message) in [
+        (
+            &["--scenario", "scenarios/smoke.json", "--chek"][..],
+            "unknown flag \"--chek\" (see --help)",
+        ),
+        (
+            &["--fig9", "--jbos", "2"],
+            "unknown flag \"--jbos\" (see --help)",
+        ),
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(3), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("contopt-experiments: {message}\n"),
+            "{args:?}"
+        );
+    }
+
     // A bad flag value is a one-line error, not a panic.
     for (args, message) in [
         (

@@ -378,7 +378,7 @@ fn rejects_machines_too_large_to_allocate() {
     let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
         .arg("--scenarios-dir")
         .arg(&dir)
-        .arg("--goldens-dir")
+        .arg("--goldens")
         .arg(dir.join("no-goldens"))
         .arg("--validate")
         .output()
@@ -455,7 +455,7 @@ fn mbc_size_is_checked_where_rle_sf_uses_it() {
     let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
         .arg("--scenarios-dir")
         .arg(&dir)
-        .arg("--goldens-dir")
+        .arg("--goldens")
         .arg(dir.join("no-goldens"))
         .arg("--validate")
         .output()

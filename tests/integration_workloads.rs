@@ -9,7 +9,7 @@
 // lints, which police the library crates.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use contopt_sim::emu::{ArchSnapshot, DynInst, Emulator, Step};
+use contopt_sim::emu::{ArchSnapshot, DynInst, Emulator, Step, STREAM_DIGEST_INIT};
 use contopt_sim::isa::Inst;
 use contopt_sim::workloads::{suite, Suite, CHECKSUM_ADDR};
 use contopt_sim::{simulate, MachineConfig, OptimizerConfig};
@@ -174,4 +174,21 @@ fn workload_mix_is_diverse() {
         max - min > 15.0,
         "suite lacks diversity: {min:.1}..{max:.1}"
     );
+}
+
+#[test]
+fn stream_and_image_digests_are_pinned() {
+    // Pinned values: the stream and image digests the differential
+    // oracle compares must not change with how they are computed.
+    let twf = contopt_sim::workloads::build("twf").unwrap();
+    let mut emu = Emulator::new(twf.program.clone());
+    assert_eq!(emu.mem().content_digest(), 0x2f31_0a81_894e_5174);
+    let mut digest = STREAM_DIGEST_INIT;
+    for _ in 0..1000 {
+        let Step::Inst(d) = emu.step().unwrap() else {
+            panic!("twf halted within 1000 instructions");
+        };
+        digest = d.fold_digest(digest);
+    }
+    assert_eq!(digest, 0xac91_80ab_b426_5d23);
 }
