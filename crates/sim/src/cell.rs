@@ -8,7 +8,7 @@ use contopt_isa::asm_text;
 use contopt_pipeline::MachineConfig;
 use contopt_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The behavioural identity of one simulation cell: the machine with its
 /// optimizer block normalized (so configurations that cannot differ in
@@ -96,31 +96,25 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel();
+    let out: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..jobs.max(1).min(items.len()))
             .map(|_| {
-                let tx = tx.clone();
-                let (next, f) = (&next, &f);
-                s.spawn(move || loop {
+                s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { return };
-                    // The receiver outlives every worker.
-                    let _ = tx.send((i, f(item)));
+                    let r = f(item);
+                    // `f` runs outside the lock, so a panic cannot poison it.
+                    out.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(r);
                 })
             })
             .collect();
         for worker in workers {
-            // A panicked worker's sent results are already in the channel.
+            // A panicked worker's finished items are already in `out`.
             let _ = worker.join();
         }
     });
-    drop(tx);
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in rx {
-        out[i] = Some(r);
-    }
-    out
+    out.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
