@@ -593,7 +593,7 @@ impl SweepEngine {
                         code: code.clone(),
                         message: message.clone(),
                     }),
-                    // The worker running this cell died.
+                    // The worker or forwarder holding this cell died.
                     None => CellReply::Failed(CellError {
                         label: cell.label.clone(),
                         workload: cell.workload.clone(),
