@@ -253,13 +253,7 @@ impl Client {
         // Shipped programs must be self-contained on the wire: a "file"
         // source resolves against *this* host's filesystem, so its
         // assembled form travels as canonical inline text instead.
-        let scenario = if scenario.programs.is_empty() {
-            scenario.clone()
-        } else {
-            scenario
-                .with_inlined_programs()
-                .map_err(ProtocolError::Scenario)?
-        };
+        let scenario = scenario.with_inlined_programs();
         self.submit(Message::SubmitScenario { jobs, scenario })
     }
 

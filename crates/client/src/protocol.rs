@@ -51,8 +51,8 @@
 //! re-serialization step that could perturb formatting.
 
 use contopt_sim::{
-    machine_from_json, machine_to_json, JsonError, JsonValue, MachineConfig, ProgramSpec, Scenario,
-    ScenarioError, ToJson,
+    machine_from_json, machine_to_json, Expected, Fields, JsonError, JsonValue, MachineConfig,
+    ProgramSpec, Scenario, ScenarioError, ToJson,
 };
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -247,28 +247,13 @@ pub struct DownstreamStatus {
 }
 
 impl DownstreamStatus {
-    fn from_json(doc: &JsonValue, at: &str) -> Result<DownstreamStatus, ProtocolError> {
+    fn from_json(doc: &JsonValue, at: &str) -> Result<DownstreamStatus, Expected> {
+        let f = Fields::lenient(doc, at);
         Ok(DownstreamStatus {
-            address: doc
-                .get("address")
-                .and_then(JsonValue::as_str)
-                .ok_or(malformed(format!("{at}.address"), "a string"))?
-                .to_string(),
-            healthy: doc
-                .get("healthy")
-                .and_then(JsonValue::as_bool)
-                .ok_or(malformed(format!("{at}.healthy"), "a boolean"))?,
-            outstanding: doc
-                .get("outstanding")
-                .and_then(JsonValue::as_u64)
-                .ok_or(malformed(
-                    format!("{at}.outstanding"),
-                    "an unsigned integer",
-                ))?,
-            forwarded: doc
-                .get("forwarded")
-                .and_then(JsonValue::as_u64)
-                .ok_or(malformed(format!("{at}.forwarded"), "an unsigned integer"))?,
+            address: f.req("address", JsonValue::as_str, "a string")?.to_string(),
+            healthy: f.req("healthy", JsonValue::as_bool, "a boolean")?,
+            outstanding: f.req("outstanding", JsonValue::as_u64, UINT)?,
+            forwarded: f.req("forwarded", JsonValue::as_u64, UINT)?,
         })
     }
 }
@@ -443,6 +428,15 @@ impl From<ScenarioError> for ProtocolError {
     }
 }
 
+impl From<Expected> for ProtocolError {
+    fn from(Expected { at, what }: Expected) -> ProtocolError {
+        ProtocolError::Malformed { at, what }
+    }
+}
+
+/// What every counter on the wire is.
+const UINT: &str = "an unsigned integer";
+
 fn malformed(at: impl Into<String>, what: &'static str) -> ProtocolError {
     ProtocolError::Malformed {
         at: at.into(),
@@ -467,32 +461,24 @@ impl ToJson for SweepStatus {
 }
 
 impl SweepStatus {
-    fn from_json(doc: &JsonValue, at: &str) -> Result<SweepStatus, ProtocolError> {
-        let field = |key: &'static str| {
-            doc.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or(malformed(format!("{at}.{key}"), "an unsigned integer"))
+    fn from_json(f: &Fields) -> Result<SweepStatus, Expected> {
+        let count = |key| f.req(key, JsonValue::as_u64, UINT);
+        // Additive v1 extensions default to 0: pre-hardening servers could
+        // not fail per cell, and pre-federation servers never forwarded.
+        let added = |key| {
+            f.opt(key, JsonValue::as_u64, UINT)
+                .map(Option::unwrap_or_default)
         };
         Ok(SweepStatus {
-            results: field("results")?,
-            unique: field("unique")?,
-            simulated: field("simulated")?,
-            cache_hits: field("cache_hits")?,
-            joined: field("joined")?,
-            // Additive v1 extension: absent from pre-hardening servers,
-            // which could not fail per-cell — default 0.
-            errors: match doc.get("errors") {
-                None => 0,
-                Some(_) => field("errors")?,
-            },
-            // Additive v1 extension: absent from pre-federation servers,
-            // which never forwarded — default 0.
-            forwarded: match doc.get("forwarded") {
-                None => 0,
-                Some(_) => field("forwarded")?,
-            },
-            total_simulations: field("total_simulations")?,
-            cache_entries: field("cache_entries")?,
+            results: count("results")?,
+            unique: count("unique")?,
+            simulated: count("simulated")?,
+            cache_hits: count("cache_hits")?,
+            joined: count("joined")?,
+            errors: added("errors")?,
+            forwarded: added("forwarded")?,
+            total_simulations: count("total_simulations")?,
+            cache_entries: count("cache_entries")?,
         })
     }
 }
@@ -518,34 +504,38 @@ impl ToJson for ServerStatus {
 }
 
 impl ServerStatus {
-    fn from_json(doc: &JsonValue, at: &str) -> Result<ServerStatus, ProtocolError> {
-        let field = |key: &'static str| {
-            doc.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or(malformed(format!("{at}.{key}"), "an unsigned integer"))
-        };
-        // Additive v1 extension: standalone (and pre-federation) servers
-        // omit the topology entirely — default to no downstreams.
-        let mut downstreams = Vec::new();
-        if let Some(items) = doc.get("downstreams") {
-            let items = items
-                .as_array()
-                .ok_or(malformed(format!("{at}.downstreams"), "an array"))?;
-            for (i, item) in items.iter().enumerate() {
-                downstreams.push(DownstreamStatus::from_json(
-                    item,
-                    &format!("{at}.downstreams[{i}]"),
-                )?);
-            }
-        }
+    fn from_json(f: &Fields) -> Result<ServerStatus, Expected> {
+        let count = |key| f.req(key, JsonValue::as_u64, UINT);
         Ok(ServerStatus {
-            protocol_version: field("protocol_version")?,
-            jobs: field("jobs")?,
-            cache_capacity: field("cache_capacity")?,
-            cache_entries: field("cache_entries")?,
-            in_flight: field("in_flight")?,
-            total_simulations: field("total_simulations")?,
-            downstreams,
+            // Additive v1 extension: standalone (and pre-federation)
+            // servers omit the topology entirely — default to none.
+            downstreams: f
+                .items("downstreams", DownstreamStatus::from_json)?
+                .unwrap_or_default(),
+            protocol_version: count("protocol_version")?,
+            jobs: count("jobs")?,
+            cache_capacity: count("cache_capacity")?,
+            cache_entries: count("cache_entries")?,
+            in_flight: count("in_flight")?,
+            total_simulations: count("total_simulations")?,
+        })
+    }
+}
+
+impl PlanCell {
+    fn from_json(doc: &JsonValue, at: &str) -> Result<PlanCell, ProtocolError> {
+        let f = Fields::lenient(doc, at);
+        let text = |key| {
+            f.req(key, JsonValue::as_str, "a string")
+                .map(str::to_string)
+        };
+        Ok(PlanCell {
+            label: text("label")?,
+            workload: text("workload")?,
+            machine: machine_from_json(
+                f.req("machine", Some, "a machine object")?,
+                &f.path("machine"),
+            )?,
         })
     }
 }
@@ -649,155 +639,65 @@ impl Message {
     ///
     /// An embedded scenario is fully validated (workload names, label
     /// uniqueness, budget) so a malformed submission is rejected at the
-    /// protocol boundary, before any simulation is planned.
+    /// protocol boundary, before any simulation is planned. Keys this
+    /// build does not read are ignored, since v1 fields are additive.
     pub fn from_json(doc: &JsonValue) -> Result<Message, ProtocolError> {
-        if doc.as_object().is_none() {
-            return Err(malformed("payload", "an object"));
-        }
-        let v = doc
-            .get("v")
-            .and_then(JsonValue::as_u64)
-            .ok_or(malformed("payload.v", "an unsigned integer"))?;
+        let f = Fields::of(doc, "payload").ok_or(malformed("payload", "an object"))?;
+        let v = f.req("v", JsonValue::as_u64, UINT)?;
         if v != PROTOCOL_VERSION {
             return Err(ProtocolError::VersionMismatch(v));
         }
-        let tag = doc
-            .get("type")
-            .and_then(JsonValue::as_str)
-            .ok_or(malformed("payload.type", "a string"))?;
-        let jobs = match doc.get("jobs") {
-            None => None,
-            Some(j) => Some(
-                j.as_u64()
-                    .ok_or(malformed("payload.jobs", "an unsigned integer"))?,
-            ),
+        let tag = f.req("type", JsonValue::as_str, "a string")?;
+        let jobs = f.opt("jobs", JsonValue::as_u64, UINT)?;
+        let text = |key| {
+            f.req(key, JsonValue::as_str, "a string")
+                .map(str::to_string)
         };
         match tag {
-            "submit_scenario" => {
-                let sc_doc = doc
-                    .get("scenario")
-                    .ok_or(malformed("payload.scenario", "a scenario object"))?;
-                let mut scenario = Scenario::from_json(sc_doc)?;
-                // Shipped programs must be self-contained on the wire:
-                // inline sources assemble here, but a "file" path cannot
-                // resolve on the receiving host (senders inline first —
-                // Scenario::with_inlined_programs).
-                scenario.assemble_programs(None)?;
-                if let Some(spec) = scenario.programs.iter().find(|p| p.program.is_none()) {
-                    return Err(ProtocolError::Scenario(ScenarioError::Program {
-                        name: spec.name.clone(),
-                        detail: "wire submissions must inline program text \
-                                 (a \"file\" path cannot resolve on the server)"
-                            .into(),
-                    }));
-                }
-                scenario.validate()?;
-                scenario.verify_programs()?;
-                Ok(Message::SubmitScenario { jobs, scenario })
-            }
-            "submit_plan" => {
-                let insts = doc
-                    .get("insts")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or(malformed("payload.insts", "an unsigned integer"))?;
-                let items = doc
-                    .get("cells")
-                    .and_then(JsonValue::as_array)
-                    .ok_or(malformed("payload.cells", "an array"))?;
-                let mut cells = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let at = format!("payload.cells[{i}]");
-                    let label = item
-                        .get("label")
-                        .and_then(JsonValue::as_str)
-                        .ok_or(malformed(format!("{at}.label"), "a string"))?
-                        .to_string();
-                    let workload = item
-                        .get("workload")
-                        .and_then(JsonValue::as_str)
-                        .ok_or(malformed(format!("{at}.workload"), "a string"))?
-                        .to_string();
-                    let machine_doc = item
-                        .get("machine")
-                        .ok_or(malformed(format!("{at}.machine"), "a machine object"))?;
-                    let machine = machine_from_json(machine_doc, &format!("{at}.machine"))?;
-                    cells.push(PlanCell {
-                        label,
-                        machine,
-                        workload,
-                    });
-                }
-                let mut programs = Vec::new();
-                if let Some(items) = doc.get("programs") {
-                    let items = items
-                        .as_array()
-                        .ok_or(malformed("payload.programs", "an array"))?;
-                    for (i, item) in items.iter().enumerate() {
-                        let at = format!("payload.programs[{i}]");
-                        let mut spec = ProgramSpec::from_json(item, &at)?;
-                        // Wire programs must be inline; assemble and
-                        // enforce the verification policy right at the
-                        // boundary, before any simulation is planned.
-                        spec.assemble_inline()?;
+            // Shipped programs must be self-contained on the wire: a
+            // "file" path cannot resolve on the receiving host (senders
+            // inline first — Scenario::with_inlined_programs).
+            "submit_scenario" => Ok(Message::SubmitScenario {
+                jobs,
+                scenario: Scenario::decode(f.req("scenario", Some, "a scenario object")?, None)?,
+            }),
+            "submit_plan" => Ok(Message::SubmitPlan {
+                jobs,
+                insts: f.req("insts", JsonValue::as_u64, UINT)?,
+                cells: f
+                    .items("cells", PlanCell::from_json)?
+                    .ok_or(malformed("payload.cells", "an array"))?,
+                // Wire programs carry inline text; enforce each one's
+                // verification policy right at the boundary, before any
+                // simulation is planned.
+                programs: f
+                    .items("programs", |item, at| {
+                        let spec = ProgramSpec::from_json(item, at, None)?;
                         spec.verify_under_policy()?;
-                        programs.push(spec);
-                    }
-                }
-                Ok(Message::SubmitPlan {
-                    jobs,
-                    insts,
-                    cells,
-                    programs,
-                })
-            }
-            "sweep_status" => Ok(Message::SweepStatus(SweepStatus::from_json(
-                doc, "payload",
-            )?)),
-            "cell_result" => {
-                let field = |key: &'static str| {
-                    doc.get(key)
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                        .ok_or(malformed(format!("payload.{key}"), "a string"))
-                };
-                Ok(Message::CellResult(CellResult {
-                    label: field("label")?,
-                    workload: field("workload")?,
-                    fingerprint: field("fingerprint")?,
-                    report: field("report")?,
-                }))
-            }
-            "cell_error" => {
-                let field = |key: &'static str| {
-                    doc.get(key)
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                        .ok_or(malformed(format!("payload.{key}"), "a string"))
-                };
-                Ok(Message::CellError(CellError {
-                    label: field("label")?,
-                    workload: field("workload")?,
-                    fingerprint: field("fingerprint")?,
-                    code: field("code")?,
-                    message: field("message")?,
-                }))
-            }
+                        Ok::<_, ProtocolError>(spec)
+                    })?
+                    .unwrap_or_default(),
+            }),
+            "sweep_status" => Ok(Message::SweepStatus(SweepStatus::from_json(&f)?)),
+            "cell_result" => Ok(Message::CellResult(CellResult {
+                label: text("label")?,
+                workload: text("workload")?,
+                fingerprint: text("fingerprint")?,
+                report: text("report")?,
+            })),
+            "cell_error" => Ok(Message::CellError(CellError {
+                label: text("label")?,
+                workload: text("workload")?,
+                fingerprint: text("fingerprint")?,
+                code: text("code")?,
+                message: text("message")?,
+            })),
             "ping" => Ok(Message::Ping),
-            "server_status" => Ok(Message::ServerStatus(ServerStatus::from_json(
-                doc, "payload",
-            )?)),
-            "error" => {
-                let field = |key: &'static str| {
-                    doc.get(key)
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                        .ok_or(malformed(format!("payload.{key}"), "a string"))
-                };
-                Ok(Message::Error(WireError {
-                    code: field("code")?,
-                    message: field("message")?,
-                }))
-            }
+            "server_status" => Ok(Message::ServerStatus(ServerStatus::from_json(&f)?)),
+            "error" => Ok(Message::Error(WireError {
+                code: text("code")?,
+                message: text("message")?,
+            })),
             other => Err(ProtocolError::UnknownType(other.to_string())),
         }
     }
@@ -1128,7 +1028,6 @@ mod tests {
             panic!("wrong type back");
         };
         assert_eq!(back.programs.len(), 1);
-        assert!(back.programs[0].program.is_some(), "assembled on parse");
         assert_eq!(back.programs[0].program, scenario.programs[0].program);
     }
 

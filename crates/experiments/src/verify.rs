@@ -17,7 +17,7 @@
 //! the loader.
 
 use contopt_sim::isa::{asm_text, AnalysisReport};
-use contopt_sim::{JsonValue, Scenario, VerifyPolicy};
+use contopt_sim::{JsonValue, Scenario, ScenarioError, VerifyPolicy};
 use std::path::Path;
 
 /// The aggregate severity of a verification run, ordered by how loudly
@@ -143,7 +143,7 @@ pub fn verify_file(path: &Path, allow_warnings: bool) -> FileVerdict {
             Err(e) => {
                 return FileVerdict {
                     path: shown,
-                    failure: Some(e),
+                    failure: Some(e.to_string()),
                     programs: Vec::new(),
                     outcome: VerifyOutcome::Errors,
                 }
@@ -165,21 +165,19 @@ pub fn verify_file(path: &Path, allow_warnings: bool) -> FileVerdict {
 /// Parses a scenario leniently — structure and semantics are enforced,
 /// but verification verdicts are *collected*, not load-gated — and
 /// returns one verdict per shipped program.
-fn scenario_verdicts(text: &str, base: Option<&Path>) -> Result<Vec<ProgramVerdict>, String> {
-    let doc = JsonValue::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let mut sc = Scenario::from_json(&doc).map_err(|e| e.to_string())?;
-    sc.assemble_programs(base).map_err(|e| e.to_string())?;
-    sc.validate().map_err(|e| e.to_string())?;
+fn scenario_verdicts(
+    text: &str,
+    base: Option<&Path>,
+) -> Result<Vec<ProgramVerdict>, ScenarioError> {
+    let sc = Scenario::from_json(&JsonValue::parse(text)?, base)?;
+    sc.validate()?;
     Ok(sc
         .programs
         .iter()
-        .filter_map(|spec| {
-            let report = spec.verify_report()?;
-            Some(ProgramVerdict {
-                name: spec.name.clone(),
-                policy: spec.verify,
-                report,
-            })
+        .map(|spec| ProgramVerdict {
+            name: spec.name.clone(),
+            policy: spec.verify,
+            report: spec.verify_report(),
         })
         .collect())
 }

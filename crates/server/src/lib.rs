@@ -692,7 +692,7 @@ impl SweepEngine {
                             name: cell.workload.clone(),
                             source: ProgramSource::Inline(cp.text.to_string()),
                             verify: cp.verify,
-                            program: Some(Arc::clone(&cp.program)),
+                            program: Arc::clone(&cp.program),
                         });
                     }
                 }
@@ -952,10 +952,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Builds the name → [`CellProgram`] table for a submission's inline
-/// programs. Every spec must arrive assembled (the protocol layer
-/// assembles inline text on parse); names must be unique and must not
-/// shadow a Table 1 workload — the same rule at every federation tier,
-/// so a frontier never forwards a program a downstream would refuse.
+/// programs (the protocol layer assembled each one on parse). Names must
+/// be unique and must not shadow a Table 1 workload — the same rule at
+/// every federation tier, so a frontier never forwards a program a
+/// downstream would refuse.
 fn program_table(programs: &[ProgramSpec]) -> Result<Vec<(String, CellProgram)>, WireError> {
     let bad = |message: String| WireError {
         code: "bad-request".to_string(),
@@ -972,15 +972,9 @@ fn program_table(programs: &[ProgramSpec]) -> Result<Vec<(String, CellProgram)>,
         if table.iter().any(|(name, _)| *name == spec.name) {
             return Err(bad(format!("duplicate program {:?}", spec.name)));
         }
-        let Some(program) = &spec.program else {
-            return Err(bad(format!(
-                "program {:?} is not assembled; wire submissions carry inline program text",
-                spec.name
-            )));
-        };
         table.push((
             spec.name.clone(),
-            CellProgram::new(Arc::clone(program), spec.verify),
+            CellProgram::new(Arc::clone(&spec.program), spec.verify),
         ));
     }
     Ok(table)

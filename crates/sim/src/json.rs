@@ -10,7 +10,9 @@
 //! [`JsonValue::parse`] is the inverse direction: a strict recursive-descent
 //! parser that rejects duplicate object keys, leading-zero numbers, and
 //! trailing input, returning a typed [`JsonError`] (never panicking) so
-//! hand-edited scenario files fail loudly at load time.
+//! hand-edited scenario files fail loudly at load time. [`Fields`] then
+//! reads a parsed object field by field, for both the scenario format
+//! and the wire protocol.
 
 use std::fmt;
 
@@ -604,6 +606,115 @@ impl From<&str> for JsonValue {
 impl From<String> for JsonValue {
     fn from(s: String) -> JsonValue {
         JsonValue::Str(s)
+    }
+}
+
+/// A value of the wrong JSON type, or a required value that is absent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Expected {
+    /// Path to the value (`configs[1].label`).
+    pub at: String,
+    /// What was required there.
+    pub what: &'static str,
+}
+
+/// The field reader behind the scenario-file and wire decoders: an object
+/// and its path, so every error names its value as `<at>.<key>` (`<key>`
+/// alone at the top level, where `at` is empty). A strict format rejects
+/// the keys [`unknown`](Self::unknown) finds; the wire ignores them.
+#[derive(Debug, Clone, Copy)]
+pub struct Fields<'a> {
+    fields: &'a [(String, JsonValue)],
+    at: &'a str,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields of `doc`, or `None` when it is not an object.
+    pub fn of(doc: &'a JsonValue, at: &'a str) -> Option<Fields<'a>> {
+        Some(Fields {
+            fields: doc.as_object()?,
+            at,
+        })
+    }
+
+    /// The fields of `doc`, reading anything else as an empty object.
+    pub fn lenient(doc: &'a JsonValue, at: &'a str) -> Fields<'a> {
+        Fields {
+            fields: doc.as_object().unwrap_or_default(),
+            at,
+        }
+    }
+
+    /// The path of `key` in this object.
+    pub fn path(&self, key: &str) -> String {
+        if self.at.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.at)
+        }
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &str) -> Option<&'a JsonValue> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The value under `key` as `as_t` reads it: `None` when the key is
+    /// absent, and an error naming `what` when `as_t` refuses the value.
+    pub fn opt<T>(
+        &self,
+        key: &str,
+        as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+        what: &'static str,
+    ) -> Result<Option<T>, Expected> {
+        self.get(key)
+            .map(|v| as_t(v).ok_or_else(|| self.expected(key, what)))
+            .transpose()
+    }
+
+    /// Like [`opt`](Self::opt), but an absent key is an error too.
+    pub fn req<T>(
+        &self,
+        key: &str,
+        as_t: impl FnOnce(&'a JsonValue) -> Option<T>,
+        what: &'static str,
+    ) -> Result<T, Expected> {
+        self.opt(key, as_t, what)?
+            .ok_or_else(|| self.expected(key, what))
+    }
+
+    /// The array under `key`, each item decoded at its path `<key>[i]`;
+    /// `None` when the key is absent.
+    pub fn items<T, E: From<Expected>>(
+        &self,
+        key: &str,
+        mut decode: impl FnMut(&'a JsonValue, &str) -> Result<T, E>,
+    ) -> Result<Option<Vec<T>>, E> {
+        let Some(items) = self.opt(key, JsonValue::as_array, "an array")? else {
+            return Ok(None);
+        };
+        let at = self.path(key);
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| decode(item, &format!("{at}[{i}]")))
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+
+    /// The first key that is not in `known`.
+    pub fn unknown(&self, known: &[&str]) -> Option<&'a str> {
+        self.fields
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .find(|k| !known.contains(k))
+    }
+
+    fn expected(&self, key: &str, what: &'static str) -> Expected {
+        Expected {
+            at: self.path(key),
+            what,
+        }
     }
 }
 

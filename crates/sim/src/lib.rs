@@ -52,7 +52,7 @@ mod session;
 pub use ablation::{AblationReport, AddOneIn, ConfigAblation, PassAblation, WorkloadAblation};
 pub use cell::{run_parallel, CellKey};
 pub use error::Error;
-pub use json::{JsonError, JsonErrorKind, JsonValue, ToJson};
+pub use json::{Expected, Fields, JsonError, JsonErrorKind, JsonValue, ToJson};
 pub use report::Report;
 pub use scenario::{
     machine_from_json, machine_to_json, AblationSpec, ProgramSource, ProgramSpec, Scenario,

@@ -29,8 +29,9 @@
 //! in the optional `"programs"` block: each entry names a program and
 //! carries either inline assembler text (`"source"`) or a path to a `.s`
 //! file relative to the scenario file (`"file"`), assembled through
-//! [`contopt_isa::asm_text`]. Configurations then list the program's name
-//! in `"workloads"` like any built-in benchmark.
+//! [`contopt_isa::asm_text`] when the scenario is decoded. Configurations
+//! then list the program's name in `"workloads"` like any built-in
+//! benchmark.
 //!
 //! Shipped programs are statically verified at load time by
 //! [`contopt_isa::analysis`]: error-severity findings (use-before-init,
@@ -41,7 +42,7 @@
 //! used by conformance reproducers whose whole point is to pin a
 //! pathological program).
 
-use crate::json::{JsonError, JsonValue, ToJson};
+use crate::json::{Expected, Fields, JsonError, JsonValue, ToJson};
 use crate::session::validate_machine;
 use crate::{Error, MachineConfig, OptimizerConfig};
 use contopt::{ConfigFieldError, ConfigScalar};
@@ -89,10 +90,8 @@ pub struct ProgramSpec {
     /// optional `"verify"` key; defaults to
     /// [`VerifyPolicy::AllowWarnings`]).
     pub verify: VerifyPolicy,
-    /// The assembled program: filled at [`Scenario::parse`] time for
-    /// inline sources and at [`Scenario::load`] time for file sources
-    /// (parsing text alone cannot resolve a relative file reference).
-    pub program: Option<Arc<Program>>,
+    /// The assembled program.
+    pub program: Arc<Program>,
 }
 
 /// How strictly a shipped program's static-verification verdict is
@@ -168,58 +167,29 @@ impl ProgramSpec {
             name,
             source: ProgramSource::Inline(source),
             verify,
-            program: Some(program),
+            program,
         })
     }
 
     /// Statically verifies the assembled program — with source spans when
-    /// the text is inline — regardless of the [`VerifyPolicy`]. `None`
-    /// when the program is not assembled yet (a `"file"` source parsed
-    /// without a base directory).
-    pub fn verify_report(&self) -> Option<AnalysisReport> {
-        match (&self.source, &self.program) {
-            (ProgramSource::Inline(text), _) => {
-                asm_text::parse_and_verify(text).map(|(_, r)| r).ok()
-            }
-            (ProgramSource::File(_), Some(p)) => Some(analysis::verify(p)),
-            (ProgramSource::File(_), None) => None,
-        }
-    }
-
-    /// Assembles an inline source in place (a no-op when already
-    /// assembled). A `"file"` source cannot be resolved here — contexts
-    /// without a base directory, like wire submissions, must receive
-    /// inlined text (see [`Scenario::with_inlined_programs`]).
-    pub fn assemble_inline(&mut self) -> Result<(), ScenarioError> {
-        if self.program.is_some() {
-            return Ok(());
-        }
+    /// the text is inline — regardless of the [`VerifyPolicy`].
+    pub fn verify_report(&self) -> AnalysisReport {
         match &self.source {
-            ProgramSource::Inline(text) => {
-                self.program = Some(assemble(&self.name, text)?);
-                Ok(())
-            }
-            ProgramSource::File(_) => Err(ScenarioError::Program {
-                name: self.name.clone(),
-                detail: "a \"file\" program cannot be assembled without a base directory; \
-                         inline its text first"
-                    .into(),
-            }),
+            ProgramSource::Inline(text) => asm_text::parse_and_verify(text)
+                .map_or_else(|_| analysis::verify(&self.program), |(_, r)| r),
+            ProgramSource::File(_) => analysis::verify(&self.program),
         }
     }
 
     /// Enforces this program's [`VerifyPolicy`] against its static
     /// verification report: error-severity findings always fail, and a
     /// [`VerifyPolicy::Clean`] program fails on warnings too. `Ok` under
-    /// [`VerifyPolicy::Skip`] or when the program is not assembled yet
-    /// (nothing to check).
+    /// [`VerifyPolicy::Skip`].
     pub fn verify_under_policy(&self) -> Result<(), ScenarioError> {
         if self.verify == VerifyPolicy::Skip {
             return Ok(());
         }
-        let Some(report) = self.verify_report() else {
-            return Ok(());
-        };
+        let report = self.verify_report();
         let first: Option<String> =
             report
                 .errors
@@ -243,17 +213,13 @@ impl ProgramSpec {
     }
 
     /// This program as a runnable workload (suite [`Suite::Kernel`]).
-    pub fn workload(&self) -> Result<Workload, ScenarioError> {
-        let program = self.program.clone().ok_or_else(|| ScenarioError::Program {
-            name: self.name.clone(),
-            detail: "not assembled (a \"file\" program needs Scenario::load)".into(),
-        })?;
-        Ok(Workload {
+    pub fn workload(&self) -> Workload {
+        Workload {
             name: intern_name(&self.name),
             description: "scenario-defined text program",
             suite: Suite::Kernel,
-            program,
-        })
+            program: Arc::clone(&self.program),
+        }
     }
 }
 
@@ -428,6 +394,12 @@ impl From<JsonError> for ScenarioError {
     }
 }
 
+impl From<Expected> for ScenarioError {
+    fn from(Expected { at, what }: Expected) -> ScenarioError {
+        ScenarioError::Expected { at, what }
+    }
+}
+
 fn expected(at: impl Into<String>, what: &'static str) -> ScenarioError {
     ScenarioError::Expected {
         at: at.into(),
@@ -435,8 +407,41 @@ fn expected(at: impl Into<String>, what: &'static str) -> ScenarioError {
     }
 }
 
+/// How diagnostics name the object at `at` (empty at the top level).
+fn place(at: &str) -> &str {
+    if at.is_empty() {
+        "top level"
+    } else {
+        at
+    }
+}
+
+/// `doc` as a scenario-format object, which must hold no key outside
+/// `known`.
+fn strict<'a>(
+    doc: &'a JsonValue,
+    at: &'a str,
+    known: &[&str],
+) -> Result<Fields<'a>, ScenarioError> {
+    let fields = Fields::of(doc, at).ok_or_else(|| expected(place(at), "an object"))?;
+    match fields.unknown(known) {
+        Some(field) => Err(ScenarioError::UnknownField {
+            at: place(at).to_string(),
+            field: field.to_string(),
+        }),
+        None => Ok(fields),
+    }
+}
+
+/// A field the scenario format requires: its absence is reported at the
+/// enclosing object (`a "label" field at configs[0]`).
+fn need<T>(value: Option<T>, at: &str, what: &'static str) -> Result<T, ScenarioError> {
+    value.ok_or_else(|| expected(place(at), what))
+}
+
 impl Scenario {
-    /// Parses and validates a scenario from JSON text.
+    /// Parses and validates a scenario from JSON text. A `"file"`
+    /// program fails: text has no directory to read it from.
     ///
     /// # Examples
     ///
@@ -460,62 +465,33 @@ impl Scenario {
     /// # Ok::<(), contopt_sim::ScenarioError>(())
     /// ```
     pub fn parse(src: &str) -> Result<Scenario, ScenarioError> {
-        let doc = JsonValue::parse(src)?;
-        let mut sc = Scenario::from_json(&doc)?;
-        sc.assemble_programs(None)?;
-        sc.validate()?;
-        sc.verify_programs()?;
-        Ok(sc)
+        Scenario::decode(&JsonValue::parse(src)?, None)
     }
 
     /// Reads, parses, and validates a scenario file. Shipped programs with
     /// a `"file"` source are read relative to the scenario file's
-    /// directory and assembled.
+    /// directory.
     pub fn load(path: impl AsRef<Path>) -> Result<Scenario, ScenarioError> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path)
             .map_err(|e| ScenarioError::Io(format!("{}: {e}", path.display())))?;
-        let doc = JsonValue::parse(&text)?;
-        let mut sc = Scenario::from_json(&doc)?;
-        sc.assemble_programs(path.parent())?;
+        Scenario::decode(&JsonValue::parse(&text)?, path.parent())
+    }
+
+    /// Decodes a scenario document with [`from_json`](Self::from_json),
+    /// then [`validate`](Self::validate)s it and gates its programs with
+    /// [`verify_programs`](Self::verify_programs): the one path scenario
+    /// files and wire submissions take.
+    pub fn decode(doc: &JsonValue, base: Option<&Path>) -> Result<Scenario, ScenarioError> {
+        let sc = Scenario::from_json(doc, base)?;
         sc.validate()?;
         sc.verify_programs()?;
         Ok(sc)
     }
 
-    /// Assembles every not-yet-assembled shipped program. Inline sources
-    /// always assemble; `"file"` sources are read relative to `base` and
-    /// are left unassembled when `base` is `None` (referencing one then
-    /// fails at [`workloads_for`](Self::workloads_for) time).
-    pub fn assemble_programs(&mut self, base: Option<&Path>) -> Result<(), ScenarioError> {
-        for spec in &mut self.programs {
-            if spec.program.is_some() {
-                continue;
-            }
-            match &spec.source {
-                ProgramSource::Inline(text) => spec.program = Some(assemble(&spec.name, text)?),
-                ProgramSource::File(rel) => {
-                    if let Some(base) = base {
-                        let path = base.join(rel);
-                        let text =
-                            std::fs::read_to_string(&path).map_err(|e| ScenarioError::Program {
-                                name: spec.name.clone(),
-                                detail: format!("{}: {e}", path.display()),
-                            })?;
-                        spec.program = Some(assemble(&spec.name, &text)?);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Statically verifies every assembled shipped program against its
+    /// Statically verifies every shipped program against its
     /// [`VerifyPolicy`]: error-severity findings always fail, and a
-    /// [`VerifyPolicy::Clean`] program fails on warnings too. Called by
-    /// [`parse`](Self::parse) and [`load`](Self::load) after assembly;
-    /// programs left unassembled (a `"file"` source parsed without a base
-    /// directory) cannot be checked and are skipped.
+    /// [`VerifyPolicy::Clean`] program fails on warnings too.
     pub fn verify_programs(&self) -> Result<(), ScenarioError> {
         for spec in &self.programs {
             spec.verify_under_policy()?;
@@ -527,21 +503,15 @@ impl Scenario {
     /// inline source carrying the canonical [`asm_text::emit`] rendering
     /// of its assembled program — the self-contained form wire
     /// submissions need (a file path relative to the scenario is
-    /// meaningless on another host). Fails if a `"file"` program was
-    /// never assembled ([`parse`](Self::parse) cannot resolve one;
-    /// [`load`](Self::load) can).
-    pub fn with_inlined_programs(&self) -> Result<Scenario, ScenarioError> {
+    /// meaningless on another host).
+    pub fn with_inlined_programs(&self) -> Scenario {
         let mut sc = self.clone();
         for spec in &mut sc.programs {
             if let ProgramSource::File(_) = &spec.source {
-                let program = spec.program.clone().ok_or_else(|| ScenarioError::Program {
-                    name: spec.name.clone(),
-                    detail: "not assembled (a \"file\" program needs Scenario::load)".into(),
-                })?;
-                spec.source = ProgramSource::Inline(asm_text::emit(&program));
+                spec.source = ProgramSource::Inline(asm_text::emit(&spec.program));
             }
         }
-        Ok(sc)
+        sc
     }
 
     /// The workloads one configuration runs on, in declaration order:
@@ -554,7 +524,7 @@ impl Scenario {
             if name == ALL_WORKLOADS {
                 out.extend(contopt_workloads::suite());
             } else if let Some(spec) = self.programs.iter().find(|p| &p.name == name) {
-                out.push(spec.workload()?);
+                out.push(spec.workload());
             } else {
                 out.push(contopt_workloads::build(name).ok_or_else(|| {
                     ScenarioError::UnknownWorkload {
@@ -567,68 +537,32 @@ impl Scenario {
         Ok(out)
     }
 
-    /// Builds a scenario from a parsed JSON document (no semantic
-    /// validation; [`parse`](Self::parse) layers that on).
-    pub fn from_json(doc: &JsonValue) -> Result<Scenario, ScenarioError> {
-        let fields = doc.as_object().ok_or(expected("top level", "an object"))?;
-        let mut version = None;
-        let mut name = None;
-        let mut insts = None;
-        let mut ablation = None;
-        let mut programs = None;
-        let mut configs = None;
-        for (key, value) in fields {
-            match key.as_str() {
-                "version" => {
-                    let v = value.as_u64().ok_or(expected("version", "an integer"))?;
-                    if v != SCENARIO_VERSION {
-                        return Err(ScenarioError::UnsupportedVersion(v));
-                    }
-                    version = Some(v);
-                }
-                "name" => {
-                    name = Some(
-                        value
-                            .as_str()
-                            .ok_or(expected("name", "a string"))?
-                            .to_string(),
-                    );
-                }
-                "insts" => insts = Some(value.as_u64().ok_or(expected("insts", "an integer"))?),
-                "ablation" => ablation = Some(AblationSpec::from_json(value)?),
-                "programs" => {
-                    let items = value.as_array().ok_or(expected("programs", "an array"))?;
-                    let mut out = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        out.push(ProgramSpec::from_json(item, &format!("programs[{i}]"))?);
-                    }
-                    programs = Some(out);
-                }
-                "configs" => {
-                    let items = value.as_array().ok_or(expected("configs", "an array"))?;
-                    let mut out = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        out.push(ScenarioConfig::from_json(item, &format!("configs[{i}]"))?);
-                    }
-                    configs = Some(out);
-                }
-                other => {
-                    return Err(ScenarioError::UnknownField {
-                        at: "top level".into(),
-                        field: other.to_string(),
-                    })
-                }
-            }
-        }
+    /// Builds a scenario from a parsed JSON document and assembles its
+    /// shipped programs, reading `"file"` sources under `base` (no
+    /// semantic validation; [`decode`](Self::decode) layers that on).
+    pub fn from_json(doc: &JsonValue, base: Option<&Path>) -> Result<Scenario, ScenarioError> {
+        const KEYS: [&str; 6] = [
+            "version", "name", "insts", "ablation", "programs", "configs",
+        ];
+        let f = strict(doc, "", &KEYS)?;
         // Requiring the version means a future format bump cannot silently
         // misread an old hand-written file that never declared one.
-        version.ok_or(expected("top level", "a \"version\" field"))?;
+        let version = f.opt("version", JsonValue::as_u64, "an integer")?;
+        let version = need(version, "", "a \"version\" field")?;
+        if version != SCENARIO_VERSION {
+            return Err(ScenarioError::UnsupportedVersion(version));
+        }
+        let name = f.opt("name", JsonValue::as_str, "a string")?;
+        let insts = f.opt("insts", JsonValue::as_u64, "an integer")?;
+        let ablation = f.get("ablation").map(AblationSpec::from_json).transpose()?;
+        let programs = f.items("programs", |doc, at| ProgramSpec::from_json(doc, at, base))?;
+        let configs = f.items("configs", ScenarioConfig::from_json)?;
         Ok(Scenario {
-            name: name.ok_or(expected("top level", "a \"name\" field"))?,
-            insts: insts.ok_or(expected("top level", "an \"insts\" field"))?,
+            name: need(name, "", "a \"name\" field")?.to_string(),
+            insts: need(insts, "", "an \"insts\" field")?,
             ablation,
             programs: programs.unwrap_or_default(),
-            configs: configs.ok_or(expected("top level", "a \"configs\" field"))?,
+            configs: need(configs, "", "a \"configs\" field")?,
         })
     }
 
@@ -708,24 +642,12 @@ impl Scenario {
 
 impl AblationSpec {
     fn from_json(doc: &JsonValue) -> Result<AblationSpec, ScenarioError> {
-        let fields = doc.as_object().ok_or(expected("ablation", "an object"))?;
-        let mut spec = AblationSpec::default();
-        for (key, value) in fields {
-            match key.as_str() {
-                "add_one_in" => {
-                    spec.add_one_in = value
-                        .as_bool()
-                        .ok_or(expected("ablation.add_one_in", "a bool"))?;
-                }
-                other => {
-                    return Err(ScenarioError::UnknownField {
-                        at: "ablation".into(),
-                        field: other.to_string(),
-                    })
-                }
-            }
-        }
-        Ok(spec)
+        let f = strict(doc, "ablation", &["add_one_in"])?;
+        Ok(AblationSpec {
+            add_one_in: f
+                .opt("add_one_in", JsonValue::as_bool, "a bool")?
+                .unwrap_or_default(),
+        })
     }
 }
 
@@ -736,52 +658,59 @@ impl ToJson for AblationSpec {
 }
 
 impl ProgramSpec {
-    /// Parses one `"programs"` entry (`at` names the entry in
-    /// diagnostics, e.g. `programs[0]`). The spec comes back unassembled;
-    /// callers that need a runnable program follow up with
-    /// [`assemble_inline`](Self::assemble_inline) or
-    /// [`Scenario::assemble_programs`].
-    pub fn from_json(doc: &JsonValue, at: &str) -> Result<ProgramSpec, ScenarioError> {
-        let fields = doc.as_object().ok_or(expected(at, "an object"))?;
-        let mut name = None;
-        let mut source = None;
-        let mut file = None;
-        let mut verify = VerifyPolicy::default();
-        for (key, value) in fields {
-            let text = || {
-                value
-                    .as_str()
-                    .ok_or(expected(format!("{at}.{key}"), "a string"))
-                    .map(str::to_string)
-            };
-            match key.as_str() {
-                "name" => name = Some(text()?),
-                "source" => source = Some(text()?),
-                "file" => file = Some(text()?),
-                "verify" => {
-                    verify = VerifyPolicy::parse(&text()?).ok_or(expected(
-                        format!("{at}.verify"),
-                        "\"allow-warnings\", \"clean\", or \"skip\"",
-                    ))?;
-                }
-                other => {
-                    return Err(ScenarioError::UnknownField {
-                        at: at.to_string(),
-                        field: other.to_string(),
-                    })
-                }
-            }
-        }
+    /// Parses and assembles one `"programs"` entry (`at` names the entry
+    /// in diagnostics, e.g. `programs[0]`). A `"file"` source is read
+    /// relative to `base`; without a base it is an error, so a wire
+    /// submission must inline its text first.
+    pub fn from_json(
+        doc: &JsonValue,
+        at: &str,
+        base: Option<&Path>,
+    ) -> Result<ProgramSpec, ScenarioError> {
+        let f = strict(doc, at, &["name", "source", "file", "verify"])?;
+        let text = |key| f.opt(key, JsonValue::as_str, "a string");
+        let (name, source, file) = (text("name")?, text("source")?, text("file")?);
+        let verify = match text("verify")? {
+            None => VerifyPolicy::default(),
+            Some(policy) => VerifyPolicy::parse(policy).ok_or_else(|| {
+                expected(
+                    f.path("verify"),
+                    "\"allow-warnings\", \"clean\", or \"skip\"",
+                )
+            })?,
+        };
         let source = match (source, file) {
-            (Some(text), None) => ProgramSource::Inline(text),
-            (None, Some(path)) => ProgramSource::File(path),
+            (Some(text), None) => ProgramSource::Inline(text.to_string()),
+            (None, Some(path)) => ProgramSource::File(path.to_string()),
             _ => return Err(expected(at, "exactly one of \"source\" or \"file\"")),
         };
+        let name = need(name, at, "a \"name\" field")?.to_string();
+        let program = match (&source, base) {
+            (ProgramSource::Inline(text), _) => assemble(&name, text)?,
+            (ProgramSource::File(rel), Some(base)) => {
+                let path = base.join(rel);
+                match std::fs::read_to_string(&path) {
+                    Ok(text) => assemble(&name, &text)?,
+                    Err(e) => {
+                        let detail = format!("{}: {e}", path.display());
+                        return Err(ScenarioError::Program { name, detail });
+                    }
+                }
+            }
+            (ProgramSource::File(_), None) => {
+                return Err(ScenarioError::Program {
+                    name,
+                    detail: "a \"file\" program cannot be assembled without a base \
+                             directory; inline its text first"
+                        .into(),
+                })
+            }
+        };
         Ok(ProgramSpec {
-            name: name.ok_or(expected(at, "a \"name\" field"))?,
+            name,
             source,
             verify,
-            program: None,
+            program,
         })
     }
 }
@@ -807,49 +736,18 @@ impl ToJson for ProgramSpec {
 
 impl ScenarioConfig {
     fn from_json(doc: &JsonValue, at: &str) -> Result<ScenarioConfig, ScenarioError> {
-        let fields = doc.as_object().ok_or(expected(at, "an object"))?;
-        let mut label = None;
-        let mut machine = None;
-        let mut workloads = None;
-        for (key, value) in fields {
-            match key.as_str() {
-                "label" => {
-                    label = Some(
-                        value
-                            .as_str()
-                            .ok_or(expected(format!("{at}.label"), "a string"))?
-                            .to_string(),
-                    );
-                }
-                "machine" => {
-                    machine = Some(machine_from_json(value, &format!("{at}.machine"))?);
-                }
-                "workloads" => {
-                    let items = value
-                        .as_array()
-                        .ok_or(expected(format!("{at}.workloads"), "an array"))?;
-                    let mut out = Vec::with_capacity(items.len());
-                    for (i, item) in items.iter().enumerate() {
-                        out.push(
-                            item.as_str()
-                                .ok_or(expected(format!("{at}.workloads[{i}]"), "a string"))?
-                                .to_string(),
-                        );
-                    }
-                    workloads = Some(out);
-                }
-                other => {
-                    return Err(ScenarioError::UnknownField {
-                        at: at.to_string(),
-                        field: other.to_string(),
-                    })
-                }
-            }
-        }
+        let f = strict(doc, at, &["label", "machine", "workloads"])?;
+        let label = f.opt("label", JsonValue::as_str, "a string")?;
+        let machine = need(f.get("machine"), at, "a \"machine\" field")?;
+        let workloads = f.items("workloads", |w, at| {
+            w.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| expected(at, "a string"))
+        })?;
         Ok(ScenarioConfig {
-            label: label.ok_or(expected(at, "a \"label\" field"))?,
-            machine: machine.ok_or(expected(at, "a \"machine\" field"))?,
-            workloads: workloads.ok_or(expected(at, "a \"workloads\" field"))?,
+            label: need(label, at, "a \"label\" field")?.to_string(),
+            machine: machine_from_json(machine, &f.path("machine"))?,
+            workloads: need(workloads, at, "a \"workloads\" field")?,
         })
     }
 }
@@ -1373,26 +1271,19 @@ mod tests {
         std::fs::create_dir_all(dir.join("asm")).unwrap();
         std::fs::write(dir.join("asm/spin.s"), SPIN_SRC).unwrap();
         let mut sc = program_scenario();
-        sc.programs[0] = ProgramSpec {
-            name: "spin".into(),
-            source: ProgramSource::File("asm/spin.s".into()),
-            verify: VerifyPolicy::default(),
-            program: None,
-        };
+        sc.programs[0].source = ProgramSource::File("asm/spin.s".into());
         let path = dir.join("sc.json");
         std::fs::write(&path, sc.canonical_json()).unwrap();
         let loaded = Scenario::load(&path).unwrap();
         assert_eq!(
-            loaded.programs[0].program.as_deref(),
-            Some(&asm_text::parse(SPIN_SRC).unwrap())
+            *loaded.programs[0].program,
+            asm_text::parse(SPIN_SRC).unwrap()
         );
-        // Parsing the same text (no path) leaves the file unresolved, and
-        // referencing it is a typed error rather than a panic.
-        let parsed = Scenario::parse(&sc.canonical_json()).unwrap();
-        assert!(parsed.programs[0].program.is_none());
+        // Parsing the same text has no directory to read the file from:
+        // a typed error while decoding, not a scenario without a program.
         assert!(matches!(
-            parsed.workloads_for(&parsed.configs[0]),
-            Err(ScenarioError::Program { .. })
+            Scenario::parse(&sc.canonical_json()),
+            Err(ScenarioError::Program { name, .. }) if name == "spin"
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
