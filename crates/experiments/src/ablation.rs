@@ -25,9 +25,9 @@
 //! ([`record_ablation_golden`] / [`check_ablation_golden`]).
 
 use crate::lab::{Lab, Plan};
-use crate::scenario::{drift_between, file_stem, DriftKind, GoldenDrift, TolerancePolicy};
+use crate::scenario::{drift_between, DriftKind, GoldenDrift, TolerancePolicy};
 use contopt_sim::{
-    AblationReport, AddOneIn, ConfigAblation, MachineConfig, OptStats, OptimizerConfig,
+    file_stem, AblationReport, AddOneIn, ConfigAblation, MachineConfig, OptStats, OptimizerConfig,
     PassAblation, PassId, Report, Scenario, ScenarioConfig, ScenarioError, SpeedupError,
     WorkloadAblation,
 };

@@ -77,8 +77,9 @@ differential fuzzing:
 
 maintenance:
   --validate [FILE...]     parse-check JSON artifacts (default: every
-                           scenarios/*.json and every checked-in golden
-                           under the --goldens directory)
+                           .json under --scenarios-dir, nested ones
+                           included, and every checked-in golden under
+                           the --goldens directory)
   --scenarios-dir DIR      scenario directory (default: scenarios)
 
 tuning:
@@ -409,8 +410,9 @@ fn check_arguments(args: &[String]) -> Result<(), String> {
 }
 
 /// Collects every `*.json` under `dir`, recursively, in sorted order —
-/// the shape of the `goldens/` tree (`<scenario>/<label>/<workload>.json`
-/// plus `<scenario>/ablation.json`).
+/// the scenarios tree (`conformance/` reproducers included) and the
+/// `goldens/` tree (`<scenario>/<label>/<workload>.json` plus
+/// `<scenario>/ablation.json`).
 fn json_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
@@ -428,11 +430,12 @@ fn json_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Parse-checks JSON artifacts: the files listed after `--validate`, or
-/// (with none listed) every `<scenarios-dir>/*.json` and every checked-in
-/// golden under `<goldens-dir>/`. Scenario files get full semantic
-/// validation; other JSON files must merely parse
-/// — which still catches a hand-edited or truncated golden before the
-/// regression job burns a full re-simulation discovering it.
+/// (with none listed) every `*.json` under `<scenarios-dir>/` and every
+/// checked-in golden under `<goldens-dir>/`. Files under the scenarios
+/// directory, at any depth, get full semantic validation as scenarios;
+/// other JSON files must merely parse — which still catches a
+/// hand-edited or truncated golden before the regression job burns a
+/// full re-simulation discovering it.
 fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCode {
     let Some(pos) = args.iter().position(|a| a == "--validate") else {
         return ExitCode::from(2); // dispatch only routes here on --validate
@@ -443,23 +446,12 @@ fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCo
         .map(PathBuf::from)
         .collect();
     if files.is_empty() {
-        match std::fs::read_dir(scenarios_dir) {
-            Ok(entries) => {
-                let mut found: Vec<PathBuf> = entries
-                    .filter_map(|e| e.ok())
-                    .map(|e| e.path())
-                    .filter(|p| p.extension().is_some_and(|x| x == "json"))
-                    .collect();
-                found.sort();
-                files.extend(found);
-            }
-            Err(e) => {
-                eprintln!(
-                    "contopt-experiments: cannot list {}: {e}",
-                    scenarios_dir.display()
-                );
-                return ExitCode::FAILURE;
-            }
+        if let Err(e) = json_files_under(scenarios_dir, &mut files) {
+            eprintln!(
+                "contopt-experiments: cannot list {}: {e}",
+                scenarios_dir.display()
+            );
+            return ExitCode::FAILURE;
         }
         // A repository without recorded goldens is fine; an unreadable
         // goldens tree is not.
@@ -477,7 +469,7 @@ fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCo
         eprintln!("contopt-experiments: --validate found no JSON files");
         return ExitCode::FAILURE;
     }
-    // Compare canonicalized parents so `./scenarios/x.json`, absolute
+    // Compare canonicalized directories so `./scenarios/x.json`, absolute
     // paths, and trailing-slash `--scenarios-dir` spellings all still get
     // full semantic validation, not just a JSON parse.
     let canonical_scenarios = std::fs::canonicalize(scenarios_dir).ok();
@@ -487,8 +479,8 @@ fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCo
             path.parent().and_then(|p| std::fs::canonicalize(p).ok()),
             &canonical_scenarios,
         ) {
-            (Some(parent), Some(dir)) => parent == *dir,
-            _ => path.parent() == Some(scenarios_dir),
+            (Some(parent), Some(dir)) => parent.starts_with(dir),
+            _ => path.starts_with(scenarios_dir),
         };
         let result = if in_scenarios {
             Scenario::load(path).map(|_| ()).map_err(|e| e.to_string())

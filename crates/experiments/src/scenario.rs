@@ -9,7 +9,7 @@
 //!   cell under `goldens/`, turning any result drift into a CI failure.
 
 use crate::lab::{Lab, Plan};
-use contopt_sim::{JsonValue, Scenario, ScenarioConfig, ScenarioError};
+use contopt_sim::{file_stem, JsonValue, Scenario, ScenarioConfig, ScenarioError};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -25,21 +25,10 @@ pub fn scenario_plan(sc: &Scenario) -> Result<Plan, ScenarioError> {
     Ok(plan)
 }
 
-/// Maps a scenario/label/workload name onto a filesystem-safe stem.
-pub(crate) fn file_stem(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 /// The golden file pinning one simulation cell:
-/// `<dir>/<scenario>/<label>/<workload>.json`.
+/// `<dir>/<scenario>/<label>/<workload>.json`, each name mapped through
+/// [`file_stem`]. [`Scenario::validate`] rejects the label and program
+/// names that would make two cells share a file.
 pub fn golden_path(dir: &Path, scenario: &str, label: &str, workload: &str) -> PathBuf {
     dir.join(file_stem(scenario))
         .join(file_stem(label))
@@ -370,20 +359,6 @@ fn for_each_cell(
     sc: &Scenario,
     mut f: impl FnMut(&ScenarioConfig, &'static str, String) -> io::Result<()>,
 ) -> Result<(), CellError> {
-    // Label uniqueness (guaranteed by Scenario::validate) does not survive
-    // sanitization: "fetch bound" and "fetch_bound" would share one golden
-    // directory and silently overwrite each other's cells.
-    for (i, cfg) in sc.configs.iter().enumerate() {
-        if let Some(prev) = sc.configs[..i]
-            .iter()
-            .find(|c| file_stem(&c.label) == file_stem(&cfg.label))
-        {
-            return Err(CellError::LabelCollision {
-                a: prev.label.clone(),
-                b: cfg.label.clone(),
-            });
-        }
-    }
     for cfg in &sc.configs {
         for w in sc.workloads_for(cfg).map_err(CellError::Scenario)? {
             let report = lab.run(cfg.machine, &w);
@@ -400,14 +375,6 @@ pub enum CellError {
     Scenario(ScenarioError),
     /// A golden file could not be read or written.
     Io(io::Error),
-    /// Two distinct labels map to the same golden directory once
-    /// sanitized for the filesystem.
-    LabelCollision {
-        /// The first label.
-        a: String,
-        /// The label colliding with it.
-        b: String,
-    },
 }
 
 impl fmt::Display for CellError {
@@ -415,10 +382,6 @@ impl fmt::Display for CellError {
         match self {
             CellError::Scenario(e) => write!(f, "{e}"),
             CellError::Io(e) => write!(f, "{e}"),
-            CellError::LabelCollision { a, b } => write!(
-                f,
-                "labels {a:?} and {b:?} collide after filesystem sanitization; rename one"
-            ),
         }
     }
 }
@@ -487,20 +450,16 @@ mod tests {
             programs: vec![],
             configs: vec![cfg("fetch bound"), cfg("fetch_bound")],
         };
-        sc.validate().expect("labels are distinct as strings");
-        let mut lab = Lab::new(sc.insts);
-        // The collision is caught before any cell simulates or any file
-        // is touched.
-        let err = check_goldens(
-            &mut lab,
-            &sc,
-            Path::new("goldens"),
-            &TolerancePolicy::exact(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CellError::LabelCollision { .. }), "{err}");
-        let err = record_goldens(&mut lab, &sc, Path::new("goldens")).unwrap_err();
-        assert!(matches!(err, CellError::LabelCollision { .. }), "{err}");
+        // The labels are distinct as strings but share one golden
+        // directory, so the scenario fails validation, before any cell
+        // simulates or any file is touched.
+        assert_eq!(
+            sc.validate(),
+            Err(ScenarioError::LabelCollision {
+                a: "fetch bound".to_string(),
+                b: "fetch_bound".to_string(),
+            })
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ use contopt_client::protocol::{CellReply, CellResult, PlanCell};
 use contopt_client::Client;
 use contopt_experiments::{check_cell, TolerancePolicy};
 use contopt_server::{Server, ServerConfig, SweepCell, SweepEngine};
-use contopt_sim::Scenario;
+use contopt_sim::{ProgramSource, Scenario};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -392,5 +392,49 @@ fn programs_bearing_scenarios_sweep_and_cache_over_the_wire() {
     for (a, b) in cells.iter().zip(&again_cells) {
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.report, b.report);
+    }
+}
+
+#[test]
+fn file_programs_ship_inline_and_match_the_goldens() {
+    // asm_smoke with its program moved to a `.s` file beside it: the
+    // client inlines the assembled program for the wire, so the cells
+    // key, simulate and check exactly as the inline original's do.
+    let dir = std::env::temp_dir().join(format!("contopt-fileprog-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut sc = Scenario::load(repo_root().join("scenarios/asm_smoke.json")).unwrap();
+    let ProgramSource::Inline(text) = &sc.programs[0].source else {
+        panic!("asm_smoke ships its program inline");
+    };
+    std::fs::write(dir.join("asmk.s"), text).unwrap();
+    sc.programs[0].source = ProgramSource::File("asmk.s".into());
+    std::fs::write(dir.join("asm_smoke.json"), sc.canonical_json()).unwrap();
+    let sc = Scenario::load(dir.join("asm_smoke.json")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let server = spawn_server(2);
+    let client = Client::new(server.addr().to_string());
+    let mut sweep = client.submit_scenario(&sc, None).expect("submit");
+    assert_eq!(sweep.status().errors, 0);
+    let cells = reports(sweep.fetch_reports().expect("fetch"));
+    let fingerprints: Vec<&str> = cells.iter().map(|c| c.fingerprint.as_str()).collect();
+    assert_eq!(fingerprints, ["86dd975387b453a4", "d75c06b39f4e9cfb"]);
+    let goldens = repo_root().join("goldens");
+    for cell in &cells {
+        let drift = check_cell(
+            &goldens,
+            &sc.name,
+            &cell.label,
+            &cell.workload,
+            &cell.report,
+            &TolerancePolicy::exact(),
+        )
+        .expect("golden readable");
+        assert!(
+            drift.is_none(),
+            "{}/{}: {drift:?}",
+            cell.label,
+            cell.workload
+        );
     }
 }

@@ -596,8 +596,9 @@ fn parser_corpus() -> Vec<(ParserKind, String)> {
 }
 
 /// Applies 1–4 random mutations — byte flips, truncation, and splicing a
-/// random slice of another corpus entry — to `base`.
-fn mutate(rng: &mut SplitMix64, base: &[u8], corpus: &[(ParserKind, String)]) -> Vec<u8> {
+/// random slice of one of the `donors` — to `base`. A splice that draws
+/// an empty donor, or finds no donors, inserts nothing.
+pub fn mutate(rng: &mut SplitMix64, base: &[u8], donors: &[&[u8]]) -> Vec<u8> {
     let mut bytes = base.to_vec();
     for _ in 0..1 + rng.below(4) {
         match rng.below(3) {
@@ -613,7 +614,10 @@ fn mutate(rng: &mut SplitMix64, base: &[u8], corpus: &[(ParserKind, String)]) ->
             _ => {
                 // Token splice from a random donor (cross-format splices
                 // push JSON into assembler text and vice versa).
-                let donor = corpus[rng.below(corpus.len() as u64) as usize].1.as_bytes();
+                let donor = donors.get(rng.below(donors.len() as u64) as usize);
+                let Some(donor) = donor.filter(|d| !d.is_empty()) else {
+                    continue;
+                };
                 let s = rng.below(donor.len() as u64) as usize;
                 let e = s + 1 + rng.below((donor.len() - s) as u64) as usize;
                 let at = rng.below(bytes.len() as u64 + 1) as usize;
@@ -631,10 +635,11 @@ fn mutate(rng: &mut SplitMix64, base: &[u8], corpus: &[(ParserKind, String)]) ->
 /// first panicking input, base64-free and truncated for the report.
 pub fn fuzz_parsers(count: u64, seed0: u64) -> Result<(), String> {
     let corpus = parser_corpus();
+    let donors: Vec<&[u8]> = corpus.iter().map(|(_, text)| text.as_bytes()).collect();
     let mut rng = SplitMix64::from_state(seed0 ^ 0x7061_7273_6572_7321); // "parsers!"
     for case in 0..count {
         let (kind, base) = &corpus[rng.below(corpus.len() as u64) as usize];
-        let mutated = mutate(&mut rng, base.as_bytes(), &corpus);
+        let mutated = mutate(&mut rng, base.as_bytes(), &donors);
         let text = String::from_utf8_lossy(&mutated).into_owned();
         let outcome = catch_unwind(AssertUnwindSafe(|| match kind {
             // Errors must be typed and renderable; values are discarded.

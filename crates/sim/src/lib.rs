@@ -55,8 +55,8 @@ pub use error::Error;
 pub use json::{Expected, Fields, JsonError, JsonErrorKind, JsonValue, ToJson};
 pub use report::Report;
 pub use scenario::{
-    machine_from_json, machine_to_json, AblationSpec, ProgramSource, ProgramSpec, Scenario,
-    ScenarioConfig, ScenarioError, VerifyPolicy, ALL_WORKLOADS, SCENARIO_VERSION,
+    file_stem, machine_from_json, machine_to_json, AblationSpec, ProgramSource, ProgramSpec,
+    Scenario, ScenarioConfig, ScenarioError, VerifyPolicy, ALL_WORKLOADS, SCENARIO_VERSION,
 };
 pub use session::{
     SimBuilder, SimSession, DEFAULT_INSTS, MAX_MBC_ENTRIES, MAX_PREG_COUNT, MAX_WINDOW_SLOTS,

@@ -313,6 +313,14 @@ pub enum ScenarioError {
     },
     /// Two configurations share a label.
     DuplicateLabel(String),
+    /// Two labels name one golden directory once [`file_stem`] maps them
+    /// onto the filesystem.
+    LabelCollision {
+        /// The first label.
+        a: String,
+        /// The label colliding with it.
+        b: String,
+    },
     /// A configuration's machine is one the session builder rejects.
     Machine {
         /// The configuration's label.
@@ -366,6 +374,10 @@ impl fmt::Display for ScenarioError {
                 write!(f, "config {label:?} names unknown workload {name:?}")
             }
             ScenarioError::DuplicateLabel(l) => write!(f, "duplicate config label {l:?}"),
+            ScenarioError::LabelCollision { a, b } => write!(
+                f,
+                "labels {a:?} and {b:?} collide after filesystem sanitization; rename one"
+            ),
             ScenarioError::Machine { label, err } => write!(f, "config {label:?}: {err}"),
             ScenarioError::Program { name, detail } => {
                 write!(f, "program {name:?}: {detail}")
@@ -437,6 +449,21 @@ fn strict<'a>(
 /// enclosing object (`a "label" field at configs[0]`).
 fn need<T>(value: Option<T>, at: &str, what: &'static str) -> Result<T, ScenarioError> {
     value.ok_or_else(|| expected(place(at), what))
+}
+
+/// Maps a scenario, label or workload name onto the filesystem-safe stem
+/// its golden files use: ASCII letters, digits, `.`, `_` and `-` stay,
+/// anything else becomes `_`.
+pub fn file_stem(s: &str) -> String {
+    s.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
 }
 
 impl Scenario {
@@ -567,8 +594,9 @@ impl Scenario {
     }
 
     /// Semantic checks beyond JSON structure: a positive budget, at least
-    /// one configuration, unique labels, machines the session builder
-    /// accepts, and workload names that exist in Table 1.
+    /// one configuration, labels that name distinct golden directories,
+    /// program names that are their own golden file stems, machines the
+    /// session builder accepts, and workload names that exist in Table 1.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.insts == 0 {
             return Err(ScenarioError::ZeroInsts);
@@ -584,6 +612,14 @@ impl Scenario {
                     detail: "program name is empty".into(),
                 });
             }
+            if file_stem(&p.name) != p.name {
+                return Err(ScenarioError::Program {
+                    name: p.name.clone(),
+                    detail: "a program name may hold only ASCII letters, digits, '.', '_' \
+                             and '-': it is the stem of the program's golden files"
+                        .into(),
+                });
+            }
             if known.contains(&p.name.as_str())
                 || self.programs[..i].iter().any(|q| q.name == p.name)
             {
@@ -593,6 +629,18 @@ impl Scenario {
         for (i, cfg) in self.configs.iter().enumerate() {
             if self.configs[..i].iter().any(|c| c.label == cfg.label) {
                 return Err(ScenarioError::DuplicateLabel(cfg.label.clone()));
+            }
+            // Distinct labels can still share a golden directory once
+            // sanitized ("fetch bound" and "fetch_bound").
+            let stem = file_stem(&cfg.label);
+            if let Some(prev) = self.configs[..i]
+                .iter()
+                .find(|c| file_stem(&c.label) == stem)
+            {
+                return Err(ScenarioError::LabelCollision {
+                    a: prev.label.clone(),
+                    b: cfg.label.clone(),
+                });
             }
             validate_machine(&cfg.machine).map_err(|err| ScenarioError::Machine {
                 label: cfg.label.clone(),
@@ -1286,6 +1334,41 @@ mod tests {
             Err(ScenarioError::Program { name, .. }) if name == "spin"
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn program_names_are_their_own_golden_file_stems() {
+        // "a b" and "a_b" would both record to `a_b.json`; "*" could never
+        // be selected, since the wildcard means the Table 1 suite.
+        for name in ["a b", "*", "k/../k"] {
+            let mut sc = program_scenario();
+            sc.programs[0].name = name.into();
+            sc.configs[0].workloads = vec![name.into()];
+            let err = Scenario::parse(&sc.canonical_json()).unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Program { name: n, detail }
+                    if n == name && detail.contains("golden")),
+                "{name}: {err}"
+            );
+        }
+        let mut sc = program_scenario();
+        sc.programs[0].name = "k-1.v_2".into();
+        sc.configs[0].workloads = vec!["k-1.v_2".into()];
+        Scenario::parse(&sc.canonical_json()).unwrap();
+    }
+
+    #[test]
+    fn labels_that_share_a_golden_directory_are_rejected() {
+        let mut sc = two_config_scenario();
+        sc.configs[0].label = "fetch bound".into();
+        sc.configs[1].label = "fetch_bound".into();
+        assert_eq!(
+            Scenario::parse(&sc.canonical_json()),
+            Err(ScenarioError::LabelCollision {
+                a: "fetch bound".into(),
+                b: "fetch_bound".into(),
+            })
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ use contopt_experiments::{
 };
 use contopt_sim::workloads::SplitMix64;
 use contopt_sim::{
-    Error, MachineConfig, OptimizerConfig, Scenario, ScenarioConfig, ScenarioError, ToJson,
-    ALL_WORKLOADS,
+    Error, MachineConfig, OptimizerConfig, ProgramSource, Scenario, ScenarioConfig, ScenarioError,
+    ToJson, ALL_WORKLOADS,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -427,5 +427,114 @@ fn golden_harness_detects_flag_flips_and_missing_files() {
     let drifts = check_goldens(&mut lab, &sc, &dir, &exact).unwrap();
     assert_eq!(drifts[0].kind, DriftKind::Missing);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `contopt-experiments` in `dir`; returns exit code, stdout, stderr.
+fn experiments(dir: &Path, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A fresh, empty scratch directory for one test.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("contopt-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Two labels that sanitize to one golden directory are refused when the
+/// file loads: `--record` neither simulates nor writes a golden.
+#[test]
+fn record_refuses_labels_that_share_a_golden_directory() {
+    let dir = scratch_dir("collide");
+    let mut sc = Scenario::load(repo_root().join("scenarios/smoke.json")).unwrap();
+    sc.configs[0].label = "fetch bound".into();
+    sc.configs[1].label = "fetch_bound".into();
+    std::fs::write(dir.join("collide.json"), sc.canonical_json()).unwrap();
+    let (code, stdout, stderr) = experiments(
+        &dir,
+        &["--scenario", "collide.json", "--record", "--goldens", "g"],
+    );
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(
+        stderr.contains("labels \"fetch bound\" and \"fetch_bound\" collide"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("simulating"), "nothing may run: {stderr}");
+    assert!(stdout.is_empty() && !dir.join("g").exists(), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--validate` checks a scenario file at any depth under
+/// `--scenarios-dir` as a scenario, not just as JSON: both when it walks
+/// the directory and when it is handed the file.
+#[test]
+fn validate_checks_nested_scenarios_as_scenarios() {
+    let dir = scratch_dir("nested");
+    std::fs::create_dir_all(dir.join("conformance")).unwrap();
+    let mut sc = Scenario::load(repo_root().join("scenarios/smoke.json")).unwrap();
+    std::fs::write(dir.join("smoke.json"), sc.canonical_json()).unwrap();
+    sc.insts = 0;
+    std::fs::write(dir.join("conformance/bad.json"), sc.canonical_json()).unwrap();
+    let bad = format!("INVALID  {}", dir.join("conformance/bad.json").display());
+    let dir_arg = dir.to_str().unwrap();
+    let (code, stdout, _) = experiments(&dir, &["--validate", "--scenarios-dir", dir_arg]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("ok       "), "{stdout}");
+    assert!(
+        stdout.contains(&format!("{bad}: \"insts\" must be positive")),
+        "{stdout}"
+    );
+    let file = dir.join("conformance/bad.json");
+    let (code, stdout, _) = experiments(
+        &dir,
+        &[
+            "--validate",
+            file.to_str().unwrap(),
+            "--scenarios-dir",
+            dir_arg,
+        ],
+    );
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.starts_with(&bad), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// asm_smoke with its program moved to a `.s` file beside it checks
+/// against the same goldens as the inline original: the file is read
+/// relative to the scenario and assembles to the same program.
+#[test]
+fn file_programs_check_against_the_inline_goldens() {
+    let dir = scratch_dir("fileprog");
+    let mut sc = Scenario::load(repo_root().join("scenarios/asm_smoke.json")).unwrap();
+    let ProgramSource::Inline(text) = &sc.programs[0].source else {
+        panic!("asm_smoke ships its program inline");
+    };
+    std::fs::write(dir.join("asmk.s"), text).unwrap();
+    sc.programs[0].source = ProgramSource::File("asmk.s".into());
+    std::fs::write(dir.join("asm_smoke.json"), sc.canonical_json()).unwrap();
+    let goldens = repo_root().join("goldens");
+    let (code, stdout, stderr) = experiments(
+        &dir,
+        &[
+            "--scenario",
+            "asm_smoke.json",
+            "--check",
+            "--goldens",
+            goldens.to_str().unwrap(),
+        ],
+    );
+    assert_eq!(code, Some(0), "{stdout}{stderr}");
+    assert_eq!(stdout, "scenario \"asm_smoke\": goldens match\n");
     let _ = std::fs::remove_dir_all(&dir);
 }
