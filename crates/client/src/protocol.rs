@@ -434,7 +434,7 @@ impl From<Expected> for ProtocolError {
     }
 }
 
-/// What every counter on the wire is.
+/// What a wire error says an integer field must be.
 const UINT: &str = "an unsigned integer";
 
 fn malformed(at: impl Into<String>, what: &'static str) -> ProtocolError {
@@ -642,7 +642,7 @@ impl Message {
     /// protocol boundary, before any simulation is planned. Keys this
     /// build does not read are ignored, since v1 fields are additive.
     pub fn from_json(doc: &JsonValue) -> Result<Message, ProtocolError> {
-        let f = Fields::of(doc, "payload").ok_or(malformed("payload", "an object"))?;
+        let f = Fields::of(doc, "payload").ok_or_else(|| malformed("payload", "an object"))?;
         let v = f.req("v", JsonValue::as_u64, UINT)?;
         if v != PROTOCOL_VERSION {
             return Err(ProtocolError::VersionMismatch(v));
@@ -666,7 +666,7 @@ impl Message {
                 insts: f.req("insts", JsonValue::as_u64, UINT)?,
                 cells: f
                     .items("cells", PlanCell::from_json)?
-                    .ok_or(malformed("payload.cells", "an array"))?,
+                    .ok_or_else(|| malformed("payload.cells", "an array"))?,
                 // Wire programs carry inline text; enforce each one's
                 // verification policy right at the boundary, before any
                 // simulation is planned.

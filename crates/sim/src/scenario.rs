@@ -1327,8 +1327,8 @@ mod tests {
             *loaded.programs[0].program,
             asm_text::parse(SPIN_SRC).unwrap()
         );
-        // Parsing the same text has no directory to read the file from:
-        // a typed error while decoding, not a scenario without a program.
+        // Parsing the same text has no directory to read the file from,
+        // so decoding it fails with a typed error.
         assert!(matches!(
             Scenario::parse(&sc.canonical_json()),
             Err(ScenarioError::Program { name, .. }) if name == "spin"
