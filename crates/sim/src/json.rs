@@ -882,6 +882,32 @@ mod tests {
     }
 
     #[test]
+    fn fields_name_every_value_by_its_path() {
+        let doc = JsonValue::parse(r#"{"n": 5, "s": "x", "xs": [1, "two"], "o": {}}"#).unwrap();
+        let top = Fields::of(&doc, "").unwrap();
+        let err = |at: &str, what| Expected {
+            at: at.to_string(),
+            what,
+        };
+        assert_eq!(top.opt("n", JsonValue::as_u64, "n"), Ok(Some(5)));
+        assert_eq!(top.opt("gone", JsonValue::as_u64, "n"), Ok(None));
+        assert_eq!(top.opt("s", JsonValue::as_u64, "n"), Err(err("s", "n")));
+        assert_eq!(
+            top.req("gone", JsonValue::as_str, "s"),
+            Err(err("gone", "s"))
+        );
+        let ints = top.items("xs", |v, at| v.as_u64().ok_or_else(|| err(at, "int")));
+        assert_eq!(ints, Err(err("xs[1]", "int")));
+        assert_eq!(top.unknown(&["n", "s", "o"]), Some("xs"));
+        let nested = Fields::of(top.get("o").unwrap(), "payload").unwrap();
+        assert_eq!(nested.path("k"), "payload.k");
+        assert_eq!(nested.req("k", Some, "k"), Err(err("payload.k", "k")));
+        // Only the lenient reader takes a non-object, as an empty object.
+        assert!(Fields::of(&JsonValue::Null, "a").is_none());
+        assert_eq!(Fields::lenient(&JsonValue::Null, "a").unknown(&[]), None);
+    }
+
+    #[test]
     fn accessors_select_by_variant() {
         let v = JsonValue::parse(r#"{"n": 5, "s": "x", "b": true, "xs": [1]}"#).unwrap();
         assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(5));
