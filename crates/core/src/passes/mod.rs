@@ -745,6 +745,68 @@ mod tests {
         assert_eq!(kept.mem_chain_depth, 0, "RLE/SF parameters gone");
     }
 
+    /// Every combination of the eight switches and two values of each of
+    /// the six numeric fields: 2^8 x 2^6 = 16,384 configurations.
+    fn grid() -> impl Iterator<Item = OptimizerConfig> {
+        (0u32..1 << 14).map(|bits| {
+            let on = |i: u32| bits & (1 << i) != 0;
+            let pick = |i: u32, a: u64, b: u64| if on(i) { b } else { a };
+            OptimizerConfig {
+                enabled: on(0),
+                optimize: on(1),
+                value_feedback: on(2),
+                flush_mbc_on_unknown_store: on(3),
+                enable_rle_sf: on(4),
+                enable_reassociation: on(5),
+                enable_branch_inference: on(6),
+                enable_early_exec: on(7),
+                feedback_delay: pick(8, 1, 5),
+                extra_stages: pick(9, 0, 3),
+                add_chain_depth: pick(10, 0, 3) as u32,
+                mem_chain_depth: pick(11, 0, 1) as u32,
+                mbc_entries: pick(12, 128, 64) as usize,
+                discrete_interval: pick(13, 0, 256),
+            }
+        })
+    }
+
+    #[test]
+    fn subset_constructors_are_pinned_over_the_config_grid() {
+        use crate::config::ConfigScalar;
+        use contopt_emu::{fnv1a, STREAM_DIGEST_INIT};
+        fn eat(h: u64, cfg: OptimizerConfig) -> u64 {
+            cfg.fields().iter().fold(h, |h, (_, v)| match *v {
+                ConfigScalar::Bool(b) => fnv1a(h, &[b as u8]),
+                ConfigScalar::UInt(n) => fnv1a(h, &n.to_le_bytes()),
+            })
+        }
+        let subsets: Vec<Vec<PassId>> = (0..16)
+            .map(|m| {
+                PassId::ALL
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(i, _)| m & (1 << i) != 0)
+                    .map(|(_, id)| id)
+                    .collect()
+            })
+            .collect();
+        let mut h = STREAM_DIGEST_INIT;
+        for cfg in grid() {
+            for id in cfg.active_passes() {
+                h = fnv1a(h, id.name().as_bytes());
+            }
+            h = fnv1a(h, &[0]);
+            for s in &subsets {
+                h = eat(h, cfg.only_passes(s));
+                h = eat(h, cfg.without_passes(s));
+            }
+        }
+        assert_eq!(
+            h, 0x1f75_43dd_e429_2c25,
+            "subset constructors changed: {h:#018x}"
+        );
+    }
+
     #[test]
     fn engine_options_ride_on_the_set() {
         let set = PassSet::from(Pass::cp_ra()).extra_stages(4).discrete(512);
