@@ -321,6 +321,14 @@ pub enum ScenarioError {
         /// The label colliding with it.
         b: String,
     },
+    /// A scenario name or label is `""`, `.` or `..`, which [`file_stem`]
+    /// keeps as it is and which is no golden directory of its own.
+    NotADirectoryName {
+        /// Where the name is (`name`, `configs[1].label`).
+        at: String,
+        /// The name.
+        name: String,
+    },
     /// A configuration's machine is one the session builder rejects.
     Machine {
         /// The configuration's label.
@@ -378,6 +386,9 @@ impl fmt::Display for ScenarioError {
                 f,
                 "labels {a:?} and {b:?} collide after filesystem sanitization; rename one"
             ),
+            ScenarioError::NotADirectoryName { at, name } => {
+                write!(f, "{at} {name:?} cannot name a golden directory")
+            }
             ScenarioError::Machine { label, err } => write!(f, "config {label:?}: {err}"),
             ScenarioError::Program { name, detail } => {
                 write!(f, "program {name:?}: {detail}")
@@ -464,6 +475,19 @@ pub fn file_stem(s: &str) -> String {
             }
         })
         .collect()
+}
+
+/// Refuses a scenario name or label that is no directory of its own in
+/// `<goldens>/<scenario>/<label>/`: [`file_stem`] keeps `""`, `.` and
+/// `..` as they are, and each would alias or leave the golden tree.
+fn directory_name(at: String, name: &str) -> Result<(), ScenarioError> {
+    if matches!(name, "" | "." | "..") {
+        return Err(ScenarioError::NotADirectoryName {
+            at,
+            name: name.into(),
+        });
+    }
+    Ok(())
 }
 
 impl Scenario {
@@ -594,9 +618,10 @@ impl Scenario {
     }
 
     /// Semantic checks beyond JSON structure: a positive budget, at least
-    /// one configuration, labels that name distinct golden directories,
-    /// program names that are their own golden file stems, machines the
-    /// session builder accepts, and workload names that exist in Table 1.
+    /// one configuration, a name and labels that each name a golden
+    /// directory of their own, program names that are their own golden
+    /// file stems, machines the session builder accepts, and workload
+    /// names that exist in Table 1.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.insts == 0 {
             return Err(ScenarioError::ZeroInsts);
@@ -604,6 +629,7 @@ impl Scenario {
         if self.configs.is_empty() {
             return Err(ScenarioError::Empty("\"configs\"".into()));
         }
+        directory_name("name".into(), &self.name)?;
         let known = contopt_workloads::names();
         for (i, p) in self.programs.iter().enumerate() {
             if p.name.is_empty() {
@@ -627,6 +653,7 @@ impl Scenario {
             }
         }
         for (i, cfg) in self.configs.iter().enumerate() {
+            directory_name(format!("configs[{i}].label"), &cfg.label)?;
             if self.configs[..i].iter().any(|c| c.label == cfg.label) {
                 return Err(ScenarioError::DuplicateLabel(cfg.label.clone()));
             }
@@ -1369,6 +1396,34 @@ mod tests {
                 b: "fetch_bound".into(),
             })
         );
+    }
+
+    #[test]
+    fn names_that_are_no_golden_directory_are_rejected() {
+        // `g/<name>/<label>/<workload>.json`: a name or label of "", "."
+        // or ".." would alias another scenario's files or leave `g`.
+        for bad in ["", ".", ".."] {
+            let mut sc = two_config_scenario();
+            sc.name = bad.into();
+            assert_eq!(
+                Scenario::parse(&sc.canonical_json()),
+                Err(ScenarioError::NotADirectoryName {
+                    at: "name".into(),
+                    name: bad.into(),
+                })
+            );
+            let mut sc = two_config_scenario();
+            sc.configs[1].label = bad.into();
+            let err = Scenario::parse(&sc.canonical_json()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("configs[1].label {bad:?} cannot name a golden directory")
+            );
+        }
+        let mut sc = two_config_scenario();
+        sc.name = "...".into();
+        sc.configs[0].label = "./".into();
+        Scenario::parse(&sc.canonical_json()).unwrap();
     }
 
     #[test]

@@ -475,6 +475,36 @@ fn record_refuses_labels_that_share_a_golden_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A scenario name or label of `..` or `.` is refused when the file
+/// loads: `--record` writes nothing, inside `--goldens` or beside it.
+#[test]
+fn record_refuses_names_that_leave_the_goldens_directory() {
+    let dir = scratch_dir("dotdot");
+    let mut sc = Scenario::load(repo_root().join("scenarios/smoke.json")).unwrap();
+    sc.name = "..".into();
+    std::fs::write(dir.join("up.json"), sc.canonical_json()).unwrap();
+    let mut sc = Scenario::load(repo_root().join("scenarios/smoke.json")).unwrap();
+    sc.configs[1].label = ".".into();
+    std::fs::write(dir.join("here.json"), sc.canonical_json()).unwrap();
+    for (file, message) in [
+        ("up.json", "name \"..\" cannot name a golden directory"),
+        (
+            "here.json",
+            "configs[1].label \".\" cannot name a golden directory",
+        ),
+    ] {
+        let (code, stdout, stderr) = experiments(
+            &dir,
+            &["--scenario", file, "--record", "--goldens", "g/sub"],
+        );
+        assert_eq!(code, Some(3), "{file}: {stderr}");
+        assert!(stderr.contains(message), "{file}: {stderr}");
+        assert!(!stderr.contains("simulating"), "nothing may run: {stderr}");
+        assert!(stdout.is_empty() && !dir.join("g").exists(), "{stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--validate` checks a scenario file at any depth under
 /// `--scenarios-dir` as a scenario, not just as JSON: both when it walks
 /// the directory and when it is handed the file.
