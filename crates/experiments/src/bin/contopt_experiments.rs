@@ -117,9 +117,9 @@ fn main() -> ExitCode {
     })
 }
 
-/// Runs the command line; an `Err` (an unknown flag, a bad flag value,
-/// or a figure file that cannot be drawn) exits 3 before anything
-/// simulates.
+/// Runs the command line; an `Err` (an unknown flag, a bad flag value or
+/// combination, or a figure file that cannot be drawn) exits 3 before
+/// anything simulates.
 fn run(args: &[String]) -> Result<ExitCode, String> {
     check_arguments(args)?;
     let insts = number(args, "--insts", true)?.unwrap_or(DEFAULT_INSTS);
@@ -174,6 +174,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::from(outcome.exit_code()));
     }
 
+    // `--table` renders only an --ablate run; anywhere else it would be a
+    // silent no-op.
+    if args.iter().any(|a| a == "--table") && !args.iter().any(|a| a == "--ablate") {
+        return Err("--table selects the per-pass table of an --ablate run".into());
+    }
     let scenario_files = values_after(args, "--scenario");
     let ablate_files = values_after(args, "--ablate");
     if args.iter().any(|a| a == "--scenario" || a == "--ablate") {
@@ -183,8 +188,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         let record = args.iter().any(|a| a == "--record");
         let check = args.iter().any(|a| a == "--check");
         if record && check {
-            eprintln!("contopt-experiments: --record and --check are mutually exclusive");
-            return Ok(ExitCode::FAILURE);
+            return Err("--record and --check are mutually exclusive".into());
         }
         // Explicit opt-in fields for intentional model changes; the
         // default (no --allow-field) is exact byte equality.
@@ -213,13 +217,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             json,
         );
         return Ok(ExitCode::from(scenarios.merge(ablations).exit_code()));
-    }
-
-    // Past this point no scenario or ablation was requested; a stray
-    // `--table` would otherwise be a silent no-op.
-    if args.iter().any(|a| a == "--table") {
-        eprintln!("contopt-experiments: --table selects the per-pass table of an --ablate run");
-        return Ok(ExitCode::FAILURE);
     }
 
     let all = args.iter().any(|a| a == "--all");

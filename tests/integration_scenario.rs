@@ -287,11 +287,20 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
         );
     }
 
-    // A bad flag value is a one-line error, not a panic.
+    // A bad flag value or a bad flag combination is a one-line error,
+    // not a panic, and never exit 1, which means golden drift.
     for (args, message) in [
         (
             &["--fig9", "--insts", "abc"][..],
             "--insts takes a positive number",
+        ),
+        (
+            &["--scenario", "scenarios/smoke.json", "--record", "--check"],
+            "--record and --check are mutually exclusive",
+        ),
+        (
+            &["--table"],
+            "--table selects the per-pass table of an --ablate run",
         ),
         (
             &["--fig9", "--jobs", "-1"],
