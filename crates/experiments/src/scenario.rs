@@ -27,8 +27,8 @@ pub fn scenario_plan(sc: &Scenario) -> Result<Plan, ScenarioError> {
 
 /// The golden file pinning one simulation cell:
 /// `<dir>/<scenario>/<label>/<workload>.json`, each name mapped through
-/// [`file_stem`]. [`Scenario::validate`] rejects the label and program
-/// names that would make two cells share a file.
+/// [`file_stem`]. [`Scenario::validate`] rejects the names that would
+/// make two cells share a file or write outside `dir`.
 pub fn golden_path(dir: &Path, scenario: &str, label: &str, workload: &str) -> PathBuf {
     dir.join(file_stem(scenario))
         .join(file_stem(label))
