@@ -111,7 +111,7 @@ pub struct OptimizerConfig {
     /// *completes* at rename: every instruction with architectural work —
     /// including eliminable moves and forwardable loads — is dispatched
     /// to the out-of-order core. Corresponds to the
-    /// [`EarlyExec`](crate::passes::EarlyExec) pass unit.
+    /// [`PassId::EarlyExec`](crate::PassId::EarlyExec) pass.
     pub enable_early_exec: bool,
     /// Discrete (offline-style) optimization per §3.4: when non-zero, the
     /// optimization tables are invalidated every `discrete_interval`
@@ -276,14 +276,14 @@ impl OptimizerConfig {
     /// behaviour under the master switches are reset to their defaults, so
     /// two configurations that simulate identically compare equal.
     ///
-    /// This is the equality domain of the [`crate::passes::PassSet`]
-    /// bridges: `OptimizerConfig::from(PassSet::from(cfg))` reproduces
-    /// `cfg.normalized()` exactly for the disabled baseline and for every
-    /// configuration with at least one active feature. The one degenerate
-    /// case outside that domain is a *cost-only* optimizer (`enabled`
-    /// with no feature switched on but `extra_stages > 0`, paying pipeline
-    /// stages to do nothing): it has no pass-list representation and
-    /// decomposes to the empty (baseline) set.
+    /// This is the equality domain of the pass-subset constructors:
+    /// `cfg.only_passes(&cfg.active_passes())` reproduces `cfg.normalized()`
+    /// exactly for the disabled baseline and for every configuration with
+    /// at least one active pass. The one degenerate case outside that
+    /// domain is a *cost-only* optimizer (`enabled` with no feature
+    /// switched on but `extra_stages > 0`, paying pipeline stages to do
+    /// nothing): it has no active pass, so every subset of it is the
+    /// baseline.
     pub fn normalized(&self) -> OptimizerConfig {
         let defaults = OptimizerConfig::default();
         let featureless = !self.optimize && !self.value_feedback && !self.enable_early_exec;

@@ -25,18 +25,19 @@
 //! ([`PregFile`]) because optimization extends register lifetimes past the
 //! classic deallocation point (§3.1).
 //!
-//! Each optimization is a pluggable pass unit behind the [`OptPass`]
-//! trait (see the [`passes`] module); a [`PassSet`] compiles down to the
-//! flat [`OptimizerConfig`] the rename engine executes, and the two
-//! bridge losslessly in both directions.
+//! One flat [`OptimizerConfig`] switches the four mechanisms, the stock
+//! passes named by [`PassId`], on and off and carries their parameters;
+//! [`OptimizerConfig::only_passes`] and
+//! [`OptimizerConfig::without_passes`] build the ablation subsets (see the
+//! [`passes`] module).
 //!
 //! # Examples
 //!
-//! Drive a whole simulation through the `contopt_sim` builder facade —
-//! the passes registered here are this crate's pass units:
+//! Drive a whole simulation through the `contopt_sim` builder facade,
+//! here with the paper's default optimizer:
 //!
 //! ```
-//! use contopt_sim::{Pass, SimSession};
+//! use contopt_sim::{OptimizerConfig, SimSession};
 //! use contopt_sim::isa::{Asm, r};
 //!
 //! let mut a = Asm::new();
@@ -46,7 +47,7 @@
 //!
 //! let session = SimSession::builder()
 //!     .program(a.finish()?)
-//!     .passes([Pass::cp_ra(), Pass::rle_sf(), Pass::value_feedback(), Pass::early_exec()])
+//!     .optimizer(OptimizerConfig::default())
 //!     .build()?;
 //! let report = session.run();
 //! // Both instructions arrive in one 4-wide rename packet: the `li`
@@ -101,7 +102,7 @@ pub use config::{ConfigFieldError, ConfigScalar, OptimizerConfig};
 pub use feedback::{Feedback, FeedbackQueue};
 pub use mbc::{Mbc, MbcStats};
 pub use optimizer::{Optimizer, RenameReq, Renamed, RenamedClass};
-pub use passes::{CpRa, EarlyExec, OptPass, Pass, PassId, PassSet, RleSf, ValueFeedback};
+pub use passes::PassId;
 pub use preg::{PhysReg, PregFile, SrcList, MAX_SRCS};
 pub use rat::SymRat;
 pub use stats::{pct, OptStats, PassStats, ENGINE_BLOCK};

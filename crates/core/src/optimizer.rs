@@ -1,11 +1,10 @@
-//! The rename/optimize engine driving the pluggable pass pipeline.
+//! The rename/optimize engine driving the four passes.
 //!
 //! [`Optimizer::rename_bundle`] processes one rename packet exactly as §3
 //! of the paper describes; the per-optimization logic lives in the pass
 //! modules ([`crate::passes::cp_ra`], [`crate::passes::rle_sf`],
 //! [`crate::passes::early_exec`], [`crate::passes::feedback`]) and is
-//! switched by the effective [`OptimizerConfig`] compiled from the
-//! registered [`crate::passes::PassSet`]. This module owns the shared
+//! switched by the [`OptimizerConfig`]. This module owns the shared
 //! engine state — the physical register file, the symbolic RAT, the
 //! Memory Bypass Cache, the feedback queue, and the per-bundle
 //! serial-dependence bookkeeping (§6.2).
@@ -166,7 +165,7 @@ impl Bundle {
 ///
 /// Owns the physical register file, the symbolic RAT, the Memory Bypass
 /// Cache, and the value-feedback path. With [`OptimizerConfig::baseline`]
-/// (an empty [`crate::passes::PassSet`]) it degrades to a plain register
+/// (no pass active) it degrades to a plain register
 /// renamer, so one unit serves both the baseline and the optimized
 /// machine.
 #[derive(Debug, Clone)]
@@ -354,7 +353,7 @@ impl Optimizer {
     }
 
     /// Whether fully-known results may complete on the rename-stage ALUs
-    /// (the [`crate::passes::EarlyExec`] pass is registered).
+    /// (the [`crate::PassId::EarlyExec`] pass is on).
     pub(crate) fn early_exec_ok(&self) -> bool {
         self.cfg.enabled && self.cfg.enable_early_exec
     }
@@ -741,15 +740,11 @@ mod tests {
 
     #[test]
     fn early_exec_pass_gates_rename_stage_completion() {
-        // With every pass but EarlyExec registered, the optimizer still
-        // derives symbols and generates addresses, but no instruction
-        // completes at rename: no early ALU results, no early branch
-        // resolution, no move elimination, and no MBC load forwarding.
-        use crate::passes::{Pass, PassSet};
-        let cfg: OptimizerConfig = [Pass::cp_ra(), Pass::rle_sf(), Pass::value_feedback()]
-            .into_iter()
-            .collect::<PassSet>()
-            .into();
+        // With every pass but EarlyExec on, the optimizer still derives
+        // symbols and generates addresses, but no instruction completes at
+        // rename: no early ALU results, no early branch resolution, no
+        // move elimination, and no MBC load forwarding.
+        let cfg = OptimizerConfig::default().without_passes(&[crate::PassId::EarlyExec]);
         assert!(!cfg.enable_early_exec);
         let mut a = Asm::new();
         let buf = a.data_zeros(16);

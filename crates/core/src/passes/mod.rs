@@ -1,50 +1,44 @@
-//! The pluggable optimization-pass layer.
+//! The optimizer's four mechanisms, and ablation subsets of a
+//! configuration.
 //!
 //! The continuous optimizer of *Continuous Optimization* (ISCA 2005) is
-//! not one monolithic transformation but a small set of cooperating table
-//! updates applied to every renamed instruction. This module exposes each
-//! of them as a **pass unit** implementing [`OptPass`], registered on a
-//! [`PassSet`] and compiled down to the [`OptimizerConfig`] the rename
-//! engine executes:
+//! one rename-stage unit applying a small set of cooperating table
+//! updates to every renamed instruction. [`OptimizerConfig`] switches
+//! each of its four mechanisms, the stock **passes** named by [`PassId`],
+//! on and off and carries their parameters:
 //!
-//! | Pass unit        | Paper section | What it contributes |
-//! |------------------|---------------|---------------------|
-//! | [`CpRa`]         | §3, §3.1      | Constant propagation and reassociation: RAT entries carry `(base << scale) ± offset` symbols folded through adds, shifts, and scaled adds, bounded by the serial-addition budget |
-//! | [`RleSf`]        | §3.2          | Redundant load elimination and store forwarding through the Memory Bypass Cache |
-//! | [`ValueFeedback`]| §4, §4.2      | Execution results CAM-convert symbolic table entries into known constants after a transmission delay |
-//! | [`EarlyExec`]    | §3.3          | Fully-known instructions execute on the rename-stage ALUs and fully-known branches resolve there |
+//! | Pass                        | Paper section | Fields | What it contributes |
+//! |-----------------------------|---------------|--------|---------------------|
+//! | [`PassId::CpRa`]            | §3, §3.1      | `optimize`, `enable_reassociation`, `enable_branch_inference`, `add_chain_depth` | Constant propagation and reassociation: RAT entries carry `(base << scale) ± offset` symbols folded through adds, shifts, and scaled adds, bounded by the serial-addition budget |
+//! | [`PassId::RleSf`]           | §3.2          | `enable_rle_sf`, `mbc_entries`, `flush_mbc_on_unknown_store`, `mem_chain_depth` | Redundant load elimination and store forwarding through the Memory Bypass Cache |
+//! | [`PassId::ValueFeedback`]   | §4, §4.2      | `value_feedback`, `feedback_delay` | Execution results CAM-convert symbolic table entries into known constants after a transmission delay |
+//! | [`PassId::EarlyExec`]       | §3.3          | `enable_early_exec` | Fully-known instructions execute on the rename-stage ALUs and fully-known branches resolve there |
 //!
-//! The engine-level split of the same code lives in the sibling modules:
-//! [`cp_ra`](self::cp_ra) (ALU/`lda` folding), [`rle_sf`](self::rle_sf)
-//! (loads/stores and MBC forwarding), [`early_exec`](self::early_exec)
-//! (branch/call resolution), and [`feedback`](self::feedback) (result
-//! integration).
+//! The engine-level split of the same code lives in the crate-private
+//! submodules `cp_ra` (ALU/`lda` folding), `rle_sf` (loads/stores and MBC
+//! forwarding), `early_exec` (branch/call resolution), and `feedback`
+//! (result integration).
 //!
-//! # Ablations as pass lists
+//! # Ablations as pass subsets
 //!
-//! The paper's evaluation scenarios are pass lists, not bespoke presets:
+//! The paper's evaluation scenarios are subsets of the default optimizer's
+//! passes, built by [`OptimizerConfig::only_passes`] and
+//! [`OptimizerConfig::without_passes`]:
 //!
 //! ```
-//! use contopt::passes::{Pass, PassSet};
+//! use contopt::passes::PassId;
 //! use contopt::OptimizerConfig;
 //!
 //! // Figure 9's "value feedback alone":
-//! let feedback_only: PassSet = [Pass::value_feedback(), Pass::early_exec()]
-//!     .into_iter()
-//!     .collect();
-//! assert_eq!(
-//!     OptimizerConfig::from(&feedback_only),
-//!     OptimizerConfig::feedback_only().normalized(),
-//! );
+//! let feedback_only =
+//!     OptimizerConfig::default().only_passes(&[PassId::ValueFeedback, PassId::EarlyExec]);
+//! assert_eq!(feedback_only, OptimizerConfig::feedback_only().normalized());
 //!
 //! // CP/RA alone (no memory bypassing, no feedback):
-//! let cp_ra_only: PassSet = [Pass::cp_ra(), Pass::early_exec()].into_iter().collect();
-//! assert!(OptimizerConfig::from(&cp_ra_only).optimize);
-//! assert!(!OptimizerConfig::from(&cp_ra_only).enable_rle_sf);
+//! let cp_ra_only = OptimizerConfig::default().only_passes(&[PassId::CpRa, PassId::EarlyExec]);
+//! assert!(cp_ra_only.optimize);
+//! assert!(!cp_ra_only.enable_rle_sf);
 //! ```
-//!
-//! `OptimizerConfig` remains the flat, copyable serialized form; the
-//! [`From`] bridges in both directions keep existing call sites working.
 
 pub(crate) mod cp_ra;
 pub(crate) mod early_exec;
@@ -52,9 +46,9 @@ pub(crate) mod feedback;
 pub(crate) mod rle_sf;
 
 use crate::config::OptimizerConfig;
-use std::fmt;
 
-/// Identity of a stock pass unit.
+/// Identity of a stock pass: the name under which [`crate::PassStats`]
+/// reports its counters and ablations remove or keep it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassId {
     /// Constant propagation / reassociation (§3).
@@ -68,7 +62,7 @@ pub enum PassId {
 }
 
 impl PassId {
-    /// Every stock pass unit, in pipeline (and report) order.
+    /// Every stock pass, in pipeline (and report) order.
     pub const ALL: [PassId; 4] = [
         PassId::CpRa,
         PassId::RleSf,
@@ -91,450 +85,21 @@ impl PassId {
             PassId::EarlyExec => "early-exec",
         }
     }
-
-    /// The section of the paper the pass implements.
-    pub fn paper_section(self) -> &'static str {
-        match self {
-            PassId::CpRa => "§3/§3.1",
-            PassId::RleSf => "§3.2",
-            PassId::ValueFeedback => "§4",
-            PassId::EarlyExec => "§3.3",
-        }
-    }
 }
 
-/// One pluggable rename-stage optimization pass.
-///
-/// A pass contributes its feature switches and parameters to the effective
-/// [`OptimizerConfig`] via [`configure`](OptPass::configure); the rename
-/// engine then executes the union of the registered passes. Implement this
-/// trait to plug a custom tuning pass (e.g. one that resizes the MBC or
-/// caps chain depths) into `PassSet::with` without touching the engine.
-pub trait OptPass: fmt::Debug {
-    /// Short machine-readable name (used in reports and pass listings).
-    fn name(&self) -> &'static str;
-
-    /// The paper section this pass reproduces, for documentation.
-    fn paper_section(&self) -> &'static str {
-        "-"
-    }
-
-    /// Folds this pass's switches and parameters into `cfg`.
-    fn configure(&self, cfg: &mut OptimizerConfig);
-
-    /// The stock identity, if this is one of the paper's four pass units.
-    fn id(&self) -> Option<PassId> {
-        None
-    }
-}
-
-/// Constant propagation / reassociation (paper §3, §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpRa {
-    /// Derive `(base << scale) ± offset` expressions (reassociation). With
-    /// this off only fully-known constants propagate.
-    pub reassociate: bool,
-    /// Infer register values from branch directions (`bne` not taken ⇒ 0).
-    pub branch_inference: bool,
-    /// Chained dependent additions permitted within one rename bundle
-    /// beyond each instruction's own (Figure 10 sweeps 0/1/3).
-    pub add_chain_depth: u32,
-}
-
-impl Default for CpRa {
-    fn default() -> CpRa {
-        CpRa {
-            reassociate: true,
-            branch_inference: true,
-            add_chain_depth: 0,
-        }
-    }
-}
-
-impl OptPass for CpRa {
-    fn name(&self) -> &'static str {
-        PassId::CpRa.name()
-    }
-
-    fn paper_section(&self) -> &'static str {
-        PassId::CpRa.paper_section()
-    }
-
-    fn configure(&self, cfg: &mut OptimizerConfig) {
-        cfg.optimize = true;
-        cfg.enable_reassociation = self.reassociate;
-        cfg.enable_branch_inference = self.branch_inference;
-        cfg.add_chain_depth = if self.reassociate {
-            self.add_chain_depth
-        } else {
-            0
-        };
-    }
-
-    fn id(&self) -> Option<PassId> {
-        Some(PassId::CpRa)
-    }
-}
-
-/// Redundant load elimination / store forwarding (paper §3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RleSf {
-    /// Memory Bypass Cache entries (Table 2: 128).
-    pub entries: usize,
-    /// Flush the MBC on unknown-address stores instead of speculating.
-    pub flush_on_unknown_store: bool,
-    /// Chained dependent memory operations permitted within one rename
-    /// bundle (Figure 10's "& 1 mem" variant).
-    pub mem_chain_depth: u32,
-}
-
-impl Default for RleSf {
-    fn default() -> RleSf {
-        RleSf {
-            entries: 128,
-            flush_on_unknown_store: false,
-            mem_chain_depth: 0,
-        }
-    }
-}
-
-impl OptPass for RleSf {
-    fn name(&self) -> &'static str {
-        PassId::RleSf.name()
-    }
-
-    fn paper_section(&self) -> &'static str {
-        PassId::RleSf.paper_section()
-    }
-
-    fn configure(&self, cfg: &mut OptimizerConfig) {
-        cfg.optimize = true;
-        cfg.enable_rle_sf = true;
-        cfg.mbc_entries = self.entries;
-        cfg.flush_mbc_on_unknown_store = self.flush_on_unknown_store;
-        cfg.mem_chain_depth = self.mem_chain_depth;
-    }
-
-    fn id(&self) -> Option<PassId> {
-        Some(PassId::RleSf)
-    }
-}
-
-/// Value feedback (paper §4): execution results return to the tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ValueFeedback {
-    /// Transmission delay in cycles (Figure 12 sweeps 0/1/5/10).
-    pub delay: u64,
-}
-
-impl Default for ValueFeedback {
-    fn default() -> ValueFeedback {
-        ValueFeedback { delay: 1 }
-    }
-}
-
-impl OptPass for ValueFeedback {
-    fn name(&self) -> &'static str {
-        PassId::ValueFeedback.name()
-    }
-
-    fn paper_section(&self) -> &'static str {
-        PassId::ValueFeedback.paper_section()
-    }
-
-    fn configure(&self, cfg: &mut OptimizerConfig) {
-        cfg.value_feedback = true;
-        cfg.feedback_delay = self.delay;
-    }
-
-    fn id(&self) -> Option<PassId> {
-        Some(PassId::ValueFeedback)
-    }
-}
-
-/// Early execution / early branch resolution (paper §3.3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EarlyExec;
-
-impl OptPass for EarlyExec {
-    fn name(&self) -> &'static str {
-        PassId::EarlyExec.name()
-    }
-
-    fn paper_section(&self) -> &'static str {
-        PassId::EarlyExec.paper_section()
-    }
-
-    fn configure(&self, cfg: &mut OptimizerConfig) {
-        cfg.enable_early_exec = true;
-    }
-
-    fn id(&self) -> Option<PassId> {
-        Some(PassId::EarlyExec)
-    }
-}
-
-/// One stock pass unit, as a copyable value (so pass lists can be written
-/// as plain arrays: `[Pass::cp_ra(), Pass::rle_sf()]`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Pass {
-    /// Constant propagation / reassociation.
-    CpRa(CpRa),
-    /// Redundant load elimination / store forwarding.
-    RleSf(RleSf),
-    /// Value feedback.
-    ValueFeedback(ValueFeedback),
-    /// Early execution.
-    EarlyExec(EarlyExec),
-}
-
-impl Pass {
-    /// Default-parameter CP/RA pass.
-    pub fn cp_ra() -> Pass {
-        Pass::CpRa(CpRa::default())
-    }
-
-    /// Default-parameter RLE/SF pass.
-    pub fn rle_sf() -> Pass {
-        Pass::RleSf(RleSf::default())
-    }
-
-    /// Default-parameter value-feedback pass.
-    pub fn value_feedback() -> Pass {
-        Pass::ValueFeedback(ValueFeedback::default())
-    }
-
-    /// The early-execution pass.
-    pub fn early_exec() -> Pass {
-        Pass::EarlyExec(EarlyExec)
-    }
-
-    fn as_dyn(&self) -> &dyn OptPass {
-        match self {
-            Pass::CpRa(p) => p,
-            Pass::RleSf(p) => p,
-            Pass::ValueFeedback(p) => p,
-            Pass::EarlyExec(p) => p,
-        }
-    }
-}
-
-impl OptPass for Pass {
-    fn name(&self) -> &'static str {
-        self.as_dyn().name()
-    }
-
-    fn paper_section(&self) -> &'static str {
-        self.as_dyn().paper_section()
-    }
-
-    fn configure(&self, cfg: &mut OptimizerConfig) {
-        self.as_dyn().configure(cfg)
-    }
-
-    fn id(&self) -> Option<PassId> {
-        self.as_dyn().id()
-    }
-}
-
-impl From<CpRa> for Pass {
-    fn from(p: CpRa) -> Pass {
-        Pass::CpRa(p)
-    }
-}
-
-impl From<RleSf> for Pass {
-    fn from(p: RleSf) -> Pass {
-        Pass::RleSf(p)
-    }
-}
-
-impl From<ValueFeedback> for Pass {
-    fn from(p: ValueFeedback) -> Pass {
-        Pass::ValueFeedback(p)
-    }
-}
-
-impl From<EarlyExec> for Pass {
-    fn from(p: EarlyExec) -> Pass {
-        Pass::EarlyExec(p)
-    }
-}
-
-/// An ordered collection of optimization passes plus the engine-level
-/// pipeline parameters, together fully describing one rename/optimize
-/// unit. An empty set is the baseline machine (a plain renamer paying no
-/// extra pipeline stages).
-#[derive(Debug, Default)]
-pub struct PassSet {
-    passes: Vec<Box<dyn OptPass>>,
-    /// Extra rename pipeline stages the optimizer costs (Figure 11).
-    /// `None` means the paper default (2) when any pass is registered.
-    extra_stages: Option<u64>,
-    /// Discrete (trace-at-a-time) table-invalidation interval (§3.4);
-    /// zero is continuous optimization.
-    discrete_interval: u64,
-}
-
-impl PassSet {
-    /// An empty pass set (the baseline machine).
-    pub fn new() -> PassSet {
-        PassSet::default()
-    }
-
-    /// Adds a pass, builder-style.
-    pub fn with(mut self, pass: impl OptPass + 'static) -> PassSet {
-        self.push(pass);
-        self
-    }
-
-    /// Adds a pass.
-    pub fn push(&mut self, pass: impl OptPass + 'static) {
-        self.passes.push(Box::new(pass));
-    }
-
-    /// Overrides the optimizer's extra rename pipeline stages (Figure 11).
-    pub fn extra_stages(mut self, stages: u64) -> PassSet {
-        self.extra_stages = Some(stages);
-        self
-    }
-
-    /// Sets the discrete-optimization trace length (§3.4); zero means
-    /// continuous.
-    pub fn discrete(mut self, interval: u64) -> PassSet {
-        self.discrete_interval = interval;
-        self
-    }
-
-    /// Number of registered passes.
-    pub fn len(&self) -> usize {
-        self.passes.len()
-    }
-
-    /// Whether no passes are registered (the baseline machine).
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
-    }
-
-    /// Iterates over the registered passes.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn OptPass> {
-        self.passes.iter().map(|p| p.as_ref())
-    }
-
-    /// Whether a stock pass unit is registered.
-    pub fn contains(&self, id: PassId) -> bool {
-        self.passes.iter().any(|p| p.id() == Some(id))
-    }
-
-    /// Decomposes `cfg` into its stock pass units and keeps only those
-    /// `keep` accepts, preserving each kept pass's parameters and the
-    /// engine-level `extra_stages`/`discrete_interval`. This is the subset
-    /// constructor behind counterfactual ablations: compiling the result
-    /// ([`to_config`](Self::to_config)) yields the leave-out / keep-only
-    /// machine for any stock-pass combination. Keeping no pass compiles to
-    /// the baseline (a plain renamer paying no extra stages) — the empty
-    /// set has no cost-only representation.
-    pub fn subset(cfg: OptimizerConfig, keep: impl Fn(PassId) -> bool) -> PassSet {
-        let mut set = PassSet::from(cfg);
-        set.passes.retain(|p| p.id().is_some_and(&keep));
-        set
-    }
-
-    /// Compiles the pass set into the flat configuration the rename engine
-    /// executes. An empty set yields the (normalized) baseline.
-    pub fn to_config(&self) -> OptimizerConfig {
-        // Start from everything-off and let each pass switch on its piece.
-        let mut cfg = OptimizerConfig::baseline().normalized();
-        if self.passes.is_empty() {
-            return cfg;
-        }
-        cfg.enabled = true;
-        cfg.extra_stages = self.extra_stages.unwrap_or(2);
-        cfg.discrete_interval = self.discrete_interval;
-        for p in &self.passes {
-            p.configure(&mut cfg);
-        }
-        cfg.normalized()
-    }
-}
-
-impl FromIterator<Pass> for PassSet {
-    fn from_iter<I: IntoIterator<Item = Pass>>(iter: I) -> PassSet {
-        let mut set = PassSet::new();
-        for p in iter {
-            set.push(p);
-        }
-        set
-    }
-}
-
-impl From<Pass> for PassSet {
-    fn from(p: Pass) -> PassSet {
-        PassSet::new().with(p)
-    }
-}
-
-/// Decomposes a flat configuration into its pass units (the inverse
-/// serialization bridge). Lossless up to [`OptimizerConfig::normalized`]
-/// for the baseline and for every configuration with at least one active
-/// feature; a degenerate cost-only optimizer (enabled, featureless,
-/// `extra_stages > 0`) has no pass-list form and maps to the empty set.
-impl From<OptimizerConfig> for PassSet {
-    fn from(cfg: OptimizerConfig) -> PassSet {
-        let c = cfg.normalized();
-        let mut set = PassSet::new();
-        if !c.enabled {
-            return set;
-        }
-        set.extra_stages = Some(c.extra_stages);
-        set.discrete_interval = c.discrete_interval;
-        if c.optimize && (c.enable_reassociation || c.enable_branch_inference || !c.enable_rle_sf) {
-            set.push(CpRa {
-                reassociate: c.enable_reassociation,
-                branch_inference: c.enable_branch_inference,
-                add_chain_depth: c.add_chain_depth,
-            });
-        }
-        if c.enable_rle_sf {
-            set.push(RleSf {
-                entries: c.mbc_entries,
-                flush_on_unknown_store: c.flush_mbc_on_unknown_store,
-                mem_chain_depth: c.mem_chain_depth,
-            });
-        }
-        if c.value_feedback {
-            set.push(ValueFeedback {
-                delay: c.feedback_delay,
-            });
-        }
-        if c.enable_early_exec {
-            set.push(EarlyExec);
-        }
-        set
-    }
-}
-
-impl From<&PassSet> for OptimizerConfig {
-    fn from(set: &PassSet) -> OptimizerConfig {
-        set.to_config()
-    }
-}
-
-impl From<PassSet> for OptimizerConfig {
-    fn from(set: PassSet) -> OptimizerConfig {
-        set.to_config()
-    }
-}
-
-/// Stock-pass subset views of a flat configuration, built on
-/// [`PassSet::subset`]. These are the counterfactual constructors the
-/// ablation engine uses: every leave-one-out and keep-only-one machine is
-/// the same configuration with a pass subset removed or kept.
+/// Stock-pass subsets of a configuration: the counterfactual constructors
+/// the ablation engine uses. Every leave-one-out and keep-only-one machine
+/// is the same configuration with a pass subset removed or kept.
 impl OptimizerConfig {
-    /// The stock pass units active in this configuration, in
-    /// [`PassId::ALL`] order (empty for the baseline).
+    /// The stock passes active in this configuration, in [`PassId::ALL`]
+    /// order (empty for the baseline). CP/RA counts as active whenever
+    /// `optimize` is on, unless RLE/SF runs without reassociation and
+    /// branch inference: that configuration is RLE/SF alone. A cost-only
+    /// optimizer (enabled, no mechanism on, `extra_stages > 0`) has no
+    /// active pass.
     pub fn active_passes(&self) -> Vec<PassId> {
-        PassSet::from(*self).iter().filter_map(|p| p.id()).collect()
+        let c = self.normalized();
+        PassId::ALL.into_iter().filter(|&id| c.runs(id)).collect()
     }
 
     /// This configuration with the listed stock passes removed and every
@@ -545,7 +110,7 @@ impl OptimizerConfig {
     /// simulating anything new. Removing the last active pass yields the
     /// baseline machine.
     pub fn without_passes(&self, removed: &[PassId]) -> OptimizerConfig {
-        PassSet::subset(*self, |id| !removed.contains(&id)).to_config()
+        self.keep_passes(|id| !removed.contains(&id))
     }
 
     /// This configuration reduced to only the listed stock passes (the
@@ -553,7 +118,41 @@ impl OptimizerConfig {
     /// parameters and the pipeline cost. Keeping no active pass yields the
     /// baseline machine.
     pub fn only_passes(&self, kept: &[PassId]) -> OptimizerConfig {
-        PassSet::subset(*self, |id| kept.contains(&id)).to_config()
+        self.keep_passes(|id| kept.contains(&id))
+    }
+
+    /// Whether stock pass `id` runs under this normalized configuration.
+    fn runs(&self, id: PassId) -> bool {
+        match id {
+            PassId::CpRa => {
+                self.optimize
+                    && (self.enable_reassociation
+                        || self.enable_branch_inference
+                        || !self.enable_rle_sf)
+            }
+            PassId::RleSf => self.enable_rle_sf,
+            PassId::ValueFeedback => self.value_feedback,
+            PassId::EarlyExec => self.enable_early_exec,
+        }
+    }
+
+    /// Switches off every active pass `keep` rejects. A dropped pass's
+    /// parameters fall back to their defaults through
+    /// [`normalized`](Self::normalized), and dropping every pass disables
+    /// the optimizer: the baseline machine.
+    fn keep_passes(&self, keep: impl Fn(PassId) -> bool) -> OptimizerConfig {
+        let mut c = self.normalized();
+        let [cp_ra, rle_sf, feedback, early_exec] = PassId::ALL.map(|id| c.runs(id) && keep(id));
+        if !cp_ra {
+            c.enable_reassociation = false;
+            c.enable_branch_inference = false;
+        }
+        c.enabled = cp_ra || rle_sf || feedback || early_exec;
+        c.optimize = cp_ra || rle_sf;
+        c.enable_rle_sf = rle_sf;
+        c.value_feedback = feedback;
+        c.enable_early_exec = early_exec;
+        c.normalized()
     }
 }
 
@@ -563,34 +162,23 @@ mod tests {
 
     #[test]
     fn empty_set_is_the_baseline() {
-        let cfg = PassSet::new().to_config();
+        let cfg = OptimizerConfig::default().only_passes(&[]);
         assert_eq!(cfg, OptimizerConfig::baseline().normalized());
         assert!(!cfg.enabled);
     }
 
     #[test]
     fn standard_passes_reproduce_the_default_config() {
-        let set: PassSet = [
-            Pass::cp_ra(),
-            Pass::rle_sf(),
-            Pass::value_feedback(),
-            Pass::early_exec(),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(set.to_config(), OptimizerConfig::default().normalized());
-        assert_eq!(set.to_config(), OptimizerConfig::default());
+        let cfg = OptimizerConfig::default().only_passes(&PassId::ALL);
+        assert_eq!(cfg, OptimizerConfig::default().normalized());
+        assert_eq!(cfg, OptimizerConfig::default());
     }
 
     #[test]
     fn feedback_only_as_a_pass_list() {
-        let set: PassSet = [Pass::value_feedback(), Pass::early_exec()]
-            .into_iter()
-            .collect();
-        assert_eq!(
-            set.to_config(),
-            OptimizerConfig::feedback_only().normalized()
-        );
+        let cfg =
+            OptimizerConfig::default().only_passes(&[PassId::ValueFeedback, PassId::EarlyExec]);
+        assert_eq!(cfg, OptimizerConfig::feedback_only().normalized());
     }
 
     #[test]
@@ -609,59 +197,31 @@ mod tests {
                 ..OptimizerConfig::default()
             },
         ] {
-            let set = PassSet::from(cfg);
-            assert_eq!(OptimizerConfig::from(&set), cfg.normalized(), "{cfg:?}");
+            // Decomposing into the active passes and keeping them all
+            // rebuilds the normalized configuration.
+            let passes = cfg.active_passes();
+            assert_eq!(cfg.only_passes(&passes), cfg.normalized(), "{cfg:?}");
         }
-    }
-
-    #[test]
-    fn pass_metadata_names_paper_sections() {
-        assert_eq!(Pass::cp_ra().paper_section(), "§3/§3.1");
-        assert_eq!(Pass::rle_sf().paper_section(), "§3.2");
-        assert_eq!(Pass::value_feedback().paper_section(), "§4");
-        assert_eq!(Pass::early_exec().paper_section(), "§3.3");
-        assert_eq!(Pass::cp_ra().name(), "cp-ra");
     }
 
     #[test]
     fn contains_and_iter_see_stock_ids() {
-        let set: PassSet = [Pass::cp_ra(), Pass::early_exec()].into_iter().collect();
-        assert!(set.contains(PassId::CpRa));
-        assert!(set.contains(PassId::EarlyExec));
-        assert!(!set.contains(PassId::RleSf));
-        assert_eq!(set.len(), 2);
-        assert_eq!(set.iter().count(), 2);
-    }
-
-    #[test]
-    fn custom_passes_plug_in() {
-        #[derive(Debug)]
-        struct TinyMbc;
-        impl OptPass for TinyMbc {
-            fn name(&self) -> &'static str {
-                "tiny-mbc"
-            }
-            fn configure(&self, cfg: &mut OptimizerConfig) {
-                cfg.mbc_entries = 8;
-            }
-        }
-        let set = PassSet::new()
-            .with(RleSf::default())
-            .with(EarlyExec)
-            .with(TinyMbc);
-        let cfg = set.to_config();
-        assert_eq!(cfg.mbc_entries, 8);
-        assert!(cfg.enable_rle_sf);
+        let cfg = OptimizerConfig::default().only_passes(&[PassId::CpRa, PassId::EarlyExec]);
+        let active = cfg.active_passes();
+        assert!(active.contains(&PassId::CpRa));
+        assert!(active.contains(&PassId::EarlyExec));
+        assert!(!active.contains(&PassId::RleSf));
+        assert_eq!(active.len(), 2);
     }
 
     #[test]
     fn rle_sf_only_is_expressible() {
-        let set = PassSet::new().with(RleSf::default()).with(EarlyExec);
-        let cfg = set.to_config();
+        let cfg = OptimizerConfig::default().only_passes(&[PassId::RleSf, PassId::EarlyExec]);
         assert!(cfg.optimize && cfg.enable_rle_sf);
         assert!(!cfg.enable_reassociation && !cfg.enable_branch_inference);
-        // And it survives the round trip.
-        assert_eq!(OptimizerConfig::from(PassSet::from(cfg)), cfg.normalized());
+        // And it decomposes back into exactly those passes.
+        assert_eq!(cfg.active_passes(), [PassId::RleSf, PassId::EarlyExec]);
+        assert_eq!(cfg.only_passes(&cfg.active_passes()), cfg);
     }
 
     #[test]
@@ -739,7 +299,7 @@ mod tests {
             mem_chain_depth: 1,
             ..OptimizerConfig::default()
         };
-        let kept = PassSet::subset(cfg, |id| id == PassId::CpRa).to_config();
+        let kept = cfg.only_passes(&[PassId::CpRa]);
         assert_eq!(kept.add_chain_depth, 3, "CP/RA parameters preserved");
         assert!(!kept.enable_rle_sf);
         assert_eq!(kept.mem_chain_depth, 0, "RLE/SF parameters gone");
@@ -809,8 +369,11 @@ mod tests {
 
     #[test]
     fn engine_options_ride_on_the_set() {
-        let set = PassSet::from(Pass::cp_ra()).extra_stages(4).discrete(512);
-        let cfg = set.to_config();
+        let cfg = OptimizerConfig {
+            extra_stages: 4,
+            ..OptimizerConfig::discrete(512)
+        }
+        .only_passes(&[PassId::CpRa]);
         assert_eq!(cfg.extra_stages, 4);
         assert_eq!(cfg.discrete_interval, 512);
     }

@@ -1,8 +1,7 @@
 //! Optimizer statistics — the raw counters behind Table 3, split per pass.
 //!
-//! Counters are accumulated per *pass unit* ([`PassStats`]): each
-//! [`crate::passes::OptPass`] charge site records into the block named
-//! after it, and the Table 3 aggregate is always **derived** as the sum of
+//! Counters are accumulated per *pass* ([`PassStats`]): each pass's
+//! charge sites record into the block named after it, and the Table 3 aggregate is always **derived** as the sum of
 //! the blocks ([`PassStats::total`]), never maintained separately — so the
 //! per-pass attribution map cannot drift from the aggregates the paper's
 //! evaluation reports.
@@ -114,10 +113,10 @@ impl OptStats {
     }
 }
 
-/// The optimizer counters attributed to the pass unit that earned them.
+/// The optimizer counters attributed to the pass that earned them.
 ///
-/// Each [`crate::passes::OptPass`] charge site records into the block
-/// named after it ([`PassId::name`]); counters that no single pass owns —
+/// Each pass's charge sites record into the block named after it
+/// ([`PassId::name`]); counters that no single pass owns —
 /// the stream denominators and the engine-level structural limits — land
 /// in [`engine`](Self::engine). The aggregate [`OptStats`] is always
 /// *derived* as the elementwise sum of the five blocks

@@ -60,10 +60,6 @@ pub enum Error {
         /// Reorder-buffer entries.
         rob: usize,
     },
-    /// An explicitly empty pass list was given. Use the default machine
-    /// (no `passes` call) for the baseline instead — an empty list is
-    /// almost always a bug in scenario construction.
-    EmptyPasses,
     /// The physical register file cannot hold even the architectural state
     /// plus one rename.
     PregFileTooSmall {
@@ -123,10 +119,6 @@ impl fmt::Display for Error {
             Error::FeedbackDelayExceedsRob { delay, rob } => write!(
                 f,
                 "value-feedback delay ({delay} cycles) exceeds the ROB depth ({rob} entries)"
-            ),
-            Error::EmptyPasses => write!(
-                f,
-                "empty pass list; omit `passes` entirely for the baseline machine"
             ),
             Error::PregFileTooSmall { need, have } => write!(
                 f,

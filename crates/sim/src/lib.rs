@@ -2,21 +2,21 @@
 //!
 //! One composable entry point over the whole *Continuous Optimization*
 //! (ISCA 2005) reproduction: build a [`SimSession`] with the fluent
-//! [`SimBuilder`], registering the machine model, the optimization
-//! [`passes`](SimBuilder::passes), and a workload; run it; read one
+//! [`SimBuilder`], registering the machine model, the
+//! [`optimizer`](SimBuilder::optimizer), and a workload; run it; read one
 //! unified [`Report`]. Construction is validated — every structural
 //! impossibility is a typed [`Error`], never a panic.
 //!
 //! ```
-//! use contopt_sim::{Pass, SimSession};
+//! use contopt_sim::{OptimizerConfig, SimSession};
 //!
 //! // The paper's default optimized machine on the `untst` kernel.
 //! let opt = SimSession::builder()
 //!     .workload("untst")
-//!     .passes([Pass::cp_ra(), Pass::rle_sf(), Pass::value_feedback(), Pass::early_exec()])
+//!     .optimizer(OptimizerConfig::default())
 //!     .insts(60_000)
 //!     .build()?;
-//! // The baseline: same machine, no passes registered.
+//! // The baseline: same machine, no optimizer.
 //! let base = SimSession::builder().workload("untst").insts(60_000).build()?;
 //!
 //! let speedup = opt.run().speedup_over(&base.run())?;
@@ -24,13 +24,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The paper's ablation scenarios are pass lists, not preset
-//! constructors: `[Pass::cp_ra(), Pass::early_exec()]` is CP/RA alone,
-//! `[Pass::rle_sf(), Pass::early_exec()]` is RLE/SF alone,
-//! `[Pass::value_feedback(), Pass::early_exec()]` is Figure 9's
-//! "feedback alone", and omitting `passes` entirely is the baseline.
-//! Custom [`OptPass`] implementations plug in through
-//! [`SimBuilder::pass_set`].
+//! The paper's ablation scenarios are pass subsets of the default
+//! optimizer, not preset constructors: with `full =
+//! OptimizerConfig::default()`, `full.only_passes(&[PassId::CpRa,
+//! PassId::EarlyExec])` is CP/RA alone, `full.only_passes(&[PassId::RleSf,
+//! PassId::EarlyExec])` is RLE/SF alone,
+//! `full.only_passes(&[PassId::ValueFeedback, PassId::EarlyExec])` is
+//! Figure 9's "feedback alone", and omitting `optimizer` is the baseline.
 //!
 //! This crate is the only dependency downstream consumers need: it
 //! re-exports the core optimizer types, the pipeline, and the substrate
@@ -65,9 +65,8 @@ pub use session::{
 // The core optimizer surface (passes, configs, stats, symbolic algebra).
 pub use contopt::{
     passes, pct, sym_add, sym_add_imm, sym_scaled_add, sym_shl, sym_sub, ConfigFieldError,
-    ConfigScalar, CpRa, EarlyExec, Folded, Mbc, MbcStats, OptPass, OptStats, Optimizer,
-    OptimizerConfig, Pass, PassId, PassSet, PassStats, PhysReg, PregFile, RenameReq, Renamed,
-    RenamedClass, RleSf, SymValue, ValueFeedback, ENGINE_BLOCK, MAX_SCALE,
+    ConfigScalar, Folded, Mbc, MbcStats, OptStats, Optimizer, OptimizerConfig, PassId, PassStats,
+    PhysReg, PregFile, RenameReq, Renamed, RenamedClass, SymValue, ENGINE_BLOCK, MAX_SCALE,
 };
 
 // The cycle-level machine.
@@ -97,7 +96,7 @@ mod tests {
     #[test]
     fn facade_reexports_cover_the_surface() {
         // Compile-time check that the facade names resolve.
-        let _cfg: OptimizerConfig = PassSet::new().to_config();
+        let _cfg: OptimizerConfig = OptimizerConfig::default().only_passes(&PassId::ALL);
         let _m: MachineConfig = MachineConfig::default_paper();
         let w = workloads::build("mcf").unwrap();
         assert_eq!(w.name, "mcf");

@@ -23,8 +23,8 @@ pub struct Report {
     /// sum of the [`passes`](Self::passes) blocks — the aggregate is
     /// derived, never separately maintained.
     pub optimizer: OptStats,
-    /// The same optimizer counters attributed to the pass unit that
-    /// earned them ([`contopt::OptPass::name`]-keyed in JSON), plus the
+    /// The same optimizer counters attributed to the pass that
+    /// earned them ([`contopt::PassId::name`]-keyed in JSON), plus the
     /// `engine` block for shared denominators and structural limits.
     pub passes: PassStats,
     /// Memory Bypass Cache counters.
@@ -96,7 +96,7 @@ impl Report {
     /// The `"optimizer"` object carries the aggregate counters (via the
     /// same [`ToJson`] impl the per-pass blocks use, so the two cannot
     /// drift in shape or float formatting) plus the Table 3 derived
-    /// percentages; `"passes"` is the [`contopt::OptPass::name`]-keyed
+    /// percentages; `"passes"` is the [`contopt::PassId::name`]-keyed
     /// attribution map in the stable [`PassStats::named_blocks`] order.
     pub fn to_json(&self) -> JsonValue {
         let p = &self.pipeline;

@@ -2,7 +2,7 @@
 
 use crate::error::Error;
 use crate::report::Report;
-use contopt::{OptimizerConfig, Pass, PassSet};
+use contopt::OptimizerConfig;
 use contopt_isa::{Program, NUM_ARCH_REGS};
 use contopt_pipeline::{Machine, MachineConfig, DEADLOCK_WINDOW};
 use std::sync::Arc;
@@ -21,20 +21,6 @@ pub const MAX_PREG_COUNT: usize = 65_536;
 /// The figures use at most 128.
 pub const MAX_MBC_ENTRIES: usize = 65_536;
 
-#[derive(Debug)]
-enum OptSpec {
-    /// Use whatever the machine configuration carries (baseline for
-    /// [`MachineConfig::default_paper`]).
-    Machine,
-    /// A flat configuration (or a bridged [`PassSet`]).
-    Config(OptimizerConfig),
-    /// A pass list registered via [`SimBuilder::passes`] /
-    /// [`SimBuilder::pass_set`].
-    Passes(PassSet),
-    /// An explicitly empty pass list — rejected at build time.
-    EmptyPasses,
-}
-
 #[derive(Debug, Clone)]
 enum WorkloadSpec {
     None,
@@ -43,17 +29,17 @@ enum WorkloadSpec {
 }
 
 /// Builder for a [`SimSession`] — the single entry point for configuring
-/// a simulation: machine model, optimization passes, workload, and
-/// instruction budget.
+/// a simulation: machine model, optimizer, workload, and instruction
+/// budget.
 ///
 /// # Examples
 ///
 /// ```
-/// use contopt_sim::{Pass, SimSession};
+/// use contopt_sim::{OptimizerConfig, SimSession};
 ///
 /// let session = SimSession::builder()
 ///     .workload("untst")
-///     .passes([Pass::cp_ra(), Pass::rle_sf(), Pass::value_feedback(), Pass::early_exec()])
+///     .optimizer(OptimizerConfig::default())
 ///     .insts(50_000)
 ///     .build()?;
 /// let report = session.run();
@@ -63,7 +49,8 @@ enum WorkloadSpec {
 #[derive(Debug)]
 pub struct SimBuilder {
     machine: MachineConfig,
-    opt: OptSpec,
+    /// Overrides the machine's optimizer when set.
+    opt: Option<OptimizerConfig>,
     workload: WorkloadSpec,
     insts: u64,
 }
@@ -72,7 +59,7 @@ impl Default for SimBuilder {
     fn default() -> SimBuilder {
         SimBuilder {
             machine: MachineConfig::default_paper(),
-            opt: OptSpec::Machine,
+            opt: None,
             workload: WorkloadSpec::None,
             insts: DEFAULT_INSTS,
         }
@@ -87,44 +74,19 @@ impl SimBuilder {
 
     /// Sets the machine model (fetch width, window, FUs, memory, …). The
     /// optimizer configuration it carries is used unless overridden by
-    /// [`optimizer`](Self::optimizer) or [`passes`](Self::passes).
+    /// [`optimizer`](Self::optimizer).
     pub fn machine(mut self, cfg: MachineConfig) -> SimBuilder {
         self.machine = cfg;
         self
     }
 
-    /// Sets the optimizer from a flat [`OptimizerConfig`] or anything that
-    /// bridges into one (e.g. a [`PassSet`]).
-    pub fn optimizer(mut self, cfg: impl Into<OptimizerConfig>) -> SimBuilder {
-        self.opt = OptSpec::Config(cfg.into());
-        self
-    }
-
-    /// Registers the optimization passes to run, replacing any previous
-    /// optimizer choice. The paper's ablations are pass lists:
-    /// `[Pass::cp_ra(), Pass::early_exec()]` is CP/RA alone,
-    /// `[Pass::value_feedback(), Pass::early_exec()]` is Figure 9's
-    /// "feedback alone", and so on. An explicitly empty list is rejected
-    /// at build time ([`Error::EmptyPasses`]) — omit this call entirely
-    /// for the baseline machine.
-    pub fn passes(mut self, passes: impl IntoIterator<Item = Pass>) -> SimBuilder {
-        let set: PassSet = passes.into_iter().collect();
-        self.opt = if set.is_empty() {
-            OptSpec::EmptyPasses
-        } else {
-            OptSpec::Passes(set)
-        };
-        self
-    }
-
-    /// Registers a full [`PassSet`] (which may carry custom passes and the
-    /// engine-level extra-stages / discrete-interval options).
-    pub fn pass_set(mut self, set: PassSet) -> SimBuilder {
-        self.opt = if set.is_empty() {
-            OptSpec::EmptyPasses
-        } else {
-            OptSpec::Passes(set)
-        };
+    /// Sets the optimizer, replacing the one the machine carries. The
+    /// paper's ablations are pass subsets of the default optimizer, built
+    /// with [`OptimizerConfig::only_passes`] and
+    /// [`OptimizerConfig::without_passes`]. Omit this call to keep the
+    /// machine's own (the baseline for [`MachineConfig::default_paper`]).
+    pub fn optimizer(mut self, cfg: OptimizerConfig) -> SimBuilder {
+        self.opt = Some(cfg);
         self
     }
 
@@ -151,11 +113,8 @@ impl SimBuilder {
     /// Validates the configuration and produces a runnable session.
     pub fn build(self) -> Result<SimSession, Error> {
         let mut cfg = self.machine;
-        match self.opt {
-            OptSpec::Machine => {}
-            OptSpec::Config(o) => cfg.optimizer = o,
-            OptSpec::Passes(set) => cfg.optimizer = set.to_config(),
-            OptSpec::EmptyPasses => return Err(Error::EmptyPasses),
+        if let Some(o) = self.opt {
+            cfg.optimizer = o;
         }
         validate_machine(&cfg)?;
         if self.insts == 0 {
@@ -389,9 +348,10 @@ mod tests {
 
     #[test]
     fn passes_compile_into_the_machine_config() {
+        use contopt::PassId;
         let s = SimSession::builder()
             .program(tiny_program())
-            .passes([Pass::cp_ra(), Pass::early_exec()])
+            .optimizer(OptimizerConfig::default().only_passes(&[PassId::CpRa, PassId::EarlyExec]))
             .build()
             .unwrap();
         let o = &s.config().optimizer;

@@ -4,8 +4,8 @@
 //! the first iteration all array accesses are eliminated and much of the
 //! fixed-point arithmetic executes in the optimizer. This example also
 //! shows how quickly the benefit collapses when the MBC shrinks — each
-//! variant is just a different `RleSf` pass parameter (or no `RleSf` pass
-//! at all).
+//! variant is the default optimizer with a different `mbc_entries` (or
+//! without its RLE/SF pass at all).
 //!
 //! ```text
 //! cargo run --release -p contopt-sim --example gsm_filter
@@ -15,7 +15,7 @@
 // unwrap/expect lints police the library crates.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use contopt_sim::{CpRa, EarlyExec, PassSet, RleSf, SimSession, ValueFeedback};
+use contopt_sim::{OptimizerConfig, PassId, SimSession};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = contopt_sim::workloads::build("untst").expect("untst is in the suite");
@@ -32,19 +32,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "MBC entries", "speedup", "loads rem.", "exec early"
     );
     for entries in [0usize, 8, 32, 128, 512] {
-        let mut passes = PassSet::new()
-            .with(CpRa::default())
-            .with(ValueFeedback::default())
-            .with(EarlyExec);
-        if entries > 0 {
-            passes.push(RleSf {
-                entries,
-                ..RleSf::default()
-            });
-        }
+        let optimizer = if entries == 0 {
+            OptimizerConfig::default().without_passes(&[PassId::RleSf])
+        } else {
+            OptimizerConfig {
+                mbc_entries: entries,
+                ..OptimizerConfig::default()
+            }
+        };
         let r = SimSession::builder()
             .workload("untst")
-            .pass_set(passes)
+            .optimizer(optimizer)
             .insts(2_000_000)
             .build()?
             .run();

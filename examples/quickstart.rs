@@ -7,7 +7,7 @@
 //! ```
 
 use contopt_sim::isa::{r, Asm};
-use contopt_sim::{Pass, SimSession};
+use contopt_sim::{OptimizerConfig, SimSession};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's §2.4 motivating example: a loop summing an array, with a
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     a.halt();
     let program = a.finish()?;
 
-    // The baseline machine: no passes registered.
+    // The baseline machine: no optimizer.
     let base = SimSession::builder()
         .program(program.clone())
         .build()?
@@ -38,12 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's default optimizer: all four passes.
     let opt = SimSession::builder()
         .program(program)
-        .passes([
-            Pass::cp_ra(),
-            Pass::rle_sf(),
-            Pass::value_feedback(),
-            Pass::early_exec(),
-        ])
+        .optimizer(OptimizerConfig::default())
         .build()?
         .run();
 

@@ -1,6 +1,6 @@
-//! Tests of the `contopt_sim` facade: builder validation, the
-//! `PassSet ↔ OptimizerConfig` bridges, and the paper's ablation
-//! scenarios expressed as pass lists.
+//! Tests of the `contopt_sim` facade: builder validation, pass subsets of
+//! an `OptimizerConfig`, and the paper's ablation scenarios expressed as
+//! pass subsets.
 
 // Test harness code may panic freely; helper functions here sit outside
 // clippy's in-test-function exemption for the workspace unwrap/expect
@@ -12,9 +12,8 @@ use contopt_sim::isa::{r, Asm, Program};
 use contopt_sim::mem::{CacheConfig, GeometryError};
 use contopt_sim::passes::PassId;
 use contopt_sim::{
-    machine_from_json, CpRa, EarlyExec, Error, JsonValue, MachineConfig, OptPass, OptimizerConfig,
-    Pass, PassSet, RleSf, Scenario, ScenarioError, SimSession, ValueFeedback, MAX_MBC_ENTRIES,
-    MAX_PREG_COUNT, MAX_WINDOW_SLOTS,
+    machine_from_json, Error, JsonValue, MachineConfig, OptimizerConfig, Scenario, ScenarioError,
+    SimSession, MAX_MBC_ENTRIES, MAX_PREG_COUNT, MAX_WINDOW_SLOTS,
 };
 use std::process::Command;
 
@@ -92,22 +91,6 @@ fn rejects_feedback_delay_beyond_the_rob() {
         .program(tiny_program())
         .build()
         .is_ok());
-}
-
-#[test]
-fn rejects_empty_pass_lists() {
-    let err = SimSession::builder()
-        .program(tiny_program())
-        .passes([])
-        .build()
-        .unwrap_err();
-    assert_eq!(err, Error::EmptyPasses);
-    let err = SimSession::builder()
-        .program(tiny_program())
-        .pass_set(PassSet::new())
-        .build()
-        .unwrap_err();
-    assert_eq!(err, Error::EmptyPasses);
 }
 
 #[test]
@@ -476,11 +459,10 @@ fn errors_display_usefully() {
     let e = Error::FeedbackDelayExceedsRob { delay: 5, rob: 4 };
     assert!(e.to_string().contains("5 cycles"));
     assert!(e.to_string().contains("4 entries"));
-    assert!(Error::EmptyPasses.to_string().contains("baseline"));
     let _: &dyn std::error::Error = &e; // implements std::error::Error
 }
 
-// ---- the OptimizerConfig <-> PassSet bridges ------------------------------
+// ---- an OptimizerConfig and its passes ------------------------------------
 
 #[test]
 fn presets_round_trip_through_the_bridges() {
@@ -490,12 +472,12 @@ fn presets_round_trip_through_the_bridges() {
         ("feedback_only", OptimizerConfig::feedback_only()),
         ("discrete", OptimizerConfig::discrete(512)),
     ] {
-        let set = PassSet::from(cfg);
-        let back: OptimizerConfig = set.into();
+        // Decompose into the active passes and keep exactly those.
+        let back = cfg.only_passes(&cfg.active_passes());
         assert_eq!(back, cfg.normalized(), "{name}");
         // normalized() is behaviour-preserving for every preset: a second
         // round trip is a fixed point.
-        assert_eq!(OptimizerConfig::from(PassSet::from(back)), back, "{name}");
+        assert_eq!(back.only_passes(&back.active_passes()), back, "{name}");
     }
 }
 
@@ -510,34 +492,28 @@ fn tuned_configs_round_trip() {
         flush_mbc_on_unknown_store: true,
         ..OptimizerConfig::default()
     };
-    let set = PassSet::from(cfg);
-    assert!(set.contains(PassId::CpRa));
-    assert!(set.contains(PassId::RleSf));
-    assert!(set.contains(PassId::ValueFeedback));
-    assert!(set.contains(PassId::EarlyExec));
-    assert_eq!(OptimizerConfig::from(set), cfg.normalized());
+    assert_eq!(cfg.active_passes(), PassId::ALL);
+    assert_eq!(cfg.only_passes(&PassId::ALL), cfg.normalized());
+    assert_eq!(cfg.without_passes(&[]), cfg.normalized());
 }
 
 #[test]
-fn builder_accepts_a_pass_set_through_the_optimizer_bridge() {
-    // `optimizer(...)` takes anything Into<OptimizerConfig>, including a
-    // PassSet.
-    let set: PassSet = [Pass::cp_ra(), Pass::early_exec()].into_iter().collect();
+fn builder_takes_a_pass_subset_as_its_optimizer() {
     let s = SimSession::builder()
         .program(tiny_program())
-        .optimizer(set)
+        .optimizer(OptimizerConfig::default().only_passes(&[PassId::CpRa, PassId::EarlyExec]))
         .build()
         .unwrap();
     assert!(s.config().optimizer.optimize);
     assert!(!s.config().optimizer.enable_rle_sf);
 }
 
-// ---- ablation scenarios as pass lists -------------------------------------
+// ---- ablation scenarios as pass subsets -----------------------------------
 
-fn run_passes(passes: impl IntoIterator<Item = Pass>) -> contopt_sim::Report {
+fn run_passes(passes: &[PassId]) -> contopt_sim::Report {
     SimSession::builder()
         .program(tiny_program())
-        .passes(passes)
+        .optimizer(OptimizerConfig::default().only_passes(passes))
         .insts(100_000)
         .build()
         .unwrap()
@@ -546,7 +522,7 @@ fn run_passes(passes: impl IntoIterator<Item = Pass>) -> contopt_sim::Report {
 
 #[test]
 fn all_four_paper_scenarios_are_pass_lists() {
-    // Baseline: no passes registered (the builder default).
+    // Baseline: no optimizer (the builder default).
     let baseline = SimSession::builder()
         .program(tiny_program())
         .insts(100_000)
@@ -555,16 +531,11 @@ fn all_four_paper_scenarios_are_pass_lists() {
     assert!(!baseline.config().optimizer.enabled);
     let base = baseline.run();
 
-    // CP/RA alone, RLE/SF alone, feedback alone: pass lists, no presets.
-    let cp_ra = run_passes([Pass::cp_ra(), Pass::early_exec()]);
-    let rle_sf = run_passes([Pass::rle_sf(), Pass::early_exec()]);
-    let feedback = run_passes([Pass::value_feedback(), Pass::early_exec()]);
-    let full = run_passes([
-        Pass::cp_ra(),
-        Pass::rle_sf(),
-        Pass::value_feedback(),
-        Pass::early_exec(),
-    ]);
+    // CP/RA alone, RLE/SF alone, feedback alone: pass subsets, no presets.
+    let cp_ra = run_passes(&[PassId::CpRa, PassId::EarlyExec]);
+    let rle_sf = run_passes(&[PassId::RleSf, PassId::EarlyExec]);
+    let feedback = run_passes(&[PassId::ValueFeedback, PassId::EarlyExec]);
+    let full = run_passes(&PassId::ALL);
 
     // All scenarios retire the same stream.
     for r in [&cp_ra, &rle_sf, &feedback, &full] {
@@ -584,14 +555,9 @@ fn all_four_paper_scenarios_are_pass_lists() {
 
 #[test]
 fn passes_equal_the_bridged_preset_exactly() {
-    // The same machine expressed as a pass list and as the legacy preset
-    // must produce cycle-identical simulations.
-    let via_passes = run_passes([
-        Pass::cp_ra(),
-        Pass::rle_sf(),
-        Pass::value_feedback(),
-        Pass::early_exec(),
-    ]);
+    // The same machine expressed as a pass subset and as the preset must
+    // produce cycle-identical simulations.
+    let via_passes = run_passes(&PassId::ALL);
     let via_preset = SimSession::builder()
         .program(tiny_program())
         .optimizer(OptimizerConfig::default())
@@ -602,7 +568,7 @@ fn passes_equal_the_bridged_preset_exactly() {
     assert_eq!(via_passes.pipeline.cycles, via_preset.pipeline.cycles);
     assert_eq!(via_passes.optimizer, via_preset.optimizer);
 
-    let feedback_via_passes = run_passes([Pass::value_feedback(), Pass::early_exec()]);
+    let feedback_via_passes = run_passes(&[PassId::ValueFeedback, PassId::EarlyExec]);
     let feedback_via_preset = SimSession::builder()
         .program(tiny_program())
         .optimizer(OptimizerConfig::feedback_only())
@@ -616,46 +582,11 @@ fn passes_equal_the_bridged_preset_exactly() {
     );
 }
 
-// ---- custom passes --------------------------------------------------------
-
-#[test]
-fn custom_passes_compose_with_stock_units() {
-    /// A tuning pass: shrink the MBC to 16 entries.
-    #[derive(Debug)]
-    struct SmallMbc;
-    impl OptPass for SmallMbc {
-        fn name(&self) -> &'static str {
-            "small-mbc"
-        }
-        fn configure(&self, cfg: &mut OptimizerConfig) {
-            cfg.mbc_entries = 16;
-        }
-    }
-    let set = PassSet::new()
-        .with(CpRa::default())
-        .with(RleSf::default())
-        .with(ValueFeedback::default())
-        .with(EarlyExec)
-        .with(SmallMbc);
-    let s = SimSession::builder()
-        .program(tiny_program())
-        .pass_set(set)
-        .build()
-        .unwrap();
-    assert_eq!(s.config().optimizer.mbc_entries, 16);
-    s.run(); // and it simulates
-}
-
 // ---- the unified report ---------------------------------------------------
 
 #[test]
 fn report_subsumes_all_stat_blocks() {
-    let r = run_passes([
-        Pass::cp_ra(),
-        Pass::rle_sf(),
-        Pass::value_feedback(),
-        Pass::early_exec(),
-    ]);
+    let r = run_passes(&PassId::ALL);
     assert!(r.pipeline.cycles > 0);
     assert!(r.optimizer.insts > 0);
     assert!(r.mbc.lookups > 0, "MBC stats are part of the report");

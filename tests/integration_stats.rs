@@ -9,49 +9,33 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_sim::workloads::suite;
-use contopt_sim::{OptStats, Pass, PassStats, Report, SimSession};
+use contopt_sim::{OptStats, OptimizerConfig, PassId, PassStats, Report, SimSession};
 
 /// A reduced budget so the whole 22-benchmark suite stays fast; every
 /// structural property under test is budget-independent.
 const INSTS: u64 = 40_000;
 
-fn run(workload: &str, passes: &[Pass]) -> Report {
-    let mut b = SimSession::builder().workload(workload).insts(INSTS);
-    if !passes.is_empty() {
-        b = b.passes(passes.iter().copied());
-    }
-    b.build().expect("valid configuration").run()
+/// Runs `workload` under the paper's default optimizer reduced to
+/// `passes` (no pass at all is the baseline).
+fn run(workload: &str, passes: &[PassId]) -> Report {
+    SimSession::builder()
+        .workload(workload)
+        .insts(INSTS)
+        .optimizer(OptimizerConfig::default().only_passes(passes))
+        .build()
+        .expect("valid configuration")
+        .run()
 }
 
-const FULL: [Pass; 4] = {
-    [
-        Pass::CpRa(contopt_sim::CpRa {
-            reassociate: true,
-            branch_inference: true,
-            add_chain_depth: 0,
-        }),
-        Pass::RleSf(contopt_sim::RleSf {
-            entries: 128,
-            flush_on_unknown_store: false,
-            mem_chain_depth: 0,
-        }),
-        Pass::ValueFeedback(contopt_sim::ValueFeedback { delay: 1 }),
-        Pass::EarlyExec(contopt_sim::EarlyExec),
-    ]
-};
-
-/// Every pass list but `omit`.
-fn full_minus(omit: Pass) -> Vec<Pass> {
-    FULL.iter()
-        .copied()
-        .filter(|p| std::mem::discriminant(p) != std::mem::discriminant(&omit))
-        .collect()
+/// Every pass but `omit`.
+fn full_minus(omit: PassId) -> Vec<PassId> {
+    PassId::ALL.into_iter().filter(|&p| p != omit).collect()
 }
 
 #[test]
 fn per_pass_blocks_sum_to_the_aggregate_across_the_full_suite() {
     for w in suite() {
-        let r = run(w.name, &FULL);
+        let r = run(w.name, &PassId::ALL);
         assert_eq!(
             r.passes.total(),
             r.optimizer,
@@ -67,11 +51,11 @@ fn per_pass_blocks_sum_to_the_aggregate_across_the_full_suite() {
 fn aggregate_equals_block_sum_for_ablations_too() {
     // The invariant is structural, so it must hold for every pass subset,
     // not just the full stack.
-    let subsets: [&[Pass]; 4] = [
+    let subsets: [&[PassId]; 4] = [
         &[],
-        &[Pass::cp_ra(), Pass::early_exec()],
-        &[Pass::value_feedback(), Pass::early_exec()],
-        &[Pass::rle_sf(), Pass::early_exec()],
+        &[PassId::CpRa, PassId::EarlyExec],
+        &[PassId::ValueFeedback, PassId::EarlyExec],
+        &[PassId::RleSf, PassId::EarlyExec],
     ];
     for passes in subsets {
         let r = run("mcf", passes);
@@ -83,7 +67,7 @@ fn aggregate_equals_block_sum_for_ablations_too() {
 fn full_stack_populates_every_pass_block() {
     // `untst` exercises all four mechanisms (the quickstart example's
     // showcase workload).
-    let r = run("untst", &FULL);
+    let r = run("untst", &PassId::ALL);
     let p = &r.passes;
     assert!(p.engine.insts > 0);
     assert!(p.engine.loads > 0);
@@ -105,21 +89,21 @@ fn disabling_a_pass_zeroes_exactly_its_block() {
     let zero = OptStats::default();
 
     // No RLE/SF: its block is exactly zero while the others stay active.
-    let r = run("untst", &full_minus(Pass::rle_sf()));
+    let r = run("untst", &full_minus(PassId::RleSf));
     assert_eq!(r.passes.rle_sf, zero, "rle-sf disabled ⇒ block zero");
     assert!(r.passes.cp_ra.moves_eliminated > 0);
     assert!(r.passes.early_exec.executed_early > 0);
     assert!(r.passes.value_feedback.feedback_integrations > 0);
 
     // No value feedback: its block is exactly zero.
-    let r = run("untst", &full_minus(Pass::value_feedback()));
+    let r = run("untst", &full_minus(PassId::ValueFeedback));
     assert_eq!(r.passes.value_feedback, zero);
     assert!(r.passes.early_exec.executed_early > 0);
 
     // No early execution: its block is exactly zero — nothing completes
     // at rename — and the completion-gated counters of the other passes
     // vanish with it (forwarding and move elimination need EarlyExec).
-    let r = run("untst", &full_minus(Pass::early_exec()));
+    let r = run("untst", &full_minus(PassId::EarlyExec));
     assert_eq!(r.passes.early_exec, zero);
     assert_eq!(r.passes.rle_sf.loads_removed, 0);
     assert_eq!(r.passes.cp_ra.moves_eliminated, 0);
@@ -145,7 +129,7 @@ fn disabling_a_pass_zeroes_exactly_its_block() {
 #[test]
 fn report_passes_survive_the_json_round_trip() {
     use contopt_sim::JsonValue;
-    let r = run("untst", &FULL);
+    let r = run("untst", &PassId::ALL);
     let doc = JsonValue::parse(&r.canonical_json()).expect("canonical JSON parses");
     let passes = doc.get("passes").expect("passes object present");
     let lookup = |block: &str, field: &str| -> u64 {
