@@ -165,9 +165,8 @@ impl Bundle {
 ///
 /// Owns the physical register file, the symbolic RAT, the Memory Bypass
 /// Cache, and the value-feedback path. With [`OptimizerConfig::baseline`]
-/// (no pass active) it degrades to a plain register
-/// renamer, so one unit serves both the baseline and the optimized
-/// machine.
+/// (no pass active) it degrades to a plain register renamer, so one unit
+/// serves both the baseline and the optimized machine.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     pub(crate) cfg: OptimizerConfig,

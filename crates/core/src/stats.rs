@@ -1,9 +1,10 @@
 //! Optimizer statistics — the raw counters behind Table 3, split per pass.
 //!
 //! Counters are accumulated per *pass* ([`PassStats`]): each pass's
-//! charge sites record into the block named after it, and the Table 3 aggregate is always **derived** as the sum of
-//! the blocks ([`PassStats::total`]), never maintained separately — so the
-//! per-pass attribution map cannot drift from the aggregates the paper's
+//! charge sites record into the block named after it, and the Table 3
+//! aggregate is always **derived** as the sum of the blocks
+//! ([`PassStats::total`]), never maintained separately — so the per-pass
+//! attribution map cannot drift from the aggregates the paper's
 //! evaluation reports.
 
 use crate::passes::PassId;
@@ -116,9 +117,9 @@ impl OptStats {
 /// The optimizer counters attributed to the pass that earned them.
 ///
 /// Each pass's charge sites record into the block named after it
-/// ([`PassId::name`]); counters that no single pass owns —
-/// the stream denominators and the engine-level structural limits — land
-/// in [`engine`](Self::engine). The aggregate [`OptStats`] is always
+/// ([`PassId::name`]); counters that no single pass owns — the stream
+/// denominators and the engine-level structural limits — land in
+/// [`engine`](Self::engine). The aggregate [`OptStats`] is always
 /// *derived* as the elementwise sum of the five blocks
 /// ([`total`](Self::total)) and never maintained separately, so per-pass
 /// and aggregate numbers cannot drift apart.
