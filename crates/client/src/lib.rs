@@ -121,7 +121,7 @@ impl From<ProtocolError> for ClientError {
 /// from `[cap/2, cap]`, where `cap = min(max_delay, base_delay · 2ⁿ)`
 /// and the position inside the window comes from splitmix64 over
 /// `seed + n` — the same seed always produces the same schedule, so
-/// fault-injection tests are exactly reproducible.
+/// recovery tests are exactly reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total connection attempts (1 = no retries).

@@ -134,6 +134,21 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let goldens_dir = PathBuf::from(value(args, "--goldens")?.unwrap_or("goldens"));
 
     let seed = number(args, "--seed", true)?.unwrap_or(1);
+
+    // `--table` renders only an --ablate run, and the golden flags act
+    // only on --scenario and --ablate runs; anywhere else each would be a
+    // silent no-op.
+    if args.iter().any(|a| a == "--table") && !args.iter().any(|a| a == "--ablate") {
+        return Err("--table selects the per-pass table of an --ablate run".into());
+    }
+    let golden_run = args.iter().any(|a| a == "--scenario" || a == "--ablate");
+    for flag in ["--check", "--record", "--allow-field"] {
+        if !golden_run && args.iter().any(|a| a == flag) {
+            return Err(format!(
+                "{flag} applies only to a --scenario or --ablate run"
+            ));
+        }
+    }
     if let Some(count) = number(args, "--fuzz", true)? {
         return Ok(run_fuzz(count, seed, &scenarios_dir));
     }
@@ -174,11 +189,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::from(outcome.exit_code()));
     }
 
-    // `--table` renders only an --ablate run; anywhere else it would be a
-    // silent no-op.
-    if args.iter().any(|a| a == "--table") && !args.iter().any(|a| a == "--ablate") {
-        return Err("--table selects the per-pass table of an --ablate run".into());
-    }
     let scenario_files = values_after(args, "--scenario");
     let ablate_files = values_after(args, "--ablate");
     if args.iter().any(|a| a == "--scenario" || a == "--ablate") {

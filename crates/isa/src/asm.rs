@@ -194,7 +194,7 @@ enum Fixup {
     Br { idx: usize, label: String },
 }
 
-/// The program builder. See the [module documentation](self) for an example.
+/// The program builder. See the [crate documentation](crate) for an example.
 pub struct Asm {
     code_base: u64,
     insts: Vec<Inst>,

@@ -15,8 +15,9 @@
 //! * Directives: `.text [addr]`, `.data [addr]`, `.org addr`,
 //!   `.entry addr`, `.align n`, and the data placers `.quad`, `.long`,
 //!   `.word` (2 bytes), `.byte`, `.double`, `.zero n`.
-//! * Instructions use the mnemonics of [`crate::opcode`] plus the
-//!   assembler forms and pseudos listed by [`mnemonics`]:
+//! * Instructions use the mnemonics of the opcode types ([`AluOp`],
+//!   [`FpOp`], [`FpCmpOp`], [`Cond`]) plus the assembler forms and
+//!   pseudos listed by [`mnemonics`]:
 //!
 //! ```text
 //!         addq r1, r2, r3      ; rc last; rb may be an immediate: addq r1, 8, r3
@@ -57,8 +58,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Every mnemonic the text assembler accepts, in documentation order:
-/// the opcode-table mnemonics of [`crate::opcode`], the assembler
-/// instruction forms, and the pseudo-instructions.
+/// the mnemonics of the opcode types ([`AluOp`], [`FpOp`], [`FpCmpOp`],
+/// [`Cond`]), the assembler instruction forms, and the
+/// pseudo-instructions.
 ///
 /// `docs/ISA.md` is required (by test) to document every entry.
 pub fn mnemonics() -> Vec<&'static str> {

@@ -147,15 +147,6 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => return bad(format!("cannot read bound address: {e}")),
     };
-    #[cfg(feature = "fault-injection")]
-    match contopt_server::fault::FaultPlan::from_env() {
-        Ok(Some(plan)) => {
-            eprintln!("contopt-server: fault injection armed from CONTOPT_FAULTS");
-            server.inject_faults(plan);
-        }
-        Ok(None) => {}
-        Err(e) => return bad(format!("bad CONTOPT_FAULTS: {e}")),
-    }
     if let Some(path) = port_file {
         if let Err(e) = write_port_file(&path, bound.port()) {
             return bad(format!("cannot write {path}: {e}"));

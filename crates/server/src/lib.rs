@@ -35,10 +35,10 @@
 //!   waits (bounded by [`ServerConfig::drain_timeout`]) for in-flight
 //!   connections to finish before returning.
 //!
-//! A deterministic fault-injection harness (the [`fault`] module, only
-//! compiled under `cfg(any(test, feature = "fault-injection"))`) scripts
-//! cell panics, connection drops, frame truncation, delays, and black
-//! holes into a live server; `tests/faults.rs` drives it end-to-end.
+//! `tests/faults.rs` tests these guarantees from outside the server: a
+//! loopback relay between client and server drops, truncates, delays or
+//! black-holes the response stream, and a cell whose `max_cycles` the
+//! workload overruns really panics.
 //!
 //! The service also **federates**: a *frontier* server configured with
 //! downstream addresses ([`ServerConfig::federation`], `--downstream` /
@@ -62,43 +62,6 @@
 pub mod federation;
 pub mod scheduler;
 
-#[cfg(any(test, feature = "fault-injection"))]
-pub mod fault;
-
-#[cfg(any(test, feature = "fault-injection"))]
-use fault::{ConnFaults, FrameFate};
-
-/// No-op stand-ins so the serve path reads identically whether or not
-/// fault injection is compiled in.
-#[cfg(not(any(test, feature = "fault-injection")))]
-mod fault_stub {
-    pub(crate) struct ConnFaults;
-
-    #[allow(dead_code)] // Truncate/Drop are never built without injection
-    pub(crate) enum FrameFate {
-        Send,
-        Truncate,
-        Drop,
-    }
-
-    impl ConnFaults {
-        pub(crate) fn none() -> ConnFaults {
-            ConnFaults
-        }
-
-        pub(crate) fn black_hole(&self) -> bool {
-            false
-        }
-
-        pub(crate) fn before_frame(&mut self) -> FrameFate {
-            FrameFate::Send
-        }
-    }
-}
-
-#[cfg(not(any(test, feature = "fault-injection")))]
-use fault_stub::{ConnFaults, FrameFate};
-
 use contopt_client::protocol::{
     read_frame, write_frame, CellError, CellReply, CellResult, DownstreamStatus, Message, PlanCell,
     ProtocolError, ServerStatus, SweepStatus, WireError, PROTOCOL_VERSION,
@@ -110,7 +73,7 @@ use contopt_sim::{
 };
 use federation::{DownstreamLink, Federation, FederationConfig};
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -267,13 +230,11 @@ pub struct SweepEngine {
     /// Active connection gauge, for graceful drain.
     conns: Mutex<u64>,
     conn_cond: Condvar,
-    /// Set when the server begins shutting down; long-running fault
-    /// handlers (black holes) also poll it so drain stays bounded.
+    /// Set when the server begins shutting down; the accept loop reads
+    /// it to stop accepting.
     draining: AtomicBool,
     /// Downstream links (empty on a standalone server).
     federation: Federation,
-    #[cfg(any(test, feature = "fault-injection"))]
-    faults: Mutex<Option<Arc<fault::FaultPlan>>>,
 }
 
 /// A completed sweep: accounting plus the per-cell results in request
@@ -300,8 +261,6 @@ impl SweepEngine {
             conn_cond: Condvar::new(),
             draining: AtomicBool::new(false),
             federation: Federation::new(&config.federation),
-            #[cfg(any(test, feature = "fault-injection"))]
-            faults: Mutex::new(None),
         }
     }
 
@@ -346,33 +305,6 @@ impl SweepEngine {
         }
     }
 
-    /// Installs a fault plan; subsequent connections and simulations
-    /// consult it. Only available with fault injection compiled in.
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub fn inject_faults(&self, plan: fault::FaultPlan) {
-        *self
-            .faults
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Arc::new(plan));
-    }
-
-    #[cfg(any(test, feature = "fault-injection"))]
-    fn fault_plan(&self) -> Option<Arc<fault::FaultPlan>> {
-        self.faults
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Claims connection-level faults for a fresh connection.
-    fn claim_conn_faults(&self) -> ConnFaults {
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(plan) = self.fault_plan() {
-            return plan.claim_connection();
-        }
-        ConnFaults::none()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, EngineState> {
         // The engine never panics while holding the lock (simulation runs
         // outside it), so poisoning is unreachable in practice; recover
@@ -403,8 +335,7 @@ impl SweepEngine {
         self.conn_cond.notify_all();
     }
 
-    /// Marks the engine as draining (black-hole handlers and other
-    /// long waits poll this to wind down promptly).
+    /// Marks the engine as draining, so the accept loop stops.
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
     }
@@ -844,20 +775,7 @@ impl SweepEngine {
             key,
             published: false,
         };
-
-        #[cfg(any(test, feature = "fault-injection"))]
-        let injected = self
-            .fault_plan()
-            .is_some_and(|plan| plan.take_panic(key.0.workload()));
-        #[cfg(not(any(test, feature = "fault-injection")))]
-        let injected = false;
-
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if injected {
-                panic!("injected fault: cell panic");
-            }
-            session.run().canonical_json()
-        }));
+        let run = catch_unwind(AssertUnwindSafe(|| session.run().canonical_json()));
         let report = match run {
             Ok(json) => Arc::new(json),
             Err(payload) => {
@@ -1049,34 +967,6 @@ fn expand_request(msg: Message) -> Result<(u64, Vec<SweepCell>, Option<u64>), Wi
     }
 }
 
-/// Writes one response frame, applying any connection-level injected
-/// faults. `Ok(true)` = sent, keep going; `Ok(false)` = the connection
-/// was deliberately cut (injected drop/truncation), stop.
-fn send_frame(
-    writer: &mut BufWriter<TcpStream>,
-    msg: &Message,
-    faults: &mut ConnFaults,
-) -> Result<bool, ProtocolError> {
-    match faults.before_frame() {
-        FrameFate::Send => {
-            write_frame(writer, msg)?;
-            Ok(true)
-        }
-        FrameFate::Drop => Ok(false),
-        FrameFate::Truncate => {
-            // A deliberately half-written frame: correct length prefix,
-            // half the payload, then the connection closes — the reader
-            // must surface a typed I/O error, never hang or misparse.
-            let text = msg.to_json().to_string();
-            let bytes = text.as_bytes();
-            writer.write_all(&(bytes.len() as u32).to_be_bytes())?;
-            writer.write_all(&bytes[..bytes.len() / 2])?;
-            writer.flush()?;
-            Ok(false)
-        }
-    }
-}
-
 /// Serves one connection: one request frame in, one status frame plus the
 /// per-cell frames (or one error frame) out. `ping` requests are answered
 /// with a `server_status` frame.
@@ -1090,19 +980,14 @@ fn handle_connection(engine: &SweepEngine, stream: TcpStream) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    let mut faults = engine.claim_conn_faults();
-    let fail = |writer: &mut BufWriter<TcpStream>,
-                faults: &mut ConnFaults,
-                code: &str,
-                message: String| {
+    let fail = |writer: &mut BufWriter<TcpStream>, code: &str, message: String| {
         // Best-effort: the peer may already be gone.
-        let _ = send_frame(
+        let _ = write_frame(
             writer,
             &Message::Error(WireError {
                 code: code.to_string(),
                 message,
             }),
-            faults,
         );
     };
     let request = match read_frame(&mut reader) {
@@ -1110,60 +995,35 @@ fn handle_connection(engine: &SweepEngine, stream: TcpStream) {
         Err(ProtocolError::VersionMismatch(v)) => {
             return fail(
                 &mut writer,
-                &mut faults,
                 "version",
                 format!("unsupported protocol version {v}"),
             )
         }
         Err(ProtocolError::Io(_)) => return, // peer vanished; nothing to tell it
-        Err(e) => return fail(&mut writer, &mut faults, "bad-request", e.to_string()),
+        Err(e) => return fail(&mut writer, "bad-request", e.to_string()),
     };
-    if faults.black_hole() {
-        // Injected fault: swallow the request. Bounded — wind down as
-        // soon as the server drains (or after the deadline budget), so
-        // a black hole never outlives its test.
-        let cap = engine
-            .request_timeout
-            .unwrap_or(DEFAULT_REQUEST_TIMEOUT)
-            .saturating_mul(4);
-        let start = Instant::now();
-        while !engine.is_draining() && start.elapsed() < cap {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        return;
-    }
     if matches!(request, Message::Ping) {
-        let _ = send_frame(
-            &mut writer,
-            &Message::ServerStatus(engine.server_status()),
-            &mut faults,
-        );
+        let _ = write_frame(&mut writer, &Message::ServerStatus(engine.server_status()));
         return;
     }
     let (insts, cells, jobs) = match expand_request(request) {
         Ok(parts) => parts,
-        Err(e) => return fail(&mut writer, &mut faults, &e.code, e.message),
+        Err(e) => return fail(&mut writer, &e.code, e.message),
     };
     let response = match engine.sweep(insts, &cells, jobs) {
         Ok(r) => r,
-        Err(e) => return fail(&mut writer, &mut faults, &e.code, e.message),
+        Err(e) => return fail(&mut writer, &e.code, e.message),
     };
-    match send_frame(
-        &mut writer,
-        &Message::SweepStatus(response.status),
-        &mut faults,
-    ) {
-        Ok(true) => {}
-        Ok(false) | Err(_) => return,
+    if write_frame(&mut writer, &Message::SweepStatus(response.status)).is_err() {
+        return;
     }
     for cell in response.cells {
         let msg = match cell {
             CellReply::Report(r) => Message::CellResult(r),
             CellReply::Failed(e) => Message::CellError(e),
         };
-        match send_frame(&mut writer, &msg, &mut faults) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
+        if write_frame(&mut writer, &msg).is_err() {
+            return;
         }
     }
 }
@@ -1192,13 +1052,6 @@ impl Server {
     /// server runs).
     pub fn engine(&self) -> Arc<SweepEngine> {
         Arc::clone(&self.engine)
-    }
-
-    /// Installs a fault plan on the engine (see [`fault::FaultPlan`]).
-    /// Only available with fault injection compiled in.
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub fn inject_faults(&self, plan: fault::FaultPlan) {
-        self.engine.inject_faults(plan);
     }
 
     /// Serves connections on the calling thread, forever. Each

@@ -1,25 +1,25 @@
-//! Deterministic fault-injection suite: a real server with a scripted
-//! [`FaultPlan`], a real client, and assertions on *graceful
-//! degradation* — the sweep service's recovery guarantees under cell
-//! panics, mid-stream connection drops, frame truncation, black-holed
-//! requests, and injected latency.
+//! Recovery suite: a real server, a real client, and assertions on
+//! *graceful degradation* under cell panics, mid-stream connection
+//! drops, frame truncation, black-holed requests, and latency.
 //!
-//! Only built with `--features fault-injection` (CI runs
-//! `cargo test -p contopt-server --features fault-injection`); a plain
-//! `cargo test` compiles this file to an empty crate.
+//! Every fault comes from outside the server. A loopback relay between
+//! the client (or a frontier) and a real server produces the transport
+//! faults, and a cell whose `max_cycles` the workload overruns panics in
+//! the pipeline for real.
 
-#![cfg(feature = "fault-injection")]
 // Test scaffolding may panic freely; the crate-level deny on
 // unwrap/expect protects the service itself, not its test harness.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use contopt_client::protocol::{CellReply, CellResult};
+use contopt_client::protocol::{CellReply, CellResult, PlanCell};
 use contopt_client::{Client, ClientConfig, RetryPolicy};
 use contopt_experiments::{check_cell, CheckOutcome, TolerancePolicy};
-use contopt_server::fault::FaultPlan;
 use contopt_server::{Server, ServerConfig, ServerHandle};
-use contopt_sim::Scenario;
+use contopt_sim::{MachineConfig, Scenario};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 fn repo_root() -> PathBuf {
@@ -30,11 +30,119 @@ fn smoke() -> Scenario {
     Scenario::load(repo_root().join("scenarios/smoke.json")).expect("checked-in smoke scenario")
 }
 
-/// A server with the given fault plan armed before it accepts anything.
-fn faulty_server(plan: FaultPlan, config: ServerConfig) -> ServerHandle {
-    let server = Server::bind("127.0.0.1:0", config).expect("bind loopback");
-    server.inject_faults(plan);
-    server.spawn().expect("spawn server")
+/// twf on the paper's machine, capped at `max_cycles`. At smoke's budget
+/// twf needs 168,648 cycles, so any smaller cap panics in the pipeline.
+fn capped_twf(max_cycles: u64) -> PlanCell {
+    let mut machine = MachineConfig::default_paper();
+    machine.max_cycles = max_cycles;
+    PlanCell {
+        label: "capped".to_string(),
+        machine,
+        workload: "twf".to_string(),
+    }
+}
+
+/// Smoke's four cells as a raw plan, in declaration order, plus a fifth
+/// that panics after 1,000 cycles.
+fn smoke_plus_a_panicking_cell(sc: &Scenario) -> Vec<PlanCell> {
+    let mut plan: Vec<PlanCell> = sc
+        .configs
+        .iter()
+        .flat_map(|cfg| {
+            cfg.workloads.iter().map(|w| PlanCell {
+                label: cfg.label.clone(),
+                machine: cfg.machine,
+                workload: w.clone(),
+            })
+        })
+        .collect();
+    plan.push(capped_twf(1_000));
+    plan
+}
+
+fn spawn_server(config: ServerConfig) -> ServerHandle {
+    Server::bind("127.0.0.1:0", config)
+        .expect("bind loopback")
+        .spawn()
+        .expect("spawn server")
+}
+
+/// A transport fault the relay applies to one connection.
+#[derive(Clone, Copy)]
+enum Fault {
+    /// Close after this many complete response frames.
+    DropAfter(usize),
+    /// Send response frame N (1-based) as its length prefix plus half
+    /// its payload, then close.
+    Truncate(usize),
+    /// Wait this long before relaying each response frame.
+    Delay(Duration),
+    /// Read the request and forward nothing; hold the connection until
+    /// the peer gives up, for at most 800 ms.
+    BlackHole,
+}
+
+/// A loopback relay in front of `upstream`: each of its first `times`
+/// connections suffers `fault`, later ones are relayed untouched.
+/// Returns the address to connect to instead of `upstream`.
+fn relay(upstream: SocketAddr, fault: Fault, times: usize) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+    let addr = listener.local_addr().expect("relay address");
+    std::thread::spawn(move || {
+        for (k, conn) in listener.incoming().enumerate() {
+            let Ok(conn) = conn else { continue };
+            let fault = (k < times).then_some(fault);
+            std::thread::spawn(move || relay_connection(conn, upstream, fault));
+        }
+    });
+    addr
+}
+
+/// Reads one raw frame: the 4-byte big-endian length prefix and the
+/// payload it announces.
+fn read_raw_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut frame = vec![0u8; 4];
+    r.read_exact(&mut frame)?;
+    let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    frame.resize(4 + len, 0);
+    r.read_exact(&mut frame[4..])?;
+    Ok(frame)
+}
+
+/// Relays one request frame upstream and the response frames back until
+/// the server closes, applying `fault` on the way back.
+fn relay_connection(mut peer: TcpStream, upstream: SocketAddr, fault: Option<Fault>) {
+    let Ok(request) = read_raw_frame(&mut peer) else {
+        return;
+    };
+    if let Some(Fault::BlackHole) = fault {
+        // Returns when the peer closes, or after 800 ms.
+        let _ = peer.set_read_timeout(Some(Duration::from_millis(800)));
+        let _ = peer.read(&mut [0u8; 1]);
+        return;
+    }
+    let Ok(mut server) = TcpStream::connect(upstream) else {
+        return;
+    };
+    if server.write_all(&request).is_err() {
+        return;
+    }
+    let mut sent = 0;
+    while let Ok(frame) = read_raw_frame(&mut server) {
+        match fault {
+            Some(Fault::DropAfter(n)) if sent == n => return,
+            Some(Fault::Truncate(n)) if sent + 1 == n => {
+                let _ = peer.write_all(&frame[..4 + (frame.len() - 4) / 2]);
+                return;
+            }
+            Some(Fault::Delay(d)) => std::thread::sleep(d),
+            _ => {}
+        }
+        if peer.write_all(&frame).is_err() {
+            return;
+        }
+        sent += 1;
+    }
 }
 
 /// A client with fast, deterministic retries (so the suite stays quick)
@@ -89,48 +197,11 @@ fn frontier_config(downstreams: Vec<String>) -> ServerConfig {
     }
 }
 
-/// One injected cell panic degrades exactly that cell to a typed
-/// `cell_error`; every sibling still streams back, byte-identical to the
-/// checked-in goldens, and the status accounting balances.
-#[test]
-fn injected_panic_yields_cell_error_and_all_siblings() {
-    let server = faulty_server(FaultPlan::new().panic_on("twf", 1), default_config());
-    let client = fast_client(server.addr().to_string(), 1, Duration::from_secs(60));
-    let sc = smoke();
-
-    let mut sweep = client.submit_scenario(&sc, Some(2)).expect("submit");
-    let status = sweep.status();
-    assert_eq!(status.results, 4, "smoke = 2 configs x 2 workloads");
-    assert_eq!(status.errors, 1, "exactly the panicked cell failed");
-    assert_eq!(
-        status.simulated + status.cache_hits + status.joined + status.errors,
-        status.unique,
-        "accounting still balances with a failed cell: {status:?}"
-    );
-
-    let cells = sweep.fetch_reports().expect("fetch");
-    assert_eq!(cells.len(), 4, "every requested cell gets a reply");
-    let failures: Vec<_> = cells.iter().filter_map(CellReply::failure).collect();
-    let reports: Vec<&CellResult> = cells.iter().filter_map(CellReply::report).collect();
-    assert_eq!(failures.len(), 1);
-    assert_eq!(reports.len(), 3, "N-1 siblings survive the panic");
-
-    let failed = failures[0];
-    assert_eq!(failed.workload, "twf", "the injected fault named twf");
-    assert_eq!(failed.code, "panic");
-    assert!(
-        failed.message.contains("injected fault"),
-        "the panic payload is surfaced: {:?}",
-        failed.message
-    );
-    // A per-cell failure is an *error* outcome for --check: exit code 3.
-    assert_eq!(CheckOutcome::Error.exit_code(), 3);
-
-    // The surviving siblings are not merely present — they byte-match
-    // the checked-in goldens, exactly as a fault-free sweep would.
+/// Asserts that every report byte-matches its checked-in smoke golden.
+fn assert_match_goldens<'a>(sc: &Scenario, reports: impl IntoIterator<Item = &'a CellResult>) {
     let goldens = repo_root().join("goldens");
     let policy = TolerancePolicy::exact();
-    for cell in &reports {
+    for cell in reports {
         let drift = check_cell(
             &goldens,
             &sc.name,
@@ -142,36 +213,133 @@ fn injected_panic_yields_cell_error_and_all_siblings() {
         .expect("golden readable");
         assert!(
             drift.is_none(),
-            "sibling {}/{} drifted under fault injection: {drift:?}",
+            "{}/{} drifted from its golden: {drift:?}",
             cell.label,
             cell.workload
         );
     }
 }
 
-/// A panicked cell releases its in-flight claim: resubmitting the same
-/// sweep succeeds completely (the panic budget is spent), rather than
-/// deadlocking on a claim nobody owns or failing forever.
+/// One panicking cell degrades exactly that cell to a typed
+/// `cell_error`; every sibling still streams back, byte-identical to the
+/// checked-in goldens, and the status accounting balances.
 #[test]
-fn panicked_claims_are_released_and_the_cell_recovers_on_resubmit() {
-    let server = faulty_server(FaultPlan::new().panic_on("twf", 1), default_config());
+fn a_panicking_cell_yields_cell_error_and_all_siblings() {
+    let server = spawn_server(default_config());
     let client = fast_client(server.addr().to_string(), 1, Duration::from_secs(60));
     let sc = smoke();
 
-    let mut first = client.submit_scenario(&sc, Some(2)).expect("first submit");
+    let mut sweep = client
+        .submit_plan(sc.insts, smoke_plus_a_panicking_cell(&sc), Some(2))
+        .expect("submit");
+    let status = sweep.status();
+    assert_eq!(status.results, 5, "smoke's 2 configs x 2 workloads + 1");
+    assert_eq!(status.errors, 1, "exactly the panicked cell failed");
+    assert_eq!(
+        status.simulated + status.cache_hits + status.joined + status.errors,
+        status.unique,
+        "accounting still balances with a failed cell: {status:?}"
+    );
+
+    let cells = sweep.fetch_reports().expect("fetch");
+    assert_eq!(cells.len(), 5, "every requested cell gets a reply");
+    let failures: Vec<_> = cells.iter().filter_map(CellReply::failure).collect();
+    let reports: Vec<&CellResult> = cells.iter().filter_map(CellReply::report).collect();
+    assert_eq!(failures.len(), 1);
+    assert_eq!(reports.len(), 4, "N-1 siblings survive the panic");
+
+    let failed = failures[0];
+    assert_eq!(failed.label, "capped");
+    assert_eq!(failed.workload, "twf", "the capped cell runs twf");
+    assert_eq!(failed.code, "panic");
+    assert!(
+        failed.message.contains("max_cycles"),
+        "the panic payload is surfaced: {:?}",
+        failed.message
+    );
+    // A per-cell failure is an *error* outcome for --check: exit code 3.
+    assert_eq!(CheckOutcome::Error.exit_code(), 3);
+
+    // The surviving siblings are not merely present — they byte-match
+    // the checked-in goldens, exactly as a fault-free sweep would.
+    assert_match_goldens(&sc, reports);
+}
+
+/// A panicked cell releases its in-flight claim and is never cached:
+/// resubmitting the same sweep reruns it (and it fails again) while the
+/// survivors come back from cache. A leaked claim would hang the second
+/// submission; a cached failure would show up as a hit.
+#[test]
+fn panicked_claims_are_released_and_the_cell_reruns_on_resubmit() {
+    let server = spawn_server(default_config());
+    let engine = server.engine();
+    let client = fast_client(server.addr().to_string(), 1, Duration::from_secs(60));
+    let sc = smoke();
+    let plan = smoke_plus_a_panicking_cell(&sc);
+
+    let mut first = client
+        .submit_plan(sc.insts, plan.clone(), Some(2))
+        .expect("first submit");
     assert_eq!(first.status().errors, 1);
     let _ = first.fetch_reports().expect("fetch");
 
-    let mut second = client.submit_scenario(&sc, Some(2)).expect("second submit");
+    let mut second = client
+        .submit_plan(sc.insts, plan, Some(2))
+        .expect("second submit");
     let status = second.status();
-    assert_eq!(status.errors, 0, "the fault budget is spent: {status:?}");
-    assert_eq!(
-        status.simulated, 1,
-        "only the previously-panicked cell re-simulates"
-    );
-    assert_eq!(status.cache_hits, 3, "the survivors come back from cache");
+    assert_eq!(status.errors, 1, "the capped cell reran and failed again");
+    assert_eq!(status.simulated, 0, "nothing else re-simulates: {status:?}");
+    assert_eq!(status.cache_hits, 4, "the survivors come back from cache");
     let cells = second.fetch_reports().expect("fetch");
-    assert!(cells.iter().all(|c| c.report().is_some()));
+    assert_eq!(cells.iter().filter_map(CellReply::report).count(), 4);
+    assert_eq!(engine.in_flight_cells(), 0, "no claim outlives the panic");
+    assert_eq!(engine.cache_entries(), 4, "a failure is never cached");
+}
+
+/// Two requests for one panicking cell: the second joins the first's
+/// in-flight simulation. When that panics, the released claim must wake
+/// the joiner, which reruns the cell and fails too, instead of waiting
+/// for a report nobody will publish.
+#[test]
+fn joiners_of_a_panicking_cell_wake_and_fail_too() {
+    let server = spawn_server(default_config());
+    let engine = server.engine();
+    let addr = server.addr().to_string();
+    let insts = smoke().insts;
+
+    // Both requests leave together, and the cap lets the cell run most
+    // of its course before it panics, so the second request arrives
+    // while the first is in flight.
+    let start = Barrier::new(2);
+    let replies: Vec<CellReply> = std::thread::scope(|s| {
+        let requests: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    // A lost wake-up fails here instead of hanging.
+                    let client = fast_client(addr.clone(), 1, Duration::from_secs(10));
+                    start.wait();
+                    let mut sweep = client
+                        .submit_plan(insts, vec![capped_twf(150_000)], None)
+                        .expect("submit");
+                    sweep.fetch_reports().expect("fetch").remove(0)
+                })
+            })
+            .collect();
+        requests
+            .into_iter()
+            .map(|r| r.join().expect("request thread"))
+            .collect()
+    });
+    for reply in &replies {
+        let failed = reply.failure().expect("both requests fail the cell");
+        assert_eq!(failed.code, "panic");
+        assert!(
+            failed.message.contains("max_cycles"),
+            "{:?}",
+            failed.message
+        );
+    }
+    assert_eq!(engine.in_flight_cells(), 0, "no claim outlives the panic");
 }
 
 /// A connection dropped mid-stream (after the status frame and two cell
@@ -180,9 +348,10 @@ fn panicked_claims_are_released_and_the_cell_recovers_on_resubmit() {
 /// zero duplicate simulations, all cache hits, byte-identical reports.
 #[test]
 fn mid_stream_drop_is_recovered_by_retry_with_zero_duplicate_simulations() {
-    let server = faulty_server(FaultPlan::new().drop_after(3, 1), default_config());
+    let server = spawn_server(default_config());
     let engine = server.engine();
-    let client = fast_client(server.addr().to_string(), 3, Duration::from_secs(60));
+    let addr = relay(server.addr(), Fault::DropAfter(3), 1);
+    let client = fast_client(addr.to_string(), 3, Duration::from_secs(60));
     let sc = smoke();
 
     let mut sweep = client.submit_scenario(&sc, Some(2)).expect("submit");
@@ -205,20 +374,7 @@ fn mid_stream_drop_is_recovered_by_retry_with_zero_duplicate_simulations() {
 
     // And the recovered bytes are the simulated bytes: byte-identical to
     // the goldens, as if no fault had ever fired.
-    let goldens = repo_root().join("goldens");
-    let policy = TolerancePolicy::exact();
-    for cell in cells.iter().filter_map(CellReply::report) {
-        let drift = check_cell(
-            &goldens,
-            &sc.name,
-            &cell.label,
-            &cell.workload,
-            &cell.report,
-            &policy,
-        )
-        .expect("golden readable");
-        assert!(drift.is_none(), "recovered report drifted: {drift:?}");
-    }
+    assert_match_goldens(&sc, cells.iter().filter_map(CellReply::report));
 }
 
 /// A response frame truncated halfway (length prefix promises more bytes
@@ -226,9 +382,10 @@ fn mid_stream_drop_is_recovered_by_retry_with_zero_duplicate_simulations() {
 /// retry — never a hang, never a misparse.
 #[test]
 fn truncated_frame_is_a_typed_error_recovered_by_retry() {
-    let server = faulty_server(FaultPlan::new().truncate_frame(2, 1), default_config());
+    let server = spawn_server(default_config());
     let engine = server.engine();
-    let client = fast_client(server.addr().to_string(), 3, Duration::from_secs(60));
+    let addr = relay(server.addr(), Fault::Truncate(2), 1);
+    let client = fast_client(addr.to_string(), 3, Duration::from_secs(60));
     let sc = smoke();
 
     let mut sweep = client.submit_scenario(&sc, Some(2)).expect("submit");
@@ -246,15 +403,10 @@ fn truncated_frame_is_a_typed_error_recovered_by_retry() {
 /// the "timeout, not a hang" guarantee.
 #[test]
 fn black_holed_request_times_out_instead_of_hanging() {
-    let server = faulty_server(
-        FaultPlan::new().black_hole(2),
-        ServerConfig {
-            request_timeout: Some(Duration::from_millis(200)),
-            ..default_config()
-        },
-    );
+    let server = spawn_server(default_config());
+    let addr = relay(server.addr(), Fault::BlackHole, 2);
     // Both attempts are swallowed; the client must give up on its own.
-    let client = fast_client(server.addr().to_string(), 2, Duration::from_millis(250));
+    let client = fast_client(addr.to_string(), 2, Duration::from_millis(250));
     let sc = smoke();
 
     let start = Instant::now();
@@ -278,15 +430,13 @@ fn black_holed_request_times_out_instead_of_hanging() {
     );
 }
 
-/// Injected per-frame latency inside the deadline budget slows the sweep
-/// but does not break it: delays alone never produce errors or retries.
+/// Per-frame latency inside the deadline budget slows the sweep but
+/// does not break it: delays alone never produce errors or retries.
 #[test]
 fn delays_within_the_deadline_are_absorbed() {
-    let server = faulty_server(
-        FaultPlan::new().delay_frames(20).with_seed(11),
-        default_config(),
-    );
-    let client = fast_client(server.addr().to_string(), 1, Duration::from_secs(60));
+    let server = spawn_server(default_config());
+    let addr = relay(server.addr(), Fault::Delay(Duration::from_millis(20)), 1);
+    let client = fast_client(addr.to_string(), 1, Duration::from_secs(60));
     let sc = smoke();
 
     let mut sweep = client.submit_scenario(&sc, None).expect("submit");
@@ -297,39 +447,22 @@ fn delays_within_the_deadline_are_absorbed() {
     assert_eq!(sweep.status().errors, 0);
 }
 
-/// Three-node chaos: a frontier over two downstreams, one of which
-/// black-holes every connection (armed through the same `CONTOPT_FAULTS`
-/// grammar the daemon reads). The sweep still completes — the dead
-/// link's cells are absorbed locally — with zero lost and zero
-/// duplicated simulations anywhere in the topology, and the dead link
-/// is reported unhealthy afterwards.
+/// Three-node chaos: a frontier over two downstreams, one of which sits
+/// behind a relay that black-holes every connection. The sweep still
+/// completes — the dead link's cells are absorbed locally — with zero
+/// lost and zero duplicated simulations anywhere in the topology, and
+/// the dead link is reported unhealthy afterwards.
 #[test]
 fn blackholed_downstream_drains_and_the_sweep_completes() {
-    // Arm the black hole exactly as an operator would: via the
-    // environment grammar. The budget is generous because *every*
-    // connection (forwards, retries, background re-probe pings) burns
-    // one black-hole charge.
-    std::env::set_var("CONTOPT_FAULTS", "blackhole*64");
-    let plan = FaultPlan::from_env()
-        .expect("CONTOPT_FAULTS parses")
-        .expect("CONTOPT_FAULTS is set");
-    std::env::remove_var("CONTOPT_FAULTS");
-
-    let healthy = faulty_server(FaultPlan::new(), default_config());
-    let dead = faulty_server(
-        plan,
-        ServerConfig {
-            request_timeout: Some(Duration::from_millis(200)),
-            ..default_config()
-        },
-    );
-    let frontier = Server::bind(
-        "127.0.0.1:0",
-        frontier_config(vec![healthy.addr().to_string(), dead.addr().to_string()]),
-    )
-    .expect("bind frontier")
-    .spawn()
-    .expect("spawn frontier");
+    let healthy = spawn_server(default_config());
+    let dead = spawn_server(default_config());
+    // Every connection to the dead link (forwards, retries, background
+    // re-probe pings) is swallowed.
+    let dead_addr = relay(dead.addr(), Fault::BlackHole, usize::MAX);
+    let frontier = spawn_server(frontier_config(vec![
+        healthy.addr().to_string(),
+        dead_addr.to_string(),
+    ]));
 
     let client = fast_client(frontier.addr().to_string(), 1, Duration::from_secs(60));
     let sc = smoke();
@@ -361,25 +494,20 @@ fn blackholed_downstream_drains_and_the_sweep_completes() {
     let dead_status = ping
         .downstreams
         .iter()
-        .find(|ds| ds.address == dead.addr().to_string())
+        .find(|ds| ds.address == dead_addr.to_string())
         .expect("dead link is in the topology");
     assert!(!dead_status.healthy, "the dead link must be draining");
 }
 
-/// A downstream that kills the forward connection mid-stream (after the
-/// status frame and the first cell of its two-cell batch) is recovered
-/// by the link's own retry: the second attempt is served from the
-/// downstream's cache, so nothing is lost and nothing simulates twice.
+/// A downstream link that dies mid-stream (after the status frame and
+/// the first cell of its two-cell batch) is recovered by the link's own
+/// retry: the second attempt is served from the downstream's cache, so
+/// nothing is lost and nothing simulates twice.
 #[test]
 fn downstream_killed_mid_stream_loses_and_duplicates_nothing() {
-    let flaky = faulty_server(FaultPlan::new().drop_after(2, 1), default_config());
-    let frontier = Server::bind(
-        "127.0.0.1:0",
-        frontier_config(vec![flaky.addr().to_string()]),
-    )
-    .expect("bind frontier")
-    .spawn()
-    .expect("spawn frontier");
+    let flaky = spawn_server(default_config());
+    let flaky_addr = relay(flaky.addr(), Fault::DropAfter(2), 1);
+    let frontier = spawn_server(frontier_config(vec![flaky_addr.to_string()]));
 
     let client = fast_client(frontier.addr().to_string(), 1, Duration::from_secs(60));
     let sc = smoke();
@@ -403,18 +531,5 @@ fn downstream_killed_mid_stream_loses_and_duplicates_nothing() {
 
     // The recovered bytes are the simulated bytes: byte-identical to
     // the goldens, as if no connection had ever died.
-    let goldens = repo_root().join("goldens");
-    let policy = TolerancePolicy::exact();
-    for cell in cells.iter().filter_map(CellReply::report) {
-        let drift = check_cell(
-            &goldens,
-            &sc.name,
-            &cell.label,
-            &cell.workload,
-            &cell.report,
-            &policy,
-        )
-        .expect("golden readable");
-        assert!(drift.is_none(), "recovered report drifted: {drift:?}");
-    }
+    assert_match_goldens(&sc, cells.iter().filter_map(CellReply::report));
 }

@@ -11,7 +11,7 @@
 //! * `ping` through the frontier reports the downstream topology.
 //!
 //! Link-failure behaviour (blackholed downstreams, mid-stream kills)
-//! lives in `tests/faults.rs` behind `--features fault-injection`.
+//! lives in `tests/faults.rs`.
 
 // Test scaffolding may panic freely; the crate-level deny on
 // unwrap/expect protects the service itself, not its test harness.

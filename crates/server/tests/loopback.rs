@@ -12,8 +12,8 @@
 //! * a machine too large to allocate is a typed `bad-request`, and the
 //!   server keeps serving after it.
 //!
-//! Fault-path guarantees (injected panics, drops, truncation, black
-//! holes) live in `tests/faults.rs` behind `--features fault-injection`.
+//! Fault-path guarantees (cell panics, drops, truncation, black holes)
+//! live in `tests/faults.rs`.
 
 // Test scaffolding may panic freely; the crate-level deny on
 // unwrap/expect protects the service itself, not its test harness

@@ -288,7 +288,11 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
     }
 
     // A bad flag value or a bad flag combination is a one-line error,
-    // not a panic, and never exit 1, which means golden drift.
+    // not a panic, and never exit 1, which means golden drift. The golden
+    // flags on a figure run are refused, not ignored: nothing is printed,
+    // checked or written.
+    let goldens = std::env::temp_dir().join(format!("contopt-no-goldens-{}", std::process::id()));
+    let goldens = goldens.to_str().unwrap();
     for (args, message) in [
         (
             &["--fig9", "--insts", "abc"][..],
@@ -310,6 +314,18 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
             &["--scenario", "scenarios/smoke.json", "--goldens"],
             "--goldens takes a value",
         ),
+        (
+            &["--table2", "--check"],
+            "--check applies only to a --scenario or --ablate run",
+        ),
+        (
+            &["--table2", "--record", "--goldens", goldens],
+            "--record applies only to a --scenario or --ablate run",
+        ),
+        (
+            &["--table2", "--allow-field", "pipeline"],
+            "--allow-field applies only to a --scenario or --ablate run",
+        ),
     ] {
         let (code, stderr) = run(args);
         assert_eq!(code, Some(3), "{args:?}: {stderr}");
@@ -319,6 +335,10 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
             "{args:?}"
         );
     }
+    assert!(
+        !Path::new(goldens).exists(),
+        "a refused --record wrote {goldens}"
+    );
 }
 
 /// `--fig9` reads `<scenarios-dir>/fig9.json` and refuses, before any
