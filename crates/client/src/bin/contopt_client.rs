@@ -2,17 +2,18 @@
 //!
 //! The remote counterpart of `contopt-experiments --scenario FILE`: the
 //! scenario is parsed and validated locally, shipped to the server, and
-//! the returned canonical reports are printed — or, with `--check`,
-//! byte-compared against the local `goldens/` tree through the exact
-//! harness (`check_cell` + `TolerancePolicy`) the local runner uses, with
-//! the same exit codes. A cell the server failed on (`cell_error`) is
-//! reported and merged into exit code 3 while its siblings are still
-//! checked.
+//! the returned canonical reports are printed — or, with `--check`, each
+//! paired with its `golden_path` as a `Golden` and byte-compared against
+//! the local `goldens/` tree through the exact harness (`check_goldens` +
+//! `TolerancePolicy`) the local runner uses, with the same exit codes. A
+//! cell the server failed on (`cell_error`) is reported and merged into
+//! exit code 3 while its siblings are still checked.
 
 use contopt_client::protocol::{CellReply, CellResult, SweepStatus};
 use contopt_client::{Client, ClientConfig, RetryPolicy};
-use contopt_experiments::{CheckOutcome, TolerancePolicy};
+use contopt_experiments::{check_goldens, golden_path, CheckOutcome, Golden, TolerancePolicy};
 use contopt_sim::{JsonValue, Scenario};
+use std::error::Error;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -22,30 +23,30 @@ contopt-client — submit sweeps to a contopt sweep server
 
 USAGE:
   contopt-client --scenario FILE [OPTIONS]
-  contopt-client --ping [--addr HOST:PORT]
+  contopt-client --ping [--addr HOST:PORT] [--timeout SECS]
 
-OPTIONS:
+OPTIONS (each applies only to the runs listed with it; elsewhere it exits 3):
   --addr HOST:PORT         server to submit to (default: CONTOPT_SERVER
                            env var, else 127.0.0.1:4077)
   --scenario FILE          scenario file to submit (repeatable)
   --ping                   health-check the server (prints its status
-                           snapshot; exit 0 if it answers, 3 if not)
+                           snapshot; exit 0 if it answers, 3 if not);
+                           takes only --addr and --timeout
   --check                  compare each returned report byte-for-byte
                            against its golden under --goldens
-  --json                   print the raw canonical report JSON instead
-                           of the summary table
-  --jobs N                 worker-count hint forwarded to the server
-                           (the server clamps it to its own pool)
+  --json                   without --check: print the raw canonical
+                           report JSON instead of the summary table
+  --jobs N                 --scenario: worker-count hint forwarded to the
+                           server (the server clamps it to its own pool)
   --timeout SECS           per-connection I/O deadline (default 300;
                            0 disables; connect timeout stays 10s)
-  --retries N              max submission attempts on transient errors
-                           (default 3; 1 disables retry); backoff is
-                           exponential with deterministic jitter
-  --goldens DIR            goldens directory for --check
-                           (default: goldens)
-  --allow-field PATH       with --check: a JSON field path allowed to
-                           differ (repeatable; default: exact byte
-                           equality)
+  --retries N              --scenario: max submission attempts on
+                           transient errors (default 3; 1 disables
+                           retry); backoff is exponential with
+                           deterministic jitter
+  --goldens DIR            --check: goldens directory (default: goldens)
+  --allow-field PATH       --check: a JSON field path allowed to differ
+                           (repeatable; default: exact byte equality)
   --help                   print this help
 
 EXIT CODES (matching contopt-experiments --check):
@@ -67,17 +68,36 @@ const VALUE_FLAGS: [&str; 7] = [
     "--allow-field",
 ];
 
-/// The first argument that is neither a known flag nor a flag's value.
-fn unexpected_argument(args: &[String]) -> Option<&String> {
+/// Why the invocation is refused before connecting: an argument that is
+/// neither a known flag nor a flag's value, or a flag that the run does
+/// not read. A ping reads only `--addr` and `--timeout`, and only a check
+/// reads `--goldens` and `--allow-field`, while it prints no `--json`.
+fn refusal(args: &[String]) -> Option<String> {
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if VALUE_FLAGS.contains(&arg.as_str()) {
             rest.next();
+        } else if !arg.starts_with("--") {
+            return Some(format!(
+                "unexpected argument {arg:?}: each --scenario takes one file"
+            ));
         } else if !["--ping", "--check", "--json"].contains(&arg.as_str()) {
-            return Some(arg);
+            return Some(format!("unknown flag {arg:?} (see --help)"));
         }
     }
-    None
+    let given = |flag: &&str| args.iter().any(|a| a == flag);
+    let (run, unread) = if given(&"--ping") {
+        (
+            "a --ping run",
+            "--scenario --check --json --goldens --allow-field --jobs --retries",
+        )
+    } else if given(&"--check") {
+        ("a --check run", "--json")
+    } else {
+        ("a run without --check", "--goldens --allow-field")
+    };
+    let flag = unread.split(' ').find(given)?;
+    Some(format!("{flag} does not apply to {run}"))
 }
 
 fn main() -> ExitCode {
@@ -97,12 +117,8 @@ fn main() -> ExitCode {
         eprintln!("contopt-client: {msg}");
         ExitCode::from(CheckOutcome::Error.exit_code())
     };
-    if let Some(arg) = unexpected_argument(&args) {
-        return bad(&if arg.starts_with("--") {
-            format!("unknown flag {arg:?} (see --help)")
-        } else {
-            format!("unexpected argument {arg:?}: each --scenario takes one file")
-        });
+    if let Some(refusal) = refusal(&args) {
+        return bad(&refusal);
     }
 
     let addr = match value_of("--addr") {
@@ -199,17 +215,15 @@ fn main() -> ExitCode {
         return ExitCode::from(CheckOutcome::Error.exit_code());
     }
 
+    let (check, json) = (flag("--check"), flag("--json"));
+    let goldens_dir = Path::new(&goldens_dir);
     let mut worst = CheckOutcome::Ok;
     for file in scenarios {
-        worst = worst.merge(run_one(
-            &client,
-            file,
-            jobs,
-            flag("--check"),
-            flag("--json"),
-            Path::new(&goldens_dir),
-            &policy,
-        ));
+        let outcome = run_one(&client, file, jobs, check, json, goldens_dir, &policy);
+        worst = worst.merge(outcome.unwrap_or_else(|e| {
+            eprintln!("contopt-client: {file}: {e}");
+            CheckOutcome::Error
+        }));
     }
     match worst {
         CheckOutcome::Drift => {
@@ -223,7 +237,8 @@ fn main() -> ExitCode {
     ExitCode::from(worst.exit_code())
 }
 
-/// Submits one scenario file and prints (or checks) its reports.
+/// Submits one scenario file and prints (or checks) its reports. An `Err`
+/// (the file, the connection or a golden failed) reports no cell.
 fn run_one(
     client: &Client,
     file: &str,
@@ -232,28 +247,10 @@ fn run_one(
     json: bool,
     goldens_dir: &Path,
     policy: &TolerancePolicy,
-) -> CheckOutcome {
-    let sc = match Scenario::load(file) {
-        Ok(sc) => sc,
-        Err(e) => {
-            eprintln!("contopt-client: {file}: {e}");
-            return CheckOutcome::Error;
-        }
-    };
-    let mut sweep = match client.submit_scenario(&sc, jobs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("contopt-client: {file}: {e}");
-            return CheckOutcome::Error;
-        }
-    };
-    let cells = match sweep.fetch_reports() {
-        Ok(cells) => cells,
-        Err(e) => {
-            eprintln!("contopt-client: {file}: {e}");
-            return CheckOutcome::Error;
-        }
-    };
+) -> Result<CheckOutcome, Box<dyn Error>> {
+    let sc = Scenario::load(file)?;
+    let mut sweep = client.submit_scenario(&sc, jobs)?;
+    let cells = sweep.fetch_reports()?;
     let status = sweep.status();
     let retries = sweep.retries();
     eprintln!(
@@ -296,40 +293,30 @@ fn run_one(
     }
 
     if check {
-        let mut drifts = Vec::new();
-        for cell in &reports {
-            match contopt_experiments::check_cell(
-                goldens_dir,
-                &sc.name,
-                &cell.label,
-                &cell.workload,
-                &cell.report,
-                policy,
-            ) {
-                Ok(None) => {}
-                Ok(Some(drift)) => {
-                    println!("scenario {:?}: {drift}", sc.name);
-                    drifts.push(drift);
-                }
-                Err(e) => {
-                    eprintln!("contopt-client: {file}: {e}");
-                    return CheckOutcome::Error;
-                }
-            }
+        let goldens: Vec<Golden> = reports
+            .iter()
+            .map(|cell| Golden {
+                path: golden_path(goldens_dir, &sc.name, &cell.label, &cell.workload),
+                text: cell.report.clone(),
+            })
+            .collect();
+        let drifts = check_goldens(&goldens, policy)?;
+        for drift in &drifts {
+            println!("scenario {:?}: {drift}", sc.name);
         }
         if drifts.is_empty() && outcome == CheckOutcome::Ok {
             println!("scenario {:?}: goldens match", sc.name);
         }
-        outcome.merge(CheckOutcome::from_drifts(&drifts))
-    } else if json {
+        return Ok(outcome.merge(CheckOutcome::from_drifts(&drifts)));
+    }
+    if json {
         for cell in &reports {
             print!("{}", cell.report);
         }
-        outcome
     } else {
         print_table(&sc.name, &status, &reports);
-        outcome
     }
+    Ok(outcome)
 }
 
 /// Renders the sweep as a compact summary table.

@@ -43,7 +43,8 @@
 //!   cells come back from cache, byte-identical.
 //!
 //! The `contopt-client` binary wraps this in a CLI whose `--check` mode
-//! reuses the experiments crate's golden harness (`check_cell` +
+//! pairs each returned report with its golden file and reuses the
+//! experiments crate's golden harness (`check_goldens` +
 //! `TolerancePolicy`), so a remote check exits with the same code — and
 //! for the same bytes — as a local `contopt-experiments --scenario FILE
 //! --check`. A per-cell server failure (`cell_error` frame) maps to exit

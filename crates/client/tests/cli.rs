@@ -9,28 +9,58 @@ fn unknown_arguments_are_rejected_before_connecting() {
     let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for (args, message) in [
         (
-            &[
-                "--scenario",
-                "scenarios/smoke.json",
-                "scenarios/asm_smoke.json",
-            ][..],
+            "--retries 1 --check --scenario scenarios/smoke.json scenarios/asm_smoke.json",
             "unexpected argument \"scenarios/asm_smoke.json\": each --scenario takes one file",
         ),
         (
-            &["--scenario", "scenarios/smoke.json", "--chek"],
+            "--retries 1 --check --scenario scenarios/smoke.json --chek",
             "unknown flag \"--chek\" (see --help)",
         ),
         (
-            &["--ping", "--jbos", "2"],
+            "--retries 1 --check --ping --jbos 2",
             "unknown flag \"--jbos\" (see --help)",
+        ),
+        // A ping reads only --addr and --timeout; only a check reads
+        // --goldens and --allow-field, and a check prints no --json. A
+        // flag the run would ignore is refused instead.
+        (
+            "--ping --scenario scenarios/smoke.json --check --goldens g",
+            "--scenario does not apply to a --ping run",
+        ),
+        ("--ping --check", "--check does not apply to a --ping run"),
+        ("--ping --json", "--json does not apply to a --ping run"),
+        (
+            "--ping --goldens g",
+            "--goldens does not apply to a --ping run",
+        ),
+        (
+            "--ping --allow-field pipeline",
+            "--allow-field does not apply to a --ping run",
+        ),
+        ("--ping --jobs 2", "--jobs does not apply to a --ping run"),
+        (
+            "--ping --retries 1",
+            "--retries does not apply to a --ping run",
+        ),
+        (
+            "--scenario scenarios/smoke.json --goldens g",
+            "--goldens does not apply to a run without --check",
+        ),
+        (
+            "--scenario scenarios/smoke.json --allow-field pipeline",
+            "--allow-field does not apply to a run without --check",
+        ),
+        (
+            "--scenario scenarios/smoke.json --check --json",
+            "--json does not apply to a --check run",
         ),
     ] {
         // Nothing listens on the discard port: reaching the network would
         // report a connection error instead.
         let out = Command::new(env!("CARGO_BIN_EXE_contopt-client"))
             .current_dir(&repo)
-            .args(["--addr", "127.0.0.1:9", "--retries", "1", "--check"])
-            .args(args)
+            .args(["--addr", "127.0.0.1:9"])
+            .args(args.split(' '))
             .output()
             .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);

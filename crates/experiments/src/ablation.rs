@@ -22,17 +22,18 @@
 //! `speedup_over` API. The result is a
 //! [`contopt_sim::AblationReport`], whose canonical JSON the golden
 //! harness pins under `goldens/<scenario>/ablation.json`
-//! ([`record_ablation_golden`] / [`check_ablation_golden`]).
+//! ([`ablation_golden`], recorded and checked by
+//! [`record_goldens`](crate::record_goldens) /
+//! [`check_goldens`](crate::check_goldens)).
 
 use crate::lab::{Lab, Plan};
-use crate::scenario::{drift_between, DriftKind, GoldenDrift, TolerancePolicy};
+use crate::scenario::Golden;
 use contopt_sim::{
     file_stem, AblationReport, AddOneIn, ConfigAblation, MachineConfig, OptStats, OptimizerConfig,
     PassAblation, PassId, Report, Scenario, ScenarioConfig, ScenarioError, SpeedupError,
     WorkloadAblation,
 };
 use std::fmt;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// A failure while planning or computing an ablation.
@@ -53,8 +54,6 @@ pub enum AblationError {
         /// The underlying typed error.
         err: SpeedupError,
     },
-    /// A golden file could not be read or written.
-    Io(io::Error),
 }
 
 impl fmt::Display for AblationError {
@@ -70,7 +69,6 @@ impl fmt::Display for AblationError {
                 workload,
                 err,
             } => write!(f, "config {label:?} on {workload:?}: {err}"),
-            AblationError::Io(e) => write!(f, "{e}"),
         }
     }
 }
@@ -80,12 +78,6 @@ impl std::error::Error for AblationError {}
 impl From<ScenarioError> for AblationError {
     fn from(e: ScenarioError) -> AblationError {
         AblationError::Scenario(e)
-    }
-}
-
-impl From<io::Error> for AblationError {
-    fn from(e: io::Error) -> AblationError {
-        AblationError::Io(e)
     }
 }
 
@@ -263,47 +255,19 @@ pub fn ablation_golden_path(dir: &Path, scenario: &str) -> PathBuf {
     dir.join(file_stem(scenario)).join("ablation.json")
 }
 
-/// Runs the scenario's ablation and writes its canonical JSON under
-/// `dir`, replacing any previous golden. Returns the path written.
-pub fn record_ablation_golden(
-    lab: &mut Lab,
-    sc: &Scenario,
-    dir: &Path,
-) -> Result<PathBuf, AblationError> {
-    let report = ablation_report(lab, sc)?;
-    let path = ablation_golden_path(dir, &sc.name);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(&path, report.canonical_json())?;
-    Ok(path)
-}
-
-/// Runs the scenario's ablation and compares it against the golden under
-/// `dir` per `policy` (byte equality by default). Returns every drift
-/// found (empty = the ablation reproduces its pinned attribution).
-pub fn check_ablation_golden(
-    lab: &mut Lab,
-    sc: &Scenario,
-    dir: &Path,
-    policy: &TolerancePolicy,
-) -> Result<Vec<GoldenDrift>, AblationError> {
-    let report = ablation_report(lab, sc)?;
-    let path = ablation_golden_path(dir, &sc.name);
-    let drift = match std::fs::read_to_string(&path) {
-        Ok(recorded) => drift_between(&recorded, &report.canonical_json(), policy),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Some(DriftKind::Missing),
-        Err(e) => return Err(e.into()),
-    };
-    Ok(drift
-        .map(|kind| GoldenDrift { path, kind })
-        .into_iter()
-        .collect())
+/// The scenario's ablation as a [`Golden`]: the [`AblationReport`]'s
+/// canonical JSON at [`ablation_golden_path`].
+pub fn ablation_golden(lab: &mut Lab, sc: &Scenario, dir: &Path) -> Result<Golden, AblationError> {
+    Ok(Golden {
+        path: ablation_golden_path(dir, &sc.name),
+        text: ablation_report(lab, sc)?.canonical_json(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{check_goldens, record_goldens, DriftKind, TolerancePolicy};
     use contopt_sim::AblationSpec;
 
     fn tiny_scenario(add_one_in: bool) -> Scenario {
@@ -396,26 +360,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let sc = tiny_scenario(false);
         let mut lab = Lab::new(sc.insts);
-        let path = record_ablation_golden(&mut lab, &sc, &dir).unwrap();
+        let goldens = [ablation_golden(&mut lab, &sc, &dir).unwrap()];
+        record_goldens(&goldens).unwrap();
+        let path = &goldens[0].path;
         assert!(path.ends_with("tiny/ablation.json"));
         let exact = TolerancePolicy::exact();
-        assert!(check_ablation_golden(&mut lab, &sc, &dir, &exact)
-            .unwrap()
-            .is_empty());
+        assert!(check_goldens(&goldens, &exact).unwrap().is_empty());
         // Perturb the recorded golden: drift, with a named first line.
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("\"insts\": 20000", "\"insts\": 21000")).unwrap();
-        let drifts = check_ablation_golden(&mut lab, &sc, &dir, &exact).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        std::fs::write(path, text.replace("\"insts\": 20000", "\"insts\": 21000")).unwrap();
+        let drifts = check_goldens(&goldens, &exact).unwrap();
         assert_eq!(drifts.len(), 1);
         assert!(matches!(drifts[0].kind, DriftKind::Changed { .. }));
         // A policy covering the differing field accepts it.
         let lenient = TolerancePolicy::allowing(["insts"]);
-        assert!(check_ablation_golden(&mut lab, &sc, &dir, &lenient)
-            .unwrap()
-            .is_empty());
+        assert!(check_goldens(&goldens, &lenient).unwrap().is_empty());
         // A missing golden is drift, not a pass.
         let _ = std::fs::remove_dir_all(&dir);
-        let drifts = check_ablation_golden(&mut lab, &sc, &dir, &exact).unwrap();
+        let drifts = check_goldens(&goldens, &exact).unwrap();
         assert_eq!(drifts[0].kind, DriftKind::Missing);
     }
 }

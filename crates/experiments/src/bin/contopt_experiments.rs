@@ -22,11 +22,12 @@
 //! the same way, except each at its own pinned instruction budget.
 
 use contopt_experiments::{
-    check_ablation_golden, check_figure, check_goldens, default_jobs, fig10, fig11, fig12, fig6,
-    fig8, fig9, record_ablation_golden, record_goldens, scenario_plan, table1, table2, table3,
-    CheckOutcome, FigureError, Lab, Plan, TolerancePolicy, DEFAULT_INSTS,
+    ablation_golden, ablation_plan, ablation_report, check_figure, check_goldens, default_jobs,
+    fig10, fig11, fig12, fig6, fig8, fig9, record_goldens, scenario_goldens, scenario_plan, table1,
+    table2, table3, CheckOutcome, FigureError, Lab, Plan, TolerancePolicy, DEFAULT_INSTS,
 };
 use contopt_sim::{JsonValue, Scenario, ToJson};
+use std::error::Error;
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -34,13 +35,16 @@ use std::str::FromStr;
 
 const USAGE: &str = "usage: contopt-experiments [OPTIONS]
 
+One run per invocation. Each flag applies only to the runs listed with it;
+a second run, or a flag that no run of the invocation reads, exits 3.
+
 artifacts (combinable; --all selects every table and figure):
   --all --table1 --table2 --table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12
                            Table 3 and each figure render the scenario file
                            <scenarios-dir>/<name>.json (table3.json,
                            fig6.json, ...) at the --insts budget
 
-scenario files:
+scenario files (--scenario and --ablate combine into one run):
   --scenario FILE ...      run a checked-in sweep through the parallel Lab
   --ablate FILE ...        expand the scenario's counterfactual ablation
                            matrix (full / leave-one-out / baseline / opt-in
@@ -49,16 +53,16 @@ scenario files:
                            (per-cell reports for --scenario, the
                            AblationReport for --ablate)
   --allow-field PATH ...   with --check: JSON fields allowed to differ
-  --goldens DIR            golden root (default: goldens)
-  --table                  render the per-pass attribution table (the
-                           default --ablate output; --json overrides)
+  --goldens DIR            golden root (default: goldens); also --validate
+  --table                  --ablate: render the per-pass attribution table
+                           (the default output; --json overrides)
 
 static verification:
   --verify FILE ...        statically verify programs — CFG well-formedness,
                            use-before-init, memory discipline, loop
                            boundedness — in .s files and in scenario
                            \"programs\" blocks; findings print per program
-  --allow-warnings         with --verify: warning-severity findings do not
+  --allow-warnings         --verify: warning-severity findings do not
                            gate (error findings always do)
 
 differential fuzzing:
@@ -73,31 +77,35 @@ differential fuzzing:
   --fuzz-parsers N         run N mutated inputs (byte flips, truncation,
                            splices) through the scenario-JSON and assembler
                            parsers, asserting typed errors and no panics
-  --seed S                 first fuzz seed (default 1)
+  --seed S                 --fuzz and --fuzz-parsers: first seed (default 1)
 
 maintenance:
   --validate [FILE...]     parse-check JSON artifacts (default: every
                            .json under --scenarios-dir, nested ones
                            included, and every checked-in golden under
                            the --goldens directory)
-  --scenarios-dir DIR      scenario directory (default: scenarios)
+  --scenarios-dir DIR      scenario directory (default: scenarios);
+                           Table 3, the figures, --validate and --fuzz
 
 tuning:
-  --insts N                instruction budget for the tables and figures
-                           (--scenario and --ablate files pin their own)
-  --jobs N                 worker threads; 0 means auto-detect via the
+  --insts N                Tables 1 and 3 and the figures: instruction
+                           budget (--scenario and --ablate pin their own)
+  --jobs N                 Table 3, the figures, --scenario and --ablate:
+                           worker threads; 0 means auto-detect via the
                            machine's available parallelism (the default;
                            the CONTOPT_JOBS env var behaves the same way)
-  --json                   emit JSON instead of text tables
+  --json                   emit JSON instead of text tables (every run but
+                           --validate, --fuzz and --fuzz-parsers)
 
 exit codes (--scenario/--ablate runs; CI and the sweep server key on
 these to report precise causes):
   0  success: goldens match (or the run/record completed)
   1  drift: at least one recorded golden differs from the fresh run
   2  missing: some goldens are not recorded (and none drifted)
-  3  error: the run itself failed (an unknown flag or stray argument,
-     a bad flag value, an unreadable scenario, I/O failure;
-     contopt-client reports remote per-cell failures the same way)
+  3  error: the run itself failed (an unknown, unread or second-run
+     flag, a stray argument, a bad flag value, an unreadable scenario,
+     I/O failure; contopt-client reports remote per-cell failures the
+     same way)
 
 exit codes (--verify runs, same 0..3 severity ladder):
   0  clean: no finding gated (warnings allowed explicitly or by policy)
@@ -117,9 +125,9 @@ fn main() -> ExitCode {
     })
 }
 
-/// Runs the command line; an `Err` (an unknown flag, a bad flag value or
-/// combination, or a figure file that cannot be drawn) exits 3 before
-/// anything simulates.
+/// Runs the command line; an `Err` (an unknown flag, a second run or a
+/// flag no run reads, a bad flag value or combination, or a figure file
+/// that cannot be drawn) exits 3 before anything simulates.
 fn run(args: &[String]) -> Result<ExitCode, String> {
     check_arguments(args)?;
     let insts = number(args, "--insts", true)?.unwrap_or(DEFAULT_INSTS);
@@ -135,20 +143,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
     let seed = number(args, "--seed", true)?.unwrap_or(1);
 
-    // `--table` renders only an --ablate run, and the golden flags act
-    // only on --scenario and --ablate runs; anywhere else each would be a
-    // silent no-op.
-    if args.iter().any(|a| a == "--table") && !args.iter().any(|a| a == "--ablate") {
-        return Err("--table selects the per-pass table of an --ablate run".into());
-    }
-    let golden_run = args.iter().any(|a| a == "--scenario" || a == "--ablate");
-    for flag in ["--check", "--record", "--allow-field"] {
-        if !golden_run && args.iter().any(|a| a == flag) {
-            return Err(format!(
-                "{flag} applies only to a --scenario or --ablate run"
-            ));
-        }
-    }
     if let Some(count) = number(args, "--fuzz", true)? {
         return Ok(run_fuzz(count, seed, &scenarios_dir));
     }
@@ -200,32 +194,23 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         if record && check {
             return Err("--record and --check are mutually exclusive".into());
         }
-        // Explicit opt-in fields for intentional model changes; the
-        // default (no --allow-field) is exact byte equality.
-        let policy =
-            TolerancePolicy::allowing(values_after(args, "--allow-field").into_iter().cloned());
+        let output = if record {
+            Output::Record
+        } else if check {
+            // Explicit opt-in fields for intentional model changes; the
+            // default (no --allow-field) is exact byte equality.
+            Output::Check(TolerancePolicy::allowing(
+                values_after(args, "--allow-field").into_iter().cloned(),
+            ))
+        } else {
+            Output::Print { json }
+        };
         // Evaluate both unconditionally: a scenario failure or drift must
         // not silently skip the requested ablation work (or vice versa).
         // The combined exit code keeps the most severe outcome (see the
         // "exit codes" section of --help).
-        let scenarios = run_scenarios(
-            &scenario_files,
-            jobs,
-            record,
-            check,
-            &goldens_dir,
-            &policy,
-            json,
-        );
-        let ablations = run_ablations(
-            &ablate_files,
-            jobs,
-            record,
-            check,
-            &goldens_dir,
-            &policy,
-            json,
-        );
+        let scenarios = run_files(&scenario_files, false, &output, &goldens_dir, jobs);
+        let ablations = run_files(&ablate_files, true, &output, &goldens_dir, jobs);
         return Ok(ExitCode::from(scenarios.merge(ablations).exit_code()));
     }
 
@@ -340,43 +325,55 @@ fn number<T: FromStr + PartialOrd + Default>(
         })
 }
 
-/// Flags that take no value.
-const SWITCHES: [&str; 15] = [
-    "--all",
-    "--table1",
-    "--table2",
-    "--table3",
-    "--fig6",
-    "--fig8",
-    "--fig9",
-    "--fig10",
-    "--fig11",
-    "--fig12",
-    "--json",
-    "--record",
-    "--check",
-    "--table",
-    "--allow-warnings",
-];
+/// How many values a flag takes: none, one, or every argument up to the
+/// next flag.
+enum Takes {
+    Nothing,
+    One,
+    List,
+}
 
-/// Flags that take exactly one value.
-const VALUE_FLAGS: [&str; 7] = [
-    "--insts",
-    "--jobs",
-    "--goldens",
-    "--scenarios-dir",
-    "--seed",
-    "--fuzz",
-    "--fuzz-parsers",
-];
+use Takes::{List, Nothing, One};
 
-/// Flags that take every value up to the next flag.
-const LIST_FLAGS: [&str; 5] = [
-    "--scenario",
-    "--ablate",
-    "--allow-field",
-    "--verify",
-    "--validate",
+/// The flags of the run that renders the tables and figures.
+const ARTIFACTS: &str = "--table1 --table2 --table3 --figN";
+
+/// Every flag, the values it takes, and the flags of the runs that read
+/// it, space-separated (`--figN` is any figure flag, and `--all` selects
+/// every table and figure). A flag that selects a run is read by its own
+/// run, whose flags it combines with.
+const FLAGS: [(&str, Takes, &str); 27] = [
+    ("--all", Nothing, ARTIFACTS),
+    ("--table1", Nothing, ARTIFACTS),
+    ("--table2", Nothing, ARTIFACTS),
+    ("--table3", Nothing, ARTIFACTS),
+    ("--fig6", Nothing, ARTIFACTS),
+    ("--fig8", Nothing, ARTIFACTS),
+    ("--fig9", Nothing, ARTIFACTS),
+    ("--fig10", Nothing, ARTIFACTS),
+    ("--fig11", Nothing, ARTIFACTS),
+    ("--fig12", Nothing, ARTIFACTS),
+    ("--scenario", List, "--scenario --ablate"),
+    ("--ablate", List, "--scenario --ablate"),
+    ("--verify", List, "--verify"),
+    ("--validate", List, "--validate"),
+    ("--fuzz", One, "--fuzz"),
+    ("--fuzz-parsers", One, "--fuzz-parsers"),
+    ("--insts", One, "--table1 --table3 --figN"),
+    ("--jobs", One, "--table3 --figN --scenario --ablate"),
+    (
+        "--json",
+        Nothing,
+        "--table1 --table2 --table3 --figN --scenario --ablate --verify",
+    ),
+    ("--scenarios-dir", One, "--table3 --figN --validate --fuzz"),
+    ("--goldens", One, "--scenario --ablate --validate"),
+    ("--seed", One, "--fuzz --fuzz-parsers"),
+    ("--record", Nothing, "--scenario --ablate"),
+    ("--check", Nothing, "--scenario --ablate"),
+    ("--allow-field", List, "--scenario --ablate"),
+    ("--table", Nothing, "--ablate"),
+    ("--allow-warnings", Nothing, "--verify"),
 ];
 
 /// The values after each occurrence of `flag`, up to the next flag (the
@@ -389,28 +386,61 @@ fn values_after<'a>(args: &'a [String], flag: &str) -> Vec<&'a String> {
         .collect()
 }
 
-/// Rejects an unknown flag, and any argument that no flag takes, such as
-/// a file named after `--check`.
+/// Whether `readers`, a [`FLAGS`] entry's list, names the run of the
+/// given flag `flag`.
+fn reads(readers: &str, flag: &str) -> bool {
+    readers.split(' ').any(|r| {
+        r == flag
+            || (r == "--figN" && flag.starts_with("--fig"))
+            || (flag == "--all" && ARTIFACTS.split(' ').any(|a| a == r))
+    })
+}
+
+/// Rejects an unknown flag; any argument that no flag takes, such as a
+/// file named after `--check`; a second run; and a flag that no run of
+/// the invocation reads.
 fn check_arguments(args: &[String]) -> Result<(), String> {
+    let mut given = Vec::new();
     let mut in_list = false;
     let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
-        let flag = arg.as_str();
-        if !flag.starts_with("--") {
+        if !arg.starts_with("--") {
             if !in_list {
                 return Err(format!(
                     "unexpected argument {arg:?}: files go after --scenario, --ablate, \
                      --verify or --validate, before the next flag"
                 ));
             }
-        } else if VALUE_FLAGS.contains(&flag) {
-            in_list = false;
+            continue;
+        }
+        let Some((name, takes, readers)) = FLAGS.iter().find(|(name, ..)| name == arg) else {
+            return Err(format!("unknown flag {arg:?} (see --help)"));
+        };
+        in_list = matches!(takes, List);
+        if matches!(takes, One) {
             rest.next_if(|v| !v.starts_with("--"));
-        } else {
-            in_list = LIST_FLAGS.contains(&flag);
-            if !in_list && !SWITCHES.contains(&flag) {
-                return Err(format!("unknown flag {arg:?} (see --help)"));
+        }
+        given.push((*name, *readers));
+    }
+    let runs: Vec<&str> = given
+        .iter()
+        .filter(|(name, readers)| reads(readers, name))
+        .map(|(name, _)| *name)
+        .collect();
+    for (name, readers) in given {
+        if runs.contains(&name) {
+            if let Some(other) = runs.iter().find(|run| !reads(readers, run)) {
+                return Err(format!(
+                    "{name} and {other} are separate runs; give each its own invocation"
+                ));
             }
+        } else if !runs.iter().any(|run| reads(readers, run)) {
+            let list = match readers.rsplit_once(' ') {
+                Some((rest, last)) => format!("{} or {last}", rest.replace(' ', ", ")),
+                None => readers.to_string(),
+            };
+            let article = if list.starts_with("--a") { "an" } else { "a" };
+            return Err(format!("{name} applies only to {article} {list} run"));
         }
     }
     Ok(())
@@ -444,12 +474,8 @@ fn json_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// hand-edited or truncated golden before the regression job burns a
 /// full re-simulation discovering it.
 fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCode {
-    let Some(pos) = args.iter().position(|a| a == "--validate") else {
-        return ExitCode::from(2); // dispatch only routes here on --validate
-    };
-    let mut files: Vec<PathBuf> = args[pos + 1..]
-        .iter()
-        .take_while(|a| !a.starts_with("--"))
+    let mut files: Vec<PathBuf> = values_after(args, "--validate")
+        .into_iter()
         .map(PathBuf::from)
         .collect();
     if files.is_empty() {
@@ -515,162 +541,112 @@ fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCo
     }
 }
 
-/// Loads, executes, and (optionally) records or checks scenarios.
-/// Returns the most severe [`CheckOutcome`] across the files.
-#[allow(clippy::too_many_arguments)] // one call site; mirrors the CLI surface
-fn run_scenarios(
+/// What a `--scenario` or `--ablate` run does with its results.
+enum Output {
+    /// Print them, as JSON or as a text table.
+    Print { json: bool },
+    /// Write them as the goldens (`--record`).
+    Record,
+    /// Compare them with the goldens under a policy (`--check`).
+    Check(TolerancePolicy),
+}
+
+/// Runs each file, `--scenario` files or, with `ablate`, `--ablate`
+/// files, stopping at the first that fails. Returns the most severe
+/// [`CheckOutcome`] across the files.
+fn run_files(
     files: &[&String],
-    jobs: usize,
-    record: bool,
-    check: bool,
+    ablate: bool,
+    output: &Output,
     goldens_dir: &Path,
-    policy: &TolerancePolicy,
-    json: bool,
+    jobs: usize,
 ) -> CheckOutcome {
     let mut worst = CheckOutcome::Ok;
     for file in files {
-        let sc = match Scenario::load(file) {
-            Ok(sc) => sc,
+        match run_file(file, ablate, output, goldens_dir, jobs) {
+            Ok(outcome) => worst = worst.merge(outcome),
             Err(e) => {
                 eprintln!("contopt-experiments: {file}: {e}");
                 return CheckOutcome::Error;
             }
-        };
-        let plan = match scenario_plan(&sc) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("contopt-experiments: {file}: {e}");
-                return CheckOutcome::Error;
-            }
-        };
-        // Each scenario pins its own instruction budget, so each gets its
-        // own lab; the plan still dedupes and parallelizes within it.
-        let mut lab = Lab::new(sc.insts);
-        eprintln!(
-            "contopt-experiments: scenario {:?}: simulating {} unique cells on {} worker(s)",
-            sc.name,
-            plan.len(),
-            jobs
-        );
-        lab.execute(&plan, jobs);
-
-        let outcome = if record {
-            record_goldens(&mut lab, &sc, goldens_dir).map(|written| {
-                for path in &written {
-                    println!("recorded {}", path.display());
-                }
-            })
-        } else if check {
-            check_goldens(&mut lab, &sc, goldens_dir, policy).map(|drifts| {
-                if drifts.is_empty() {
-                    println!("scenario {:?}: goldens match", sc.name);
-                } else {
-                    for d in &drifts {
-                        println!("scenario {:?}: {d}", sc.name);
-                    }
-                }
-                worst = worst.merge(CheckOutcome::from_drifts(&drifts));
-            })
-        } else {
-            print_scenario(&mut lab, &sc, json).map_err(contopt_experiments::CellError::Scenario)
-        };
-        if let Err(e) = outcome {
-            eprintln!("contopt-experiments: {file}: {e}");
-            return CheckOutcome::Error;
         }
     }
+    let (drift, missing) = if ablate {
+        ("ablation drift", "ablation golden missing; record it")
+    } else {
+        ("golden drift", "goldens missing; record them")
+    };
     match worst {
         CheckOutcome::Drift => eprintln!(
-            "contopt-experiments: golden drift detected; re-record intentionally with --record"
+            "contopt-experiments: {drift} detected; re-record intentionally with --record"
         ),
-        CheckOutcome::MissingGolden => {
-            eprintln!("contopt-experiments: goldens missing; record them with --record")
-        }
+        CheckOutcome::MissingGolden => eprintln!("contopt-experiments: {missing} with --record"),
         _ => {}
     }
     worst
 }
 
-/// Loads each scenario, expands and executes its counterfactual ablation
-/// matrix, and prints, records, or checks the per-pass cycle attribution.
-/// Returns the most severe [`CheckOutcome`] across the files.
-#[allow(clippy::too_many_arguments)] // one call site; mirrors the CLI surface
-fn run_ablations(
-    files: &[&String],
-    jobs: usize,
-    record: bool,
-    check: bool,
+/// Loads a scenario file and executes its plan: its cells, or with
+/// `ablate` its counterfactual ablation matrix. Then prints, records or
+/// checks the results: each cell's report, or the per-pass cycle
+/// attribution.
+fn run_file(
+    file: &str,
+    ablate: bool,
+    output: &Output,
     goldens_dir: &Path,
-    policy: &TolerancePolicy,
-    json: bool,
-) -> CheckOutcome {
-    let mut worst = CheckOutcome::Ok;
-    for file in files {
-        let sc = match Scenario::load(file) {
-            Ok(sc) => sc,
-            Err(e) => {
-                eprintln!("contopt-experiments: {file}: {e}");
-                return CheckOutcome::Error;
-            }
-        };
-        let plan = match contopt_experiments::ablation_plan(&sc) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("contopt-experiments: {file}: {e}");
-                return CheckOutcome::Error;
-            }
-        };
-        let mut lab = Lab::new(sc.insts);
-        eprintln!(
-            "contopt-experiments: ablation {:?}: simulating {} unique counterfactual cells \
-             on {} worker(s)",
-            sc.name,
-            plan.len(),
-            jobs
-        );
-        lab.execute(&plan, jobs);
+    jobs: usize,
+) -> Result<CheckOutcome, Box<dyn Error>> {
+    let sc = Scenario::load(file)?;
+    let (kind, plan, cells) = if ablate {
+        ("ablation", ablation_plan(&sc)?, "counterfactual cells")
+    } else {
+        ("scenario", scenario_plan(&sc)?, "cells")
+    };
+    // Each scenario pins its own instruction budget, so each gets its own
+    // lab; the plan still dedupes and parallelizes within it.
+    let mut lab = Lab::new(sc.insts);
+    eprintln!(
+        "contopt-experiments: {kind} {:?}: simulating {} unique {cells} on {jobs} worker(s)",
+        sc.name,
+        plan.len(),
+    );
+    lab.execute(&plan, jobs);
 
-        let outcome = if record {
-            record_ablation_golden(&mut lab, &sc, goldens_dir).map(|path| {
-                println!("recorded {}", path.display());
-            })
-        } else if check {
-            check_ablation_golden(&mut lab, &sc, goldens_dir, policy).map(|drifts| {
-                if drifts.is_empty() {
-                    println!("ablation {:?}: golden matches", sc.name);
-                } else {
-                    for d in &drifts {
-                        println!("ablation {:?}: {d}", sc.name);
-                    }
-                }
-                worst = worst.merge(CheckOutcome::from_drifts(&drifts));
-            })
+    let goldens = match output {
+        // The per-pass attribution table is also what an explicit --table
+        // selects.
+        Output::Print { json } if ablate => {
+            println!("{}", shown(&ablation_report(&mut lab, &sc)?, *json));
+            return Ok(CheckOutcome::Ok);
+        }
+        Output::Print { json } => {
+            print_scenario(&mut lab, &sc, *json)?;
+            return Ok(CheckOutcome::Ok);
+        }
+        _ if ablate => vec![ablation_golden(&mut lab, &sc, goldens_dir)?],
+        _ => scenario_goldens(&mut lab, &sc, goldens_dir)?,
+    };
+    let Output::Check(policy) = output else {
+        record_goldens(&goldens)?;
+        for g in &goldens {
+            println!("recorded {}", g.path.display());
+        }
+        return Ok(CheckOutcome::Ok);
+    };
+    let drifts = check_goldens(&goldens, policy)?;
+    if drifts.is_empty() {
+        let matched = if ablate {
+            "golden matches"
         } else {
-            contopt_experiments::ablation_report(&mut lab, &sc).map(|report| {
-                if json {
-                    println!("{}", report.to_json().pretty());
-                } else {
-                    // The per-pass attribution table (also what an
-                    // explicit --table selects).
-                    println!("{report}");
-                }
-            })
+            "goldens match"
         };
-        if let Err(e) = outcome {
-            eprintln!("contopt-experiments: {file}: {e}");
-            return CheckOutcome::Error;
-        }
+        println!("{kind} {:?}: {matched}", sc.name);
     }
-    match worst {
-        CheckOutcome::Drift => eprintln!(
-            "contopt-experiments: ablation drift detected; re-record intentionally with --record"
-        ),
-        CheckOutcome::MissingGolden => {
-            eprintln!("contopt-experiments: ablation golden missing; record it with --record")
-        }
-        _ => {}
+    for d in &drifts {
+        println!("{kind} {:?}: {d}", sc.name);
     }
-    worst
+    Ok(CheckOutcome::from_drifts(&drifts))
 }
 
 /// Runs the differential fuzzing oracle over `count` seeds. Every

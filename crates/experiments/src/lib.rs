@@ -29,8 +29,9 @@
 //! fans the deduplicated plan across scoped worker threads (`--jobs N` /
 //! `CONTOPT_JOBS` on the binary); the renderers then read the scenario's
 //! results from the cache, after [`check_figure`] has confirmed they can
-//! draw the file. [`record_goldens`]/[`check_goldens`] pin per-cell
-//! reports under `goldens/` so result drift fails CI
+//! draw the file. [`scenario_goldens`] pairs each cell's report with its
+//! file under `goldens/` as a [`Golden`], and [`record_goldens`] /
+//! [`check_goldens`] pin any list of them, so result drift fails CI
 //! (`--scenario … --record/--check` on the binary).
 //!
 //! On top of the scenarios sits the **counterfactual ablation engine**
@@ -39,8 +40,8 @@
 //! counterfactuals (deduplicated by configuration fingerprint through the
 //! same [`Lab`]), and [`ablation_report`] attributes *cycles* — not just
 //! events — per optimizer pass, with interaction residuals and
-//! `speedup_over`-based shares
-//! ([`record_ablation_golden`]/[`check_ablation_golden`] pin the result).
+//! `speedup_over`-based shares ([`ablation_golden`] pins the result
+//! through the same [`record_goldens`]/[`check_goldens`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,16 +54,15 @@ mod tables;
 mod verify;
 
 pub use ablation::{
-    ablation_golden_path, ablation_plan, ablation_report, check_ablation_golden,
-    record_ablation_golden, AblationError,
+    ablation_golden, ablation_golden_path, ablation_plan, ablation_report, AblationError,
 };
 pub use figures::{
     check_figure, fig10, fig11, fig12, fig6, fig8, fig9, Fig6, FigureError, SuiteFigure,
 };
 pub use lab::{default_jobs, geomean, Lab, Plan, SuiteMeans, DEFAULT_INSTS};
 pub use scenario::{
-    check_cell, check_goldens, first_divergence, golden_path, record_goldens, scenario_plan,
-    CellError, CheckOutcome, DriftKind, GoldenDrift, LineDiff, TolerancePolicy,
+    check_goldens, first_divergence, golden_path, record_goldens, scenario_goldens, scenario_plan,
+    CheckOutcome, DriftKind, Golden, GoldenDrift, LineDiff, TolerancePolicy,
 };
 pub use tables::{table1, table2, table3, Table1, Table1Row, Table2, Table3, Table3Row};
 pub use verify::{

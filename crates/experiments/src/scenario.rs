@@ -4,12 +4,13 @@
 //! [`Lab`] engine and pins their results:
 //!
 //! * [`scenario_plan`] lowers a scenario to a deduplicated [`Plan`];
-//! * [`record_goldens`] / [`check_goldens`] write and byte-compare one
-//!   canonical [`Report`](contopt_sim::Report) JSON file per simulation
-//!   cell under `goldens/`, turning any result drift into a CI failure.
+//! * [`record_goldens`] / [`check_goldens`] write and byte-compare any
+//!   list of [`Golden`]s: a scenario's cell reports ([`scenario_goldens`]),
+//!   an [ablation](crate::ablation_golden) or a remote sweep's replies,
+//!   turning any result drift into a CI failure.
 
 use crate::lab::{Lab, Plan};
-use contopt_sim::{file_stem, JsonValue, Scenario, ScenarioConfig, ScenarioError};
+use contopt_sim::{file_stem, JsonValue, Scenario, ScenarioError};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -35,6 +36,36 @@ pub fn golden_path(dir: &Path, scenario: &str, label: &str, workload: &str) -> P
         .join(format!("{}.json", file_stem(workload)))
 }
 
+/// A pinned result: the golden file that pins it and the canonical text
+/// a fresh run produced for it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Golden {
+    /// The golden file.
+    pub path: PathBuf,
+    /// The fresh run's canonical text.
+    pub text: String,
+}
+
+/// Every cell of `sc` as a [`Golden`] under `dir`, in declaration order:
+/// the cell's canonical report at its [`golden_path`]. Cells already
+/// simulated by [`Lab::execute`] come from the cache.
+pub fn scenario_goldens(
+    lab: &mut Lab,
+    sc: &Scenario,
+    dir: &Path,
+) -> Result<Vec<Golden>, ScenarioError> {
+    let mut goldens = Vec::new();
+    for cfg in &sc.configs {
+        for w in sc.workloads_for(cfg)? {
+            goldens.push(Golden {
+                path: golden_path(dir, &sc.name, &cfg.label, w.name),
+                text: lab.run(cfg.machine, &w).canonical_json(),
+            });
+        }
+    }
+    Ok(goldens)
+}
+
 /// One detected difference between a fresh run and the recorded goldens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoldenDrift {
@@ -47,9 +78,9 @@ pub struct GoldenDrift {
 /// The ways a golden can disagree with a fresh run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriftKind {
-    /// No golden is recorded for the cell.
+    /// No golden file is recorded.
     Missing,
-    /// The recorded bytes differ from the fresh run's canonical report.
+    /// The recorded bytes differ from the fresh run's canonical text.
     Changed {
         /// The first differing line, with context, so drift is
         /// diagnosable straight from CI logs.
@@ -106,7 +137,7 @@ pub fn first_divergence(expected: &str, actual: &str) -> Option<LineDiff> {
     }
 }
 
-/// The per-cell comparison policy for [`check_goldens`].
+/// The per-file comparison policy for [`check_goldens`].
 ///
 /// The default is **exact**: a golden matches only byte-for-byte. For an
 /// intentional model change, an explicit list of JSON field paths can be
@@ -190,15 +221,8 @@ fn json_diff_paths(expected: &JsonValue, actual: &JsonValue, at: &str, out: &mut
 
 /// Compares recorded golden text against a fresh canonical serialization
 /// under `policy`: `None` when the bytes match, or when every difference
-/// is covered by the policy's opt-in list. Shared by the per-cell report
-/// checker ([`check_goldens`]) and the ablation checker
-/// ([`crate::check_ablation_golden`]), so the two cannot diverge in
-/// comparison semantics.
-pub(crate) fn drift_between(
-    recorded: &str,
-    canonical: &str,
-    policy: &TolerancePolicy,
-) -> Option<DriftKind> {
+/// is covered by the policy's opt-in list.
+fn drift_between(recorded: &str, canonical: &str, policy: &TolerancePolicy) -> Option<DriftKind> {
     if recorded == canonical {
         return None;
     }
@@ -293,35 +317,6 @@ impl CheckOutcome {
     }
 }
 
-/// Byte-compares one cell's fresh canonical report against its recorded
-/// golden under `dir`, per `policy`.
-///
-/// This is the transport-agnostic core of the golden harness: it takes
-/// the canonical report *text* rather than a [`Lab`], so the same
-/// comparison backs the local checker ([`check_goldens`]) and a remote
-/// `contopt-client --check` whose reports arrived over the sweep-service
-/// protocol — a remote check must byte-match a local one by construction.
-pub fn check_cell(
-    dir: &Path,
-    scenario: &str,
-    label: &str,
-    workload: &str,
-    canonical: &str,
-    policy: &TolerancePolicy,
-) -> io::Result<Option<GoldenDrift>> {
-    let path = golden_path(dir, scenario, label, workload);
-    match std::fs::read_to_string(&path) {
-        Ok(recorded) => {
-            Ok(drift_between(&recorded, canonical, policy).map(|kind| GoldenDrift { path, kind }))
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Some(GoldenDrift {
-            path,
-            kind: DriftKind::Missing,
-        })),
-        Err(e) => Err(e),
-    }
-}
-
 impl fmt::Display for GoldenDrift {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
@@ -351,83 +346,43 @@ impl fmt::Display for GoldenDrift {
     }
 }
 
-/// Applies `f` to every `(config, workload, fresh canonical report)` cell
-/// of the scenario, in declaration order. Cells already simulated by
-/// [`Lab::execute`] come from the cache.
-fn for_each_cell(
-    lab: &mut Lab,
-    sc: &Scenario,
-    mut f: impl FnMut(&ScenarioConfig, &'static str, String) -> io::Result<()>,
-) -> Result<(), CellError> {
-    for cfg in &sc.configs {
-        for w in sc.workloads_for(cfg).map_err(CellError::Scenario)? {
-            let report = lab.run(cfg.machine, &w);
-            f(cfg, w.name, report.canonical_json()).map_err(CellError::Io)?;
+/// Writes each golden's text to its path, creating directories as needed
+/// and replacing any previous file.
+pub fn record_goldens(goldens: &[Golden]) -> io::Result<()> {
+    for g in goldens {
+        if let Some(parent) = g.path.parent() {
+            std::fs::create_dir_all(parent)?;
         }
+        std::fs::write(&g.path, &g.text)?;
     }
     Ok(())
 }
 
-/// A failure while walking a scenario's cells.
-#[derive(Debug)]
-pub enum CellError {
-    /// The scenario references unknown workloads.
-    Scenario(ScenarioError),
-    /// A golden file could not be read or written.
-    Io(io::Error),
-}
-
-impl fmt::Display for CellError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CellError::Scenario(e) => write!(f, "{e}"),
-            CellError::Io(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for CellError {}
-
-/// Runs every cell of `sc` and writes its canonical report under `dir`,
-/// replacing any previous goldens. Returns the paths written.
-pub fn record_goldens(lab: &mut Lab, sc: &Scenario, dir: &Path) -> Result<Vec<PathBuf>, CellError> {
-    let mut written = Vec::new();
-    for_each_cell(lab, sc, |cfg, workload, canonical| {
-        let path = golden_path(dir, &sc.name, &cfg.label, workload);
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(&path, canonical)?;
-        written.push(path);
-        Ok(())
-    })?;
-    Ok(written)
-}
-
-/// Runs every cell of `sc` and compares it against the goldens under
-/// `dir` per `policy` (byte equality by default; opted-in fields may
-/// differ). Returns every drift found (empty = the scenario reproduces
-/// its pinned results).
-pub fn check_goldens(
-    lab: &mut Lab,
-    sc: &Scenario,
-    dir: &Path,
-    policy: &TolerancePolicy,
-) -> Result<Vec<GoldenDrift>, CellError> {
+/// Compares each golden's fresh text against the file recorded at its
+/// path, per `policy` (byte equality by default; opted-in fields may
+/// differ). Returns every drift found, in order (empty = every result
+/// reproduces its pinned file); a file that does not exist is
+/// [`DriftKind::Missing`].
+pub fn check_goldens(goldens: &[Golden], policy: &TolerancePolicy) -> io::Result<Vec<GoldenDrift>> {
     let mut drifts = Vec::new();
-    for_each_cell(lab, sc, |cfg, workload, canonical| {
-        drifts.extend(check_cell(
-            dir, &sc.name, &cfg.label, workload, &canonical, policy,
-        )?);
-        Ok(())
-    })?;
+    for g in goldens {
+        let kind = match std::fs::read_to_string(&g.path) {
+            Ok(recorded) => drift_between(&recorded, &g.text, policy),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Some(DriftKind::Missing),
+            Err(e) => return Err(e),
+        };
+        drifts.extend(kind.map(|kind| GoldenDrift {
+            path: g.path.clone(),
+            kind,
+        }));
+    }
     Ok(drifts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contopt_sim::MachineConfig;
+    use contopt_sim::{MachineConfig, ScenarioConfig};
 
     #[test]
     fn smoke_plan_has_four_cells() {
@@ -508,11 +463,12 @@ mod tests {
             }],
         };
         let mut lab = Lab::new(sc.insts);
-        let written = record_goldens(&mut lab, &sc, &dir).unwrap();
+        let goldens = scenario_goldens(&mut lab, &sc, &dir).unwrap();
+        record_goldens(&goldens).unwrap();
         // Strip the canonical trailing newline from the recorded golden.
-        let text = std::fs::read_to_string(&written[0]).unwrap();
-        std::fs::write(&written[0], text.trim_end_matches('\n')).unwrap();
-        let drifts = check_goldens(&mut lab, &sc, &dir, &TolerancePolicy::exact()).unwrap();
+        let text = std::fs::read_to_string(&goldens[0].path).unwrap();
+        std::fs::write(&goldens[0].path, text.trim_end_matches('\n')).unwrap();
+        let drifts = check_goldens(&goldens, &TolerancePolicy::exact()).unwrap();
         assert_eq!(drifts.len(), 1);
         let DriftKind::Changed { diff, .. } = &drifts[0].kind else {
             panic!("expected Changed, got {:?}", drifts[0].kind);
@@ -564,10 +520,10 @@ mod tests {
     }
 
     #[test]
-    fn check_cell_matches_check_goldens() {
-        // The transport-agnostic cell checker and the Lab-driven checker
-        // must agree: record locally, then compare the same canonical text
-        // through check_cell as a remote client would.
+    fn goldens_built_from_remote_text_check_like_local_ones() {
+        // A remote client has no Lab: it pairs each reply's report text
+        // with the cell's golden_path. Those goldens must check exactly
+        // like the ones a local run builds.
         let dir = std::env::temp_dir().join(format!("contopt-cell-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let sc = Scenario {
@@ -582,27 +538,33 @@ mod tests {
             }],
         };
         let mut lab = Lab::new(sc.insts);
-        record_goldens(&mut lab, &sc, &dir).unwrap();
+        record_goldens(&scenario_goldens(&mut lab, &sc, &dir).unwrap()).unwrap();
         let canonical = lab
             .run(
                 MachineConfig::default_paper(),
                 &contopt_sim::workloads::build("twf").unwrap(),
             )
             .canonical_json();
+        let remote = |workload: &str, text: &str| Golden {
+            path: golden_path(&dir, "cellcheck", "baseline", workload),
+            text: text.to_string(),
+        };
         let policy = TolerancePolicy::exact();
         assert_eq!(
-            check_cell(&dir, "cellcheck", "baseline", "twf", &canonical, &policy).unwrap(),
-            None
+            check_goldens(&[remote("twf", &canonical)], &policy).unwrap(),
+            []
         );
         // A perturbed report drifts; an unknown cell is missing.
         let perturbed = canonical.replace("\"cycles\"", "\"cycles_x\"");
-        let drift = check_cell(&dir, "cellcheck", "baseline", "twf", &perturbed, &policy)
-            .unwrap()
-            .expect("perturbed report must drift");
+        let drifts = check_goldens(&[remote("twf", &perturbed)], &policy).unwrap();
+        let [drift] = &drifts[..] else {
+            panic!("perturbed report must drift: {drifts:?}");
+        };
         assert!(matches!(drift.kind, DriftKind::Changed { .. }));
-        let missing = check_cell(&dir, "cellcheck", "baseline", "mcf", &canonical, &policy)
-            .unwrap()
-            .expect("unrecorded cell is missing");
+        let drifts = check_goldens(&[remote("mcf", &canonical)], &policy).unwrap();
+        let [missing] = &drifts[..] else {
+            panic!("unrecorded cell is missing: {drifts:?}");
+        };
         assert!(matches!(missing.kind, DriftKind::Missing));
         let _ = std::fs::remove_dir_all(&dir);
     }

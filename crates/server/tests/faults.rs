@@ -13,7 +13,7 @@
 
 use contopt_client::protocol::{CellReply, CellResult, PlanCell};
 use contopt_client::{Client, ClientConfig, RetryPolicy};
-use contopt_experiments::{check_cell, CheckOutcome, TolerancePolicy};
+use contopt_experiments::{check_goldens, golden_path, CheckOutcome, Golden, TolerancePolicy};
 use contopt_server::{Server, ServerConfig, ServerHandle};
 use contopt_sim::{MachineConfig, Scenario};
 use std::io::{self, Read, Write};
@@ -197,27 +197,21 @@ fn frontier_config(downstreams: Vec<String>) -> ServerConfig {
     }
 }
 
-/// Asserts that every report byte-matches its checked-in smoke golden.
+/// Asserts that every report byte-matches its checked-in golden.
 fn assert_match_goldens<'a>(sc: &Scenario, reports: impl IntoIterator<Item = &'a CellResult>) {
-    let goldens = repo_root().join("goldens");
-    let policy = TolerancePolicy::exact();
-    for cell in reports {
-        let drift = check_cell(
-            &goldens,
-            &sc.name,
-            &cell.label,
-            &cell.workload,
-            &cell.report,
-            &policy,
-        )
-        .expect("golden readable");
-        assert!(
-            drift.is_none(),
-            "{}/{} drifted from its golden: {drift:?}",
-            cell.label,
-            cell.workload
-        );
-    }
+    let dir = repo_root().join("goldens");
+    let goldens: Vec<Golden> = reports
+        .into_iter()
+        .map(|cell| Golden {
+            path: golden_path(&dir, &sc.name, &cell.label, &cell.workload),
+            text: cell.report.clone(),
+        })
+        .collect();
+    let drifts = check_goldens(&goldens, &TolerancePolicy::exact()).expect("goldens readable");
+    assert!(
+        drifts.is_empty(),
+        "reports drifted from their goldens: {drifts:?}"
+    );
 }
 
 /// One panicking cell degrades exactly that cell to a typed

@@ -19,7 +19,7 @@
 
 use contopt_client::protocol::{CellReply, CellResult, SweepStatus};
 use contopt_client::Client;
-use contopt_experiments::{check_cell, TolerancePolicy};
+use contopt_experiments::{check_goldens, golden_path, Golden, TolerancePolicy};
 use contopt_server::federation::FederationConfig;
 use contopt_server::{Server, ServerConfig, ServerHandle};
 use contopt_sim::Scenario;
@@ -83,6 +83,23 @@ fn assert_accounted(status: &SweepStatus) {
     );
 }
 
+/// Asserts that every report byte-matches its checked-in golden.
+fn assert_match_goldens<'a>(sc: &Scenario, reports: impl IntoIterator<Item = &'a CellResult>) {
+    let dir = repo_root().join("goldens");
+    let goldens: Vec<Golden> = reports
+        .into_iter()
+        .map(|cell| Golden {
+            path: golden_path(&dir, &sc.name, &cell.label, &cell.workload),
+            text: cell.report.clone(),
+        })
+        .collect();
+    let drifts = check_goldens(&goldens, &TolerancePolicy::exact()).expect("goldens readable");
+    assert!(
+        drifts.is_empty(),
+        "reports drifted from their goldens: {drifts:?}"
+    );
+}
+
 #[test]
 fn two_tier_sweeps_are_byte_identical_to_standalone() {
     let ds1 = spawn_standalone(2);
@@ -113,26 +130,7 @@ fn two_tier_sweeps_are_byte_identical_to_standalone() {
 
     // The exact harness a local `--check` runs: any byte of difference
     // between a federated report and the checked-in golden is a drift.
-    let goldens = repo_root().join("goldens");
-    let policy = TolerancePolicy::exact();
-    for cell in &cells {
-        let drift = check_cell(
-            &goldens,
-            &sc.name,
-            &cell.label,
-            &cell.workload,
-            &cell.report,
-            &policy,
-        )
-        .expect("golden readable");
-        assert!(
-            drift.is_none(),
-            "federated report for {}/{} drifted from the checked-in golden: {:?}",
-            cell.label,
-            cell.workload,
-            drift
-        );
-    }
+    assert_match_goldens(&sc, &cells);
 
     // The frontier's `ping` reports the downstream topology, and the
     // lifetime forwarded gauges account for every forwarded cell.
@@ -240,26 +238,7 @@ fn programs_forward_with_their_cells() {
     assert_accounted(&status);
     let cells = reports(sweep.fetch_reports().expect("fetch"));
 
-    let goldens = repo_root().join("goldens");
-    let policy = TolerancePolicy::exact();
-    for cell in &cells {
-        let drift = check_cell(
-            &goldens,
-            &sc.name,
-            &cell.label,
-            &cell.workload,
-            &cell.report,
-            &policy,
-        )
-        .expect("golden readable");
-        assert!(
-            drift.is_none(),
-            "federated program report for {}/{} drifted: {:?}",
-            cell.label,
-            cell.workload,
-            drift
-        );
-    }
+    assert_match_goldens(&sc, &cells);
 
     // Resubmission: the program-keyed fingerprint re-hits the frontier
     // cache whether the cell ran locally or downstream.

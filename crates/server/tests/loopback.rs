@@ -22,7 +22,7 @@
 
 use contopt_client::protocol::{CellReply, CellResult, PlanCell};
 use contopt_client::Client;
-use contopt_experiments::{check_cell, TolerancePolicy};
+use contopt_experiments::{check_goldens, golden_path, Golden, TolerancePolicy};
 use contopt_server::{Server, ServerConfig, SweepCell, SweepEngine};
 use contopt_sim::{ProgramSource, Scenario};
 use std::path::{Path, PathBuf};
@@ -72,6 +72,23 @@ fn assert_accounted(status: &contopt_client::protocol::SweepStatus) {
     );
 }
 
+/// Asserts that every report byte-matches its checked-in golden.
+fn assert_match_goldens<'a>(sc: &Scenario, reports: impl IntoIterator<Item = &'a CellResult>) {
+    let dir = repo_root().join("goldens");
+    let goldens: Vec<Golden> = reports
+        .into_iter()
+        .map(|cell| Golden {
+            path: golden_path(&dir, &sc.name, &cell.label, &cell.workload),
+            text: cell.report.clone(),
+        })
+        .collect();
+    let drifts = check_goldens(&goldens, &TolerancePolicy::exact()).expect("goldens readable");
+    assert!(
+        drifts.is_empty(),
+        "reports drifted from their goldens: {drifts:?}"
+    );
+}
+
 #[test]
 fn remote_reports_byte_match_checked_in_goldens() {
     let server = spawn_server(2);
@@ -90,26 +107,7 @@ fn remote_reports_byte_match_checked_in_goldens() {
 
     // The exact harness a local `--check` runs, against the checked-in
     // goldens: any byte of difference in a remote report is a drift.
-    let goldens = repo_root().join("goldens");
-    let policy = TolerancePolicy::exact();
-    for cell in &cells {
-        let drift = check_cell(
-            &goldens,
-            &sc.name,
-            &cell.label,
-            &cell.workload,
-            &cell.report,
-            &policy,
-        )
-        .expect("golden readable");
-        assert!(
-            drift.is_none(),
-            "remote report for {}/{} drifted from the checked-in golden: {:?}",
-            cell.label,
-            cell.workload,
-            drift
-        );
-    }
+    assert_match_goldens(&sc, &cells);
 }
 
 #[test]
@@ -358,26 +356,7 @@ fn programs_bearing_scenarios_sweep_and_cache_over_the_wire() {
     let cells = reports(sweep.fetch_reports().expect("fetch"));
 
     // The remote reports byte-match the locally recorded goldens.
-    let goldens = repo_root().join("goldens");
-    let policy = TolerancePolicy::exact();
-    for cell in &cells {
-        let drift = check_cell(
-            &goldens,
-            &sc.name,
-            &cell.label,
-            &cell.workload,
-            &cell.report,
-            &policy,
-        )
-        .expect("golden readable");
-        assert!(
-            drift.is_none(),
-            "remote report for {}/{} drifted from the checked-in golden: {:?}",
-            cell.label,
-            cell.workload,
-            drift
-        );
-    }
+    assert_match_goldens(&sc, &cells);
 
     // Resubmitting re-hits the fingerprint cache: the program bytes key
     // the cell, so an identical kernel costs zero extra simulations.
@@ -419,22 +398,5 @@ fn file_programs_ship_inline_and_match_the_goldens() {
     let cells = reports(sweep.fetch_reports().expect("fetch"));
     let fingerprints: Vec<&str> = cells.iter().map(|c| c.fingerprint.as_str()).collect();
     assert_eq!(fingerprints, ["86dd975387b453a4", "d75c06b39f4e9cfb"]);
-    let goldens = repo_root().join("goldens");
-    for cell in &cells {
-        let drift = check_cell(
-            &goldens,
-            &sc.name,
-            &cell.label,
-            &cell.workload,
-            &cell.report,
-            &TolerancePolicy::exact(),
-        )
-        .expect("golden readable");
-        assert!(
-            drift.is_none(),
-            "{}/{}: {drift:?}",
-            cell.label,
-            cell.workload
-        );
-    }
+    assert_match_goldens(&sc, &cells);
 }

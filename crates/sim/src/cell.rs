@@ -63,11 +63,6 @@ impl CellKey {
         &self.machine
     }
 
-    /// The workload name.
-    pub fn workload(&self) -> &str {
-        &self.workload
-    }
-
     /// The cell's wire fingerprint at an `insts` budget, as 16 hex digits:
     /// FNV-1a over the canonical machine JSON, the workload name, the
     /// big-endian budget and any program text, zero-byte separated. These
@@ -170,7 +165,6 @@ mod tests {
         );
         assert_ne!(untst_as_twf, key(&base, "twf"), "program matters");
         assert_ne!(untst_as_twf.fingerprint(1000), f, "program matters");
-        assert_eq!(untst_as_twf.workload(), "twf");
         assert_eq!(untst_as_twf.machine(), key(&base, "twf").machine());
     }
 

@@ -9,11 +9,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_experiments::{
-    ablation_plan, ablation_report, check_ablation_golden, Lab, TolerancePolicy,
+    ablation_golden, ablation_plan, ablation_report, check_goldens, Lab, TolerancePolicy,
 };
 use contopt_sim::{AblationSpec, MachineConfig, PassId, Scenario, ScenarioConfig, ToJson};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// The repository root (tests are registered under `crates/experiments`).
 fn repo_root() -> PathBuf {
@@ -119,13 +120,8 @@ fn checked_in_ablate_smoke_goldens_reproduce() {
     assert_eq!(sc.ablation, Some(AblationSpec { add_one_in: true }));
     let mut lab = Lab::new(sc.insts);
     lab.execute(&ablation_plan(&sc).unwrap(), 2);
-    let drifts = check_ablation_golden(
-        &mut lab,
-        &sc,
-        &repo_root().join("goldens"),
-        &TolerancePolicy::exact(),
-    )
-    .unwrap();
+    let golden = ablation_golden(&mut lab, &sc, &repo_root().join("goldens")).unwrap();
+    let drifts = check_goldens(&[golden], &TolerancePolicy::exact()).unwrap();
     assert!(
         drifts.is_empty(),
         "ablate_smoke golden drifted (re-record intentionally with \
@@ -175,4 +171,58 @@ fn report_json_carries_the_attribution_invariants() {
             assert!(row.get(key).is_some(), "row missing {key}");
         }
     }
+}
+
+/// `--ablate` through the binary: it records the golden, checks it clean,
+/// and exits 1 on a perturbed golden and 2 on a deleted one; next to a
+/// `--scenario` whose goldens match, a drifting ablation still exits 1.
+#[test]
+fn ablate_records_and_checks_through_the_binary() {
+    let dir = std::env::temp_dir().join(format!("contopt-ablate-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("quick.json");
+    std::fs::write(&file, quick_scenario().canonical_json()).unwrap();
+    let golden = dir.join("ablate_smoke").join("ablation.json");
+    let run = |args: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
+            .current_dir(&dir)
+            .args(args.split(' '))
+            .args(["--goldens", "."])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout)
+    };
+    let (code, stdout) = run("--ablate quick.json --record");
+    assert_eq!(code, Some(0), "{stdout}");
+    assert_eq!(stdout, "recorded ./ablate_smoke/ablation.json\n");
+    let (code, stdout) = run("--ablate quick.json --check");
+    assert_eq!(code, Some(0), "{stdout}");
+    assert_eq!(stdout, "ablation \"ablate_smoke\": golden matches\n");
+
+    assert_eq!(run("--scenario quick.json --record").0, Some(0));
+    let text = std::fs::read_to_string(&golden).unwrap();
+    std::fs::write(
+        &golden,
+        text.replace("\"insts\": 20000", "\"insts\": 21000"),
+    )
+    .unwrap();
+    let drift = "ablation \"ablate_smoke\": result drift in ./ablate_smoke/ablation.json";
+    let (code, stdout) = run("--ablate quick.json --check");
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.starts_with(drift), "{stdout}");
+    let (code, stdout) = run("--scenario quick.json --ablate quick.json --check");
+    assert_eq!(code, Some(1), "{stdout}");
+    let matched = "scenario \"ablate_smoke\": goldens match\n";
+    assert!(stdout.starts_with(&format!("{matched}{drift}")), "{stdout}");
+
+    std::fs::remove_file(&golden).unwrap();
+    let (code, stdout) = run("--ablate quick.json --check");
+    assert_eq!(code, Some(2), "{stdout}");
+    assert_eq!(
+        stdout,
+        "ablation \"ablate_smoke\": missing golden ./ablate_smoke/ablation.json\n"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

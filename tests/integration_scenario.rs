@@ -9,7 +9,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_experiments::{
-    check_figure, check_goldens, record_goldens, DriftKind, Lab, TolerancePolicy, DEFAULT_INSTS,
+    check_figure, check_goldens, record_goldens, scenario_goldens, DriftKind, Lab, TolerancePolicy,
+    DEFAULT_INSTS,
 };
 use contopt_sim::workloads::SplitMix64;
 use contopt_sim::{
@@ -166,13 +167,8 @@ fn compact_and_pretty_scenario_json_parse_identically() {
 fn checked_in_smoke_goldens_reproduce() {
     let sc = Scenario::load(repo_root().join("scenarios/smoke.json")).unwrap();
     let mut lab = Lab::new(sc.insts);
-    let drifts = check_goldens(
-        &mut lab,
-        &sc,
-        &repo_root().join("goldens"),
-        &TolerancePolicy::exact(),
-    )
-    .unwrap();
+    let goldens = scenario_goldens(&mut lab, &sc, &repo_root().join("goldens")).unwrap();
+    let drifts = check_goldens(&goldens, &TolerancePolicy::exact()).unwrap();
     assert!(
         drifts.is_empty(),
         "smoke goldens drifted (re-record intentionally with --record): {drifts:?}"
@@ -212,13 +208,8 @@ fn cache_latency_scenario() -> Scenario {
 fn checked_in_cache_latency_goldens_reproduce() {
     let sc = cache_latency_scenario();
     let mut lab = Lab::new(sc.insts);
-    let drifts = check_goldens(
-        &mut lab,
-        &sc,
-        &repo_root().join("goldens"),
-        &TolerancePolicy::exact(),
-    )
-    .unwrap();
+    let goldens = scenario_goldens(&mut lab, &sc, &repo_root().join("goldens")).unwrap();
+    let drifts = check_goldens(&goldens, &TolerancePolicy::exact()).unwrap();
     assert!(
         drifts.is_empty(),
         "cache-latency goldens drifted: {drifts:?}"
@@ -302,10 +293,7 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
             &["--scenario", "scenarios/smoke.json", "--record", "--check"],
             "--record and --check are mutually exclusive",
         ),
-        (
-            &["--table"],
-            "--table selects the per-pass table of an --ablate run",
-        ),
+        (&["--table"], "--table applies only to an --ablate run"),
         (
             &["--fig9", "--jobs", "-1"],
             "--jobs takes a non-negative number",
@@ -339,6 +327,59 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
         !Path::new(goldens).exists(),
         "a refused --record wrote {goldens}"
     );
+
+    // Any other flag that no run of the invocation reads is refused too,
+    // and so is a second run, which would otherwise be dropped. G's
+    // smoke/baseline/twf.json drifts, so a dropped check would exit 0
+    // where the check itself exits 1.
+    let g = std::env::temp_dir().join(format!("contopt-drifted-{}", std::process::id()));
+    std::fs::create_dir_all(g.join("smoke/baseline")).unwrap();
+    let twf = std::fs::read_to_string(repo_root().join("goldens/smoke/baseline/twf.json")).unwrap();
+    let twf = twf.replacen("\"cycles\": ", "\"cycles\": 1", 1);
+    std::fs::write(g.join("smoke/baseline/twf.json"), twf).unwrap();
+    let g = g.to_str().unwrap();
+    let (code, stderr) = run(&[
+        "--scenario",
+        "scenarios/smoke.json",
+        "--check",
+        "--goldens",
+        g,
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    let probes = "\
+--table2 --goldens G => --goldens applies only to a --scenario, --ablate or --validate run
+--table2 --allow-warnings => --allow-warnings applies only to a --verify run
+--table2 --seed 7 => --seed applies only to a --fuzz or --fuzz-parsers run
+--table2 --jobs 3 => --jobs applies only to a --table3, --figN, --scenario or --ablate run
+--table1 --scenarios-dir /nonexistent => --scenarios-dir applies only to a --table3, --figN, \
+--validate or --fuzz run
+--fuzz-parsers 3 --json => --json applies only to a --table1, --table2, --table3, --figN, \
+--scenario, --ablate or --verify run
+--scenario scenarios/smoke.json --seed 3 --check => --seed applies only to a --fuzz or \
+--fuzz-parsers run
+--ablate scenarios/ablate_smoke.json --allow-warnings --check => --allow-warnings applies only \
+to a --verify run
+--verify crates/workloads/src/kernels/hjoin.s --allow-warnings --scenario scenarios/smoke.json \
+--check --goldens G => --verify and --scenario are separate runs; give each its own invocation
+--validate --scenario scenarios/smoke.json --check --goldens G => --validate and --scenario \
+are separate runs; give each its own invocation
+--validate scenarios/smoke.json --fig9 => --validate and --fig9 are separate runs; give each \
+its own invocation";
+    for probe in probes.lines() {
+        let (args, message) = probe.split_once(" => ").unwrap();
+        let args: Vec<&str> = args
+            .split(' ')
+            .map(|a| if a == "G" { g } else { a })
+            .collect();
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(3), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("contopt-experiments: {message}\n"),
+            "{args:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(g);
 }
 
 /// `--fig9` reads `<scenarios-dir>/fig9.json` and refuses, before any
@@ -398,18 +439,19 @@ fn golden_harness_detects_flag_flips_and_missing_files() {
         }],
     };
     let mut lab = Lab::new(sc.insts);
-    let written = record_goldens(&mut lab, &sc, &dir).unwrap();
+    let mut goldens = |sc: &Scenario| scenario_goldens(&mut lab, sc, &dir).unwrap();
+    let written = goldens(&sc);
+    record_goldens(&written).unwrap();
     assert_eq!(written.len(), 1);
     let exact = TolerancePolicy::exact();
-    assert!(check_goldens(&mut lab, &sc, &dir, &exact)
-        .unwrap()
-        .is_empty());
+    assert!(check_goldens(&goldens(&sc), &exact).unwrap().is_empty());
 
     // Flipping an optimizer flag in the scenario changes the simulated
     // result, so the same goldens now report drift — and the drift names
     // the first differing line so it is diagnosable from CI logs.
     sc.configs[0].machine.optimizer.enable_rle_sf = false;
-    let drifts = check_goldens(&mut lab, &sc, &dir, &exact).unwrap();
+    let flipped = goldens(&sc);
+    let drifts = check_goldens(&flipped, &exact).unwrap();
     assert_eq!(drifts.len(), 1);
     let DriftKind::Changed { diff, disallowed } = &drifts[0].kind else {
         panic!("expected Changed, got {:?}", drifts[0].kind);
@@ -431,13 +473,11 @@ fn golden_harness_detects_flag_flips_and_missing_files() {
         "predictor",
         "memory",
     ]);
-    assert!(check_goldens(&mut lab, &sc, &dir, &lenient)
-        .unwrap()
-        .is_empty());
+    assert!(check_goldens(&flipped, &lenient).unwrap().is_empty());
     // ...while a policy covering only an unrelated field still drifts and
     // names the uncovered paths.
     let narrow = TolerancePolicy::allowing(["insts_budget"]);
-    let drifts = check_goldens(&mut lab, &sc, &dir, &narrow).unwrap();
+    let drifts = check_goldens(&flipped, &narrow).unwrap();
     assert_eq!(drifts.len(), 1);
     let DriftKind::Changed { disallowed, .. } = &drifts[0].kind else {
         panic!("expected Changed");
@@ -453,7 +493,7 @@ fn golden_harness_detects_flag_flips_and_missing_files() {
 
     // A label with no recorded golden is drift too, not a pass.
     sc.configs[0].label = "unrecorded".into();
-    let drifts = check_goldens(&mut lab, &sc, &dir, &exact).unwrap();
+    let drifts = check_goldens(&goldens(&sc), &exact).unwrap();
     assert_eq!(drifts[0].kind, DriftKind::Missing);
 
     let _ = std::fs::remove_dir_all(&dir);
