@@ -11,7 +11,9 @@
 
 use contopt_client::protocol::{CellReply, CellResult, SweepStatus};
 use contopt_client::{Client, ClientConfig, RetryPolicy};
-use contopt_experiments::{check_goldens, golden_path, CheckOutcome, Golden, TolerancePolicy};
+use contopt_experiments::{
+    check_goldens, golden_path, unpinned_goldens, CheckOutcome, Golden, TolerancePolicy,
+};
 use contopt_sim::{JsonValue, Scenario};
 use std::error::Error;
 use std::path::Path;
@@ -25,7 +27,8 @@ USAGE:
   contopt-client --scenario FILE [OPTIONS]
   contopt-client --ping [--addr HOST:PORT] [--timeout SECS]
 
-OPTIONS (each applies only to the runs listed with it; elsewhere it exits 3):
+OPTIONS (each applies only to the runs listed with it, and only a repeatable
+one may be given twice; otherwise it exits 3):
   --addr HOST:PORT         server to submit to (default: CONTOPT_SERVER
                            env var, else 127.0.0.1:4077)
   --scenario FILE          scenario file to submit (repeatable)
@@ -51,13 +54,14 @@ OPTIONS (each applies only to the runs listed with it; elsewhere it exits 3):
 
 EXIT CODES (matching contopt-experiments --check):
   0  success; with --check, every report matches its golden
-  1  drift: a golden exists but the server's report differs
+  1  drift: a golden exists but the server's report differs, or a
+     recorded golden pins a cell the scenario no longer has
   2  missing: at least one cell has no recorded golden
   3  error: connection, protocol, I/O, per-cell server failure, or bad
      invocation
 ";
 
-/// Flags that take one value each (every one may repeat).
+/// Flags that take one value each.
 const VALUE_FLAGS: [&str; 7] = [
     "--addr",
     "--scenario",
@@ -69,10 +73,13 @@ const VALUE_FLAGS: [&str; 7] = [
 ];
 
 /// Why the invocation is refused before connecting: an argument that is
-/// neither a known flag nor a flag's value, or a flag that the run does
-/// not read. A ping reads only `--addr` and `--timeout`, and only a check
-/// reads `--goldens` and `--allow-field`, while it prints no `--json`.
+/// neither a known flag nor a flag's value, a second occurrence of a flag
+/// other than `--scenario` and `--allow-field` (the only ones that
+/// repeat), or a flag that the run does not read. A ping reads only
+/// `--addr` and `--timeout`, and only a check reads `--goldens` and
+/// `--allow-field`, while it prints no `--json`.
 fn refusal(args: &[String]) -> Option<String> {
+    let mut seen = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if VALUE_FLAGS.contains(&arg.as_str()) {
@@ -84,6 +91,10 @@ fn refusal(args: &[String]) -> Option<String> {
         } else if !["--ping", "--check", "--json"].contains(&arg.as_str()) {
             return Some(format!("unknown flag {arg:?} (see --help)"));
         }
+        if seen.contains(&arg) && !["--scenario", "--allow-field"].contains(&arg.as_str()) {
+            return Some(format!("{arg} may be given only once"));
+        }
+        seen.push(arg);
     }
     let given = |flag: &&str| args.iter().any(|a| a == flag);
     let (run, unread) = if given(&"--ping") {
@@ -227,7 +238,7 @@ fn main() -> ExitCode {
     }
     match worst {
         CheckOutcome::Drift => {
-            eprintln!("contopt-client: golden drift detected; the server's reports differ")
+            eprintln!("contopt-client: golden drift detected against the recorded goldens")
         }
         CheckOutcome::MissingGolden => {
             eprintln!("contopt-client: goldens missing; record them locally with contopt-experiments --record")
@@ -300,7 +311,12 @@ fn run_one(
                 text: cell.report.clone(),
             })
             .collect();
-        let drifts = check_goldens(&goldens, policy)?;
+        let mut drifts = check_goldens(&goldens, policy)?;
+        // A cell the server failed still pins its golden.
+        let produced = cells
+            .iter()
+            .map(|c| golden_path(goldens_dir, &sc.name, c.label(), c.workload()));
+        drifts.extend(unpinned_goldens(goldens_dir, &sc.name, produced)?);
         for drift in &drifts {
             println!("scenario {:?}: {drift}", sc.name);
         }

@@ -36,7 +36,9 @@
 //! * **Retries** — transient failures (connection refused/dropped, a
 //!   deadline mid-stream) are retried per [`RetryPolicy`]: bounded
 //!   attempts, exponential backoff, and *deterministic* splitmix64
-//!   jitter (seeded, no `rand` — reproducible schedules in tests).
+//!   jitter (seeded, no `rand` — reproducible schedules in tests). A
+//!   request has one attempt budget: a connection that fails before the
+//!   status frame and one that drops mid-stream count alike.
 //! * **Idempotent recovery** — a retry re-submits the whole request, but
 //!   the server caches every completed cell by behavioural fingerprint,
 //!   so only the cells that had not finished are re-simulated; finished
@@ -347,41 +349,47 @@ impl Client {
         Ok((reader, BufWriter::new(stream)))
     }
 
-    /// One full submission attempt: open, send the request, read the
-    /// status frame.
+    /// Submits `request` on a fresh connection and reads its status
+    /// frame. Every connection a request opens, the first and each retry,
+    /// is opened by this one loop. `attempts` counts the connections
+    /// opened for the request so far; a retry first sleeps
+    /// [`RetryPolicy::backoff_delay`]`(attempts - 1)`, and a transient
+    /// failure is retried while attempts remain.
     fn open_and_submit(
         &self,
         request: &Message,
+        attempts: &mut u32,
     ) -> Result<(BufReader<TcpStream>, SweepStatus), ClientError> {
-        let (mut reader, mut writer) = self.open()?;
-        write_frame(&mut writer, request)?;
-        match read_frame(&mut reader)? {
-            Message::SweepStatus(status) => Ok((reader, status)),
-            Message::Error(e) => Err(ClientError::Remote(e)),
-            _ => Err(ClientError::Unexpected("sweep_status or error")),
+        loop {
+            if *attempts > 0 {
+                std::thread::sleep(self.config.retry.backoff_delay(*attempts - 1));
+            }
+            *attempts += 1;
+            let sent = self.open().and_then(|(mut reader, mut writer)| {
+                write_frame(&mut writer, request)?;
+                match read_frame(&mut reader)? {
+                    Message::SweepStatus(status) => Ok((reader, status)),
+                    Message::Error(e) => Err(ClientError::Remote(e)),
+                    _ => Err(ClientError::Unexpected("sweep_status or error")),
+                }
+            });
+            match sent {
+                Err(e) if e.is_transient() && *attempts < self.config.retry.max_attempts => {}
+                sent => return sent,
+            }
         }
     }
 
     fn submit(&self, request: Message) -> Result<Sweep, ClientError> {
-        let mut attempts: u32 = 1;
-        loop {
-            match self.open_and_submit(&request) {
-                Ok((reader, status)) => {
-                    return Ok(Sweep {
-                        reader,
-                        status,
-                        client: self.clone(),
-                        request,
-                        attempts,
-                    })
-                }
-                Err(e) if e.is_transient() && attempts < self.config.retry.max_attempts => {
-                    std::thread::sleep(self.config.retry.backoff_delay(attempts - 1));
-                    attempts += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let mut attempts = 0;
+        let (reader, status) = self.open_and_submit(&request, &mut attempts)?;
+        Ok(Sweep {
+            reader,
+            status,
+            client: self.clone(),
+            request,
+            attempts,
+        })
     }
 }
 
@@ -429,35 +437,15 @@ impl Sweep {
     /// fingerprint cache makes the retry idempotent — completed cells
     /// are not re-simulated, and the bytes that come back are identical.
     pub fn fetch_reports(&mut self) -> Result<Vec<CellReply>, ClientError> {
-        let mut pending: Option<ClientError> = None;
+        let max_attempts = self.client.config.retry.max_attempts;
         loop {
-            if let Some(e) = pending.take() {
-                if self.attempts >= self.client.config.retry.max_attempts {
-                    return Err(e);
-                }
-                std::thread::sleep(
-                    self.client
-                        .config
-                        .retry
-                        .backoff_delay(self.attempts.saturating_sub(1)),
-                );
-                self.attempts += 1;
-                match self.client.open_and_submit(&self.request) {
-                    Ok((reader, status)) => {
-                        self.reader = reader;
-                        self.status = status;
-                    }
-                    Err(e2) if e2.is_transient() => {
-                        pending = Some(e2);
-                        continue;
-                    }
-                    Err(e2) => return Err(e2),
-                }
-            }
             match drain_cells(&mut self.reader, &self.status) {
-                Ok(cells) => return Ok(cells),
-                Err(e) if e.is_transient() => pending = Some(e),
-                Err(e) => return Err(e),
+                Err(e) if e.is_transient() && self.attempts < max_attempts => {
+                    (self.reader, self.status) = self
+                        .client
+                        .open_and_submit(&self.request, &mut self.attempts)?;
+                }
+                drained => return drained,
             }
         }
     }

@@ -54,6 +54,9 @@ fn unknown_arguments_are_rejected_before_connecting() {
             "--scenario scenarios/smoke.json --check --json",
             "--json does not apply to a --check run",
         ),
+        // Only --scenario and --allow-field repeat; a second --addr is
+        // refused instead of dialling only the first.
+        ("--addr 127.0.0.1:1 --ping", "--addr may be given only once"),
     ] {
         // Nothing listens on the discard port: reaching the network would
         // report a connection error instead.

@@ -24,7 +24,8 @@
 use contopt_experiments::{
     ablation_golden, ablation_plan, ablation_report, check_figure, check_goldens, default_jobs,
     fig10, fig11, fig12, fig6, fig8, fig9, record_goldens, scenario_goldens, scenario_plan, table1,
-    table2, table3, CheckOutcome, FigureError, Lab, Plan, TolerancePolicy, DEFAULT_INSTS,
+    table2, table3, unpinned_goldens, CheckOutcome, FigureError, Lab, Plan, TolerancePolicy,
+    DEFAULT_INSTS,
 };
 use contopt_sim::{JsonValue, Scenario, ToJson};
 use std::error::Error;
@@ -36,7 +37,8 @@ use std::str::FromStr;
 const USAGE: &str = "usage: contopt-experiments [OPTIONS]
 
 One run per invocation. Each flag applies only to the runs listed with it;
-a second run, or a flag that no run of the invocation reads, exits 3.
+a second run, a flag that no run of the invocation reads, or a flag that
+takes one value given twice exits 3.
 
 artifacts (combinable; --all selects every table and figure):
   --all --table1 --table2 --table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12
@@ -100,7 +102,8 @@ tuning:
 exit codes (--scenario/--ablate runs; CI and the sweep server key on
 these to report precise causes):
   0  success: goldens match (or the run/record completed)
-  1  drift: at least one recorded golden differs from the fresh run
+  1  drift: at least one recorded golden differs from the fresh run, or
+     pins a cell the scenario no longer has (delete it or restore the cell)
   2  missing: some goldens are not recorded (and none drifted)
   3  error: the run itself failed (an unknown, unread or second-run
      flag, a stray argument, a bad flag value, an unreadable scenario,
@@ -397,8 +400,8 @@ fn reads(readers: &str, flag: &str) -> bool {
 }
 
 /// Rejects an unknown flag; any argument that no flag takes, such as a
-/// file named after `--check`; a second run; and a flag that no run of
-/// the invocation reads.
+/// file named after `--check`; a second occurrence of a one-value flag; a
+/// second run; and a flag that no run of the invocation reads.
 fn check_arguments(args: &[String]) -> Result<(), String> {
     let mut given = Vec::new();
     let mut in_list = false;
@@ -418,6 +421,9 @@ fn check_arguments(args: &[String]) -> Result<(), String> {
         };
         in_list = matches!(takes, List);
         if matches!(takes, One) {
+            if given.iter().any(|(g, _)| g == name) {
+                return Err(format!("{name} may be given only once"));
+            }
             rest.next_if(|v| !v.starts_with("--"));
         }
         given.push((*name, *readers));
@@ -578,7 +584,8 @@ fn run_files(
     };
     match worst {
         CheckOutcome::Drift => eprintln!(
-            "contopt-experiments: {drift} detected; re-record intentionally with --record"
+            "contopt-experiments: {drift} detected; delete each unpinned golden, and \
+             re-record the rest intentionally with --record"
         ),
         CheckOutcome::MissingGolden => eprintln!("contopt-experiments: {missing} with --record"),
         _ => {}
@@ -634,7 +641,14 @@ fn run_file(
         }
         return Ok(CheckOutcome::Ok);
     };
-    let drifts = check_goldens(&goldens, policy)?;
+    let mut drifts = check_goldens(&goldens, policy)?;
+    if !ablate {
+        drifts.extend(unpinned_goldens(
+            goldens_dir,
+            &sc.name,
+            goldens.iter().map(|g| &g.path),
+        )?);
+    }
     if drifts.is_empty() {
         let matched = if ablate {
             "golden matches"

@@ -62,7 +62,7 @@ pub use figures::{
 pub use lab::{default_jobs, geomean, Lab, Plan, SuiteMeans, DEFAULT_INSTS};
 pub use scenario::{
     check_goldens, first_divergence, golden_path, record_goldens, scenario_goldens, scenario_plan,
-    CheckOutcome, DriftKind, Golden, GoldenDrift, LineDiff, TolerancePolicy,
+    unpinned_goldens, CheckOutcome, DriftKind, Golden, GoldenDrift, LineDiff, TolerancePolicy,
 };
 pub use tables::{table1, table2, table3, Table1, Table1Row, Table2, Table3, Table3Row};
 pub use verify::{

@@ -7,7 +7,9 @@
 //! * [`record_goldens`] / [`check_goldens`] write and byte-compare any
 //!   list of [`Golden`]s: a scenario's cell reports ([`scenario_goldens`]),
 //!   an [ablation](crate::ablation_golden) or a remote sweep's replies,
-//!   turning any result drift into a CI failure.
+//!   turning any result drift into a CI failure;
+//! * [`unpinned_goldens`] finds the recorded cell goldens that no cell of
+//!   a run produces any more, which a check reports as drift too.
 
 use crate::lab::{Lab, Plan};
 use contopt_sim::{file_stem, JsonValue, Scenario, ScenarioError};
@@ -89,6 +91,9 @@ pub enum DriftKind {
         /// [`TolerancePolicy`] in force (empty for an exact-match check).
         disallowed: Vec<String>,
     },
+    /// A recorded cell golden that no cell of the run produces: its cell
+    /// left the scenario, and the file pins nothing.
+    Unpinned,
 }
 
 /// The first line where a fresh canonical report diverges from its
@@ -286,13 +291,11 @@ pub enum CheckOutcome {
 
 impl CheckOutcome {
     /// Classifies a completed check's drift list: [`Drift`](Self::Drift)
-    /// if any recorded golden changed, else [`MissingGolden`](Self::MissingGolden)
-    /// if any golden was absent, else [`Ok`](Self::Ok).
+    /// if any recorded golden changed or pins no cell, else
+    /// [`MissingGolden`](Self::MissingGolden) if any golden was absent,
+    /// else [`Ok`](Self::Ok).
     pub fn from_drifts(drifts: &[GoldenDrift]) -> CheckOutcome {
-        if drifts
-            .iter()
-            .any(|d| matches!(d.kind, DriftKind::Changed { .. }))
-        {
+        if drifts.iter().any(|d| d.kind != DriftKind::Missing) {
             CheckOutcome::Drift
         } else if drifts.is_empty() {
             CheckOutcome::Ok
@@ -321,6 +324,12 @@ impl fmt::Display for GoldenDrift {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.kind {
             DriftKind::Missing => write!(f, "missing golden {}", self.path.display()),
+            DriftKind::Unpinned => write!(
+                f,
+                "unpinned golden {}: no cell produces it any more; delete the file or \
+                 restore its cell",
+                self.path.display()
+            ),
             DriftKind::Changed { diff, disallowed } => {
                 write!(
                     f,
@@ -377,6 +386,48 @@ pub fn check_goldens(goldens: &[Golden], policy: &TolerancePolicy) -> io::Result
         }));
     }
     Ok(drifts)
+}
+
+/// Every cell golden recorded for `scenario` under `dir`
+/// (`<dir>/<scenario>/<label>/<workload>.json`) whose path is not among
+/// the `produced` ones, as a [`DriftKind::Unpinned`] drift, in path
+/// order. The ablation golden, `<dir>/<scenario>/ablation.json`, is not a
+/// cell golden and is never listed; a scenario with nothing recorded
+/// lists nothing.
+pub fn unpinned_goldens<P: AsRef<Path>>(
+    dir: &Path,
+    scenario: &str,
+    produced: impl IntoIterator<Item = P>,
+) -> io::Result<Vec<GoldenDrift>> {
+    let produced: Vec<P> = produced.into_iter().collect();
+    let labels = match std::fs::read_dir(dir.join(file_stem(scenario))) {
+        Ok(labels) => labels,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut unpinned = Vec::new();
+    for label in labels {
+        let label = label?.path();
+        if !label.is_dir() {
+            continue;
+        }
+        for file in std::fs::read_dir(&label)? {
+            let path = file?.path();
+            if path.extension().is_some_and(|x| x == "json")
+                && !produced.iter().any(|p| p.as_ref() == path)
+            {
+                unpinned.push(path);
+            }
+        }
+    }
+    unpinned.sort();
+    Ok(unpinned
+        .into_iter()
+        .map(|path| GoldenDrift {
+            path,
+            kind: DriftKind::Unpinned,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -566,6 +617,44 @@ mod tests {
             panic!("unrecorded cell is missing: {drifts:?}");
         };
         assert!(matches!(missing.kind, DriftKind::Missing));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unpinned_goldens_lists_cell_files_no_cell_produces() {
+        let dir = std::env::temp_dir().join(format!("contopt-unpinned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cell = |label: &str, workload: &str| golden_path(&dir, "s", label, workload);
+        let recorded = [
+            cell("baseline", "twf"),
+            cell("baseline", "untst"),
+            cell("optimized", "twf"),
+        ];
+        let ablation = dir.join("s").join("ablation.json");
+        let notes = dir.join("s").join("baseline").join("notes.txt");
+        for path in recorded.iter().chain([&ablation, &notes]) {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, "{}\n").unwrap();
+        }
+
+        // Every recorded cell is produced: nothing is unpinned.
+        assert_eq!(unpinned_goldens(&dir, "s", &recorded).unwrap(), []);
+        // A produced cell with no file is check_goldens' Missing, not this.
+        let produced = [cell("baseline", "twf"), cell("fresh", "mcf")];
+        let drifts = unpinned_goldens(&dir, "s", &produced).unwrap();
+        let paths: Vec<&Path> = drifts.iter().map(|d| d.path.as_path()).collect();
+        // Neither the ablation golden nor a non-JSON file is listed.
+        assert_eq!(paths, [recorded[1].as_path(), recorded[2].as_path()]);
+        assert!(drifts.iter().all(|d| d.kind == DriftKind::Unpinned));
+        assert_eq!(CheckOutcome::from_drifts(&drifts), CheckOutcome::Drift);
+        let shown = drifts[0].to_string();
+        assert!(shown.contains("baseline/untst.json"), "{shown}");
+        assert!(
+            shown.contains("delete the file or restore its cell"),
+            "{shown}"
+        );
+        // A scenario with nothing recorded lists nothing.
+        assert_eq!(unpinned_goldens(&dir, "other", &produced).unwrap(), []);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,7 +17,7 @@
 //! the loader.
 
 use contopt_sim::isa::{asm_text, AnalysisReport};
-use contopt_sim::{JsonValue, Scenario, ScenarioError, VerifyPolicy};
+use contopt_sim::{JsonValue, Scenario, ScenarioError, ToJson, VerifyPolicy};
 use std::path::Path;
 
 /// The aggregate severity of a verification run, ordered by how loudly
@@ -246,12 +246,10 @@ pub fn render_json(verdicts: &[FileVerdict], outcome: VerifyOutcome) -> JsonValu
         fields.push((
             "programs",
             JsonValue::arr(v.programs.iter().map(|p| {
-                // The analyzer's canonical JSON embeds verbatim.
-                let report = JsonValue::parse(&p.report.to_json()).unwrap_or(JsonValue::Null);
                 JsonValue::obj([
                     ("name", p.name.as_str().into()),
                     ("policy", p.policy.as_str().into()),
-                    ("report", report),
+                    ("report", p.report.to_json()),
                 ])
             })),
         ));

@@ -42,8 +42,8 @@
 //! Diagnostics are typed ([`AnalysisError`] / [`AnalysisWarning`]) and carry
 //! the instruction index and PC, plus a source [`Span`] when the program came
 //! from text (see [`crate::asm_text::parse_and_verify`]). Reports render
-//! human-readable via [`fmt::Display`] and canonical-JSON via
-//! [`AnalysisReport::to_json`].
+//! human-readable via [`fmt::Display`], and as canonical JSON through
+//! `contopt-sim`'s `ToJson` impl, which builds a `JsonValue`.
 //!
 //! # Examples
 //!
@@ -213,47 +213,6 @@ impl AnalysisReport {
             "warnings"
         }
     }
-
-    /// Canonical JSON rendering: keys in alphabetical order, findings in
-    /// report order, byte-stable across runs (used by golden-pinned
-    /// diagnostic tests).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        fn finding<K: Copy>(out: &mut String, d: &Diagnostic<K>, code: &str) {
-            out.push('{');
-            if let Some(s) = d.span {
-                let _ = write!(out, "\"col\":{},", s.col);
-            }
-            out.push_str("\"detail\":\"");
-            json_escape(out, &d.detail);
-            let _ = write!(out, "\",\"index\":{},\"kind\":\"{code}\",", d.index);
-            if let Some(s) = d.span {
-                let _ = write!(out, "\"line\":{},", s.line);
-            }
-            let _ = write!(out, "\"pc\":\"{:#x}\"}}", d.pc);
-        }
-        let mut out = String::new();
-        let _ = write!(out, "{{\"blocks\":{},\"errors\":[", self.blocks);
-        for (i, e) in self.errors.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            finding(&mut out, e, e.kind.code());
-        }
-        let _ = write!(
-            out,
-            "],\"insts\":{},\"loops\":{},\"proved_loops\":{},\"reachable_blocks\":{},\"verdict\":\"{}\",\"warnings\":[",
-            self.insts, self.loops, self.proved_loops, self.reachable_blocks, self.verdict()
-        );
-        for (i, w) in self.warnings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            finding(&mut out, w, w.kind.code());
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl fmt::Display for AnalysisReport {
@@ -277,23 +236,6 @@ impl fmt::Display for AnalysisReport {
             writeln!(f, "{w}")?;
         }
         Ok(())
-    }
-}
-
-fn json_escape(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 
@@ -1431,17 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_is_canonical_and_ordered() {
-        let rep = verify_src("addq r5, 1, r6\nhalt\n");
-        let json = rep.to_json();
-        assert!(json.starts_with("{\"blocks\":"), "{json}");
-        assert!(json.contains("\"kind\":\"use_before_init\""), "{json}");
-        assert!(json.contains("\"verdict\":\"errors\""), "{json}");
-        // Byte-stable across runs.
-        assert_eq!(json, verify_src("addq r5, 1, r6\nhalt\n").to_json());
-    }
-
-    #[test]
     fn spans_attach_to_findings() {
         let (p, spans) =
             asm_text::parse_with_spans("li r1, 1\naddq r9, 1, r2\nhalt\n").expect("parse");
@@ -1449,8 +1380,6 @@ mod tests {
         assert_eq!(rep.errors.len(), 1);
         let span = rep.errors[0].span.expect("span");
         assert_eq!(span.line, 2);
-        let json = rep.to_json();
-        assert!(json.contains("\"line\":2"), "{json}");
     }
 
     #[test]

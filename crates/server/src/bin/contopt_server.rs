@@ -10,7 +10,7 @@ contopt-server — serve contopt scenario sweeps over TCP
 USAGE:
   contopt-server [OPTIONS]
 
-OPTIONS:
+OPTIONS (each at most once):
   --addr HOST:PORT        address to listen on (default 127.0.0.1:4077;
                           port 0 picks an ephemeral port)
   --jobs N                worker threads per request (default: all cores;
@@ -50,7 +50,8 @@ fn write_port_file(path: &str, port: u16) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// The flags `contopt-server` knows; each takes one value.
+/// The flags `contopt-server` knows; each takes one value and may be
+/// given once.
 const FLAGS: [&str; 6] = [
     "--addr",
     "--jobs",
@@ -75,6 +76,7 @@ fn main() -> ExitCode {
         eprintln!("contopt-server: {msg}");
         ExitCode::FAILURE
     };
+    let mut seen = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if !FLAGS.contains(&arg.as_str()) {
@@ -84,6 +86,10 @@ fn main() -> ExitCode {
                 format!("unexpected argument {arg:?}: each flag takes one value")
             });
         }
+        if seen.contains(&arg) {
+            return bad(format!("{arg} may be given only once"));
+        }
+        seen.push(arg);
         rest.next();
     }
 

@@ -12,8 +12,8 @@
 //! Health is tracked per link: a failed forward (or failed startup
 //! probe) marks the link unhealthy, unhealthy links drain — they
 //! receive no new cells, and their in-flight batch is absorbed by the
-//! local pool — and a background `ping` re-probe restores them without
-//! ever blocking cell placement.
+//! local pool — and a background `ping` re-probe, at most once per link
+//! every 5 s, restores them without ever blocking cell placement.
 
 use contopt_client::protocol::DownstreamStatus;
 use contopt_client::{Client, ClientConfig};
@@ -21,33 +21,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// How long an unhealthy link rests before a background re-probe.
+const REPROBE_INTERVAL: Duration = Duration::from_secs(5);
+
 /// How a frontier server reaches its downstream tier.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FederationConfig {
     /// Downstream `HOST:PORT` addresses (empty = standalone server).
     pub downstreams: Vec<String>,
     /// Per-link deadlines and retry schedule — the same [`ClientConfig`]
     /// any SDK client uses.
     pub client: ClientConfig,
-    /// How long an unhealthy link rests before a background re-probe.
-    pub reprobe_interval: Duration,
-}
-
-impl Default for FederationConfig {
-    fn default() -> FederationConfig {
-        FederationConfig {
-            downstreams: Vec::new(),
-            client: ClientConfig::default(),
-            reprobe_interval: Duration::from_secs(5),
-        }
-    }
 }
 
 /// One downstream contopt-server link: the SDK client plus health and
 /// traffic gauges.
 #[derive(Debug)]
 pub struct DownstreamLink {
-    address: String,
     client: Client,
     /// Whether the last interaction (probe or forward) succeeded. Links
     /// start healthy; the first failure flips this and starts draining.
@@ -64,8 +54,7 @@ pub struct DownstreamLink {
 impl DownstreamLink {
     fn new(address: String, config: ClientConfig) -> DownstreamLink {
         DownstreamLink {
-            client: Client::with_config(address.clone(), config),
-            address,
+            client: Client::with_config(address, config),
             healthy: AtomicBool::new(true),
             probing: AtomicBool::new(false),
             outstanding: AtomicU64::new(0),
@@ -76,7 +65,7 @@ impl DownstreamLink {
 
     /// The downstream address as configured.
     pub fn address(&self) -> &str {
-        &self.address
+        self.client.addr()
     }
 
     /// The SDK client this link forwards through.
@@ -126,10 +115,10 @@ impl DownstreamLink {
     }
 
     /// Kicks a background re-probe of an unhealthy link, rate-limited
-    /// to one probe per `reprobe_interval`. Never blocks: the ping (and
+    /// to one probe per `REPROBE_INTERVAL`. Never blocks: the ping (and
     /// its timeouts) runs on a detached thread, so a blackholed
     /// downstream cannot stall cell placement.
-    fn maybe_reprobe(self: &Arc<Self>, reprobe_interval: Duration) {
+    fn maybe_reprobe(self: &Arc<Self>) {
         if self.is_healthy() {
             return;
         }
@@ -138,7 +127,7 @@ impl DownstreamLink {
         }
         let due = {
             let last = self.last_probe.lock().unwrap_or_else(|e| e.into_inner());
-            last.is_none_or(|at| at.elapsed() >= reprobe_interval)
+            last.is_none_or(|at| at.elapsed() >= REPROBE_INTERVAL)
         };
         if !due {
             self.probing.store(false, Ordering::Release);
@@ -154,7 +143,7 @@ impl DownstreamLink {
     /// This link's slice of the federated `server_status`.
     pub fn status(&self) -> DownstreamStatus {
         DownstreamStatus {
-            address: self.address.clone(),
+            address: self.address().to_string(),
             healthy: self.is_healthy(),
             outstanding: self.outstanding(),
             forwarded: self.forwarded(),
@@ -167,7 +156,6 @@ impl DownstreamLink {
 #[derive(Debug, Default)]
 pub struct Federation {
     links: Vec<Arc<DownstreamLink>>,
-    reprobe_interval: Duration,
 }
 
 impl Federation {
@@ -180,7 +168,6 @@ impl Federation {
                 .iter()
                 .map(|addr| Arc::new(DownstreamLink::new(addr.clone(), config.client)))
                 .collect(),
-            reprobe_interval: config.reprobe_interval,
         }
     }
 
@@ -203,7 +190,7 @@ impl Federation {
             if link.is_healthy() {
                 out.push(Arc::clone(link));
             } else {
-                link.maybe_reprobe(self.reprobe_interval);
+                link.maybe_reprobe();
             }
         }
         out

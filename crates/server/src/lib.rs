@@ -18,7 +18,10 @@
 //!   request, any other request needing the same cell *joins* the
 //!   in-flight work (waits on its completion) instead of simulating it
 //!   again. Overlapping sweeps from unrelated clients cost one
-//!   simulation per unique cell, total.
+//!   simulation per unique cell, total. A local worker and a forwarder
+//!   claim a cell through the same claim step and hold it in the same
+//!   guard, which publishes the report or, dropped unpublished, releases
+//!   the claim; either way it wakes the joiners.
 //!
 //! And three make it robust:
 //!
@@ -26,7 +29,9 @@
 //!   (`catch_unwind`) and reported as a typed `cell_error` frame; every
 //!   sibling cell still streams back, and the panicked cell's in-flight
 //!   claim is released so concurrent joiners never deadlock on the
-//!   `Condvar`. The sweep degrades by one cell instead of tearing down.
+//!   `Condvar`. A downstream's `cell_error` releases the frontier's claim
+//!   the same way. The sweep degrades by one cell instead of tearing
+//!   down.
 //! * **Deadlines** — every connection gets read/write timeouts
 //!   ([`ServerConfig::request_timeout`], `--request-timeout` on the
 //!   binary), so a stalled or malicious peer cannot pin a handler
@@ -187,18 +192,14 @@ enum CellOutcome {
     Failed { code: String, message: String },
 }
 
-/// The non-blocking face of the cache/claim state machine, for the
-/// forwarding path (which must never sleep on another request's work
-/// while it holds a whole batch).
-enum TryObtain {
-    /// Served from cache.
+/// What the claim step found for one cell.
+enum Claimed<'a> {
+    /// Served from the completed-report cache (touched for LRU).
     Hit(Arc<String>),
-    /// Another request owns the in-flight claim; come back via the
-    /// blocking [`SweepEngine::obtain`] after the batch resolves.
+    /// Another request holds the cell's claim.
     Busy,
-    /// The claim is now held by the caller, who must resolve it through
-    /// `simulate_claimed`, `publish_forwarded`, or `release_claim`.
-    Claimed,
+    /// The caller now holds the claim.
+    Mine(Claim<'a>),
 }
 
 struct CacheEntry {
@@ -418,20 +419,11 @@ impl SweepEngine {
         // 1.. = healthy downstream links. Placement balances load only;
         // results are byte-identical at any topology.
         let links = self.federation.healthy_links();
-        let assignment = if links.is_empty() {
-            vec![0; uniq.len()]
-        } else {
-            let mut loads = Vec::with_capacity(links.len() + 1);
-            loads.push(self.in_flight_cells() as u64);
-            loads.extend(links.iter().map(|l| l.outstanding()));
-            scheduler::place(uniq.len(), &loads)
-        };
-        let local_cells: Vec<usize> = (0..uniq.len()).filter(|&i| assignment[i] == 0).collect();
-        let mut per_link: Vec<Vec<usize>> = vec![Vec::new(); links.len()];
-        for (i, &backend) in assignment.iter().enumerate() {
-            if backend > 0 {
-                per_link[backend - 1].push(i);
-            }
+        let mut loads = vec![self.in_flight_cells() as u64];
+        loads.extend(links.iter().map(|l| l.outstanding()));
+        let mut batches: Vec<Vec<usize>> = vec![Vec::new(); loads.len()];
+        for (i, backend) in scheduler::place(uniq.len(), &loads).into_iter().enumerate() {
+            batches[backend].push(i);
         }
 
         let jobs = jobs_hint
@@ -439,37 +431,44 @@ impl SweepEngine {
             .unwrap_or(self.jobs);
         let uniq_ref = &uniq;
         let (local, forwarded) = std::thread::scope(|s| {
-            let forwarders: Vec<_> = per_link
-                .into_iter()
-                .zip(links.iter())
+            let forwarders: Vec<_> = batches[1..]
+                .iter()
+                .zip(&links)
                 .filter(|(batch, _)| !batch.is_empty())
                 .map(|(batch, link)| {
-                    let link = Arc::clone(link);
-                    s.spawn(move || self.forward_batch(insts, uniq_ref, &batch, &link))
+                    s.spawn(move || self.forward_batch(insts, uniq_ref, batch, link))
                 })
                 .collect();
-            // Simulation panics are caught inside `obtain`; a worker that
-            // dies anyway loses only the cell it was running.
-            let local = run_parallel(&local_cells, jobs, |&i| {
+            // Simulation panics are caught inside `Claim::simulate`; a
+            // worker that dies anyway loses only the cell it was running.
+            let local = run_parallel(&batches[0], jobs, |&i| {
                 let (_, key, session) = &uniq[i];
                 self.obtain(key, session)
             });
-            // Forwarder claims release on unwind (ClaimSet), so joiners
-            // re-claim instead of deadlocking.
+            // A forwarder's claims release as they drop, also on unwind,
+            // so joiners re-claim instead of deadlocking.
             let forwarded: Vec<_> = forwarders
                 .into_iter()
                 .filter_map(|h| h.join().ok())
                 .collect();
             (local, forwarded)
         });
-        let mut obtained: Vec<Option<CellOutcome>> = (0..uniq.len()).map(|_| None).collect();
-        for (&i, outcome) in local_cells.iter().zip(local) {
-            obtained[i] = outcome;
+        // A cell whose worker or forwarder died keeps this outcome.
+        let mut obtained: Vec<CellOutcome> = (0..uniq.len())
+            .map(|_| CellOutcome::Failed {
+                code: "internal".to_string(),
+                message: "sweep worker terminated before this cell completed".to_string(),
+            })
+            .collect();
+        for (&i, outcome) in batches[0].iter().zip(local) {
+            if let Some(outcome) = outcome {
+                obtained[i] = outcome;
+            }
         }
         let mut ds_statuses: Vec<SweepStatus> = Vec::new();
         for (out, status) in forwarded {
             for (i, outcome) in out {
-                obtained[i] = Some(outcome);
+                obtained[i] = outcome;
             }
             ds_statuses.extend(status);
         }
@@ -479,13 +478,13 @@ impl SweepEngine {
         let mut joined = 0u64;
         let mut errors = 0u64;
         let mut forwarded = 0u64;
-        for entry in &obtained {
-            match entry {
-                Some(CellOutcome::Ready(_, Obtained::Simulated)) => simulated += 1,
-                Some(CellOutcome::Ready(_, Obtained::CacheHit)) => cache_hits += 1,
-                Some(CellOutcome::Ready(_, Obtained::Joined)) => joined += 1,
-                Some(CellOutcome::Ready(_, Obtained::Forwarded)) => forwarded += 1,
-                Some(CellOutcome::Failed { .. }) | None => errors += 1,
+        for outcome in &obtained {
+            match outcome {
+                CellOutcome::Ready(_, Obtained::Simulated) => simulated += 1,
+                CellOutcome::Ready(_, Obtained::CacheHit) => cache_hits += 1,
+                CellOutcome::Ready(_, Obtained::Joined) => joined += 1,
+                CellOutcome::Ready(_, Obtained::Forwarded) => forwarded += 1,
+                CellOutcome::Failed { .. } => errors += 1,
             }
         }
         // Federated accounting: what a downstream did for our forwarded
@@ -511,26 +510,18 @@ impl SweepEngine {
             .map(|(cell, &u)| {
                 let fingerprint = fingerprints[u].clone();
                 match &obtained[u] {
-                    Some(CellOutcome::Ready(report, _)) => CellReply::Report(CellResult {
+                    CellOutcome::Ready(report, _) => CellReply::Report(CellResult {
                         label: cell.label.clone(),
                         workload: cell.workload.clone(),
                         fingerprint,
                         report: String::clone(report),
                     }),
-                    Some(CellOutcome::Failed { code, message }) => CellReply::Failed(CellError {
+                    CellOutcome::Failed { code, message } => CellReply::Failed(CellError {
                         label: cell.label.clone(),
                         workload: cell.workload.clone(),
                         fingerprint,
                         code: code.clone(),
                         message: message.clone(),
-                    }),
-                    // The worker or forwarder holding this cell died.
-                    None => CellReply::Failed(CellError {
-                        label: cell.label.clone(),
-                        workload: cell.workload.clone(),
-                        fingerprint,
-                        code: "internal".to_string(),
-                        message: "sweep worker terminated before this cell completed".to_string(),
                     }),
                 }
             })
@@ -558,64 +549,41 @@ impl SweepEngine {
     /// Forwards one placed batch over a downstream link as an ordinary
     /// `submit_plan` (shipping any cell programs inline), publishing
     /// every returned report into the local cache under the batch's
-    /// already-held claims — cache coherence across tiers: on the next
-    /// request a forwarded cell is indistinguishable from a locally
-    /// simulated one. A link failure (retries exhausted, rejection, or
-    /// a short reply stream) marks the link unhealthy and the remaining
-    /// batch is simulated locally under the same claims, so no cell is
-    /// lost or simulated twice.
+    /// claims — cache coherence across tiers: on the next request a
+    /// forwarded cell is indistinguishable from a locally simulated one.
+    /// A link failure (retries exhausted, rejection, or a short reply
+    /// stream) marks the link unhealthy and the batch is simulated
+    /// locally under the same claims, so no cell is lost or simulated
+    /// twice.
     fn forward_batch(
         &self,
         insts: u64,
         uniq: &[(&SweepCell, (CellKey, u64), SimSession)],
         batch: &[usize],
-        link: &Arc<DownstreamLink>,
+        link: &DownstreamLink,
     ) -> (Vec<(usize, CellOutcome)>, Option<SweepStatus>) {
         let mut out: Vec<(usize, CellOutcome)> = Vec::with_capacity(batch.len());
-        let mut claimed: Vec<usize> = Vec::new();
+        let mut claims: Vec<(usize, Claim<'_>)> = Vec::new();
         let mut deferred: Vec<usize> = Vec::new();
-        // Phase 1 (non-blocking): a frontier cache hit never forwards,
-        // a busy cell waits its turn locally, everything else is
-        // claimed for the downstream batch.
+        // Phase 1: a frontier cache hit never forwards, a busy cell waits
+        // its turn locally, everything else is claimed for the batch.
+        let mut state = self.lock();
         for &i in batch {
-            match self.try_obtain(&uniq[i].1) {
-                TryObtain::Hit(report) => {
-                    out.push((i, CellOutcome::Ready(report, Obtained::CacheHit)));
+            match self.claim(&mut state, &uniq[i].1) {
+                Claimed::Hit(report) => {
+                    out.push((i, CellOutcome::Ready(report, Obtained::CacheHit)))
                 }
-                TryObtain::Busy => deferred.push(i),
-                TryObtain::Claimed => claimed.push(i),
+                Claimed::Busy => deferred.push(i),
+                Claimed::Mine(claim) => claims.push((i, claim)),
             }
         }
+        drop(state);
 
         let mut ds_status = None;
-        if !claimed.is_empty() {
-            // Panic-safe claim ledger: claims not explicitly resolved
-            // below are released on unwind so Condvar joiners re-claim
-            // instead of deadlocking on cells nobody owns.
-            struct ClaimSet<'a> {
-                engine: &'a SweepEngine,
-                keys: Vec<Option<&'a (CellKey, u64)>>,
-            }
-            impl<'a> ClaimSet<'a> {
-                fn take(&mut self, j: usize) -> Option<&'a (CellKey, u64)> {
-                    self.keys.get_mut(j).and_then(Option::take)
-                }
-            }
-            impl Drop for ClaimSet<'_> {
-                fn drop(&mut self) {
-                    for key in self.keys.iter().flatten() {
-                        self.engine.release_claim(key);
-                    }
-                }
-            }
-            let mut claims = ClaimSet {
-                engine: self,
-                keys: claimed.iter().map(|&i| Some(&uniq[i].1)).collect(),
-            };
-
-            let mut plan = Vec::with_capacity(claimed.len());
+        if !claims.is_empty() {
+            let mut plan = Vec::with_capacity(claims.len());
             let mut programs: Vec<ProgramSpec> = Vec::new();
-            for &i in &claimed {
+            for &(i, _) in &claims {
                 let cell = uniq[i].0;
                 if let Some(cp) = &cell.program {
                     if !programs.iter().any(|p| p.name == cell.workload) {
@@ -634,7 +602,8 @@ impl SweepEngine {
                 });
             }
 
-            link.add_outstanding(claimed.len() as u64);
+            let n = claims.len() as u64;
+            link.add_outstanding(n);
             let forwarded = link
                 .client()
                 .submit_plan_with_programs(insts, plan, programs, None)
@@ -642,44 +611,34 @@ impl SweepEngine {
                     let replies = sweep.fetch_reports()?;
                     Ok((sweep.status(), replies))
                 });
-            link.sub_outstanding(claimed.len() as u64);
+            link.sub_outstanding(n);
 
             match forwarded {
-                Ok((status, replies)) if replies.len() == claimed.len() => {
-                    link.note_forwarded(claimed.len() as u64);
+                Ok((status, replies)) if replies.len() == claims.len() => {
+                    link.note_forwarded(n);
                     ds_status = Some(status);
-                    for (j, reply) in replies.into_iter().enumerate() {
-                        let i = claimed[j];
-                        let Some(key) = claims.take(j) else { continue };
-                        match reply {
+                    for ((i, claim), reply) in claims.into_iter().zip(replies) {
+                        let outcome = match reply {
                             CellReply::Report(r) => {
-                                let report = Arc::new(r.report);
-                                self.publish_forwarded(key, &report);
-                                out.push((i, CellOutcome::Ready(report, Obtained::Forwarded)));
+                                claim.publish(Arc::new(r.report), Obtained::Forwarded)
                             }
-                            CellReply::Failed(e) => {
-                                // The downstream's typed cell_error
-                                // occupies this cell's slot, exactly as
-                                // a local panic would.
-                                self.release_claim(key);
-                                out.push((
-                                    i,
-                                    CellOutcome::Failed {
-                                        code: e.code,
-                                        message: e.message,
-                                    },
-                                ));
-                            }
-                        }
+                            // The downstream's typed cell_error occupies
+                            // this cell's slot, exactly as a local panic
+                            // would; the claim releases as it drops.
+                            CellReply::Failed(e) => CellOutcome::Failed {
+                                code: e.code,
+                                message: e.message,
+                            },
+                        };
+                        out.push((i, outcome));
                     }
                 }
                 _ => {
                     // Link exhausted: drain it and absorb the batch
                     // locally under the claims we already hold.
                     link.mark_unhealthy();
-                    for (j, &i) in claimed.iter().enumerate() {
-                        let Some(key) = claims.take(j) else { continue };
-                        out.push((i, self.simulate_claimed(key, &uniq[i].2)));
+                    for (i, claim) in claims {
+                        out.push((i, claim.simulate(&uniq[i].2)));
                     }
                 }
             }
@@ -696,127 +655,84 @@ impl SweepEngine {
     }
 
     /// Produces one cell's canonical report: from cache, by joining an
-    /// in-flight simulation, or by claiming and simulating it here. A
-    /// panicking simulation is caught and degraded to
-    /// [`CellOutcome::Failed`]; its in-flight claim is released so
-    /// joiners wake and re-claim instead of deadlocking on a cell
-    /// nobody owns.
+    /// in-flight simulation, or by claiming and simulating it here.
     fn obtain(&self, key: &(CellKey, u64), session: &SimSession) -> CellOutcome {
         let mut waited = false;
         let mut state = self.lock();
-        loop {
-            // Split the borrow so the tick bump and the cache lookup can
-            // coexist without a second lookup.
-            let s = &mut *state;
-            if let Some(entry) = s.cache.get_mut(key) {
-                s.tick += 1;
-                entry.tick = s.tick;
-                let report = Arc::clone(&entry.report);
-                let how = if waited {
-                    Obtained::Joined
-                } else {
-                    Obtained::CacheHit
-                };
-                return CellOutcome::Ready(report, how);
-            }
-            if s.in_flight.contains(key) {
-                waited = true;
-                state = self.cond.wait(state).unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            s.in_flight.insert(key.clone());
-            break;
-        }
-        drop(state);
-        self.simulate_claimed(key, session)
-    }
-
-    /// One non-blocking step of [`obtain`](Self::obtain): a cache hit
-    /// returns the report, an in-flight cell reports busy (the caller
-    /// decides whether to wait), otherwise the cell is claimed and the
-    /// caller *must* resolve the claim — by
-    /// [`simulate_claimed`](Self::simulate_claimed),
-    /// [`publish_forwarded`](Self::publish_forwarded), or
-    /// [`release_claim`](Self::release_claim).
-    fn try_obtain(&self, key: &(CellKey, u64)) -> TryObtain {
-        let mut state = self.lock();
-        let s = &mut *state;
-        if let Some(entry) = s.cache.get_mut(key) {
-            s.tick += 1;
-            entry.tick = s.tick;
-            return TryObtain::Hit(Arc::clone(&entry.report));
-        }
-        if s.in_flight.contains(key) {
-            return TryObtain::Busy;
-        }
-        s.in_flight.insert(key.clone());
-        TryObtain::Claimed
-    }
-
-    /// Runs a cell the caller already holds the in-flight claim for,
-    /// publishing the report (or releasing the claim on panic, so
-    /// joiners wake and re-claim instead of deadlocking on a cell
-    /// nobody owns).
-    fn simulate_claimed(&self, key: &(CellKey, u64), session: &SimSession) -> CellOutcome {
-        struct Claim<'a> {
-            engine: &'a SweepEngine,
-            key: &'a (CellKey, u64),
-            published: bool,
-        }
-        impl Drop for Claim<'_> {
-            fn drop(&mut self) {
-                if !self.published {
-                    self.engine.release_claim(self.key);
+        let claim = loop {
+            match self.claim(&mut state, key) {
+                Claimed::Hit(report) => {
+                    let how = if waited {
+                        Obtained::Joined
+                    } else {
+                        Obtained::CacheHit
+                    };
+                    return CellOutcome::Ready(report, how);
                 }
+                Claimed::Busy => {
+                    waited = true;
+                    state = self.cond.wait(state).unwrap_or_else(|e| e.into_inner());
+                }
+                Claimed::Mine(claim) => break claim,
             }
+        };
+        drop(state);
+        claim.simulate(session)
+    }
+
+    /// The claim step, the only way to claim a cell, run on the locked
+    /// `state`: a cached report is touched for LRU and returned, a cell
+    /// another request holds is busy, and any other cell is claimed for
+    /// the caller.
+    fn claim<'a>(&'a self, state: &mut EngineState, key: &'a (CellKey, u64)) -> Claimed<'a> {
+        if let Some(entry) = state.cache.get_mut(key) {
+            state.tick += 1;
+            entry.tick = state.tick;
+            return Claimed::Hit(Arc::clone(&entry.report));
         }
-        let mut claim = Claim {
-            engine: self,
-            key,
-            published: false,
-        };
-        let run = catch_unwind(AssertUnwindSafe(|| session.run().canonical_json()));
-        let report = match run {
-            Ok(json) => Arc::new(json),
-            Err(payload) => {
-                // `claim` drops here unpublished: the in-flight entry is
-                // removed and joiners are notified, so they re-claim the
-                // cell (and surface their own error if it fails again).
-                return CellOutcome::Failed {
-                    code: "panic".to_string(),
-                    message: panic_message(payload.as_ref()),
-                };
-            }
-        };
+        if !state.in_flight.insert(key.clone()) {
+            return Claimed::Busy;
+        }
+        Claimed::Mine(Claim { engine: self, key })
+    }
+}
 
-        let mut state = self.lock();
-        state.total_simulations += 1;
-        self.publish_locked(&mut state, key, &report);
-        claim.published = true;
-        drop(state);
-        self.cond.notify_all();
-        CellOutcome::Ready(report, Obtained::Simulated)
+/// A held claim on one cell: the only code that publishes a cell or
+/// releases its claim. Dropping it — published or not, and also on
+/// unwind — releases the claim and wakes the joiners, so a panic, a
+/// downstream `cell_error` or a dying forwarder never leaves them
+/// waiting on a cell nobody owns; they re-claim it instead.
+struct Claim<'a> {
+    engine: &'a SweepEngine,
+    key: &'a (CellKey, u64),
+}
+
+impl Claim<'_> {
+    /// Simulates the claimed cell here and publishes its report. A
+    /// panicking simulation is caught and degraded to
+    /// [`CellOutcome::Failed`], and the claim is released unpublished.
+    fn simulate(self, session: &SimSession) -> CellOutcome {
+        match catch_unwind(AssertUnwindSafe(|| session.run().canonical_json())) {
+            Ok(json) => self.publish(Arc::new(json), Obtained::Simulated),
+            Err(payload) => CellOutcome::Failed {
+                code: "panic".to_string(),
+                message: panic_message(payload.as_ref()),
+            },
+        }
     }
 
-    /// Installs a report produced *elsewhere* (a downstream server)
-    /// under a claim this frontier holds. Identical to the local
-    /// publish except the engine's own simulation counter does not
-    /// move — the downstream's `sweep_status` accounts for the work.
-    fn publish_forwarded(&self, key: &(CellKey, u64), report: &Arc<String>) {
-        let mut state = self.lock();
-        self.publish_locked(&mut state, key, report);
-        drop(state);
-        self.cond.notify_all();
-    }
-
-    /// Caches `report` under `key` (tick-stamped, capacity-gated LRU)
-    /// and releases the in-flight claim. Callers notify the Condvar
-    /// after unlocking.
-    fn publish_locked(&self, state: &mut EngineState, key: &(CellKey, u64), report: &Arc<String>) {
-        state.tick += 1;
-        let tick = state.tick;
-        if self.cache_capacity > 0 {
-            if state.cache.len() >= self.cache_capacity {
+    /// Caches `report` (tick-stamped, capacity-gated LRU), then releases
+    /// the claim and wakes joiners. Only a report simulated here
+    /// ([`Obtained::Simulated`]) counts as one of this engine's
+    /// simulations; a forwarded one is accounted by its downstream.
+    fn publish(self, report: Arc<String>, how: Obtained) -> CellOutcome {
+        let engine = self.engine;
+        let mut state = engine.lock();
+        if how == Obtained::Simulated {
+            state.total_simulations += 1;
+        }
+        if engine.cache_capacity > 0 {
+            if state.cache.len() >= engine.cache_capacity {
                 // O(n) LRU eviction: n is the (small, bounded) cache size
                 // and eviction is rare next to a simulation's cost.
                 if let Some(victim) = state
@@ -828,22 +744,23 @@ impl SweepEngine {
                     state.cache.remove(&victim);
                 }
             }
-            state.cache.insert(
-                key.clone(),
-                CacheEntry {
-                    report: Arc::clone(report),
-                    tick,
-                },
-            );
+            state.tick += 1;
+            let entry = CacheEntry {
+                report: Arc::clone(&report),
+                tick: state.tick,
+            };
+            state.cache.insert(self.key.clone(), entry);
         }
-        state.in_flight.remove(key);
+        drop(state);
+        // `self` drops on return: the claim is released and joiners wake.
+        CellOutcome::Ready(report, how)
     }
+}
 
-    /// Releases an unresolved in-flight claim and wakes joiners so they
-    /// re-claim the cell.
-    fn release_claim(&self, key: &(CellKey, u64)) {
-        self.lock().in_flight.remove(key);
-        self.cond.notify_all();
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.engine.lock().in_flight.remove(self.key);
+        self.engine.cond.notify_all();
     }
 }
 

@@ -15,6 +15,10 @@ fn unknown_arguments_are_rejected_before_serving() {
             &["--addr", "127.0.0.1:0", "--jobs", "2", "4"],
             "unexpected argument \"4\": each flag takes one value",
         ),
+        (
+            &["--addr", "127.0.0.1:0", "--jobs", "1", "--jobs", "2"],
+            "--jobs may be given only once",
+        ),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_contopt-server"))
             .args(args)

@@ -191,7 +191,6 @@ fn frontier_config(downstreams: Vec<String>) -> ServerConfig {
                     seed: 13,
                 },
             },
-            ..contopt_server::federation::FederationConfig::default()
         },
         ..default_config()
     }
@@ -526,4 +525,70 @@ fn downstream_killed_mid_stream_loses_and_duplicates_nothing() {
     // The recovered bytes are the simulated bytes: byte-identical to
     // the goldens, as if no connection had ever died.
     assert_match_goldens(&sc, cells.iter().filter_map(CellReply::report));
+}
+
+/// A forwarded cell that fails downstream comes back as that cell's
+/// `cell_error`, and the frontier releases its claim on it: nothing stays
+/// in flight, the failure is not cached, and a resubmission forwards the
+/// cell again instead of waiting on a claim nobody will resolve.
+#[test]
+fn a_downstream_cell_error_releases_the_forwarded_claim() {
+    let downstream = spawn_server(default_config());
+    let frontier = spawn_server(frontier_config(vec![downstream.addr().to_string()]));
+    let engine = frontier.engine();
+    let sc = smoke();
+    let twf = PlanCell {
+        label: sc.configs[0].label.clone(),
+        machine: sc.configs[0].machine,
+        workload: "twf".to_string(),
+    };
+    // Both backends are idle, so placement keeps the first cell local and
+    // forwards the second.
+    let plan = vec![twf, capped_twf(1_000)];
+
+    let client = fast_client(frontier.addr().to_string(), 1, Duration::from_secs(60));
+    let mut sweep = client
+        .submit_plan(sc.insts, plan.clone(), None)
+        .expect("submit");
+    let status = sweep.status();
+    let cells = sweep.fetch_reports().expect("fetch");
+    let failed = cells[1]
+        .failure()
+        .expect("the capped cell fails downstream");
+    assert_eq!(failed.code, "panic");
+    assert!(
+        failed.message.contains("max_cycles"),
+        "{:?}",
+        failed.message
+    );
+    assert_match_goldens(&sc, cells[0].report());
+    assert_eq!(status.errors, 1, "{status:?}");
+    assert_eq!(
+        status.simulated + status.cache_hits + status.joined + status.errors,
+        status.unique,
+        "accounting balances with a failed forward: {status:?}"
+    );
+    let link = &engine.federation().links()[0];
+    assert_eq!(link.forwarded(), 1, "the capped cell went downstream");
+    assert_eq!(
+        engine.in_flight_cells(),
+        0,
+        "the forwarded claim is released"
+    );
+    assert_eq!(engine.cache_entries(), 1, "only twf is cached");
+
+    // A leaked claim would leave the resubmission waiting on the capped
+    // cell; the short deadline turns that into a failure, not a hang.
+    let client = fast_client(frontier.addr().to_string(), 1, Duration::from_secs(5));
+    let mut again = client.submit_plan(sc.insts, plan, None).expect("resubmit");
+    let status = again.status();
+    let cells = again.fetch_reports().expect("fetch again");
+    assert_eq!(cells[1].failure().expect("fails again").code, "panic");
+    assert!(cells[0].report().is_some());
+    assert_eq!(
+        status.cache_hits, 1,
+        "twf comes from the frontier cache: {status:?}"
+    );
+    assert_eq!(status.errors, 1, "{status:?}");
+    assert_eq!(engine.in_flight_cells(), 0);
 }

@@ -24,6 +24,7 @@
 //! generator ops while the failure reproduces, and can be emitted as a
 //! checked-in conformance [`Scenario`] via [`conformance_scenario`].
 
+use crate::json::ToJson;
 use crate::scenario::{ProgramSpec, Scenario, ScenarioConfig, VerifyPolicy};
 use contopt_emu::{ArchSnapshot, Emulator, Step, STREAM_DIGEST_INIT};
 use contopt_isa::{analysis, asm_text, f, r, Asm, Program, DATA_BASE};
@@ -651,7 +652,7 @@ pub fn fuzz_parsers(count: u64, seed0: u64) -> Result<(), String> {
             },
             ParserKind::Asm => match asm_text::parse_and_verify(&text) {
                 Ok((_, report)) => {
-                    let _ = report.to_json();
+                    let _ = report.to_json().to_string();
                 }
                 Err(e) => {
                     let _ = e.to_string();

@@ -3,6 +3,7 @@
 use crate::json::{JsonValue, ToJson};
 use contopt::{MbcStats, OptStats, PassStats};
 use contopt_bpred::PredictorStats;
+use contopt_isa::analysis::{AnalysisReport, Diagnostic};
 use contopt_mem::HierarchyStats;
 use contopt_pipeline::{PipelineStats, RunReport, SpeedupError};
 use std::fmt;
@@ -216,6 +217,41 @@ impl ToJson for PassStats {
     }
 }
 
+/// The static analyzer's canonical JSON: keys in alphabetical order,
+/// findings in report order, PCs as hex strings, and a finding's
+/// `line`/`col` only when it came from text — byte-stable across runs,
+/// so the diagnostics corpus under `tests/analysis/` is golden-pinned.
+impl ToJson for AnalysisReport {
+    fn to_json(&self) -> JsonValue {
+        fn finding<K>(d: &Diagnostic<K>, code: &str) -> JsonValue {
+            let mut fields = Vec::new();
+            if let Some(s) = d.span {
+                fields.push(("col", u64::from(s.col).into()));
+            }
+            fields.push(("detail", d.detail.as_str().into()));
+            fields.push(("index", d.index.into()));
+            fields.push(("kind", code.into()));
+            if let Some(s) = d.span {
+                fields.push(("line", u64::from(s.line).into()));
+            }
+            fields.push(("pc", format!("{:#x}", d.pc).into()));
+            JsonValue::obj(fields)
+        }
+        let errors = self.errors.iter().map(|e| finding(e, e.kind.code()));
+        let warnings = self.warnings.iter().map(|w| finding(w, w.kind.code()));
+        JsonValue::obj([
+            ("blocks", self.blocks.into()),
+            ("errors", JsonValue::arr(errors)),
+            ("insts", self.insts.into()),
+            ("loops", self.loops.into()),
+            ("proved_loops", self.proved_loops.into()),
+            ("reachable_blocks", self.reachable_blocks.into()),
+            ("verdict", self.verdict().into()),
+            ("warnings", JsonValue::arr(warnings)),
+        ])
+    }
+}
+
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.summary())
@@ -239,6 +275,35 @@ impl From<RunReport> for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use contopt_isa::{analysis, asm_text};
+
+    fn verify_src(src: &str) -> AnalysisReport {
+        analysis::verify(&asm_text::parse(src).expect("parse"))
+    }
+
+    #[test]
+    fn analysis_json_is_canonical_and_ordered() {
+        let rep = verify_src("addq r5, 1, r6\nhalt\n");
+        let json = rep.to_json().to_string();
+        assert!(json.starts_with("{\"blocks\":"), "{json}");
+        assert!(json.contains("\"kind\":\"use_before_init\""), "{json}");
+        assert!(json.contains("\"verdict\":\"errors\""), "{json}");
+        // Byte-stable across runs.
+        assert_eq!(
+            json,
+            verify_src("addq r5, 1, r6\nhalt\n").to_json().to_string()
+        );
+    }
+
+    #[test]
+    fn analysis_json_carries_spans() {
+        let (p, spans) =
+            asm_text::parse_with_spans("li r1, 1\naddq r9, 1, r2\nhalt\n").expect("parse");
+        let json = analysis::verify_with_spans(&p, &spans)
+            .to_json()
+            .to_string();
+        assert!(json.contains("\"line\":2"), "{json}");
+    }
 
     #[test]
     fn summary_mentions_key_metrics() {

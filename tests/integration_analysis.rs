@@ -11,6 +11,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_sim::isa::{analysis, asm_text};
+use contopt_sim::ToJson;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -49,7 +50,7 @@ fn corpus_diagnostics_are_golden_pinned() {
         let expected = std::fs::read_to_string(&golden)
             .unwrap_or_else(|e| panic!("{} golden missing: {e}", golden.display()));
         assert_eq!(
-            report.to_json() + "\n",
+            report.to_json().to_string() + "\n",
             expected,
             "diagnostics drifted for {}; update {} intentionally",
             path.display(),

@@ -364,7 +364,9 @@ to a --verify run
 --validate --scenario scenarios/smoke.json --check --goldens G => --validate and --scenario \
 are separate runs; give each its own invocation
 --validate scenarios/smoke.json --fig9 => --validate and --fig9 are separate runs; give each \
-its own invocation";
+its own invocation
+--validate --scenarios-dir scenarios --scenarios-dir /nonexistent => --scenarios-dir may be \
+given only once";
     for probe in probes.lines() {
         let (args, message) = probe.split_once(" => ").unwrap();
         let args: Vec<&str> = args
@@ -635,5 +637,58 @@ fn file_programs_check_against_the_inline_goldens() {
     );
     assert_eq!(code, Some(0), "{stdout}{stderr}");
     assert_eq!(stdout, "scenario \"asm_smoke\": goldens match\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recorded cell golden that no cell of the scenario produces any more
+/// is drift: `--check` names the file and exits 1, and `--record` leaves
+/// it on disk.
+#[test]
+fn check_reports_goldens_that_no_cell_pins() {
+    let dir = scratch_dir("unpinned");
+    let smoke = Scenario::load(repo_root().join("scenarios/smoke.json")).unwrap();
+    let write =
+        |sc: &Scenario| std::fs::write(dir.join("smoke.json"), sc.canonical_json()).unwrap();
+    let check = ["--scenario", "smoke.json", "--check", "--goldens", "g"];
+    write(&smoke);
+    let (code, _, stderr) = experiments(
+        &dir,
+        &["--scenario", "smoke.json", "--record", "--goldens", "g"],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+
+    let mut sc = smoke.clone();
+    sc.configs[0].workloads.retain(|w| w != "untst");
+    write(&sc);
+    let (code, stdout, stderr) = experiments(&dir, &check);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    let untst = Path::new("g").join("smoke/baseline/untst.json");
+    assert_eq!(
+        stdout,
+        format!(
+            "scenario \"smoke\": unpinned golden {}: no cell produces it any more; \
+             delete the file or restore its cell\n",
+            untst.display()
+        )
+    );
+    // Recording deletes nothing, so the check still reports the file.
+    let record = ["--scenario", "smoke.json", "--record", "--goldens", "g"];
+    assert_eq!(experiments(&dir, &record).0, Some(0));
+    assert!(dir.join(&untst).exists());
+    assert_eq!(experiments(&dir, &check).0, Some(1));
+
+    let mut sc = smoke.clone();
+    sc.configs.retain(|c| c.label != "optimized");
+    write(&sc);
+    let (code, stdout, stderr) = experiments(&dir, &check);
+    assert_eq!(code, Some(1), "{stdout}{stderr}");
+    for workload in ["twf", "untst"] {
+        let file = Path::new("g").join(format!("smoke/optimized/{workload}.json"));
+        assert!(
+            stdout.contains(&format!("unpinned golden {}", file.display())),
+            "{stdout}"
+        );
+    }
+    assert!(!stdout.contains("baseline"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
