@@ -195,14 +195,6 @@ impl CellReply {
         }
     }
 
-    /// The cell's behavioural fingerprint.
-    pub fn fingerprint(&self) -> &str {
-        match self {
-            CellReply::Report(r) => &r.fingerprint,
-            CellReply::Failed(e) => &e.fingerprint,
-        }
-    }
-
     /// The successful report, if any.
     pub fn report(&self) -> Option<&CellResult> {
         match self {

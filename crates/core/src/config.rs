@@ -14,16 +14,6 @@ pub enum ConfigScalar {
     UInt(u64),
 }
 
-impl ConfigScalar {
-    /// The name of the variant, for error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            ConfigScalar::Bool(_) => "bool",
-            ConfigScalar::UInt(_) => "unsigned integer",
-        }
-    }
-}
-
 /// A failed [`OptimizerConfig::set_field`]-style update.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigFieldError {

@@ -242,11 +242,6 @@ impl Optimizer {
         &self.pregs
     }
 
-    /// The oracle value of a live physical register.
-    pub fn oracle_value(&self, p: PhysReg) -> u64 {
-        self.oracle[p.index()]
-    }
-
     /// Current RAT mapping (for tests and the retirement checker).
     pub fn rat_map(&self, a: ArchReg) -> PhysReg {
         self.rat.map(a)

@@ -164,16 +164,6 @@ impl PassStats {
         }
     }
 
-    /// Mutable access to a stock pass unit's block.
-    pub fn block_mut(&mut self, id: PassId) -> &mut OptStats {
-        match id {
-            PassId::CpRa => &mut self.cp_ra,
-            PassId::RleSf => &mut self.rle_sf,
-            PassId::ValueFeedback => &mut self.value_feedback,
-            PassId::EarlyExec => &mut self.early_exec,
-        }
-    }
-
     /// Every block with its stable name, engine first then the pass units
     /// in pipeline order. This is the one key ordering every name-keyed
     /// export (`Report::to_json`'s `"passes"` object, table rendering)

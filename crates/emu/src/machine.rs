@@ -143,11 +143,6 @@ impl Emulator {
         &self.mem
     }
 
-    /// Mutable access to memory (useful to poke inputs before running).
-    pub fn mem_mut(&mut self) -> &mut MemImage {
-        &mut self.mem
-    }
-
     /// The program being executed.
     pub fn program(&self) -> &Program {
         &self.program

@@ -1,6 +1,6 @@
 //! The architectural-state summary differential tests compare.
 
-use crate::{Emulator, MemImage};
+use crate::Emulator;
 use contopt_isa::{f, r};
 
 /// End-of-run architectural state, reduced to a comparable value.
@@ -8,7 +8,7 @@ use contopt_isa::{f, r};
 /// Two executions of the same program are architecturally equivalent iff
 /// their snapshots are equal: same register files (FP compared as raw
 /// bits, so NaN payloads and signed zeros count), same memory content
-/// ([`MemImage::content_digest`], which ignores page-mapping history),
+/// ([`crate::MemImage::content_digest`], which ignores page-mapping history),
 /// same number of committed instructions, and the same committed stream
 /// ([`crate::DynInst::fold_digest`] chain).
 ///
@@ -47,24 +47,6 @@ impl ArchSnapshot {
             regs,
             fregs,
             mem_digest: emu.mem().content_digest(),
-            retired,
-            stream_digest,
-        }
-    }
-
-    /// Captures state from a bare memory image and register files (for
-    /// callers that are not holding an [`Emulator`]).
-    pub fn from_parts(
-        regs: [u64; 32],
-        fregs: [u64; 32],
-        mem: &MemImage,
-        retired: u64,
-        stream_digest: u64,
-    ) -> ArchSnapshot {
-        ArchSnapshot {
-            regs,
-            fregs,
-            mem_digest: mem.content_digest(),
             retired,
             stream_digest,
         }

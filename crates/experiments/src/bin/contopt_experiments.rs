@@ -7,7 +7,7 @@
 //! contopt-experiments --scenario scenarios/fig9.json [--jobs N]
 //! contopt-experiments --scenario scenarios/smoke.json --record   # pin goldens
 //! contopt-experiments --scenario scenarios/smoke.json scenarios/fig9.json --check  # fail on drift
-//! contopt-experiments --ablate scenarios/ablate_smoke.json --table  # per-pass cycles
+//! contopt-experiments --ablate scenarios/ablate_smoke.json  # per-pass cycles
 //! contopt-experiments --ablate scenarios/ablate_smoke.json --check  # pin/verify ablation
 //! contopt-experiments --validate [FILE...]        # parse-check JSON artifacts
 //! ```
@@ -50,14 +50,14 @@ scenario files (--scenario and --ablate combine into one run):
   --scenario FILE ...      run a checked-in sweep through the parallel Lab
   --ablate FILE ...        expand the scenario's counterfactual ablation
                            matrix (full / leave-one-out / baseline / opt-in
-                           add-one-in) and attribute cycles per pass
+                           add-one-in) and attribute cycles per pass; prints
+                           the per-pass attribution table (--json: its JSON)
   --record | --check       pin or verify goldens for the named scenarios
                            (per-cell reports for --scenario, the
                            AblationReport for --ablate)
   --allow-field PATH ...   with --check: JSON fields allowed to differ
-  --goldens DIR            golden root (default: goldens); also --validate
-  --table                  --ablate: render the per-pass attribution table
-                           (the default output; --json overrides)
+  --goldens DIR            with --record or --check: golden root (default:
+                           goldens); also --validate
 
 static verification:
   --verify FILE ...        statically verify programs — CFG well-formedness,
@@ -97,7 +97,8 @@ tuning:
                            machine's available parallelism (the default;
                            the CONTOPT_JOBS env var behaves the same way)
   --json                   emit JSON instead of text tables (every run but
-                           --validate, --fuzz and --fuzz-parsers)
+                           --validate, --fuzz and --fuzz-parsers, and not
+                           with --record or --check)
 
 exit codes (--scenario/--ablate runs; CI and the sweep server key on
 these to report precise causes):
@@ -192,10 +193,22 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         if scenario_files.is_empty() && ablate_files.is_empty() {
             return Err("--scenario and --ablate take one or more scenario files".into());
         }
-        let record = args.iter().any(|a| a == "--record");
-        let check = args.iter().any(|a| a == "--check");
+        let given = |flag: &str| args.iter().any(|a| a == flag);
+        let (record, check) = (given("--record"), given("--check"));
         if record && check {
             return Err("--record and --check are mutually exclusive".into());
+        }
+        // Each mode reads only its own flags; an unread one is refused,
+        // not ignored.
+        if given("--allow-field") && !check {
+            return Err("--allow-field applies only to a --check run".into());
+        }
+        if given("--goldens") && !record && !check {
+            return Err("--goldens applies only to a --record, --check or --validate run".into());
+        }
+        if json && (record || check) {
+            let mode = if record { "--record" } else { "--check" };
+            return Err(format!("--json does not apply to a {mode} run"));
         }
         let output = if record {
             Output::Record
@@ -345,7 +358,7 @@ const ARTIFACTS: &str = "--table1 --table2 --table3 --figN";
 /// it, space-separated (`--figN` is any figure flag, and `--all` selects
 /// every table and figure). A flag that selects a run is read by its own
 /// run, whose flags it combines with.
-const FLAGS: [(&str, Takes, &str); 27] = [
+const FLAGS: [(&str, Takes, &str); 26] = [
     ("--all", Nothing, ARTIFACTS),
     ("--table1", Nothing, ARTIFACTS),
     ("--table2", Nothing, ARTIFACTS),
@@ -375,7 +388,6 @@ const FLAGS: [(&str, Takes, &str); 27] = [
     ("--record", Nothing, "--scenario --ablate"),
     ("--check", Nothing, "--scenario --ablate"),
     ("--allow-field", List, "--scenario --ablate"),
-    ("--table", Nothing, "--ablate"),
     ("--allow-warnings", Nothing, "--verify"),
 ];
 
@@ -621,8 +633,6 @@ fn run_file(
     lab.execute(&plan, jobs);
 
     let goldens = match output {
-        // The per-pass attribution table is also what an explicit --table
-        // selects.
         Output::Print { json } if ablate => {
             println!("{}", shown(&ablation_report(&mut lab, &sc)?, *json));
             return Ok(CheckOutcome::Ok);

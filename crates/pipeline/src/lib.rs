@@ -7,11 +7,16 @@
 //! every optimizer configuration the paper evaluates, so speedups are
 //! apples-to-apples cycle-count ratios over identical instruction streams.
 //!
+//! A finished machine exposes its counters through read-only accessors
+//! ([`Machine::stats`], [`Machine::optimizer`], [`Machine::predictor`],
+//! [`Machine::memory`]); `contopt_sim::Report::of` reads them into the one
+//! result of a run.
+//!
 //! # Examples
 //!
 //! ```
 //! use contopt_isa::{Asm, r};
-//! use contopt_pipeline::{simulate, MachineConfig};
+//! use contopt_pipeline::{Machine, MachineConfig};
 //!
 //! let mut a = Asm::new();
 //! a.li(r(1), 100);
@@ -21,10 +26,12 @@
 //! a.halt();
 //! let program = a.finish()?;
 //!
-//! let base = simulate(MachineConfig::default_paper(), program.clone(), 100_000);
-//! let opt = simulate(MachineConfig::default_with_optimizer(), program, 100_000);
-//! assert_eq!(base.pipeline.retired, opt.pipeline.retired);
-//! println!("speedup: {:.3}", opt.speedup_over(&base)?);
+//! let mut base = Machine::new(MachineConfig::default_paper(), program.clone());
+//! base.run(100_000);
+//! let mut opt = Machine::new(MachineConfig::default_with_optimizer(), program);
+//! opt.run(100_000);
+//! assert_eq!(base.stats().retired, opt.stats().retired);
+//! println!("speedup: {:.3}", base.stats().cycles as f64 / opt.stats().cycles as f64);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -37,5 +44,5 @@ mod stats;
 
 pub use config::MachineConfig;
 pub use contopt_emu::ArchSnapshot;
-pub use machine::{simulate, Machine, DEADLOCK_WINDOW};
-pub use stats::{PipelineStats, RunReport, SpeedupError};
+pub use machine::{Machine, DEADLOCK_WINDOW};
+pub use stats::PipelineStats;

@@ -61,7 +61,7 @@
 //!   order and unit/port arbitration are those of the plain model.
 
 use crate::config::MachineConfig;
-use crate::stats::{PipelineStats, RunReport};
+use crate::stats::PipelineStats;
 use contopt::{Optimizer, RenameReq, Renamed, RenamedClass, SrcList};
 use contopt_bpred::Predictor;
 use contopt_emu::{ArchSnapshot, DynInst, Emulator};
@@ -204,10 +204,11 @@ impl Calendar {
 /// a.subq(r(1), 1, r(1));
 /// a.bne(r(1), "loop");
 /// a.halt();
-/// let report = Machine::new(MachineConfig::default_with_optimizer(), a.finish()?)
-///     .run(100_000);
-/// assert_eq!(report.pipeline.retired, 22);
-/// assert!(report.ipc() > 0.0);
+/// let mut machine = Machine::new(MachineConfig::default_with_optimizer(), a.finish()?);
+/// machine.run(100_000);
+/// assert_eq!(machine.stats().retired, 22);
+/// assert!(machine.stats().ipc() > 0.0);
+/// assert!(machine.optimizer().stats().executed_early > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -345,16 +346,18 @@ impl Machine {
     }
 
     /// Runs the machine until the program halts or `max_insts` dynamic
-    /// instructions have retired, then drains the pipeline.
+    /// instructions have retired, then drains the pipeline. The counters
+    /// are then read through [`stats`](Self::stats),
+    /// [`optimizer`](Self::optimizer), [`predictor`](Self::predictor) and
+    /// [`memory`](Self::memory). A machine runs once.
     ///
     /// # Panics
     ///
     /// Panics on a strict-value-check failure, on exceeding
     /// [`MachineConfig::max_cycles`], or if the pipeline deadlocks (both
     /// indicate simulator bugs).
-    pub fn run(mut self, max_insts: u64) -> RunReport {
+    pub fn run(&mut self, max_insts: u64) {
         self.run_loop(max_insts);
-        self.report()
     }
 
     /// Like [`run`](Self::run), but also returns the end-of-run
@@ -362,11 +365,31 @@ impl Machine {
     /// content digest, and the retired-stream digest folded at retire
     /// time. Differential tests use this to prove the optimized pipeline
     /// changes timing, never semantics.
-    pub fn run_with_state(mut self, max_insts: u64) -> (RunReport, ArchSnapshot) {
+    pub fn run_with_state(&mut self, max_insts: u64) -> ArchSnapshot {
         self.fold_digest = true;
         self.run_loop(max_insts);
-        let snap = ArchSnapshot::capture(&self.emu, self.stats.retired, self.stream_digest);
-        (self.report(), snap)
+        ArchSnapshot::capture(&self.emu, self.stats.retired, self.stream_digest)
+    }
+
+    /// The cycle-level pipeline counters.
+    pub fn stats(&self) -> &PipelineStats {
+        &self.stats
+    }
+
+    /// The continuous optimizer in the rename stage, with its Table 3 and
+    /// Memory Bypass Cache counters.
+    pub fn optimizer(&self) -> &Optimizer {
+        &self.opt
+    }
+
+    /// The front-end branch predictor.
+    pub fn predictor(&self) -> &Predictor {
+        &self.pred
+    }
+
+    /// The cache hierarchy.
+    pub fn memory(&self) -> &MemHierarchy {
+        &self.hier
     }
 
     fn run_loop(&mut self, max_insts: u64) {
@@ -398,17 +421,6 @@ impl Machine {
             }
         }
         self.stats.cycles = self.cycle.max(1);
-    }
-
-    fn report(self) -> RunReport {
-        RunReport {
-            pipeline: self.stats,
-            optimizer: self.opt.stats(),
-            passes: self.opt.pass_stats(),
-            mbc: self.opt.mbc_stats(),
-            predictor: self.pred.stats(),
-            memory: self.hier.stats(),
-        }
     }
 
     fn finished(&self) -> bool {
@@ -827,11 +839,6 @@ fn take(n: &mut usize) -> bool {
     }
 }
 
-/// Convenience: build and run a machine in one call.
-pub fn simulate(cfg: MachineConfig, program: impl Into<Arc<Program>>, max_insts: u64) -> RunReport {
-    Machine::new(cfg, program).run(max_insts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -853,37 +860,37 @@ mod tests {
         a.finish().unwrap()
     }
 
+    /// Runs `program` on a `cfg` machine to completion.
+    fn run(cfg: MachineConfig, program: Program) -> Machine {
+        let mut m = Machine::new(cfg, program);
+        m.run(1_000_000);
+        m
+    }
+
     #[test]
     fn baseline_runs_to_completion() {
-        let rep = simulate(MachineConfig::default_paper(), sum_loop(100), 1_000_000);
-        assert_eq!(rep.pipeline.retired, 3 + 100 * 5 + 1);
-        assert!(rep.ipc() > 0.1, "ipc = {}", rep.ipc());
-        assert!(rep.ipc() <= 6.0);
+        let m = run(MachineConfig::default_paper(), sum_loop(100));
+        let s = m.stats();
+        assert_eq!(s.retired, 3 + 100 * 5 + 1);
+        assert!(s.ipc() > 0.1, "ipc = {}", s.ipc());
+        assert!(s.ipc() <= 6.0);
     }
 
     #[test]
     fn optimizer_runs_and_checks_values() {
         // The strict checker inside the optimizer panics on any wrong value,
         // so merely completing is a meaningful correctness statement.
-        let rep = simulate(
-            MachineConfig::default_with_optimizer(),
-            sum_loop(200),
-            1_000_000,
-        );
-        assert_eq!(rep.pipeline.retired, 3 + 200 * 5 + 1);
-        assert!(rep.optimizer.executed_early > 0);
+        let m = run(MachineConfig::default_with_optimizer(), sum_loop(200));
+        assert_eq!(m.stats().retired, 3 + 200 * 5 + 1);
+        assert!(m.optimizer().stats().executed_early > 0);
     }
 
     #[test]
     fn optimizer_executes_loop_overhead_early() {
         // After value feedback warms up, the loop counter and the array
         // pointer chains collapse (the paper's §2.4 motivating example).
-        let rep = simulate(
-            MachineConfig::default_with_optimizer(),
-            sum_loop(500),
-            1_000_000,
-        );
-        let pct = rep.optimizer.pct_executed_early();
+        let m = run(MachineConfig::default_with_optimizer(), sum_loop(500));
+        let pct = m.optimizer().stats().pct_executed_early();
         assert!(
             pct > 10.0,
             "expected substantial early execution, got {pct:.1}%"
@@ -892,13 +899,10 @@ mod tests {
 
     #[test]
     fn optimizer_speeds_up_the_motivating_loop() {
-        let base = simulate(MachineConfig::default_paper(), sum_loop(500), 1_000_000);
-        let opt = simulate(
-            MachineConfig::default_with_optimizer(),
-            sum_loop(500),
-            1_000_000,
-        );
-        let s = opt.speedup_over(&base).unwrap();
+        let base = run(MachineConfig::default_paper(), sum_loop(500));
+        let opt = run(MachineConfig::default_with_optimizer(), sum_loop(500));
+        assert_eq!(base.stats().retired, opt.stats().retired);
+        let s = base.stats().cycles as f64 / opt.stats().cycles as f64;
         assert!(s > 1.0, "speedup = {s:.3}");
     }
 
@@ -923,12 +927,12 @@ mod tests {
         a.bne(r(2), "loop");
         a.halt();
         let p = a.finish().unwrap();
-        let rep = simulate(MachineConfig::default_paper(), p, 1_000_000);
+        let m = run(MachineConfig::default_paper(), p);
         assert!(
-            rep.predictor.cond_mispredictions > 0,
+            m.predictor().stats().cond_mispredictions > 0,
             "the pattern must actually mispredict"
         );
-        assert!(rep.pipeline.mispredict_stall_cycles > 0);
+        assert!(m.stats().mispredict_stall_cycles > 0);
     }
 
     #[test]
@@ -947,16 +951,9 @@ mod tests {
             a.addq(r(3), r(4), r(5));
         }
         a.halt();
-        let rep = simulate(
-            MachineConfig::default_with_optimizer(),
-            a.finish().unwrap(),
-            1_000_000,
-        );
-        assert!(
-            rep.optimizer.loads_removed >= 30,
-            "loads_removed = {}",
-            rep.optimizer.loads_removed
-        );
+        let m = run(MachineConfig::default_with_optimizer(), a.finish().unwrap());
+        let loads_removed = m.optimizer().stats().loads_removed;
+        assert!(loads_removed >= 30, "loads_removed = {loads_removed}");
     }
 
     #[test]
@@ -966,15 +963,9 @@ mod tests {
             a.li(r(1), i);
         }
         a.halt();
-        let rep = simulate(
-            MachineConfig::default_with_optimizer(),
-            a.finish().unwrap(),
-            1_000_000,
-        );
-        assert!(rep.pipeline.bypassed_ooo >= 50);
-        assert_eq!(
-            rep.pipeline.bypassed_ooo + rep.pipeline.dispatched_to_ooo,
-            rep.pipeline.retired
-        );
+        let m = run(MachineConfig::default_with_optimizer(), a.finish().unwrap());
+        let s = m.stats();
+        assert!(s.bypassed_ooo >= 50);
+        assert_eq!(s.bypassed_ooo + s.dispatched_to_ooo, s.retired);
     }
 }

@@ -171,11 +171,6 @@ impl Federation {
         }
     }
 
-    /// Whether any downstream links are configured.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-    }
-
     /// All configured links, healthy or not.
     pub fn links(&self) -> &[Arc<DownstreamLink>] {
         &self.links

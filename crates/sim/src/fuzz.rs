@@ -364,9 +364,7 @@ fn reference(p: &Arc<Program>) -> Result<ArchSnapshot, String> {
 /// optimizer's strict value checker) into failures.
 fn pipeline_run(p: &Arc<Program>, cfg: MachineConfig, label: &str) -> Result<ArchSnapshot, String> {
     catch_unwind(AssertUnwindSafe(|| {
-        Machine::new(cfg, Arc::clone(p))
-            .run_with_state(MAX_DYN_INSTS)
-            .1
+        Machine::new(cfg, Arc::clone(p)).run_with_state(MAX_DYN_INSTS)
     }))
     .map_err(|payload| {
         let msg = payload

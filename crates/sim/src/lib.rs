@@ -3,8 +3,9 @@
 //! One composable entry point over the whole *Continuous Optimization*
 //! (ISCA 2005) reproduction: build a [`SimSession`] with the fluent
 //! [`SimBuilder`], registering the machine model, the
-//! [`optimizer`](SimBuilder::optimizer), and a workload; run it; read one
-//! unified [`Report`]. Construction is validated — every structural
+//! [`optimizer`](SimBuilder::optimizer), and a workload; run it; read its
+//! [`Report`], the one result of a run, which [`Report::of`] reads from
+//! the finished [`Machine`]. Construction is validated — every structural
 //! impossibility is a typed [`Error`], never a panic.
 //!
 //! ```
@@ -53,7 +54,7 @@ pub use ablation::{AblationReport, AddOneIn, ConfigAblation, PassAblation, Workl
 pub use cell::{run_parallel, CellKey};
 pub use error::Error;
 pub use json::{Expected, Fields, JsonError, JsonErrorKind, JsonValue, ToJson};
-pub use report::Report;
+pub use report::{Report, SpeedupError};
 pub use scenario::{
     file_stem, machine_from_json, machine_to_json, AblationSpec, ProgramSource, ProgramSpec,
     Scenario, ScenarioConfig, ScenarioError, VerifyPolicy, ALL_WORKLOADS, SCENARIO_VERSION,
@@ -70,9 +71,7 @@ pub use contopt::{
 };
 
 // The cycle-level machine.
-pub use contopt_pipeline::{
-    simulate, Machine, MachineConfig, PipelineStats, RunReport, SpeedupError, DEADLOCK_WINDOW,
-};
+pub use contopt_pipeline::{Machine, MachineConfig, PipelineStats, DEADLOCK_WINDOW};
 
 /// The simulated instruction set and assembler.
 pub use contopt_isa as isa;

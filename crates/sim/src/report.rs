@@ -1,22 +1,23 @@
-//! The unified run report.
+//! The run report: the one result of a simulation run.
 
 use crate::json::{JsonValue, ToJson};
 use contopt::{MbcStats, OptStats, PassStats};
 use contopt_bpred::PredictorStats;
 use contopt_isa::analysis::{AnalysisReport, Diagnostic};
 use contopt_mem::HierarchyStats;
-use contopt_pipeline::{PipelineStats, RunReport, SpeedupError};
+use contopt_pipeline::{Machine, PipelineStats};
 use std::fmt;
 
 /// Everything one simulation run measured, in one place: the cycle-level
 /// pipeline counters, the optimizer's Table 3 counters, the Memory Bypass
 /// Cache counters, the branch predictor, and the cache hierarchy.
 ///
-/// This subsumes the per-crate stats blocks ([`PipelineStats`],
-/// [`OptStats`], [`MbcStats`], …) the way the paper's evaluation reads
-/// them together; each remains accessible as a field for detailed
-/// analysis.
-#[derive(Debug, Clone, Default)]
+/// This is the one result of a run. It gathers the per-crate stats
+/// blocks ([`PipelineStats`], [`OptStats`], [`MbcStats`], …) the way the
+/// paper's evaluation reads them together; each remains accessible as a
+/// field for detailed analysis. [`Report::of`] reads them from a finished
+/// [`Machine`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// Core pipeline counters (cycles, retired, stalls, redirects).
     pub pipeline: PipelineStats,
@@ -39,19 +40,48 @@ pub struct Report {
 }
 
 impl Report {
+    /// The report of a finished machine that ran under an
+    /// `insts_budget`-instruction budget: the one place where a machine
+    /// becomes a report.
+    pub fn of(machine: &Machine, insts_budget: u64) -> Report {
+        let opt = machine.optimizer();
+        Report {
+            pipeline: *machine.stats(),
+            optimizer: opt.stats(),
+            passes: opt.pass_stats(),
+            mbc: opt.mbc_stats(),
+            predictor: machine.predictor().stats(),
+            memory: machine.memory().stats(),
+            insts_budget,
+        }
+    }
+
     /// Retired instructions per cycle.
     pub fn ipc(&self) -> f64 {
         self.pipeline.ipc()
     }
 
-    /// Speedup of this run over a baseline run of the same program.
+    /// Speedup of this run over a baseline run of the same program: the
+    /// baseline's cycles over this run's.
     ///
     /// Returns a typed [`SpeedupError`] — never panics and never yields
     /// `inf`/`NaN` — when the two runs retired different instruction
-    /// streams or either simulated zero cycles. The check shares one
-    /// implementation with [`RunReport::speedup_over`].
+    /// streams or either simulated zero cycles.
     pub fn speedup_over(&self, baseline: &Report) -> Result<f64, SpeedupError> {
-        self.as_run_report().speedup_over(&baseline.as_run_report())
+        let (ours, base) = (&self.pipeline, &baseline.pipeline);
+        if ours.retired != base.retired {
+            return Err(SpeedupError::MismatchedStreams {
+                ours: ours.retired,
+                baseline: base.retired,
+            });
+        }
+        if ours.cycles == 0 || base.cycles == 0 {
+            return Err(SpeedupError::EmptyRun {
+                ours: ours.cycles,
+                baseline: base.cycles,
+            });
+        }
+        Ok(base.cycles as f64 / ours.cycles as f64)
     }
 
     /// A multi-line human-readable summary of the run.
@@ -65,20 +95,56 @@ impl Report {
     /// assert!(text.contains("MBC"));
     /// ```
     pub fn summary(&self) -> String {
-        // One formatter: delegate to the pipeline-level report.
-        self.as_run_report().summary()
-    }
-
-    /// The pipeline-crate view of the same statistics.
-    fn as_run_report(&self) -> RunReport {
-        RunReport {
-            pipeline: self.pipeline,
-            optimizer: self.optimizer,
-            passes: self.passes,
-            mbc: self.mbc,
-            predictor: self.predictor,
-            memory: self.memory,
-        }
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let p = &self.pipeline;
+        let o = &self.optimizer;
+        let _ = writeln!(
+            out,
+            "cycles {:>12}   retired {:>12}   IPC {:.3}",
+            p.cycles,
+            p.retired,
+            p.ipc()
+        );
+        let _ = writeln!(
+            out,
+            "dispatched to OoO {:>10}   bypassed {:>10} ({:.1}%)",
+            p.dispatched_to_ooo,
+            p.bypassed_ooo,
+            if p.retired > 0 {
+                100.0 * p.bypassed_ooo as f64 / p.retired as f64
+            } else {
+                0.0
+            }
+        );
+        let _ = writeln!(
+            out,
+            "optimizer: {:.1}% early, {:.1}% mispredicts recovered, {:.1}% addrs generated, {:.1}% loads removed",
+            o.pct_executed_early(),
+            o.pct_mispredicts_recovered(),
+            o.pct_mem_addr_generated(),
+            o.pct_loads_removed()
+        );
+        let _ = writeln!(
+            out,
+            "MBC: {} lookups, {} hits, {} inserts, {} flushes",
+            self.mbc.lookups, self.mbc.hits, self.mbc.inserts, self.mbc.flushes
+        );
+        let _ = writeln!(
+            out,
+            "branches: {:.2}% direction accuracy; {} early / {} late redirects",
+            100.0 * self.predictor.cond_accuracy(),
+            p.early_redirects,
+            p.late_redirects
+        );
+        let _ = writeln!(
+            out,
+            "caches: L1I {:.2}% miss, L1D {:.2}% miss, L2 {:.2}% miss",
+            100.0 * self.memory.l1i.miss_rate(),
+            100.0 * self.memory.l1d.miss_rate(),
+            100.0 * self.memory.l2.miss_rate()
+        );
+        out
     }
 
     /// The canonical golden-file serialization: pretty-printed JSON plus a
@@ -258,19 +324,46 @@ impl fmt::Display for Report {
     }
 }
 
-impl From<RunReport> for Report {
-    fn from(r: RunReport) -> Report {
-        Report {
-            pipeline: r.pipeline,
-            optimizer: r.optimizer,
-            passes: r.passes,
-            mbc: r.mbc,
-            predictor: r.predictor,
-            memory: r.memory,
-            insts_budget: 0,
+/// Why a speedup ratio cannot be formed from a pair of reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum SpeedupError {
+    /// The two runs retired different instruction streams; their cycle
+    /// counts are not comparable.
+    MismatchedStreams {
+        /// Instructions retired by the run being measured.
+        ours: u64,
+        /// Instructions retired by the baseline run.
+        baseline: u64,
+    },
+    /// At least one run simulated zero cycles, so the ratio is undefined
+    /// (it would be `inf` or `NaN`).
+    EmptyRun {
+        /// Cycles of the run being measured.
+        ours: u64,
+        /// Cycles of the baseline run.
+        baseline: u64,
+    },
+}
+
+impl fmt::Display for SpeedupError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpeedupError::MismatchedStreams { ours, baseline } => write!(
+                f,
+                "speedup requires identical instruction streams \
+                 (retired {ours} vs baseline {baseline})"
+            ),
+            SpeedupError::EmptyRun { ours, baseline } => write!(
+                f,
+                "speedup undefined over an empty run \
+                 (cycles {ours} vs baseline {baseline})"
+            ),
         }
     }
 }
+
+impl std::error::Error for SpeedupError {}
 
 #[cfg(test)]
 mod tests {
@@ -329,8 +422,35 @@ mod tests {
     }
 
     #[test]
+    fn speedup_rejects_mismatched_and_empty_runs() {
+        let mut a = Report::default();
+        let mut b = Report::default();
+        a.pipeline.cycles = 80;
+        a.pipeline.retired = 100;
+        b.pipeline.cycles = 100;
+        b.pipeline.retired = 99;
+        assert_eq!(
+            a.speedup_over(&b),
+            Err(SpeedupError::MismatchedStreams {
+                ours: 100,
+                baseline: 99
+            })
+        );
+        b.pipeline.retired = 100;
+        b.pipeline.cycles = 0;
+        assert_eq!(
+            a.speedup_over(&b),
+            Err(SpeedupError::EmptyRun {
+                ours: 80,
+                baseline: 0
+            })
+        );
+        // Both empty (two default reports) is still an error, not NaN.
+        assert!(Report::default().speedup_over(&Report::default()).is_err());
+    }
+
+    #[test]
     fn speedup_never_panics_or_returns_non_finite() {
-        use contopt_pipeline::SpeedupError;
         let mut a = Report::default();
         a.pipeline.cycles = 80;
         a.pipeline.retired = 100;

@@ -284,12 +284,11 @@ impl SimSession {
         self.insts
     }
 
-    /// Runs the session on a cold machine and collects the unified report.
+    /// Runs the session on a cold machine and returns its [`Report`].
     pub fn run(&self) -> Report {
-        let machine = Machine::new(self.cfg, Arc::clone(&self.program));
-        let mut report = Report::from(machine.run(self.insts));
-        report.insts_budget = self.insts;
-        report
+        let mut machine = Machine::new(self.cfg, Arc::clone(&self.program));
+        machine.run(self.insts);
+        Report::of(&machine, self.insts)
     }
 }
 

@@ -11,8 +11,19 @@
 
 use contopt_sim::isa::{r, Asm, Program};
 use contopt_sim::workloads::SplitMix64;
-use contopt_sim::{simulate, Machine, MachineConfig, OptimizerConfig};
+use contopt_sim::{Machine, MachineConfig, OptimizerConfig, Report, SimSession};
 use std::sync::Arc;
+
+/// Runs `program` on a `cfg` machine for at most `insts` instructions.
+fn run(cfg: MachineConfig, program: impl Into<Arc<Program>>, insts: u64) -> Report {
+    SimSession::builder()
+        .machine(cfg)
+        .program(program)
+        .insts(insts)
+        .build()
+        .expect("valid machine")
+        .run()
+}
 
 fn counted_loop(n: i64, body: impl Fn(&mut Asm)) -> Program {
     let mut a = Asm::new();
@@ -34,13 +45,13 @@ fn identical_retirement_across_machines() {
         a.addq(r(1), r(21), r(1));
         a.stq(r(1), r(20), 0);
     });
-    let base = simulate(MachineConfig::default_paper(), p.clone(), 1_000_000);
-    let opt = simulate(
+    let base = run(MachineConfig::default_paper(), p.clone(), 1_000_000);
+    let opt = run(
         MachineConfig::default_with_optimizer(),
         p.clone(),
         1_000_000,
     );
-    let fb = simulate(
+    let fb = run(
         MachineConfig::default_paper().with_optimizer(OptimizerConfig::feedback_only()),
         p,
         1_000_000,
@@ -52,12 +63,12 @@ fn identical_retirement_across_machines() {
 #[test]
 fn simulation_is_deterministic() {
     let w = contopt_sim::workloads::build("twf").unwrap();
-    let a = simulate(
+    let a = run(
         MachineConfig::default_with_optimizer(),
         w.program.clone(),
         100_000,
     );
-    let b = simulate(
+    let b = run(
         MachineConfig::default_with_optimizer(),
         w.program.clone(),
         100_000,
@@ -75,12 +86,16 @@ fn run_reports_match_run_with_state() {
             MachineConfig::default_paper(),
             MachineConfig::default_with_optimizer(),
         ] {
-            let run = Machine::new(cfg, Arc::clone(&w.program)).run(10_000);
-            let (with_state, _) = Machine::new(cfg, Arc::clone(&w.program)).run_with_state(10_000);
+            let mut run = Machine::new(cfg, Arc::clone(&w.program));
+            run.run(10_000);
+            let mut with_state = Machine::new(cfg, Arc::clone(&w.program));
+            with_state.run_with_state(10_000);
             assert_eq!(
-                run, with_state,
+                Report::of(&run, 10_000),
+                Report::of(&with_state, 10_000),
                 "{} (optimizer on: {})",
-                w.name, cfg.optimizer.enabled
+                w.name,
+                cfg.optimizer.enabled
             );
         }
     }
@@ -102,8 +117,8 @@ fn mispredict_penalty_matches_table2() {
 #[test]
 fn wider_exec_bound_machine_is_not_slower() {
     let w = contopt_sim::workloads::build("mgd").unwrap();
-    let base = simulate(MachineConfig::default_paper(), w.program.clone(), 200_000);
-    let wide = simulate(MachineConfig::exec_bound(), w.program.clone(), 200_000);
+    let base = run(MachineConfig::default_paper(), w.program.clone(), 200_000);
+    let wide = run(MachineConfig::exec_bound(), w.program.clone(), 200_000);
     assert!(
         wide.pipeline.cycles <= base.pipeline.cycles + base.pipeline.cycles / 20,
         "8-wide fetch should not slow down: {} vs {}",
@@ -115,8 +130,8 @@ fn wider_exec_bound_machine_is_not_slower() {
 #[test]
 fn bigger_schedulers_do_not_hurt() {
     let w = contopt_sim::workloads::build("mcf").unwrap();
-    let base = simulate(MachineConfig::default_paper(), w.program.clone(), 200_000);
-    let fb = simulate(MachineConfig::fetch_bound(), w.program.clone(), 200_000);
+    let base = run(MachineConfig::default_paper(), w.program.clone(), 200_000);
+    let fb = run(MachineConfig::fetch_bound(), w.program.clone(), 200_000);
     assert!(fb.pipeline.cycles <= base.pipeline.cycles + base.pipeline.cycles / 20);
 }
 
@@ -124,7 +139,7 @@ fn bigger_schedulers_do_not_hurt() {
 fn ipc_never_exceeds_retire_width() {
     for name in ["mgd", "untst", "gap"] {
         let w = contopt_sim::workloads::build(name).unwrap();
-        let r = simulate(MachineConfig::default_with_optimizer(), w.program, 150_000);
+        let r = run(MachineConfig::default_with_optimizer(), w.program, 150_000);
         assert!(
             r.ipc() <= 6.0,
             "{name} IPC {} exceeds retire width",
@@ -136,8 +151,8 @@ fn ipc_never_exceeds_retire_width() {
 #[test]
 fn optimizer_reduces_ooo_dispatch() {
     let w = contopt_sim::workloads::build("untst").unwrap();
-    let base = simulate(MachineConfig::default_paper(), w.program.clone(), 300_000);
-    let opt = simulate(MachineConfig::default_with_optimizer(), w.program, 300_000);
+    let base = run(MachineConfig::default_paper(), w.program.clone(), 300_000);
+    let opt = run(MachineConfig::default_with_optimizer(), w.program, 300_000);
     assert!(
         opt.pipeline.dispatched_to_ooo < base.pipeline.dispatched_to_ooo,
         "early execution must relieve the out-of-order core"
@@ -252,8 +267,8 @@ fn fuzz_random_loops() {
         let ops: Vec<Op> = (0..n_ops).map(|_| arb_op(&mut rng)).collect();
         let iters = 1 + rng.below(39) as i64;
         let p = assemble(&ops, iters);
-        let base = simulate(MachineConfig::default_paper(), p.clone(), 400_000);
-        let opt = simulate(MachineConfig::default_with_optimizer(), p.clone(), 400_000);
+        let base = run(MachineConfig::default_paper(), p.clone(), 400_000);
+        let opt = run(MachineConfig::default_with_optimizer(), p.clone(), 400_000);
         assert_eq!(
             base.pipeline.retired, opt.pipeline.retired,
             "case {case}: {ops:?} x{iters}"
@@ -263,9 +278,9 @@ fn fuzz_random_loops() {
             mem_chain_depth: 1,
             ..OptimizerConfig::default()
         });
-        let d = simulate(deep, p.clone(), 400_000);
+        let d = run(deep, p.clone(), 400_000);
         assert_eq!(d.pipeline.retired, opt.pipeline.retired, "case {case}");
-        let fb = simulate(
+        let fb = run(
             MachineConfig::default_paper().with_optimizer(OptimizerConfig::feedback_only()),
             p,
             400_000,

@@ -293,7 +293,7 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
             &["--scenario", "scenarios/smoke.json", "--record", "--check"],
             "--record and --check are mutually exclusive",
         ),
-        (&["--table"], "--table applies only to an --ablate run"),
+        (&["--table"], "unknown flag \"--table\" (see --help)"),
         (
             &["--fig9", "--jobs", "-1"],
             "--jobs takes a non-negative number",
@@ -331,7 +331,10 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
     // Any other flag that no run of the invocation reads is refused too,
     // and so is a second run, which would otherwise be dropped. G's
     // smoke/baseline/twf.json drifts, so a dropped check would exit 0
-    // where the check itself exits 1.
+    // where the check itself exits 1. Within a --scenario or --ablate
+    // run, a golden flag its mode does not read and --json beside a
+    // golden mode are refused as well; N is a directory that a refused
+    // --record must not create.
     let g = std::env::temp_dir().join(format!("contopt-drifted-{}", std::process::id()));
     std::fs::create_dir_all(g.join("smoke/baseline")).unwrap();
     let twf = std::fs::read_to_string(repo_root().join("goldens/smoke/baseline/twf.json")).unwrap();
@@ -366,12 +369,26 @@ are separate runs; give each its own invocation
 --validate scenarios/smoke.json --fig9 => --validate and --fig9 are separate runs; give each \
 its own invocation
 --validate --scenarios-dir scenarios --scenarios-dir /nonexistent => --scenarios-dir may be \
-given only once";
+given only once
+--scenario scenarios/smoke.json --allow-field pipeline => --allow-field applies only to a \
+--check run
+--scenario scenarios/smoke.json --goldens /nonexistent => --goldens applies only to a \
+--record, --check or --validate run
+--scenario scenarios/smoke.json --check --json => --json does not apply to a --check run
+--scenario scenarios/smoke.json --record --json --goldens N => --json does not apply to a \
+--record run
+--scenario scenarios/smoke.json --record --allow-field pipeline --goldens N => --allow-field \
+applies only to a --check run
+--ablate scenarios/ablate_smoke.json --table --check => unknown flag \"--table\" (see --help)";
     for probe in probes.lines() {
         let (args, message) = probe.split_once(" => ").unwrap();
         let args: Vec<&str> = args
             .split(' ')
-            .map(|a| if a == "G" { g } else { a })
+            .map(|a| match a {
+                "G" => g,
+                "N" => goldens,
+                _ => a,
+            })
             .collect();
         let (code, stderr) = run(&args);
         assert_eq!(code, Some(3), "{args:?}: {stderr}");
@@ -381,6 +398,10 @@ given only once";
             "{args:?}"
         );
     }
+    assert!(
+        !Path::new(goldens).exists(),
+        "a refused --record wrote {goldens}"
+    );
     let _ = std::fs::remove_dir_all(g);
 }
 

@@ -10,11 +10,23 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_sim::emu::{ArchSnapshot, DynInst, Emulator, Step, STREAM_DIGEST_INIT};
-use contopt_sim::isa::Inst;
+use contopt_sim::isa::{Inst, Program};
 use contopt_sim::workloads::{suite, Suite, CHECKSUM_ADDR};
-use contopt_sim::{simulate, MachineConfig, OptimizerConfig};
+use contopt_sim::{MachineConfig, OptimizerConfig, Report, SimSession};
+use std::sync::Arc;
 
 const CAP: u64 = 120_000; // instruction cap keeps the full matrix fast
+
+/// Runs `program` on a `cfg` machine for at most `insts` instructions.
+fn run(cfg: MachineConfig, program: Arc<Program>, insts: u64) -> Report {
+    SimSession::builder()
+        .machine(cfg)
+        .program(program)
+        .insts(insts)
+        .build()
+        .expect("valid machine")
+        .run()
+}
 
 #[test]
 fn all_workloads_retire_identically_on_all_machines() {
@@ -31,7 +43,7 @@ fn all_workloads_retire_identically_on_all_machines() {
     for w in suite() {
         let mut retired = Vec::new();
         for (name, cfg) in configs {
-            let rep = simulate(cfg, w.program.clone(), CAP);
+            let rep = run(cfg, w.program.clone(), CAP);
             retired.push((name, rep.pipeline.retired));
         }
         let first = retired[0].1;
@@ -116,8 +128,8 @@ fn suite_speedup_ordering_matches_the_paper() {
         let mut prod = 1.0f64;
         let mut n = 0u32;
         for w in suite().into_iter().filter(|w| w.suite == s) {
-            let base = simulate(MachineConfig::default_paper(), w.program.clone(), CAP);
-            let opt = simulate(MachineConfig::default_with_optimizer(), w.program, CAP);
+            let base = run(MachineConfig::default_paper(), w.program.clone(), CAP);
+            let opt = run(MachineConfig::default_with_optimizer(), w.program, CAP);
             prod *= opt.speedup_over(&base).unwrap();
             n += 1;
         }
@@ -141,8 +153,8 @@ fn suite_speedup_ordering_matches_the_paper() {
 fn amp_is_flat_mcf_and_untst_stand_out() {
     let speedup = |name: &str| {
         let w = contopt_sim::workloads::build(name).unwrap();
-        let base = simulate(MachineConfig::default_paper(), w.program.clone(), CAP);
-        let opt = simulate(MachineConfig::default_with_optimizer(), w.program, CAP);
+        let base = run(MachineConfig::default_paper(), w.program.clone(), CAP);
+        let opt = run(MachineConfig::default_with_optimizer(), w.program, CAP);
         opt.speedup_over(&base).unwrap()
     };
     let amp = speedup("amp");
@@ -165,7 +177,7 @@ fn workload_mix_is_diverse() {
     // a degenerate suite (everything identical) would invalidate Table 3.
     let mut early = Vec::new();
     for w in suite() {
-        let rep = simulate(MachineConfig::default_with_optimizer(), w.program, 60_000);
+        let rep = run(MachineConfig::default_with_optimizer(), w.program, 60_000);
         early.push(rep.optimizer.pct_executed_early());
     }
     let min = early.iter().cloned().fold(f64::INFINITY, f64::min);
