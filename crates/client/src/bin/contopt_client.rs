@@ -73,17 +73,18 @@ const VALUE_FLAGS: [&str; 7] = [
 ];
 
 /// Why the invocation is refused before connecting: an argument that is
-/// neither a known flag nor a flag's value, a second occurrence of a flag
+/// neither a known flag nor a flag's value (an argument that begins with
+/// `--` is never a value), a second occurrence of a flag
 /// other than `--scenario` and `--allow-field` (the only ones that
 /// repeat), or a flag that the run does not read. A ping reads only
 /// `--addr` and `--timeout`, and only a check reads `--goldens` and
 /// `--allow-field`, while it prints no `--json`.
 fn refusal(args: &[String]) -> Option<String> {
     let mut seen = Vec::new();
-    let mut rest = args.iter();
+    let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
         if VALUE_FLAGS.contains(&arg.as_str()) {
-            rest.next();
+            rest.next_if(|v| !v.starts_with("--"));
         } else if !arg.starts_with("--") {
             return Some(format!(
                 "unexpected argument {arg:?}: each --scenario takes one file"
@@ -119,11 +120,16 @@ fn main() -> ExitCode {
     }
 
     let flag = |name: &str| args.iter().any(|a| a == name);
-    let value_of = |name: &str| {
+    // The value after each occurrence of `name`: `None` when a flag or
+    // nothing follows it.
+    let values_of = |name: &str| -> Vec<Option<String>> {
         args.iter()
-            .position(|a| a == name)
-            .map(|i| args.get(i + 1).cloned())
+            .enumerate()
+            .filter(|(_, a)| *a == name)
+            .map(|(i, _)| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned())
+            .collect()
     };
+    let value_of = |name: &str| values_of(name).into_iter().next();
     let bad = |msg: &str| {
         eprintln!("contopt-client: {msg}");
         ExitCode::from(CheckOutcome::Error.exit_code())
@@ -174,15 +180,12 @@ fn main() -> ExitCode {
         Some(None) => return bad("--goldens takes a directory"),
         None => "goldens".to_string(),
     };
-    let mut allow_fields = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--allow-field" {
-            match args.get(i + 1) {
-                Some(path) => allow_fields.push(path.clone()),
-                None => return bad("--allow-field takes a JSON field path"),
-            }
-        }
-    }
+    let Some(allow_fields) = values_of("--allow-field")
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+    else {
+        return bad("--allow-field takes a JSON field path");
+    };
     let policy = TolerancePolicy::allowing(allow_fields);
 
     let client = Client::with_config(addr, config);
@@ -215,12 +218,12 @@ fn main() -> ExitCode {
         };
     }
 
-    let scenarios: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--scenario")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .collect();
+    let Some(scenarios) = values_of("--scenario")
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+    else {
+        return bad("--scenario takes a file");
+    };
     if scenarios.is_empty() {
         eprintln!("contopt-client: --scenario FILE is required\n\n{USAGE}");
         return ExitCode::from(CheckOutcome::Error.exit_code());
@@ -229,7 +232,7 @@ fn main() -> ExitCode {
     let (check, json) = (flag("--check"), flag("--json"));
     let goldens_dir = Path::new(&goldens_dir);
     let mut worst = CheckOutcome::Ok;
-    for file in scenarios {
+    for file in &scenarios {
         let outcome = run_one(&client, file, jobs, check, json, goldens_dir, &policy);
         worst = worst.merge(outcome.unwrap_or_else(|e| {
             eprintln!("contopt-client: {file}: {e}");

@@ -51,8 +51,8 @@
 //! re-serialization step that could perturb formatting.
 
 use contopt_sim::{
-    machine_from_json, machine_to_json, Expected, Fields, JsonError, JsonValue, MachineConfig,
-    ProgramSpec, Scenario, ScenarioError, ToJson,
+    check_program_names, machine_from_json, machine_to_json, Expected, Fields, JsonError,
+    JsonValue, MachineConfig, ProgramSpec, Scenario, ScenarioError, ToJson,
 };
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -328,8 +328,10 @@ pub enum Message {
         /// a `"file"` path is meaningless on the receiving host — and
         /// each program is assembled and verified under its
         /// [`VerifyPolicy`](contopt_sim::VerifyPolicy) at the protocol
-        /// boundary. Omitted from the wire when empty, so plans without
-        /// programs are byte-identical to pre-federation builds.
+        /// boundary, where names must also pass
+        /// [`check_program_names`]. Omitted from the wire when empty, so
+        /// plans without programs are byte-identical to pre-federation
+        /// builds.
         programs: Vec<ProgramSpec>,
     },
     /// Server → client: the sweep completed; results follow.
@@ -653,23 +655,30 @@ impl Message {
                 jobs,
                 scenario: Scenario::decode(f.req("scenario", Some, "a scenario object")?, None)?,
             }),
-            "submit_plan" => Ok(Message::SubmitPlan {
-                jobs,
-                insts: f.req("insts", JsonValue::as_u64, UINT)?,
-                cells: f
+            "submit_plan" => {
+                let insts = f.req("insts", JsonValue::as_u64, UINT)?;
+                let cells = f
                     .items("cells", PlanCell::from_json)?
-                    .ok_or_else(|| malformed("payload.cells", "an array"))?,
+                    .ok_or_else(|| malformed("payload.cells", "an array"))?;
                 // Wire programs carry inline text; enforce each one's
-                // verification policy right at the boundary, before any
-                // simulation is planned.
-                programs: f
+                // verification policy and the scenario's program-name
+                // rule right at the boundary, before any simulation is
+                // planned.
+                let programs = f
                     .items("programs", |item, at| {
                         let spec = ProgramSpec::from_json(item, at, None)?;
                         spec.verify_under_policy()?;
                         Ok::<_, ProtocolError>(spec)
                     })?
-                    .unwrap_or_default(),
-            }),
+                    .unwrap_or_default();
+                check_program_names(&programs)?;
+                Ok(Message::SubmitPlan {
+                    jobs,
+                    insts,
+                    cells,
+                    programs,
+                })
+            }
             "sweep_status" => Ok(Message::SweepStatus(SweepStatus::from_json(&f)?)),
             "cell_result" => Ok(Message::CellResult(CellResult {
                 label: text("label")?,

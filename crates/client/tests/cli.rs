@@ -56,13 +56,28 @@ fn unknown_arguments_are_rejected_before_connecting() {
         ),
         // Only --scenario and --allow-field repeat; a second --addr is
         // refused instead of dialling only the first.
-        ("--addr 127.0.0.1:1 --ping", "--addr may be given only once"),
+        (
+            "--addr 127.0.0.1:9 --addr 127.0.0.1:1 --ping",
+            "--addr may be given only once",
+        ),
+        // An argument that begins with "--" is never a flag's value: the
+        // flag lacks its value, and the next flag still counts as one.
+        (
+            "--scenario scenarios/smoke.json --goldens --check",
+            "--goldens takes a directory",
+        ),
+        (
+            "--scenario scenarios/smoke.json --allow-field --check",
+            "--allow-field takes a JSON field path",
+        ),
+        ("--addr --ping", "--addr takes HOST:PORT"),
+        ("--scenario --check", "--scenario takes a file"),
     ] {
         // Nothing listens on the discard port: reaching the network would
         // report a connection error instead.
         let out = Command::new(env!("CARGO_BIN_EXE_contopt-client"))
             .current_dir(&repo)
-            .args(["--addr", "127.0.0.1:9"])
+            .env("CONTOPT_SERVER", "127.0.0.1:9")
             .args(args.split(' '))
             .output()
             .unwrap();

@@ -510,6 +510,16 @@ fn wire_rows() -> Vec<(String, &'static str)> {
              error[use_before_init] 1:9 (inst 0 @ 0x1000): r9 may be read before \
              initialization (1 error(s), 0 warning(s))",
         ),
+        (
+            plan("", r#"{"name": "twf", "source": "        halt"}"#),
+            "invalid scenario payload: program \"twf\" duplicates another program or a \
+             Table 1 benchmark",
+        ),
+        (
+            plan("", &format!("{PROG}, {PROG}")),
+            "invalid scenario payload: program \"p\" duplicates another program or a \
+             Table 1 benchmark",
+        ),
         // sweep_status.
         (
             sweep_status("results", ""),

@@ -1,40 +1,311 @@
 //! The counterfactual ablation engine: per-pass *cycle* attribution.
 //!
-//! PR 4's per-pass stats attribute optimizer *events* to the pass that
-//! earned them; this module attributes *cycles*, the quantity the paper's
-//! speedup claims are actually about, by controlled removal. For every
-//! `(configuration, workload)` cell of a scenario it plans the
-//! counterfactual matrix —
+//! The paper's central claim is about cycles recovered, not events
+//! counted: which mechanism — CP/RA, RLE/SF, value feedback, early
+//! execution — bought how much speedup on which workload (the Figure
+//! 10/11 ablation story). A [`Report`] attributes *events* per pass; this
+//! module attributes *cycles*, by controlled removal. For every
+//! `(configuration, workload)` cell of a scenario it plans, through the
+//! [`Lab`] (cells dedupe by configuration fingerprint), the machines
 //!
-//! * the **full** pass set as configured,
-//! * **leave-one-out**: the same machine with exactly one stock pass
-//!   removed, for every stock pass (removal of an inactive pass is the
-//!   identity, so its cell deduplicates onto the full cell and its
-//!   marginal is exactly zero without simulating anything),
-//! * the **baseline** (optimizer removed entirely), and
-//! * optionally **add-one-in**: the baseline plus exactly one pass
-//!   (enabled by the scenario's `"ablation": {"add_one_in": true}`),
+//! * **full**: the pass set as configured;
+//! * **baseline**: the optimizer removed entirely;
+//! * **leave-one-out**: one stock pass removed, for every stock pass
+//!   (removing an inactive pass is the identity, so its cell is the full
+//!   cell and its marginal is exactly zero);
+//! * **add-one-in**, when the scenario's `"ablation": {"add_one_in":
+//!   true}` asks: the baseline plus exactly one pass.
 //!
-//! — expands it into the existing [`Lab`] plan/execute engine (cells
-//! dedupe by configuration fingerprint and fan across workers for free),
-//! and computes `marginal_cycles[p] = cycles(all \ {p}) − cycles(all)`,
-//! the interaction residual, and speedup shares through the error-safe
-//! `speedup_over` API. The result is a
-//! [`contopt_sim::AblationReport`], whose canonical JSON the golden
-//! harness pins under `goldens/<scenario>/ablation.json`
-//! ([`ablation_golden`], recorded and checked by
-//! [`record_goldens`](crate::record_goldens) /
-//! [`check_goldens`](crate::check_goldens)).
+//! Each pass's `marginal_cycles[p] = cycles(all \ {p}) − cycles(all)` is
+//! the cycles the machine loses when only `p` is taken away; the
+//! **interaction residual** `(cycles(baseline) − cycles(all)) −
+//! Σ_p marginal_cycles[p]` is the recovery the marginals do not explain,
+//! non-zero exactly when the mechanisms overlap or enable each other.
+//! Speedups go through the error-safe `speedup_over`. The result is an
+//! [`AblationReport`]: its canonical JSON is the golden
+//! `goldens/<scenario>/ablation.json` ([`ablation_golden`]), and its
+//! `Display` is the table an `--ablate` run prints.
 
 use crate::lab::{Lab, Plan};
 use crate::scenario::Golden;
 use contopt_sim::{
-    file_stem, AblationReport, AddOneIn, ConfigAblation, MachineConfig, OptStats, OptimizerConfig,
-    PassAblation, PassId, Report, Scenario, ScenarioConfig, ScenarioError, SpeedupError,
-    WorkloadAblation,
+    file_stem, JsonValue, MachineConfig, OptStats, OptimizerConfig, PassId, Report, Scenario,
+    ScenarioConfig, ScenarioError, SpeedupError, ToJson,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+/// The full result of ablating one scenario: per configuration, per
+/// workload, per stock pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AblationReport {
+    /// The scenario the matrix was expanded from.
+    pub scenario: String,
+    /// Dynamic-instruction budget per simulation cell.
+    pub insts: u64,
+    /// Whether the add-one-in direction was simulated.
+    pub add_one_in: bool,
+    /// One entry per scenario configuration with at least one active
+    /// pass, in declaration order.
+    pub configs: Vec<ConfigAblation>,
+}
+
+/// The ablation of one labelled scenario configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConfigAblation {
+    /// The configuration's label in the scenario file.
+    pub label: String,
+    /// Names of the stock passes active in the configuration, in
+    /// [`PassId::ALL`] order.
+    pub active: Vec<String>,
+    /// One entry per workload the configuration runs on.
+    pub workloads: Vec<WorkloadAblation>,
+}
+
+/// Per-pass cycle attribution for one (configuration, workload) cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkloadAblation {
+    /// Table 1 short name.
+    pub workload: String,
+    /// Cycles of the baseline machine (optimizer removed entirely).
+    pub baseline_cycles: u64,
+    /// Cycles with the full pass set.
+    pub full_cycles: u64,
+    /// Speedup of the full pass set over the baseline
+    /// (via the error-safe `speedup_over`).
+    pub speedup: f64,
+    /// One row per stock pass, in [`PassId::ALL`] order —
+    /// inactive passes included, with a marginal of exactly zero.
+    pub rows: Vec<PassAblation>,
+}
+
+/// One pass's counterfactual row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PassAblation {
+    /// The pass name ([`PassId::name`]).
+    pub pass: String,
+    /// Whether the pass is active in the configuration. An inactive
+    /// pass's leave-one-out cell *is* the full cell (removal is the
+    /// identity), so its marginal is exactly zero by construction.
+    pub active: bool,
+    /// Events the pass earned in the full run — its *signature* counters
+    /// from its [`contopt_sim::PassStats`] block (e.g. `loads_removed` for
+    /// RLE/SF, `executed_early` for early execution), as the Table 3 and
+    /// scenario tables report them. This is the event column the cycle
+    /// columns sit next to, not an exhaustive sum of the block.
+    pub events: u64,
+    /// Cycles with every pass except this one.
+    pub loo_cycles: u64,
+    /// Speedup of the leave-one-out machine over the baseline.
+    pub speedup_without: f64,
+    /// The add-one-in counterfactual, when the scenario requested it.
+    pub add_one_in: Option<AddOneIn>,
+}
+
+/// The add-one-in direction: the pass alone on the baseline machine
+/// (still paying the configured pipeline cost).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AddOneIn {
+    /// Cycles with only this pass active.
+    pub cycles: u64,
+    /// Speedup of the only-this-pass machine over the baseline.
+    pub speedup: f64,
+}
+
+impl WorkloadAblation {
+    /// Cycles the full pass set recovered over the baseline (negative if
+    /// the optimizer cost cycles on this workload).
+    pub fn recovered_cycles(&self) -> i64 {
+        self.baseline_cycles as i64 - self.full_cycles as i64
+    }
+
+    /// Sum of the per-pass marginals — what leave-one-out attribution
+    /// explains of the total recovery.
+    pub fn marginal_sum(&self) -> i64 {
+        self.rows.iter().map(|r| self.marginal_cycles(r)).sum()
+    }
+
+    /// The recovery the marginals do not explain:
+    /// [`recovered_cycles`](Self::recovered_cycles) −
+    /// [`marginal_sum`](Self::marginal_sum). Positive when mechanisms
+    /// overlap (each looks dispensable because another covers for it),
+    /// negative when they enable each other (each looks bigger than its
+    /// solo contribution).
+    pub fn interaction_residual(&self) -> i64 {
+        self.recovered_cycles() - self.marginal_sum()
+    }
+
+    /// One pass's marginal cycles: `cycles(all \ {p}) − cycles(all)`.
+    /// Derived, never stored, so it cannot drift from the cell cycles.
+    pub fn marginal_cycles(&self, row: &PassAblation) -> i64 {
+        row.loo_cycles as i64 - self.full_cycles as i64
+    }
+
+    /// One pass's share of the total recovered cycles, in percent
+    /// (`0.0` when nothing was recovered). Shares can exceed 100% or go
+    /// negative in aggregate — the interaction residual is exactly the
+    /// part they do not account for.
+    pub fn speedup_share_pct(&self, row: &PassAblation) -> f64 {
+        let recovered = self.recovered_cycles();
+        if recovered == 0 {
+            0.0
+        } else {
+            100.0 * self.marginal_cycles(row) as f64 / recovered as f64
+        }
+    }
+}
+
+impl AblationReport {
+    /// The canonical golden-file serialization: pretty-printed JSON plus
+    /// a trailing newline, byte-identical across runs for identical
+    /// results (same contract as `Report::canonical_json`).
+    pub fn canonical_json(&self) -> String {
+        let mut out = self.to_json().pretty();
+        out.push('\n');
+        out
+    }
+}
+
+impl ToJson for AblationReport {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("scenario", self.scenario.as_str().into()),
+            ("insts", self.insts.into()),
+            ("add_one_in", self.add_one_in.into()),
+            (
+                "configs",
+                JsonValue::arr(self.configs.iter().map(|c| c.to_json())),
+            ),
+        ])
+    }
+}
+
+impl ToJson for ConfigAblation {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("label", self.label.as_str().into()),
+            (
+                "active",
+                JsonValue::arr(self.active.iter().map(|p| p.as_str().into())),
+            ),
+            (
+                "workloads",
+                JsonValue::arr(self.workloads.iter().map(|w| w.to_json())),
+            ),
+        ])
+    }
+}
+
+impl ToJson for WorkloadAblation {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("workload", self.workload.as_str().into()),
+            ("baseline_cycles", self.baseline_cycles.into()),
+            ("full_cycles", self.full_cycles.into()),
+            ("recovered_cycles", self.recovered_cycles().into()),
+            ("speedup", self.speedup.into()),
+            ("marginal_sum", self.marginal_sum().into()),
+            ("interaction_residual", self.interaction_residual().into()),
+            (
+                "passes",
+                JsonValue::arr(self.rows.iter().map(|r| {
+                    let mut fields = vec![
+                        ("pass", JsonValue::from(r.pass.as_str())),
+                        ("active", r.active.into()),
+                        ("events", r.events.into()),
+                        ("loo_cycles", r.loo_cycles.into()),
+                        ("marginal_cycles", self.marginal_cycles(r).into()),
+                        ("speedup_share_pct", self.speedup_share_pct(r).into()),
+                        ("speedup_without", r.speedup_without.into()),
+                    ];
+                    if let Some(a) = &r.add_one_in {
+                        fields.push((
+                            "add_one_in",
+                            JsonValue::obj([
+                                ("cycles", a.cycles.into()),
+                                ("speedup", a.speedup.into()),
+                            ]),
+                        ));
+                    }
+                    JsonValue::obj(fields)
+                })),
+            ),
+        ])
+    }
+}
+
+impl fmt::Display for AblationReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "Counterfactual ablation of scenario {:?} ({} insts/cell{})",
+            self.scenario,
+            self.insts,
+            if self.add_one_in {
+                ", with add-one-in"
+            } else {
+                ""
+            }
+        )?;
+        for cfg in &self.configs {
+            writeln!(f)?;
+            writeln!(
+                f,
+                "config {:?} (active passes: {})",
+                cfg.label,
+                cfg.active.join(", ")
+            )?;
+            for w in &cfg.workloads {
+                writeln!(
+                    f,
+                    "  {}: baseline {} cy, full {} cy, speedup {:.3}x, \
+                     recovered {} cy (marginals {} + interaction {})",
+                    w.workload,
+                    w.baseline_cycles,
+                    w.full_cycles,
+                    w.speedup,
+                    w.recovered_cycles(),
+                    w.marginal_sum(),
+                    w.interaction_residual()
+                )?;
+                // Wide enough for the longest row label,
+                // "value-feedback (off)" (20 chars), so an inactive pass
+                // cannot push its cycle columns out of alignment.
+                write!(
+                    f,
+                    "  {:<20} {:>10} {:>10} {:>11} {:>8} {:>9}",
+                    "pass", "events", "loo.cyc", "marg.cyc", "share%", "spd.w/o"
+                )?;
+                if self.add_one_in {
+                    write!(f, " {:>10} {:>9}", "only.cyc", "only.spd")?;
+                }
+                writeln!(f)?;
+                for r in &w.rows {
+                    let name = if r.active {
+                        r.pass.clone()
+                    } else {
+                        format!("{} (off)", r.pass)
+                    };
+                    write!(
+                        f,
+                        "  {:<20} {:>10} {:>10} {:>11} {:>7.1}% {:>8.3}x",
+                        name,
+                        r.events,
+                        r.loo_cycles,
+                        w.marginal_cycles(r),
+                        w.speedup_share_pct(r),
+                        r.speedup_without
+                    )?;
+                    if let Some(a) = &r.add_one_in {
+                        write!(f, " {:>10} {:>8.3}x", a.cycles, a.speedup)?;
+                    }
+                    writeln!(f)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 /// A failure while planning or computing an ablation.
 #[derive(Debug)]
@@ -379,5 +650,129 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let drifts = check_goldens(&goldens, &exact).unwrap();
         assert_eq!(drifts[0].kind, DriftKind::Missing);
+    }
+
+    fn sample() -> AblationReport {
+        AblationReport {
+            scenario: "demo".into(),
+            insts: 1_000,
+            add_one_in: true,
+            configs: vec![ConfigAblation {
+                label: "optimized".into(),
+                active: vec!["cp-ra".into(), "early-exec".into()],
+                workloads: vec![WorkloadAblation {
+                    workload: "twf".into(),
+                    baseline_cycles: 1_000,
+                    full_cycles: 800,
+                    speedup: 1.25,
+                    rows: vec![
+                        PassAblation {
+                            pass: "cp-ra".into(),
+                            active: true,
+                            events: 40,
+                            loo_cycles: 950,
+                            speedup_without: 1.05,
+                            add_one_in: Some(AddOneIn {
+                                cycles: 900,
+                                speedup: 1.11,
+                            }),
+                        },
+                        PassAblation {
+                            pass: "rle-sf".into(),
+                            active: false,
+                            events: 0,
+                            loo_cycles: 800,
+                            speedup_without: 1.25,
+                            add_one_in: Some(AddOneIn {
+                                cycles: 1_000,
+                                speedup: 1.0,
+                            }),
+                        },
+                    ],
+                }],
+            }],
+        }
+    }
+
+    #[test]
+    fn attribution_math_is_derived_from_cycles() {
+        let r = sample();
+        let w = &r.configs[0].workloads[0];
+        assert_eq!(w.recovered_cycles(), 200);
+        assert_eq!(w.marginal_cycles(&w.rows[0]), 150);
+        assert_eq!(w.marginal_cycles(&w.rows[1]), 0, "inactive pass is free");
+        assert_eq!(w.marginal_sum(), 150);
+        assert_eq!(w.interaction_residual(), 50);
+        assert!((w.speedup_share_pct(&w.rows[0]) - 75.0).abs() < 1e-12);
+        assert_eq!(w.speedup_share_pct(&w.rows[1]), 0.0);
+    }
+
+    #[test]
+    fn zero_recovery_share_is_guarded() {
+        let w = WorkloadAblation {
+            workload: "x".into(),
+            baseline_cycles: 500,
+            full_cycles: 500,
+            speedup: 1.0,
+            rows: vec![PassAblation {
+                pass: "cp-ra".into(),
+                active: true,
+                events: 0,
+                loo_cycles: 510,
+                speedup_without: 0.98,
+                add_one_in: None,
+            }],
+        };
+        assert_eq!(w.recovered_cycles(), 0);
+        assert_eq!(w.speedup_share_pct(&w.rows[0]), 0.0, "no NaN/inf");
+        assert_eq!(w.marginal_cycles(&w.rows[0]), 10);
+        assert_eq!(w.interaction_residual(), -10);
+    }
+
+    #[test]
+    fn canonical_json_is_parseable_and_complete() {
+        let r = sample();
+        let text = r.canonical_json();
+        assert!(text.ends_with('\n'));
+        let doc = JsonValue::parse(&text).unwrap();
+        let row = doc
+            .get("configs")
+            .and_then(JsonValue::as_array)
+            .and_then(|c| c[0].get("workloads"))
+            .and_then(JsonValue::as_array)
+            .and_then(|w| w[0].get("passes"))
+            .and_then(JsonValue::as_array)
+            .expect("passes array")
+            .first()
+            .unwrap();
+        // Non-negative integers reparse as UInt; the signed serialization
+        // only shows when a value is actually negative.
+        assert_eq!(
+            row.get("marginal_cycles"),
+            Some(&JsonValue::UInt(150)),
+            "{row:?}"
+        );
+        assert!(row.get("add_one_in").is_some());
+        // The negative-capable fields really serialize signed.
+        let w = WorkloadAblation {
+            workload: "x".into(),
+            baseline_cycles: 100,
+            full_cycles: 130,
+            speedup: 0.77,
+            rows: vec![],
+        };
+        let j = w.to_json();
+        assert_eq!(j.get("recovered_cycles"), Some(&JsonValue::Int(-30)));
+    }
+
+    #[test]
+    fn display_renders_cycle_columns_next_to_event_columns() {
+        let text = sample().to_string();
+        assert!(text.contains("marg.cyc"), "{text}");
+        assert!(text.contains("events"), "{text}");
+        assert!(text.contains("share%"), "{text}");
+        assert!(text.contains("only.cyc"), "{text}");
+        assert!(text.contains("rle-sf (off)"), "{text}");
+        assert!(text.contains("interaction"), "{text}");
     }
 }

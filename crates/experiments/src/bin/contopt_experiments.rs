@@ -203,6 +203,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         if given("--allow-field") && !check {
             return Err("--allow-field applies only to a --check run".into());
         }
+        if args.iter().enumerate().any(|(i, a)| {
+            a == "--allow-field" && args.get(i + 1).is_none_or(|v| v.starts_with("--"))
+        }) {
+            return Err("--allow-field takes one or more JSON field paths".into());
+        }
         if given("--goldens") && !record && !check {
             return Err("--goldens applies only to a --record, --check or --validate run".into());
         }

@@ -55,6 +55,7 @@ mod verify;
 
 pub use ablation::{
     ablation_golden, ablation_golden_path, ablation_plan, ablation_report, AblationError,
+    AblationReport, AddOneIn, ConfigAblation, PassAblation, WorkloadAblation,
 };
 pub use figures::{
     check_figure, fig10, fig11, fig12, fig6, fig8, fig9, Fig6, FigureError, SuiteFigure,

@@ -4,7 +4,7 @@ use crate::figures::{check_figure, labelled, FigureError, OPTIMIZED};
 use crate::lab::Lab;
 use contopt_sim::emu::Emulator;
 use contopt_sim::workloads::{suite, Suite};
-use contopt_sim::{JsonValue, MachineConfig, OptStats, PassStats, Scenario, ToJson};
+use contopt_sim::{JsonValue, MachineConfig, PassStats, Scenario, ToJson};
 use std::fmt;
 
 /// Table 1 — the experimental workload and its dynamic instruction counts.
@@ -238,10 +238,9 @@ impl ToJson for Table3 {
     }
 }
 
-/// Renders Table 3 from `scenarios/table3.json`'s `optimized` runs. The
-/// percentages are computed from the aggregate counters; each row also
-/// carries the per-pass attribution blocks those aggregates are the sum
-/// of.
+/// Renders Table 3 from `scenarios/table3.json`'s `optimized` runs. Each
+/// row carries the per-pass attribution blocks summed over its suite, and
+/// its percentages come from their aggregate, [`PassStats::total`].
 pub fn table3(lab: &mut Lab, sc: &Scenario) -> Result<Table3, FigureError> {
     check_figure("table3", sc)?;
     let opt = labelled(sc, OPTIMIZED)?.machine;
@@ -252,35 +251,28 @@ pub fn table3(lab: &mut Lab, sc: &Scenario) -> Result<Table3, FigureError> {
             (w, r)
         })
         .collect();
-    let mut rows = Vec::new();
-    let mut all = OptStats::default();
-    let mut all_passes = PassStats::default();
-    for suite in [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench] {
-        let mut agg = OptStats::default();
-        let mut passes = PassStats::default();
-        for (_, r) in runs.iter().filter(|(w, _)| w.suite == suite) {
-            agg.merge(&r.optimizer);
-            all.merge(&r.optimizer);
-            passes.merge(&r.passes);
-            all_passes.merge(&r.passes);
-        }
-        rows.push(Table3Row {
-            suite: suite.to_string(),
+    let row = |suite: String, passes: PassStats| {
+        let agg = passes.total();
+        Table3Row {
+            suite,
             exec_early: agg.pct_executed_early(),
             recovered_mispredicts: agg.pct_mispredicts_recovered(),
             addr_generated: agg.pct_mem_addr_generated(),
             loads_removed: agg.pct_loads_removed(),
             passes,
-        });
+        }
+    };
+    let mut rows = Vec::new();
+    let mut all = PassStats::default();
+    for suite in [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench] {
+        let mut passes = PassStats::default();
+        for (_, r) in runs.iter().filter(|(w, _)| w.suite == suite) {
+            passes.merge(&r.passes);
+        }
+        all.merge(&passes);
+        rows.push(row(suite.to_string(), passes));
     }
-    rows.push(Table3Row {
-        suite: "avg".into(),
-        exec_early: all.pct_executed_early(),
-        recovered_mispredicts: all.pct_mispredicts_recovered(),
-        addr_generated: all.pct_mem_addr_generated(),
-        loads_removed: all.pct_loads_removed(),
-        passes: all_passes,
-    });
+    rows.push(row("avg".into(), all));
     Ok(Table3 { rows })
 }
 

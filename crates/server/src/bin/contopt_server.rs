@@ -67,17 +67,18 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
+    // An argument that begins with `--` is never a flag's value.
     let value_of = |name: &str| {
         args.iter()
             .position(|a| a == name)
-            .map(|i| args.get(i + 1).cloned())
+            .map(|i| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned())
     };
     let bad = |msg: String| {
         eprintln!("contopt-server: {msg}");
         ExitCode::FAILURE
     };
     let mut seen = Vec::new();
-    let mut rest = args.iter();
+    let mut rest = args.iter().peekable();
     while let Some(arg) = rest.next() {
         if !FLAGS.contains(&arg.as_str()) {
             return bad(if arg.starts_with("--") {
@@ -90,7 +91,7 @@ fn main() -> ExitCode {
             return bad(format!("{arg} may be given only once"));
         }
         seen.push(arg);
-        rest.next();
+        rest.next_if(|v| !v.starts_with("--"));
     }
 
     let addr = match value_of("--addr") {

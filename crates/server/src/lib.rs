@@ -7,6 +7,13 @@
 //! `Report` JSON a local `contopt-experiments` run would produce —
 //! byte-for-byte, so remote golden checks stay meaningful.
 //!
+//! A request becomes cells through contopt-sim alone: [`Scenario::cells`]
+//! expands a scenario, a cell takes the submitted program of its workload
+//! name, and [`CellKey::new`] keys it by that program's text. The server
+//! keeps no program table and interns no name a client chose.
+//!
+//! [`Scenario::cells`]: contopt_sim::Scenario::cells
+//!
 //! Two mechanisms make concurrent clients cheap:
 //!
 //! * **Result cache** — completed cell reports live in a bounded LRU
@@ -71,11 +78,7 @@ use contopt_client::protocol::{
     read_frame, write_frame, CellError, CellReply, CellResult, DownstreamStatus, Message, PlanCell,
     ProtocolError, ServerStatus, SweepStatus, WireError, PROTOCOL_VERSION,
 };
-use contopt_sim::isa::{asm_text, Program};
-use contopt_sim::{
-    run_parallel, CellKey, MachineConfig, ProgramSource, ProgramSpec, SimSession, VerifyPolicy,
-    ALL_WORKLOADS,
-};
+use contopt_sim::{run_parallel, CellKey, MachineConfig, ProgramSpec, SimSession};
 use federation::{DownstreamLink, Federation, FederationConfig};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufReader, BufWriter};
@@ -129,32 +132,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// A text-authored program bound to a cell (from a scenario's or plan's
-/// `"programs"` block): the assembled image, its canonical encoding,
-/// and the verification policy it was admitted under.
-#[derive(Debug, Clone)]
-pub struct CellProgram {
-    /// The canonical [`asm_text::emit`] rendering — the behavioural
-    /// identity folded into cache keys and wire fingerprints, and the
-    /// text a frontier re-ships when it forwards the cell downstream.
-    pub text: Arc<str>,
-    /// The assembled program the simulation runs.
-    pub program: Arc<Program>,
-    /// The verification policy forwarded along with the program.
-    pub verify: VerifyPolicy,
-}
-
-impl CellProgram {
-    /// Canonicalizes an assembled program for caching and forwarding.
-    pub fn new(program: Arc<Program>, verify: VerifyPolicy) -> CellProgram {
-        CellProgram {
-            text: asm_text::emit(&program).into(),
-            program,
-            verify,
-        }
-    }
-}
-
 /// One requested cell, before deduplication.
 #[derive(Debug, Clone)]
 pub struct SweepCell {
@@ -165,9 +142,10 @@ pub struct SweepCell {
     /// Workload short name: Table 1, or a shipped program's name when
     /// `program` is set.
     pub workload: String,
-    /// The shipped program this cell runs, when the submission carried
-    /// one under this cell's workload name.
-    pub program: Option<CellProgram>,
+    /// The shipped program this cell runs, as the submission carried it
+    /// under this cell's workload name: the assembled program runs and
+    /// keys the cell, and a frontier forwards the spec downstream.
+    pub program: Option<ProgramSpec>,
 }
 
 /// How one unique cell was satisfied.
@@ -388,7 +366,7 @@ impl SweepEngine {
         let cell_to_uniq: Vec<usize> = cells
             .iter()
             .map(|cell| {
-                let program = cell.program.as_ref().map(|cp| Arc::clone(&cp.text));
+                let program = cell.program.as_ref().map(|p| &*p.program);
                 let key = CellKey::new(&cell.machine, &cell.workload, program);
                 *uniq_index.entry(key).or_insert_with_key(|key| {
                     firsts.push((cell, key.clone()));
@@ -404,7 +382,7 @@ impl SweepEngine {
             .map(|(cell, key)| {
                 let builder = SimSession::builder().machine(cell.machine).insts(insts);
                 let builder = match &cell.program {
-                    Some(cp) => builder.program(Arc::clone(&cp.program)),
+                    Some(p) => builder.program(Arc::clone(&p.program)),
                     None => builder.workload(cell.workload.clone()),
                 };
                 let session = builder.build().map_err(|e| WireError {
@@ -547,7 +525,7 @@ impl SweepEngine {
     }
 
     /// Forwards one placed batch over a downstream link as an ordinary
-    /// `submit_plan` (shipping any cell programs inline), publishing
+    /// `submit_plan` (shipping each cell program as received), publishing
     /// every returned report into the local cache under the batch's
     /// claims — cache coherence across tiers: on the next request a
     /// forwarded cell is indistinguishable from a locally simulated one.
@@ -585,14 +563,9 @@ impl SweepEngine {
             let mut programs: Vec<ProgramSpec> = Vec::new();
             for &(i, _) in &claims {
                 let cell = uniq[i].0;
-                if let Some(cp) = &cell.program {
-                    if !programs.iter().any(|p| p.name == cell.workload) {
-                        programs.push(ProgramSpec {
-                            name: cell.workload.clone(),
-                            source: ProgramSource::Inline(cp.text.to_string()),
-                            verify: cp.verify,
-                            program: Arc::clone(&cp.program),
-                        });
+                if let Some(p) = &cell.program {
+                    if !programs.iter().any(|q| q.name == p.name) {
+                        programs.push(p.clone());
                     }
                 }
                 plan.push(PlanCell {
@@ -786,102 +759,53 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Builds the name → [`CellProgram`] table for a submission's inline
-/// programs (the protocol layer assembled each one on parse). Names must
-/// be unique and must not shadow a Table 1 workload — the same rule at
-/// every federation tier, so a frontier never forwards a program a
-/// downstream would refuse.
-fn program_table(programs: &[ProgramSpec]) -> Result<Vec<(String, CellProgram)>, WireError> {
-    let bad = |message: String| WireError {
-        code: "bad-request".to_string(),
-        message,
-    };
-    let mut table: Vec<(String, CellProgram)> = Vec::with_capacity(programs.len());
-    for spec in programs {
-        if contopt_sim::workloads::build(&spec.name).is_some() {
-            return Err(bad(format!(
-                "program {:?} shadows a Table 1 workload; pick a distinct name",
-                spec.name
-            )));
-        }
-        if table.iter().any(|(name, _)| *name == spec.name) {
-            return Err(bad(format!("duplicate program {:?}", spec.name)));
-        }
-        table.push((
-            spec.name.clone(),
-            CellProgram::new(Arc::clone(&spec.program), spec.verify),
-        ));
-    }
-    Ok(table)
-}
-
-/// A requested cell: `workload` runs the submission's shipped program of
-/// that name when there is one, and the Table 1 benchmark otherwise.
-fn sweep_cell(
-    label: &str,
-    machine: MachineConfig,
-    workload: &str,
-    table: &[(String, CellProgram)],
-) -> SweepCell {
-    SweepCell {
-        label: label.to_string(),
-        machine,
-        workload: workload.to_string(),
-        program: table
-            .iter()
-            .find(|(name, _)| name == workload)
-            .map(|(_, cp)| cp.clone()),
-    }
-}
-
-/// Expands a submission message into the flat cell list the engine runs.
-/// Returns `(insts, cells, jobs_hint)`.
+/// Expands a submission message into the flat cell list the engine runs,
+/// returning `(insts, cells, jobs_hint)`: a scenario lowers through
+/// [`Scenario::cells`] to the [`PlanCell`]s a plan carries, and each cell
+/// takes the submission's program of its workload name. The decoder has
+/// verified and name-checked every program; nothing a client names is
+/// interned or outlives its request.
+///
+/// [`Scenario::cells`]: contopt_sim::Scenario::cells
 fn expand_request(msg: Message) -> Result<(u64, Vec<SweepCell>, Option<u64>), WireError> {
-    match msg {
+    let (jobs, insts, cells, programs) = match msg {
         Message::SubmitScenario { jobs, scenario } => {
-            // Scenario programs arrive assembled and verified, and every
-            // name was validated on receipt (the protocol layer enforces
-            // inline text and runs the verifier). Cells expand by name —
-            // nothing a client names outlives its request — and cells
-            // carrying a program are cache-keyed by its canonical text,
-            // so client-chosen names can never alias each other or
-            // Table 1 workloads.
-            let table = program_table(&scenario.programs)?;
-            let mut cells = Vec::new();
-            for cfg in &scenario.configs {
-                for name in &cfg.workloads {
-                    if name == ALL_WORKLOADS {
-                        for w in contopt_sim::workloads::names() {
-                            cells.push(sweep_cell(&cfg.label, cfg.machine, w, &table));
-                        }
-                    } else {
-                        cells.push(sweep_cell(&cfg.label, cfg.machine, name, &table));
-                    }
-                }
-            }
-            Ok((scenario.insts, cells, jobs))
+            let cells: Vec<PlanCell> = scenario
+                .cells()
+                .map(|(cfg, workload)| PlanCell {
+                    label: cfg.label.clone(),
+                    machine: cfg.machine,
+                    workload: workload.to_string(),
+                })
+                .collect();
+            (jobs, scenario.insts, cells, scenario.programs)
         }
         Message::SubmitPlan {
             jobs,
             insts,
             cells,
             programs,
-        } => {
-            let table = program_table(&programs)?;
-            let cells = cells
-                .iter()
-                .map(|c| sweep_cell(&c.label, c.machine, &c.workload, &table))
-                .collect();
-            Ok((insts, cells, jobs))
+        } => (jobs, insts, cells, programs),
+        other => {
+            return Err(WireError {
+                code: "bad-request".to_string(),
+                message: format!(
+                    "expected submit_scenario, submit_plan, or ping, got {}",
+                    other.type_tag()
+                ),
+            })
         }
-        other => Err(WireError {
-            code: "bad-request".to_string(),
-            message: format!(
-                "expected submit_scenario, submit_plan, or ping, got {}",
-                other.type_tag()
-            ),
-        }),
-    }
+    };
+    let cells = cells
+        .into_iter()
+        .map(|c| SweepCell {
+            program: programs.iter().find(|p| p.name == c.workload).cloned(),
+            label: c.label,
+            machine: c.machine,
+            workload: c.workload,
+        })
+        .collect();
+    Ok((insts, cells, jobs))
 }
 
 /// Serves one connection: one request frame in, one status frame plus the
@@ -1060,7 +984,7 @@ impl Drop for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contopt_sim::Scenario;
+    use contopt_sim::{Scenario, ALL_WORKLOADS};
 
     fn asm_smoke() -> Scenario {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");

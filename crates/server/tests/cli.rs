@@ -19,6 +19,11 @@ fn unknown_arguments_are_rejected_before_serving() {
             &["--addr", "127.0.0.1:0", "--jobs", "1", "--jobs", "2"],
             "--jobs may be given only once",
         ),
+        // An argument that begins with "--" is never a flag's value.
+        (
+            &["--addr", "--port-file", "/nonexistent/contopt.port"],
+            "--addr takes HOST:PORT",
+        ),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_contopt-server"))
             .args(args)

@@ -236,6 +236,9 @@ fn programs_forward_with_their_cells() {
     let status = sweep.status();
     assert_eq!(status.errors, 0);
     assert_accounted(&status);
+    // Placement over loads [0, 0] sends one of the two cells down.
+    assert_eq!(status.forwarded, 1);
+    assert_eq!(ds.engine().total_simulations(), 1);
     let cells = reports(sweep.fetch_reports().expect("fetch"));
 
     assert_match_goldens(&sc, &cells);

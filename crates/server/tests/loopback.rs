@@ -24,7 +24,7 @@ use contopt_client::protocol::{CellReply, CellResult, PlanCell};
 use contopt_client::Client;
 use contopt_experiments::{check_goldens, golden_path, Golden, TolerancePolicy};
 use contopt_server::{Server, ServerConfig, SweepCell, SweepEngine};
-use contopt_sim::{ProgramSource, Scenario};
+use contopt_sim::{ProgramSource, ProgramSpec, Scenario};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -234,6 +234,37 @@ fn malformed_and_unknown_submissions_fail_typed() {
     };
     let msg = err.to_string();
     assert!(msg.contains("bad-request"), "got: {msg}");
+    assert_eq!(server.engine().total_simulations(), 0);
+}
+
+#[test]
+fn plans_whose_programs_shadow_or_repeat_a_name_are_refused() {
+    // The decoder applies a scenario's program-name rule to a plan's
+    // programs: a name may select neither a Table 1 benchmark nor two
+    // programs.
+    let server = spawn_server(1);
+    let client = Client::new(server.addr().to_string());
+    let program = |name: &str| ProgramSpec::inline(name, "        halt").unwrap();
+    for (name, programs) in [
+        ("twf", vec![program("twf")]),
+        ("p", vec![program("p"), program("p")]),
+    ] {
+        let cell = PlanCell {
+            label: "x".into(),
+            machine: contopt_sim::MachineConfig::default_paper(),
+            workload: name.into(),
+        };
+        let Err(err) = client.submit_plan_with_programs(1000, vec![cell], programs, None) else {
+            panic!("program {name:?} must be refused");
+        };
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "server error [bad-request]: invalid scenario payload: program {name:?} \
+                 duplicates another program or a Table 1 benchmark"
+            )
+        );
+    }
     assert_eq!(server.engine().total_simulations(), 0);
 }
 

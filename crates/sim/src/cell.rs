@@ -4,7 +4,7 @@
 
 use crate::scenario::machine_to_json;
 use contopt_emu::{fnv1a, STREAM_DIGEST_INIT};
-use contopt_isa::asm_text;
+use contopt_isa::{asm_text, Program};
 use contopt_pipeline::MachineConfig;
 use contopt_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,16 +36,17 @@ pub struct CellKey {
 }
 
 impl CellKey {
-    /// The key of `workload` on `machine`; `program` is a shipped
-    /// program's canonical text, or `None` for a Table 1 benchmark.
-    pub fn new(machine: &MachineConfig, workload: &str, program: Option<Arc<str>>) -> CellKey {
+    /// The key of `workload` on `machine`; `program` is the shipped
+    /// program the cell runs, or `None` for a Table 1 benchmark. This is
+    /// the one place a shipped program becomes its canonical text.
+    pub fn new(machine: &MachineConfig, workload: &str, program: Option<&Program>) -> CellKey {
         CellKey {
             machine: MachineConfig {
                 optimizer: machine.optimizer.normalized(),
                 ..*machine
             },
             workload: workload.to_string(),
-            program,
+            program: program.map(|p| asm_text::emit(p).into()),
         }
     }
 
@@ -54,8 +55,7 @@ impl CellKey {
     pub fn of(machine: &MachineConfig, w: &Workload) -> CellKey {
         let table1 = contopt_workloads::build(w.name)
             .is_some_and(|t| Arc::ptr_eq(&t.program, &w.program) || t.program == w.program);
-        let program = (!table1).then(|| asm_text::emit(&w.program).into());
-        CellKey::new(machine, w.name, program)
+        CellKey::new(machine, w.name, (!table1).then_some(&*w.program))
     }
 
     /// The machine, with its optimizer block normalized.

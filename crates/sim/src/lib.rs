@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod ablation;
 mod cell;
 mod error;
 pub mod fuzz;
@@ -50,14 +49,14 @@ mod report;
 mod scenario;
 mod session;
 
-pub use ablation::{AblationReport, AddOneIn, ConfigAblation, PassAblation, WorkloadAblation};
 pub use cell::{run_parallel, CellKey};
 pub use error::Error;
 pub use json::{Expected, Fields, JsonError, JsonErrorKind, JsonValue, ToJson};
 pub use report::{Report, SpeedupError};
 pub use scenario::{
-    file_stem, machine_from_json, machine_to_json, AblationSpec, ProgramSource, ProgramSpec,
-    Scenario, ScenarioConfig, ScenarioError, VerifyPolicy, ALL_WORKLOADS, SCENARIO_VERSION,
+    check_program_names, file_stem, machine_from_json, machine_to_json, AblationSpec,
+    ProgramSource, ProgramSpec, Scenario, ScenarioConfig, ScenarioError, VerifyPolicy,
+    ALL_WORKLOADS, SCENARIO_VERSION,
 };
 pub use session::{
     SimBuilder, SimSession, DEFAULT_INSTS, MAX_MBC_ENTRIES, MAX_PREG_COUNT, MAX_WINDOW_SLOTS,

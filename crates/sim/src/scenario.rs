@@ -565,27 +565,32 @@ impl Scenario {
         sc
     }
 
-    /// The workloads one configuration runs on, in declaration order:
-    /// names resolve against this scenario's shipped programs first, then
-    /// Table 1; [`ALL_WORKLOADS`] expands to the built-in suite (shipped
-    /// programs must be listed by name).
+    /// Every cell of this scenario as `(configuration, workload name)`,
+    /// in declaration order, with [`ALL_WORKLOADS`] expanded to the
+    /// Table 1 suite: the one expansion of a scenario into cells. It
+    /// resolves and interns nothing, so it is safe on names a client
+    /// chose.
+    pub fn cells(&self) -> impl Iterator<Item = (&ScenarioConfig, &str)> {
+        self.configs
+            .iter()
+            .flat_map(|cfg| cfg.names().map(move |name| (cfg, name)))
+    }
+
+    /// The workloads one configuration runs on, in [`cells`](Self::cells)
+    /// order: each name resolves against this scenario's shipped programs
+    /// first, then Table 1.
     pub fn workloads_for(&self, cfg: &ScenarioConfig) -> Result<Vec<Workload>, ScenarioError> {
-        let mut out = Vec::new();
-        for name in &cfg.workloads {
-            if name == ALL_WORKLOADS {
-                out.extend(contopt_workloads::suite());
-            } else if let Some(spec) = self.programs.iter().find(|p| &p.name == name) {
-                out.push(spec.workload());
-            } else {
-                out.push(contopt_workloads::build(name).ok_or_else(|| {
-                    ScenarioError::UnknownWorkload {
+        cfg.names()
+            .map(|name| match self.programs.iter().find(|p| p.name == name) {
+                Some(spec) => Ok(spec.workload()),
+                None => {
+                    contopt_workloads::build(name).ok_or_else(|| ScenarioError::UnknownWorkload {
                         label: cfg.label.clone(),
-                        name: name.clone(),
-                    }
-                })?);
-            }
-        }
-        Ok(out)
+                        name: name.to_string(),
+                    })
+                }
+            })
+            .collect()
     }
 
     /// Builds a scenario from a parsed JSON document and assembles its
@@ -620,8 +625,8 @@ impl Scenario {
     /// Semantic checks beyond JSON structure: a positive budget, at least
     /// one configuration, a name and labels that each name a golden
     /// directory of their own, program names that are their own golden
-    /// file stems, machines the session builder accepts, and workload
-    /// names that exist in Table 1.
+    /// file stems and pass [`check_program_names`], machines the session
+    /// builder accepts, and workload names that exist in Table 1.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.insts == 0 {
             return Err(ScenarioError::ZeroInsts);
@@ -630,8 +635,7 @@ impl Scenario {
             return Err(ScenarioError::Empty("\"configs\"".into()));
         }
         directory_name("name".into(), &self.name)?;
-        let known = contopt_workloads::names();
-        for (i, p) in self.programs.iter().enumerate() {
+        for p in &self.programs {
             if p.name.is_empty() {
                 return Err(ScenarioError::Program {
                     name: p.name.clone(),
@@ -646,12 +650,9 @@ impl Scenario {
                         .into(),
                 });
             }
-            if known.contains(&p.name.as_str())
-                || self.programs[..i].iter().any(|q| q.name == p.name)
-            {
-                return Err(ScenarioError::DuplicateProgram(p.name.clone()));
-            }
         }
+        check_program_names(&self.programs)?;
+        let known = contopt_workloads::names();
         for (i, cfg) in self.configs.iter().enumerate() {
             directory_name(format!("configs[{i}].label"), &cfg.label)?;
             if self.configs[..i].iter().any(|c| c.label == cfg.label) {
@@ -713,6 +714,19 @@ impl Scenario {
         }
         sc
     }
+}
+
+/// Refuses a program that shadows a Table 1 benchmark or an earlier
+/// program of `programs`: the one program-name rule of scenarios and
+/// `submit_plan` messages, so a workload name selects one program.
+pub fn check_program_names(programs: &[ProgramSpec]) -> Result<(), ScenarioError> {
+    let known = contopt_workloads::names();
+    for (i, p) in programs.iter().enumerate() {
+        if known.contains(&p.name.as_str()) || programs[..i].iter().any(|q| q.name == p.name) {
+            return Err(ScenarioError::DuplicateProgram(p.name.clone()));
+        }
+    }
+    Ok(())
 }
 
 impl AblationSpec {
@@ -810,6 +824,15 @@ impl ToJson for ProgramSpec {
 }
 
 impl ScenarioConfig {
+    /// The workload names this configuration lists, with
+    /// [`ALL_WORKLOADS`] expanded to the Table 1 suite.
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.workloads.iter().flat_map(|name| match name.as_str() {
+            ALL_WORKLOADS => contopt_workloads::names(),
+            name => vec![name],
+        })
+    }
+
     fn from_json(doc: &JsonValue, at: &str) -> Result<ScenarioConfig, ScenarioError> {
         let f = strict(doc, at, &["label", "machine", "workloads"])?;
         let label = f.opt("label", JsonValue::as_str, "a string")?;
@@ -1194,6 +1217,16 @@ mod tests {
             ["twf", "untst"]
         );
         assert_eq!(sc.workloads_for(&sc.configs[1]).unwrap().len(), 24);
+        let cells: Vec<(&str, &str)> = sc.cells().map(|(c, w)| (c.label.as_str(), w)).collect();
+        assert_eq!(cells.len(), 2 + 24);
+        assert_eq!(
+            cells[..3],
+            [
+                ("baseline", "twf"),
+                ("baseline", "untst"),
+                ("optimized", "bzp")
+            ]
+        );
     }
 
     const SPIN_SRC: &str = "        li   r1, 5\nspin:   subq r1, 1, r1\n        bne  r1, spin\n        li   r2, 0x100000\n        stq  r1, 8(r2)\n        halt\n";

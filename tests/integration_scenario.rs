@@ -379,7 +379,11 @@ given only once
 --record run
 --scenario scenarios/smoke.json --record --allow-field pipeline --goldens N => --allow-field \
 applies only to a --check run
---ablate scenarios/ablate_smoke.json --table --check => unknown flag \"--table\" (see --help)";
+--ablate scenarios/ablate_smoke.json --table --check => unknown flag \"--table\" (see --help)
+--scenario scenarios/smoke.json --check --allow-field --jobs 2 => --allow-field takes one or \
+more JSON field paths
+--scenario scenarios/smoke.json --check --allow-field => --allow-field takes one or more JSON \
+field paths";
     for probe in probes.lines() {
         let (args, message) = probe.split_once(" => ").unwrap();
         let args: Vec<&str> = args
