@@ -14,8 +14,11 @@ use contopt_client::{Client, ClientConfig, RetryPolicy};
 use contopt_experiments::{
     check_goldens, golden_path, unpinned_goldens, CheckOutcome, Golden, TolerancePolicy,
 };
+use contopt_sim::cli::Takes::{List, Nothing, One};
+use contopt_sim::cli::{Args, Flag};
 use contopt_sim::{JsonValue, Scenario};
 use std::error::Error;
+use std::num::NonZeroU32;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -24,14 +27,19 @@ const USAGE: &str = "\
 contopt-client — submit sweeps to a contopt sweep server
 
 USAGE:
-  contopt-client --scenario FILE [OPTIONS]
+  contopt-client --scenario FILE... [OPTIONS]
   contopt-client --ping [--addr HOST:PORT] [--timeout SECS]
 
-OPTIONS (each applies only to the runs listed with it, and only a repeatable
-one may be given twice; otherwise it exits 3):
+One run per invocation, --scenario or --ping; each flag applies only to the
+runs listed with it. An unknown flag, an argument that no flag takes, a
+missing or malformed value, a second occurrence of a flag that takes no
+list, a second run, or a flag that nothing in the invocation reads exits 3
+before anything connects. An argument that begins with -- is never a value.
+
+OPTIONS:
   --addr HOST:PORT         server to submit to (default: CONTOPT_SERVER
                            env var, else 127.0.0.1:4077)
-  --scenario FILE          scenario file to submit (repeatable)
+  --scenario FILE ...      scenario files to submit (repeatable)
   --ping                   health-check the server (prints its status
                            snapshot; exit 0 if it answers, 3 if not);
                            takes only --addr and --timeout
@@ -48,7 +56,7 @@ one may be given twice; otherwise it exits 3):
                            retry); backoff is exponential with
                            deterministic jitter
   --goldens DIR            --check: goldens directory (default: goldens)
-  --allow-field PATH       --check: a JSON field path allowed to differ
+  --allow-field PATH ...   --check: JSON field paths allowed to differ
                            (repeatable; default: exact byte equality)
   --help                   print this help
 
@@ -61,56 +69,27 @@ EXIT CODES (matching contopt-experiments --check):
      invocation
 ";
 
-/// Flags that take one value each.
-const VALUE_FLAGS: [&str; 7] = [
-    "--addr",
-    "--scenario",
-    "--jobs",
-    "--timeout",
-    "--retries",
-    "--goldens",
-    "--allow-field",
+/// Every flag, the values it takes, and the flags that read it.
+const FLAGS: [Flag; 10] = [
+    ("--addr", One("HOST:PORT"), ""),
+    ("--timeout", One("seconds"), ""),
+    ("--ping", Nothing, "--ping"),
+    (
+        "--scenario",
+        List("one or more scenario files"),
+        "--scenario",
+    ),
+    ("--check", Nothing, "--scenario"),
+    ("--json", Nothing, "--scenario"),
+    ("--jobs", One("a number"), "--scenario"),
+    ("--retries", One("a positive number"), "--scenario"),
+    ("--goldens", One("a directory"), "--check"),
+    (
+        "--allow-field",
+        List("one or more JSON field paths"),
+        "--check",
+    ),
 ];
-
-/// Why the invocation is refused before connecting: an argument that is
-/// neither a known flag nor a flag's value (an argument that begins with
-/// `--` is never a value), a second occurrence of a flag
-/// other than `--scenario` and `--allow-field` (the only ones that
-/// repeat), or a flag that the run does not read. A ping reads only
-/// `--addr` and `--timeout`, and only a check reads `--goldens` and
-/// `--allow-field`, while it prints no `--json`.
-fn refusal(args: &[String]) -> Option<String> {
-    let mut seen = Vec::new();
-    let mut rest = args.iter().peekable();
-    while let Some(arg) = rest.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            rest.next_if(|v| !v.starts_with("--"));
-        } else if !arg.starts_with("--") {
-            return Some(format!(
-                "unexpected argument {arg:?}: each --scenario takes one file"
-            ));
-        } else if !["--ping", "--check", "--json"].contains(&arg.as_str()) {
-            return Some(format!("unknown flag {arg:?} (see --help)"));
-        }
-        if seen.contains(&arg) && !["--scenario", "--allow-field"].contains(&arg.as_str()) {
-            return Some(format!("{arg} may be given only once"));
-        }
-        seen.push(arg);
-    }
-    let given = |flag: &&str| args.iter().any(|a| a == flag);
-    let (run, unread) = if given(&"--ping") {
-        (
-            "a --ping run",
-            "--scenario --check --json --goldens --allow-field --jobs --retries",
-        )
-    } else if given(&"--check") {
-        ("a --check run", "--json")
-    } else {
-        ("a run without --check", "--goldens --allow-field")
-    };
-    let flag = unread.split(' ').find(given)?;
-    Some(format!("{flag} does not apply to {run}"))
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -118,121 +97,71 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    // The value after each occurrence of `name`: `None` when a flag or
-    // nothing follows it.
-    let values_of = |name: &str| -> Vec<Option<String>> {
-        args.iter()
-            .enumerate()
-            .filter(|(_, a)| *a == name)
-            .map(|(i, _)| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned())
-            .collect()
-    };
-    let value_of = |name: &str| values_of(name).into_iter().next();
-    let bad = |msg: &str| {
-        eprintln!("contopt-client: {msg}");
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("contopt-client: {e}");
         ExitCode::from(CheckOutcome::Error.exit_code())
-    };
-    if let Some(refusal) = refusal(&args) {
-        return bad(&refusal);
-    }
+    })
+}
 
-    let addr = match value_of("--addr") {
-        Some(Some(a)) => a,
-        Some(None) => return bad("--addr takes HOST:PORT"),
-        None => std::env::var("CONTOPT_SERVER").unwrap_or_else(|_| "127.0.0.1:4077".to_string()),
-    };
-    let jobs = match value_of("--jobs") {
-        Some(Some(n)) => match n.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => return bad(&format!("--jobs takes a number, got {n:?}")),
-        },
-        Some(None) => return bad("--jobs takes a number"),
-        None => None,
-    };
+/// Runs the command line; an `Err` (a refusal, a bad flag value, a failed
+/// ping) exits 3, and a refusal comes before anything connects.
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let args = Args::parse(args, &FLAGS)?;
+    let (check, json) = (args.has("--check"), args.has("--json"));
+    if check && json {
+        return Err("--json does not apply to a --check run".into());
+    }
+    let jobs = args.parsed("--jobs")?;
     let mut config = ClientConfig::default();
-    match value_of("--timeout") {
-        Some(Some(n)) => match n.parse::<u64>() {
-            Ok(0) => config.io_timeout = None,
-            Ok(n) => config.io_timeout = Some(Duration::from_secs(n)),
-            Err(_) => return bad(&format!("--timeout takes seconds, got {n:?}")),
-        },
-        Some(None) => return bad("--timeout takes seconds"),
-        None => {}
+    if let Some(secs) = args.parsed("--timeout")? {
+        config.io_timeout = (secs > 0).then(|| Duration::from_secs(secs));
     }
-    match value_of("--retries") {
-        Some(Some(n)) => match n.parse::<u32>() {
-            Ok(0) => return bad("--retries must be at least 1"),
-            Ok(n) => {
-                config.retry = RetryPolicy {
-                    max_attempts: n,
-                    ..RetryPolicy::default()
-                }
-            }
-            Err(_) => return bad(&format!("--retries takes a number, got {n:?}")),
-        },
-        Some(None) => return bad("--retries takes a number"),
-        None => {}
-    }
-    let goldens_dir = match value_of("--goldens") {
-        Some(Some(d)) => d,
-        Some(None) => return bad("--goldens takes a directory"),
-        None => "goldens".to_string(),
-    };
-    let Some(allow_fields) = values_of("--allow-field")
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-    else {
-        return bad("--allow-field takes a JSON field path");
-    };
-    let policy = TolerancePolicy::allowing(allow_fields);
-
-    let client = Client::with_config(addr, config);
-
-    if flag("--ping") {
-        return match client.ping() {
-            Ok(status) => {
-                println!(
-                    "contopt-server @ {}: protocol v{}, {} worker(s), cache {}/{} cells, {} in flight, {} lifetime simulations",
-                    client.addr(),
-                    status.protocol_version,
-                    status.jobs,
-                    status.cache_entries,
-                    status.cache_capacity,
-                    status.in_flight,
-                    status.total_simulations,
-                );
-                for ds in &status.downstreams {
-                    println!(
-                        "  downstream {}: {}, {} outstanding, {} lifetime forwarded",
-                        ds.address,
-                        if ds.healthy { "healthy" } else { "unhealthy" },
-                        ds.outstanding,
-                        ds.forwarded,
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => bad(&format!("ping {}: {e}", client.addr())),
+    if let Some(n) = args.parsed("--retries")?.map(NonZeroU32::get) {
+        config.retry = RetryPolicy {
+            max_attempts: n,
+            ..RetryPolicy::default()
         };
     }
-
-    let Some(scenarios) = values_of("--scenario")
-        .into_iter()
-        .collect::<Option<Vec<_>>>()
-    else {
-        return bad("--scenario takes a file");
+    let addr = match args.value("--addr") {
+        Some(a) => a.to_string(),
+        None => std::env::var("CONTOPT_SERVER").unwrap_or_else(|_| "127.0.0.1:4077".to_string()),
     };
-    if scenarios.is_empty() {
-        eprintln!("contopt-client: --scenario FILE is required\n\n{USAGE}");
-        return ExitCode::from(CheckOutcome::Error.exit_code());
+    let client = Client::with_config(addr, config);
+
+    if args.has("--ping") {
+        let status = client
+            .ping()
+            .map_err(|e| format!("ping {}: {e}", client.addr()))?;
+        println!(
+            "contopt-server @ {}: protocol v{}, {} worker(s), cache {}/{} cells, {} in flight, {} lifetime simulations",
+            client.addr(),
+            status.protocol_version,
+            status.jobs,
+            status.cache_entries,
+            status.cache_capacity,
+            status.in_flight,
+            status.total_simulations,
+        );
+        for ds in &status.downstreams {
+            println!(
+                "  downstream {}: {}, {} outstanding, {} lifetime forwarded",
+                ds.address,
+                if ds.healthy { "healthy" } else { "unhealthy" },
+                ds.outstanding,
+                ds.forwarded,
+            );
+        }
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let (check, json) = (flag("--check"), flag("--json"));
-    let goldens_dir = Path::new(&goldens_dir);
+    let scenarios = args.values("--scenario");
+    if scenarios.is_empty() {
+        return Err(format!("--scenario FILE is required\n\n{USAGE}"));
+    }
+    let goldens_dir = Path::new(args.value("--goldens").unwrap_or("goldens"));
+    let policy = TolerancePolicy::allowing(args.values("--allow-field"));
     let mut worst = CheckOutcome::Ok;
-    for file in &scenarios {
+    for file in scenarios {
         let outcome = run_one(&client, file, jobs, check, json, goldens_dir, &policy);
         worst = worst.merge(outcome.unwrap_or_else(|e| {
             eprintln!("contopt-client: {file}: {e}");
@@ -248,7 +177,7 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    ExitCode::from(worst.exit_code())
+    Ok(ExitCode::from(worst.exit_code()))
 }
 
 /// Submits one scenario file and prints (or checks) its reports. An `Err`

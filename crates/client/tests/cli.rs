@@ -9,8 +9,8 @@ fn unknown_arguments_are_rejected_before_connecting() {
     let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     for (args, message) in [
         (
-            "--retries 1 --check --scenario scenarios/smoke.json scenarios/asm_smoke.json",
-            "unexpected argument \"scenarios/asm_smoke.json\": each --scenario takes one file",
+            "--retries 1 --check scenarios/asm_smoke.json --scenario scenarios/smoke.json",
+            "unexpected argument \"scenarios/asm_smoke.json\" (see --help)",
         ),
         (
             "--retries 1 --check --scenario scenarios/smoke.json --chek",
@@ -25,30 +25,30 @@ fn unknown_arguments_are_rejected_before_connecting() {
         // flag the run would ignore is refused instead.
         (
             "--ping --scenario scenarios/smoke.json --check --goldens g",
-            "--scenario does not apply to a --ping run",
+            "--ping and --scenario are separate runs; give each its own invocation",
         ),
-        ("--ping --check", "--check does not apply to a --ping run"),
-        ("--ping --json", "--json does not apply to a --ping run"),
+        ("--ping --check", "--check applies only to a --scenario run"),
+        ("--ping --json", "--json applies only to a --scenario run"),
         (
             "--ping --goldens g",
-            "--goldens does not apply to a --ping run",
+            "--goldens applies only to a --check run",
         ),
         (
             "--ping --allow-field pipeline",
-            "--allow-field does not apply to a --ping run",
+            "--allow-field applies only to a --check run",
         ),
-        ("--ping --jobs 2", "--jobs does not apply to a --ping run"),
+        ("--ping --jobs 2", "--jobs applies only to a --scenario run"),
         (
             "--ping --retries 1",
-            "--retries does not apply to a --ping run",
+            "--retries applies only to a --scenario run",
         ),
         (
             "--scenario scenarios/smoke.json --goldens g",
-            "--goldens does not apply to a run without --check",
+            "--goldens applies only to a --check run",
         ),
         (
             "--scenario scenarios/smoke.json --allow-field pipeline",
-            "--allow-field does not apply to a run without --check",
+            "--allow-field applies only to a --check run",
         ),
         (
             "--scenario scenarios/smoke.json --check --json",
@@ -68,10 +68,17 @@ fn unknown_arguments_are_rejected_before_connecting() {
         ),
         (
             "--scenario scenarios/smoke.json --allow-field --check",
-            "--allow-field takes a JSON field path",
+            "--allow-field takes one or more JSON field paths",
         ),
         ("--addr --ping", "--addr takes HOST:PORT"),
-        ("--scenario --check", "--scenario takes a file"),
+        (
+            "--scenario --check",
+            "--scenario takes one or more scenario files",
+        ),
+        (
+            "--retries 0 --scenario scenarios/smoke.json",
+            "--retries takes a positive number, got \"0\"",
+        ),
     ] {
         // Nothing listens on the discard port: reaching the network would
         // report a connection error instead.
@@ -86,6 +93,30 @@ fn unknown_arguments_are_rejected_before_connecting() {
         assert_eq!(stderr, format!("contopt-client: {message}\n"), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");
     }
+}
+
+/// `--scenario` and `--allow-field` take every value up to the next flag:
+/// each file is submitted, here to a port where nothing listens.
+#[test]
+fn list_flags_take_every_value_up_to_the_next_flag() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = ["scenarios/smoke.json", "scenarios/asm_smoke.json"];
+    let out = Command::new(env!("CARGO_BIN_EXE_contopt-client"))
+        .current_dir(&repo)
+        .args(["--addr", "127.0.0.1:9", "--retries", "1", "--scenario"])
+        .args(files)
+        .args(["--check", "--allow-field", "pipeline", "passes"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), files.len(), "{stderr}");
+    for (line, file) in lines.iter().zip(files) {
+        let refused = format!("contopt-client: {file}: cannot reach sweep server: ");
+        assert!(line.starts_with(&refused), "{stderr}");
+    }
+    assert!(out.stdout.is_empty());
 }
 
 /// A scenario whose labels share one golden directory is refused when it

@@ -22,23 +22,26 @@
 //! the same way, except each at its own pinned instruction budget.
 
 use contopt_experiments::{
-    ablation_golden, ablation_plan, ablation_report, check_figure, check_goldens, default_jobs,
-    fig10, fig11, fig12, fig6, fig8, fig9, record_goldens, scenario_goldens, scenario_plan, table1,
-    table2, table3, unpinned_goldens, CheckOutcome, FigureError, Lab, Plan, TolerancePolicy,
-    DEFAULT_INSTS,
+    ablation_golden, ablation_plan, ablation_report, check_figure, check_goldens, fig10, fig11,
+    fig12, fig6, fig8, fig9, record_goldens, scenario_goldens, scenario_plan, table1, table2,
+    table3, unpinned_goldens, CheckOutcome, FigureError, Lab, Plan, TolerancePolicy, DEFAULT_INSTS,
 };
-use contopt_sim::{JsonValue, Scenario, ToJson};
+use contopt_sim::cli::Takes::{List, Nothing, One, Rest};
+use contopt_sim::cli::{Args, Flag};
+use contopt_sim::{default_jobs, JsonValue, Scenario, ToJson};
 use std::error::Error;
 use std::fmt::Display;
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::str::FromStr;
 
 const USAGE: &str = "usage: contopt-experiments [OPTIONS]
 
-One run per invocation. Each flag applies only to the runs listed with it;
-a second run, a flag that no run of the invocation reads, or a flag that
-takes one value given twice exits 3.
+One run per invocation; each flag applies only to the runs listed with it.
+An unknown flag, an argument that no flag takes, a missing or malformed
+value, a second occurrence of a flag that takes no list, a second run, or a
+flag that nothing in the invocation reads exits 3 before anything runs. An
+argument that begins with -- is never a value.
 
 artifacts (combinable; --all selects every table and figure):
   --all --table1 --table2 --table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12
@@ -93,9 +96,10 @@ tuning:
   --insts N                Tables 1 and 3 and the figures: instruction
                            budget (--scenario and --ablate pin their own)
   --jobs N                 Table 3, the figures, --scenario and --ablate:
-                           worker threads; 0 means auto-detect via the
-                           machine's available parallelism (the default;
-                           the CONTOPT_JOBS env var behaves the same way)
+                           worker threads (default: the CONTOPT_JOBS env
+                           var, else the machine's available parallelism;
+                           0 in either means the next default, and a
+                           malformed CONTOPT_JOBS exits 3)
   --json                   emit JSON instead of text tables (every run but
                            --validate, --fuzz and --fuzz-parsers, and not
                            with --record or --check)
@@ -129,28 +133,20 @@ fn main() -> ExitCode {
     })
 }
 
-/// Runs the command line; an `Err` (an unknown flag, a second run or a
-/// flag no run reads, a bad flag value or combination, or a figure file
-/// that cannot be drawn) exits 3 before anything simulates.
+/// Runs the command line; an `Err` (a refusal of [`Args::parse`], a bad
+/// flag value or combination, or a figure file that cannot be drawn)
+/// exits 3 before anything simulates.
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    check_arguments(args)?;
-    let insts = number(args, "--insts", true)?.unwrap_or(DEFAULT_INSTS);
-    // `--jobs 0` (like `CONTOPT_JOBS=0`) means auto-detect, so scripts can
-    // pass an explicit "use every core" without knowing the core count.
-    let jobs = match number(args, "--jobs", false)? {
-        None | Some(0) => default_jobs(),
-        Some(n) => n,
-    };
-    let json = args.iter().any(|a| a == "--json");
-    let scenarios_dir = PathBuf::from(value(args, "--scenarios-dir")?.unwrap_or("scenarios"));
-    let goldens_dir = PathBuf::from(value(args, "--goldens")?.unwrap_or("goldens"));
+    let args = Args::parse(args, &FLAGS)?;
+    let json = args.has("--json");
+    let scenarios_dir = PathBuf::from(args.value("--scenarios-dir").unwrap_or("scenarios"));
+    let goldens_dir = PathBuf::from(args.value("--goldens").unwrap_or("goldens"));
+    let seed = args.parsed("--seed")?.map_or(1, NonZeroU64::get);
 
-    let seed = number(args, "--seed", true)?.unwrap_or(1);
-
-    if let Some(count) = number(args, "--fuzz", true)? {
+    if let Some(count) = args.parsed("--fuzz")?.map(NonZeroU64::get) {
         return Ok(run_fuzz(count, seed, &scenarios_dir));
     }
-    if let Some(count) = number(args, "--fuzz-parsers", true)? {
+    if let Some(count) = args.parsed("--fuzz-parsers")?.map(NonZeroU64::get) {
         eprintln!("contopt-experiments: fuzzing the parsers with {count} mutated input(s)");
         return Ok(match contopt_sim::fuzz::fuzz_parsers(count, seed) {
             Ok(()) => {
@@ -163,17 +159,18 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             }
         });
     }
-    if args.iter().any(|a| a == "--validate") {
-        return Ok(validate(args, &scenarios_dir, &goldens_dir));
+    if args.has("--validate") {
+        return Ok(validate(
+            args.values("--validate"),
+            &scenarios_dir,
+            &goldens_dir,
+        ));
     }
 
-    let verify_paths = values_after(args, "--verify");
-    if args.iter().any(|a| a == "--verify") {
-        if verify_paths.is_empty() {
-            return Err("--verify takes one or more .s or scenario files".into());
-        }
-        let allow_warnings = args.iter().any(|a| a == "--allow-warnings");
-        let (verdicts, outcome) = contopt_experiments::verify_files(&verify_paths, allow_warnings);
+    if args.has("--verify") {
+        let allow_warnings = args.has("--allow-warnings");
+        let (verdicts, outcome) =
+            contopt_experiments::verify_files(args.values("--verify"), allow_warnings);
         if json {
             println!(
                 "{}",
@@ -187,29 +184,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::from(outcome.exit_code()));
     }
 
-    let scenario_files = values_after(args, "--scenario");
-    let ablate_files = values_after(args, "--ablate");
-    if args.iter().any(|a| a == "--scenario" || a == "--ablate") {
-        if scenario_files.is_empty() && ablate_files.is_empty() {
-            return Err("--scenario and --ablate take one or more scenario files".into());
-        }
-        let given = |flag: &str| args.iter().any(|a| a == flag);
-        let (record, check) = (given("--record"), given("--check"));
+    if args.has("--scenario") || args.has("--ablate") {
+        let (record, check) = (args.has("--record"), args.has("--check"));
         if record && check {
             return Err("--record and --check are mutually exclusive".into());
-        }
-        // Each mode reads only its own flags; an unread one is refused,
-        // not ignored.
-        if given("--allow-field") && !check {
-            return Err("--allow-field applies only to a --check run".into());
-        }
-        if args.iter().enumerate().any(|(i, a)| {
-            a == "--allow-field" && args.get(i + 1).is_none_or(|v| v.starts_with("--"))
-        }) {
-            return Err("--allow-field takes one or more JSON field paths".into());
-        }
-        if given("--goldens") && !record && !check {
-            return Err("--goldens applies only to a --record, --check or --validate run".into());
         }
         if json && (record || check) {
             let mode = if record { "--record" } else { "--check" };
@@ -220,9 +198,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         } else if check {
             // Explicit opt-in fields for intentional model changes; the
             // default (no --allow-field) is exact byte equality.
-            Output::Check(TolerancePolicy::allowing(
-                values_after(args, "--allow-field").into_iter().cloned(),
-            ))
+            Output::Check(TolerancePolicy::allowing(args.values("--allow-field")))
         } else {
             Output::Print { json }
         };
@@ -230,13 +206,22 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         // not silently skip the requested ablation work (or vice versa).
         // The combined exit code keeps the most severe outcome (see the
         // "exit codes" section of --help).
-        let scenarios = run_files(&scenario_files, false, &output, &goldens_dir, jobs);
-        let ablations = run_files(&ablate_files, true, &output, &goldens_dir, jobs);
+        let jobs = jobs(&args)?;
+        let scenarios = run_files(
+            args.values("--scenario"),
+            false,
+            &output,
+            &goldens_dir,
+            jobs,
+        );
+        let ablations = run_files(args.values("--ablate"), true, &output, &goldens_dir, jobs);
         return Ok(ExitCode::from(scenarios.merge(ablations).exit_code()));
     }
 
-    let all = args.iter().any(|a| a == "--all");
-    let want = |flag: &str| all || args.iter().any(|a| a == flag);
+    let insts = args
+        .parsed("--insts")?
+        .map_or(DEFAULT_INSTS, NonZeroU64::get);
+    let want = |flag: &str| args.has("--all") || args.has(flag);
 
     // Phase 1: load every requested figure's scenario file, check that
     // its renderer can draw it, and declare its cells.
@@ -253,6 +238,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     // Phase 2: simulate the unique cells across the worker pool.
     let mut lab = Lab::new(insts);
     if !plan.is_empty() {
+        let jobs = jobs(&args)?;
         eprintln!(
             "contopt-experiments: simulating {} unique cells on {} worker(s)",
             plan.len(),
@@ -316,54 +302,31 @@ fn shown<T: ToJson + Display>(artifact: &T, json: bool) -> String {
     }
 }
 
-/// The value after `flag`, if the flag is given.
-fn value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
+/// The worker count: `--jobs`, else `CONTOPT_JOBS`, else
+/// [`default_jobs`]. 0 in either defers to the next, so scripts can ask
+/// for every core without knowing how many there are.
+fn jobs(args: &Args) -> Result<usize, String> {
+    if let Some(n) = args.parsed("--jobs")?.filter(|&n| n > 0) {
+        return Ok(n);
+    }
+    let Some(env) = std::env::var_os("CONTOPT_JOBS") else {
+        return Ok(default_jobs());
     };
-    args.get(i + 1)
-        .filter(|v| !v.starts_with("--"))
-        .map(|v| Some(v.as_str()))
-        .ok_or_else(|| format!("{flag} takes a value"))
+    match env.to_str().map(str::parse) {
+        Some(Ok(0)) => Ok(default_jobs()),
+        Some(Ok(n)) => Ok(n),
+        _ => Err(format!(
+            "CONTOPT_JOBS takes a non-negative number, got {env:?}"
+        )),
+    }
 }
-
-/// The number after `flag`, if the flag is given; `positive` rejects 0.
-fn number<T: FromStr + PartialOrd + Default>(
-    args: &[String],
-    flag: &str,
-    positive: bool,
-) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    args.get(i + 1)
-        .and_then(|v| v.parse().ok())
-        .filter(|n| !positive || *n > T::default())
-        .map(Some)
-        .ok_or_else(|| {
-            let kind = if positive { "positive" } else { "non-negative" };
-            format!("{flag} takes a {kind} number")
-        })
-}
-
-/// How many values a flag takes: none, one, or every argument up to the
-/// next flag.
-enum Takes {
-    Nothing,
-    One,
-    List,
-}
-
-use Takes::{List, Nothing, One};
 
 /// The flags of the run that renders the tables and figures.
-const ARTIFACTS: &str = "--table1 --table2 --table3 --figN";
+const ARTIFACTS: &str =
+    "--table1 --table2 --table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12 --all";
 
-/// Every flag, the values it takes, and the flags of the runs that read
-/// it, space-separated (`--figN` is any figure flag, and `--all` selects
-/// every table and figure). A flag that selects a run is read by its own
-/// run, whose flags it combines with.
-const FLAGS: [(&str, Takes, &str); 26] = [
+/// Every flag, the values it takes, and the flags that read it.
+const FLAGS: [Flag; 26] = [
     ("--all", Nothing, ARTIFACTS),
     ("--table1", Nothing, ARTIFACTS),
     ("--table2", Nothing, ARTIFACTS),
@@ -374,100 +337,55 @@ const FLAGS: [(&str, Takes, &str); 26] = [
     ("--fig10", Nothing, ARTIFACTS),
     ("--fig11", Nothing, ARTIFACTS),
     ("--fig12", Nothing, ARTIFACTS),
-    ("--scenario", List, "--scenario --ablate"),
-    ("--ablate", List, "--scenario --ablate"),
-    ("--verify", List, "--verify"),
-    ("--validate", List, "--validate"),
-    ("--fuzz", One, "--fuzz"),
-    ("--fuzz-parsers", One, "--fuzz-parsers"),
-    ("--insts", One, "--table1 --table3 --figN"),
-    ("--jobs", One, "--table3 --figN --scenario --ablate"),
+    ("--scenario", List(SCENARIO_FILES), "--scenario --ablate"),
+    ("--ablate", List(SCENARIO_FILES), "--scenario --ablate"),
+    (
+        "--verify",
+        List("one or more .s or scenario files"),
+        "--verify",
+    ),
+    ("--validate", Rest("JSON files"), "--validate"),
+    ("--fuzz", One("a positive number"), "--fuzz"),
+    ("--fuzz-parsers", One("a positive number"), "--fuzz-parsers"),
+    (
+        "--insts",
+        One("a positive number"),
+        "--table1 --table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12 --all",
+    ),
+    (
+        "--jobs",
+        One("a non-negative number"),
+        "--table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12 --all --scenario --ablate",
+    ),
     (
         "--json",
         Nothing,
-        "--table1 --table2 --table3 --figN --scenario --ablate --verify",
+        "--table1 --table2 --table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12 --all \
+         --scenario --ablate --verify",
     ),
-    ("--scenarios-dir", One, "--table3 --figN --validate --fuzz"),
-    ("--goldens", One, "--scenario --ablate --validate"),
-    ("--seed", One, "--fuzz --fuzz-parsers"),
+    (
+        "--scenarios-dir",
+        One("a directory"),
+        "--table3 --fig6 --fig8 --fig9 --fig10 --fig11 --fig12 --all --validate --fuzz",
+    ),
+    (
+        "--goldens",
+        One("a directory"),
+        "--record --check --validate",
+    ),
+    ("--seed", One("a positive number"), "--fuzz --fuzz-parsers"),
     ("--record", Nothing, "--scenario --ablate"),
     ("--check", Nothing, "--scenario --ablate"),
-    ("--allow-field", List, "--scenario --ablate"),
+    (
+        "--allow-field",
+        List("one or more JSON field paths"),
+        "--check",
+    ),
     ("--allow-warnings", Nothing, "--verify"),
 ];
 
-/// The values after each occurrence of `flag`, up to the next flag (the
-/// flag may repeat): `--scenario a.json b.json` lists two files.
-fn values_after<'a>(args: &'a [String], flag: &str) -> Vec<&'a String> {
-    args.iter()
-        .enumerate()
-        .filter(|(_, a)| *a == flag)
-        .flat_map(|(i, _)| args[i + 1..].iter().take_while(|a| !a.starts_with("--")))
-        .collect()
-}
-
-/// Whether `readers`, a [`FLAGS`] entry's list, names the run of the
-/// given flag `flag`.
-fn reads(readers: &str, flag: &str) -> bool {
-    readers.split(' ').any(|r| {
-        r == flag
-            || (r == "--figN" && flag.starts_with("--fig"))
-            || (flag == "--all" && ARTIFACTS.split(' ').any(|a| a == r))
-    })
-}
-
-/// Rejects an unknown flag; any argument that no flag takes, such as a
-/// file named after `--check`; a second occurrence of a one-value flag; a
-/// second run; and a flag that no run of the invocation reads.
-fn check_arguments(args: &[String]) -> Result<(), String> {
-    let mut given = Vec::new();
-    let mut in_list = false;
-    let mut rest = args.iter().peekable();
-    while let Some(arg) = rest.next() {
-        if !arg.starts_with("--") {
-            if !in_list {
-                return Err(format!(
-                    "unexpected argument {arg:?}: files go after --scenario, --ablate, \
-                     --verify or --validate, before the next flag"
-                ));
-            }
-            continue;
-        }
-        let Some((name, takes, readers)) = FLAGS.iter().find(|(name, ..)| name == arg) else {
-            return Err(format!("unknown flag {arg:?} (see --help)"));
-        };
-        in_list = matches!(takes, List);
-        if matches!(takes, One) {
-            if given.iter().any(|(g, _)| g == name) {
-                return Err(format!("{name} may be given only once"));
-            }
-            rest.next_if(|v| !v.starts_with("--"));
-        }
-        given.push((*name, *readers));
-    }
-    let runs: Vec<&str> = given
-        .iter()
-        .filter(|(name, readers)| reads(readers, name))
-        .map(|(name, _)| *name)
-        .collect();
-    for (name, readers) in given {
-        if runs.contains(&name) {
-            if let Some(other) = runs.iter().find(|run| !reads(readers, run)) {
-                return Err(format!(
-                    "{name} and {other} are separate runs; give each its own invocation"
-                ));
-            }
-        } else if !runs.iter().any(|run| reads(readers, run)) {
-            let list = match readers.rsplit_once(' ') {
-                Some((rest, last)) => format!("{} or {last}", rest.replace(' ', ", ")),
-                None => readers.to_string(),
-            };
-            let article = if list.starts_with("--a") { "an" } else { "a" };
-            return Err(format!("{name} applies only to {article} {list} run"));
-        }
-    }
-    Ok(())
-}
+/// What `--scenario` and `--ablate` take.
+const SCENARIO_FILES: &str = "one or more scenario files";
 
 /// Collects every `*.json` under `dir`, recursively, in sorted order —
 /// the scenarios tree (`conformance/` reproducers included) and the
@@ -496,11 +414,8 @@ fn json_files_under(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 /// other JSON files must merely parse — which still catches a
 /// hand-edited or truncated golden before the regression job burns a
 /// full re-simulation discovering it.
-fn validate(args: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCode {
-    let mut files: Vec<PathBuf> = values_after(args, "--validate")
-        .into_iter()
-        .map(PathBuf::from)
-        .collect();
+fn validate(files: &[String], scenarios_dir: &Path, goldens_dir: &Path) -> ExitCode {
+    let mut files: Vec<PathBuf> = files.iter().map(PathBuf::from).collect();
     if files.is_empty() {
         if let Err(e) = json_files_under(scenarios_dir, &mut files) {
             eprintln!(
@@ -578,7 +493,7 @@ enum Output {
 /// files, stopping at the first that fails. Returns the most severe
 /// [`CheckOutcome`] across the files.
 fn run_files(
-    files: &[&String],
+    files: &[String],
     ablate: bool,
     output: &Output,
     goldens_dir: &Path,

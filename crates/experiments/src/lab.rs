@@ -87,23 +87,6 @@ impl Plan {
     }
 }
 
-/// The default worker count for [`Lab::execute`]: the `CONTOPT_JOBS`
-/// environment variable if set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`]. Setting `CONTOPT_JOBS=0` (like
-/// passing `--jobs 0` to the binary) explicitly requests auto-detection —
-/// it is never an error and never means "serialize".
-pub fn default_jobs() -> usize {
-    std::env::var("CONTOPT_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
 /// Runs simulations through [`SimSession`] and memoizes their reports.
 ///
 /// # Examples

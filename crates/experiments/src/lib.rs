@@ -60,7 +60,7 @@ pub use ablation::{
 pub use figures::{
     check_figure, fig10, fig11, fig12, fig6, fig8, fig9, Fig6, FigureError, SuiteFigure,
 };
-pub use lab::{default_jobs, geomean, Lab, Plan, SuiteMeans, DEFAULT_INSTS};
+pub use lab::{geomean, Lab, Plan, SuiteMeans, DEFAULT_INSTS};
 pub use scenario::{
     check_goldens, first_divergence, golden_path, record_goldens, scenario_goldens, scenario_plan,
     unpinned_goldens, CheckOutcome, DriftKind, Golden, GoldenDrift, LineDiff, TolerancePolicy,

@@ -1,6 +1,7 @@
 //! `contopt-server` — the sweep-service daemon.
 
 use contopt_server::{Server, ServerConfig};
+use contopt_sim::cli::{Args, Flag, Takes::One};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -10,7 +11,11 @@ contopt-server — serve contopt scenario sweeps over TCP
 USAGE:
   contopt-server [OPTIONS]
 
-OPTIONS (each at most once):
+Each flag is given at most once. An unknown flag, an argument that no flag
+takes, or a missing or malformed value exits 1 before the server binds. An
+argument that begins with -- is never a value.
+
+OPTIONS:
   --addr HOST:PORT        address to listen on (default 127.0.0.1:4077;
                           port 0 picks an ephemeral port)
   --jobs N                worker threads per request (default: all cores;
@@ -50,15 +55,14 @@ fn write_port_file(path: &str, port: u16) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// The flags `contopt-server` knows; each takes one value and may be
-/// given once.
-const FLAGS: [&str; 6] = [
-    "--addr",
-    "--jobs",
-    "--cache",
-    "--request-timeout",
-    "--port-file",
-    "--downstream",
+/// Every flag and the value it takes; every invocation reads each one.
+const FLAGS: [Flag; 6] = [
+    ("--addr", One("HOST:PORT"), ""),
+    ("--jobs", One("a number"), ""),
+    ("--cache", One("a number"), ""),
+    ("--request-timeout", One("seconds"), ""),
+    ("--port-file", One("a path"), ""),
+    ("--downstream", One("HOST:PORT[,HOST:PORT…]"), ""),
 ];
 
 fn main() -> ExitCode {
@@ -67,73 +71,32 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    // An argument that begins with `--` is never a flag's value.
-    let value_of = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| args.get(i + 1).filter(|v| !v.starts_with("--")).cloned())
-    };
-    let bad = |msg: String| {
-        eprintln!("contopt-server: {msg}");
-        ExitCode::FAILURE
-    };
-    let mut seen = Vec::new();
-    let mut rest = args.iter().peekable();
-    while let Some(arg) = rest.next() {
-        if !FLAGS.contains(&arg.as_str()) {
-            return bad(if arg.starts_with("--") {
-                format!("unknown flag {arg:?} (see --help)")
-            } else {
-                format!("unexpected argument {arg:?}: each flag takes one value")
-            });
+    match serve(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("contopt-server: {e}");
+            ExitCode::FAILURE
         }
-        if seen.contains(&arg) {
-            return bad(format!("{arg} may be given only once"));
-        }
-        seen.push(arg);
-        rest.next_if(|v| !v.starts_with("--"));
     }
+}
 
-    let addr = match value_of("--addr") {
-        Some(Some(a)) => a,
-        Some(None) => return bad("--addr takes HOST:PORT".to_string()),
-        None => "127.0.0.1:4077".to_string(),
-    };
+/// Reads the command line, binds and serves until the server stops; an
+/// `Err` (a refusal, a bad flag value, a failed bind or serve) exits 1.
+fn serve(args: &[String]) -> Result<(), String> {
+    let args = Args::parse(args, &FLAGS)?;
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:4077");
     let mut config = ServerConfig::default();
-    match value_of("--jobs") {
-        Some(Some(n)) => match n.parse::<usize>() {
-            Ok(0) => {}
-            Ok(n) => config.jobs = n,
-            Err(_) => return bad(format!("--jobs takes a number, got {n:?}")),
-        },
-        Some(None) => return bad("--jobs takes a number".to_string()),
-        None => {}
+    if let Some(n) = args.parsed("--jobs")?.filter(|&n| n > 0) {
+        config.jobs = n;
     }
-    match value_of("--cache") {
-        Some(Some(n)) => match n.parse::<usize>() {
-            Ok(n) => config.cache_capacity = n,
-            Err(_) => return bad(format!("--cache takes a number, got {n:?}")),
-        },
-        Some(None) => return bad("--cache takes a number".to_string()),
-        None => {}
+    if let Some(n) = args.parsed("--cache")? {
+        config.cache_capacity = n;
     }
-    match value_of("--request-timeout") {
-        Some(Some(n)) => match n.parse::<u64>() {
-            Ok(0) => config.request_timeout = None,
-            Ok(n) => config.request_timeout = Some(Duration::from_secs(n)),
-            Err(_) => return bad(format!("--request-timeout takes seconds, got {n:?}")),
-        },
-        Some(None) => return bad("--request-timeout takes seconds".to_string()),
-        None => {}
+    if let Some(secs) = args.parsed("--request-timeout")? {
+        config.request_timeout = (secs > 0).then(|| Duration::from_secs(secs));
     }
-    let port_file = match value_of("--port-file") {
-        Some(Some(p)) => Some(p),
-        Some(None) => return bad("--port-file takes a path".to_string()),
-        None => None,
-    };
-    let downstreams = match value_of("--downstream") {
-        Some(Some(list)) => list,
-        Some(None) => return bad("--downstream takes HOST:PORT[,HOST:PORT…]".to_string()),
+    let downstreams = match args.value("--downstream") {
+        Some(list) => list.to_string(),
         None => std::env::var("CONTOPT_DOWNSTREAM").unwrap_or_default(),
     };
     config.federation.downstreams = downstreams
@@ -146,18 +109,12 @@ fn main() -> ExitCode {
     let jobs = config.jobs;
     let cache_capacity = config.cache_capacity;
     let request_timeout = config.request_timeout;
-    let server = match Server::bind(&addr, config) {
-        Ok(s) => s,
-        Err(e) => return bad(format!("cannot bind {addr}: {e}")),
-    };
-    let bound = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => return bad(format!("cannot read bound address: {e}")),
-    };
-    if let Some(path) = port_file {
-        if let Err(e) = write_port_file(&path, bound.port()) {
-            return bad(format!("cannot write {path}: {e}"));
-        }
+    let server = Server::bind(addr, config).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let bound = server
+        .local_addr()
+        .map_err(|e| format!("cannot read bound address: {e}"))?;
+    if let Some(path) = args.value("--port-file") {
+        write_port_file(path, bound.port()).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
     eprintln!(
         "contopt-server: listening on {bound} ({jobs} worker(s), cache {cache_capacity} cells, request timeout {})",
@@ -175,8 +132,7 @@ fn main() -> ExitCode {
             if ds.healthy { "healthy" } else { "unreachable" }
         );
     }
-    match server.serve_forever() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => bad(format!("serve failed: {e}")),
-    }
+    server
+        .serve_forever()
+        .map_err(|e| format!("serve failed: {e}"))
 }

@@ -113,7 +113,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            jobs: default_jobs(),
+            jobs: contopt_sim::default_jobs(),
             cache_capacity: 1024,
             request_timeout: Some(DEFAULT_REQUEST_TIMEOUT),
             drain_timeout: Duration::from_secs(5),
@@ -124,13 +124,6 @@ impl Default for ServerConfig {
 
 /// The default per-connection read/write deadline (`--request-timeout`).
 pub const DEFAULT_REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// The machine's available parallelism, as a sane worker-pool default.
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
 
 /// One requested cell, before deduplication.
 #[derive(Debug, Clone)]

@@ -13,7 +13,7 @@ fn unknown_arguments_are_rejected_before_serving() {
         ),
         (
             &["--addr", "127.0.0.1:0", "--jobs", "2", "4"],
-            "unexpected argument \"4\": each flag takes one value",
+            "unexpected argument \"4\" (see --help)",
         ),
         (
             &["--addr", "127.0.0.1:0", "--jobs", "1", "--jobs", "2"],

@@ -1,6 +1,7 @@
 //! What one simulation cell is, and the worker pool that runs cells: the
 //! experiments `Lab`, the sweep server and the wire fingerprint all decide
-//! "same cell" through [`CellKey`], and both run cells on [`run_parallel`].
+//! "same cell" through [`CellKey`], and both run cells on [`run_parallel`],
+//! whose default worker count is [`default_jobs`].
 
 use crate::scenario::machine_to_json;
 use contopt_emu::{fnv1a, STREAM_DIGEST_INIT};
@@ -77,6 +78,12 @@ impl CellKey {
         }
         format!("{h:016x}")
     }
+}
+
+/// The machine's available parallelism, the default worker count of
+/// [`run_parallel`]'s callers; 1 when it cannot be read.
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Runs `f` on every item across `jobs` scoped worker threads (`0` counts

@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 
 mod cell;
+pub mod cli;
 mod error;
 pub mod fuzz;
 mod json;
@@ -49,7 +50,7 @@ mod report;
 mod scenario;
 mod session;
 
-pub use cell::{run_parallel, CellKey};
+pub use cell::{default_jobs, run_parallel, CellKey};
 pub use error::Error;
 pub use json::{Expected, Fields, JsonError, JsonErrorKind, JsonValue, ToJson};
 pub use report::{Report, SpeedupError};

@@ -287,7 +287,7 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
     for (args, message) in [
         (
             &["--fig9", "--insts", "abc"][..],
-            "--insts takes a positive number",
+            "--insts takes a positive number, got \"abc\"",
         ),
         (
             &["--scenario", "scenarios/smoke.json", "--record", "--check"],
@@ -296,11 +296,11 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
         (&["--table"], "unknown flag \"--table\" (see --help)"),
         (
             &["--fig9", "--jobs", "-1"],
-            "--jobs takes a non-negative number",
+            "--jobs takes a non-negative number, got \"-1\"",
         ),
         (
             &["--scenario", "scenarios/smoke.json", "--goldens"],
-            "--goldens takes a value",
+            "--goldens takes a directory",
         ),
         (
             &["--table2", "--check"],
@@ -312,7 +312,7 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
         ),
         (
             &["--table2", "--allow-field", "pipeline"],
-            "--allow-field applies only to a --scenario or --ablate run",
+            "--allow-field applies only to a --check run",
         ),
     ] {
         let (code, stderr) = run(args);
@@ -350,14 +350,17 @@ fn scenario_flag_takes_every_path_up_to_the_next_flag() {
     ]);
     assert_eq!(code, Some(1), "{stderr}");
     let probes = "\
---table2 --goldens G => --goldens applies only to a --scenario, --ablate or --validate run
+--table2 --goldens G => --goldens applies only to a --record, --check or --validate run
 --table2 --allow-warnings => --allow-warnings applies only to a --verify run
 --table2 --seed 7 => --seed applies only to a --fuzz or --fuzz-parsers run
---table2 --jobs 3 => --jobs applies only to a --table3, --figN, --scenario or --ablate run
---table1 --scenarios-dir /nonexistent => --scenarios-dir applies only to a --table3, --figN, \
---validate or --fuzz run
---fuzz-parsers 3 --json => --json applies only to a --table1, --table2, --table3, --figN, \
---scenario, --ablate or --verify run
+--table2 --jobs 3 => --jobs applies only to a --table3, --fig6, --fig8, --fig9, --fig10, \
+--fig11, --fig12, --all, --scenario or --ablate run
+--table1 --scenarios-dir /nonexistent => --scenarios-dir applies only to a --table3, --fig6, \
+--fig8, --fig9, --fig10, --fig11, --fig12, --all, --validate or --fuzz run
+--fuzz-parsers 3 --json => --json applies only to a --table1, --table2, --table3, --fig6, \
+--fig8, --fig9, --fig10, --fig11, --fig12, --all, --scenario, --ablate or --verify run
+--table2 --table2 => --table2 may be given only once
+--validate --validate => --validate may be given only once
 --scenario scenarios/smoke.json --seed 3 --check => --seed applies only to a --fuzz or \
 --fuzz-parsers run
 --ablate scenarios/ablate_smoke.json --allow-warnings --check => --allow-warnings applies only \
@@ -383,7 +386,10 @@ applies only to a --check run
 --scenario scenarios/smoke.json --check --allow-field --jobs 2 => --allow-field takes one or \
 more JSON field paths
 --scenario scenarios/smoke.json --check --allow-field => --allow-field takes one or more JSON \
-field paths";
+field paths
+--scenario scenarios/smoke.json --scenario --check => --scenario takes one or more scenario files
+--verify crates/workloads/src/kernels/hjoin.s --verify --allow-warnings => --verify takes one or \
+more .s or scenario files";
     for probe in probes.lines() {
         let (args, message) = probe.split_once(" => ").unwrap();
         let args: Vec<&str> = args
@@ -407,6 +413,19 @@ field paths";
         "a refused --record wrote {goldens}"
     );
     let _ = std::fs::remove_dir_all(g);
+
+    // A malformed CONTOPT_JOBS is refused like a bad --jobs value.
+    let out = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"))
+        .current_dir(repo_root())
+        .env("CONTOPT_JOBS", "abc")
+        .args(["--fig9", "--insts", "1000"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "contopt-experiments: CONTOPT_JOBS takes a non-negative number, got \"abc\"\n"
+    );
 }
 
 /// `--fig9` reads `<scenarios-dir>/fig9.json` and refuses, before any
