@@ -119,15 +119,6 @@ impl Mbc {
         }
     }
 
-    /// Checks whether a matching entry exists without counting a lookup
-    /// (used by the bundle logic to detect intra-bundle chained accesses).
-    pub fn probe(&self, addr: u64, size: MemSize) -> Option<SymValue> {
-        let (aligned, offset) = Self::split(addr);
-        let e = self.entries[self.index(aligned)].as_ref()?;
-        (e.aligned == aligned && e.offset == offset && e.size == size.bytes() as u8)
-            .then_some(e.data)
-    }
-
     /// Installs (or replaces) the entry for `addr`/`size` with `data`,
     /// acquiring a reference on `data`'s base register and releasing the
     /// victim's.

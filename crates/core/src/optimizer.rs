@@ -164,9 +164,12 @@ impl Bundle {
 /// The rename/optimize unit.
 ///
 /// Owns the physical register file, the symbolic RAT, the Memory Bypass
-/// Cache, and the value-feedback path. With [`OptimizerConfig::baseline`]
-/// (no pass active) it degrades to a plain register renamer, so one unit
-/// serves both the baseline and the optimized machine.
+/// Cache, and the value-feedback path. A disabled optimizer (such as
+/// [`OptimizerConfig::baseline`]) takes its own plain path through
+/// [`rename_bundle_with`](Self::rename_bundle_with): a plain register
+/// renamer with no symbolic views, bundle bookkeeping or feedback drain,
+/// which renames exactly as the engine does with every mechanism off. So
+/// one unit serves both the baseline and the optimized machine.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     pub(crate) cfg: OptimizerConfig,
@@ -289,6 +292,15 @@ impl Optimizer {
         reqs: &[RenameReq],
         mut sink: impl FnMut(Renamed),
     ) {
+        if !self.cfg.enabled {
+            for req in reqs {
+                if !self.can_rename() {
+                    break;
+                }
+                sink(self.rename_plain(req));
+            }
+            return;
+        }
         self.apply_feedback(now);
         // Discrete (offline-style) optimization: invalidate the tables at
         // every trace boundary (§3.4).
@@ -311,6 +323,63 @@ impl Optimizer {
             sink(self.process(req, &mut bundle));
         }
         self.bundle_scratch = Some(bundle);
+    }
+
+    /// The disabled optimizer's renamer: maps each source and takes its
+    /// consumer claim, allocates and maps the destination, and counts the
+    /// stream. Nothing is symbolic here, so every source is a dependence and
+    /// every instruction with work goes to its unoptimized scheduler.
+    #[expect(
+        clippy::expect_used,
+        reason = "rename gate guarantees a free physical register"
+    )]
+    fn rename_plain(&mut self, req: &RenameReq) -> Renamed {
+        let d = &req.d;
+        let engine = &mut self.stats.engine;
+        engine.insts += 1;
+        let class = match d.inst {
+            Inst::Alu { op, .. } if !op.is_simple() => RenamedClass::ComplexInt,
+            Inst::Alu { .. } | Inst::Lda { .. } | Inst::Bsr { .. } => RenamedClass::SimpleInt,
+            Inst::Ld { .. } | Inst::FLd { .. } => {
+                engine.mem_ops += 1;
+                engine.loads += 1;
+                RenamedClass::Load
+            }
+            Inst::St { .. } | Inst::FSt { .. } => {
+                engine.mem_ops += 1;
+                RenamedClass::Store
+            }
+            Inst::Br { .. } | Inst::Jmp { .. } => {
+                engine.mispredicted_branches += u64::from(req.mispredicted);
+                RenamedClass::SimpleInt
+            }
+            Inst::FAlu { .. } | Inst::FCmp { .. } | Inst::Itof { .. } | Inst::Ftoi { .. } => {
+                RenamedClass::Fp
+            }
+            Inst::Bru { .. } | Inst::Halt | Inst::Nop => RenamedClass::Done,
+        };
+        let mut srcs = SrcList::new();
+        for a in d.inst.srcs().into_iter().flatten() {
+            let p = self.rat.map(a);
+            self.pregs.add_ref(p);
+            srcs.push(p);
+        }
+        let dst = d.inst.dst().map(|a| {
+            let p = self.pregs.alloc().expect("caller checked can_rename");
+            self.rat.write(a, p, SymValue::reg(p), &mut self.pregs);
+            p
+        });
+        Renamed {
+            seq: d.seq,
+            class,
+            srcs,
+            dst,
+            dst_new: dst.is_some(),
+            early_value: None,
+            resolved_early: false,
+            load_removed: false,
+            addr_known: false,
+        }
     }
 
     // ---- shared engine internals ----------------------------------------
@@ -912,8 +981,8 @@ mod tests {
         assert!(!rs[2].srcs.is_empty(), "FP values are never constants");
     }
 
-    #[test]
-    fn no_references_leak_across_a_long_run() {
+    /// A load/add/store/move loop of 50 iterations.
+    fn leak_loop() -> Asm {
         let mut a = Asm::new();
         let buf = a.data_zeros(256);
         a.li(r(5), buf as i64);
@@ -926,9 +995,26 @@ mod tests {
         a.subq(r(9), 1, r(9));
         a.bne(r(9), "loop");
         a.halt();
+        a
+    }
+
+    #[test]
+    fn no_references_leak_on_the_baseline() {
+        // The plain renamer holds exactly the RAT's registers once every
+        // instruction has completed: the zero register and one register
+        // per architectural register that is not hardwired to zero.
+        let mut opt = Optimizer::new(OptimizerConfig::baseline(), 4096, |_| 0);
+        let before = opt.pregs().live_count();
+        assert_eq!(before, 1 + contopt_isa::NUM_ARCH_REGS - 2);
+        rename_all(&mut opt, &stream(leak_loop()), 2);
+        assert_eq!(opt.pregs().live_count(), before);
+    }
+
+    #[test]
+    fn no_references_leak_across_a_long_run() {
         let mut opt = opt_default();
         let before = opt.pregs().live_count();
-        rename_all(&mut opt, &stream(a), 2);
+        rename_all(&mut opt, &stream(leak_loop()), 2);
         opt.apply_feedback(u64::MAX); // drain in-flight feedback claims
         let after = opt.pregs().live_count();
         // Live registers: the 64 RAT mappings (+ sym bases + MBC pins),

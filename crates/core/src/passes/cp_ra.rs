@@ -30,15 +30,6 @@ impl Optimizer {
         bundle: &mut Bundle,
     ) -> Renamed {
         let d = &req.d;
-        if !self.cfg.enabled {
-            let class = if op.is_simple() {
-                RenamedClass::SimpleInt
-            } else {
-                RenamedClass::ComplexInt
-            };
-            return self.process_plain(d, class, bundle);
-        }
-
         let va = self.view(ArchReg::from(ra), bundle);
         let vb = match rb {
             Operand::Reg(r) => Some(self.view(ArchReg::from(r), bundle)),
@@ -232,9 +223,6 @@ impl Optimizer {
         bundle: &mut Bundle,
     ) -> Renamed {
         let d = &req.d;
-        if !self.cfg.enabled {
-            return self.process_plain(d, RenamedClass::SimpleInt, bundle);
-        }
         let vb = self.view(ArchReg::from(rb), bundle);
         let budget = self.cfg.max_serial_adds();
         let mut f = sym_add_imm(vb.sym, disp);
@@ -314,9 +302,6 @@ impl Optimizer {
         bundle: &Bundle,
     ) -> (SymValue, u32, u32) {
         let vb = self.view(ArchReg::from(base), bundle);
-        if !self.cfg.enabled {
-            return (SymValue::reg(vb.map), 0, 0);
-        }
         let f = sym_add_imm(vb.sym, disp);
         let budget = self.cfg.max_serial_adds();
         if vb.adds + f.used_add as u32 > budget {

@@ -29,12 +29,6 @@ impl Optimizer {
         if req.mispredicted {
             self.stats.engine.mispredicted_branches += 1;
         }
-        if !self.cfg.enabled {
-            bundle.record(None, 0, 0);
-            let map = self.rat.map(ArchReg::from(ra));
-            self.hold_srcs(&[map]);
-            return self.renamed(d, RenamedClass::SimpleInt, SrcList::one(map), None, false);
-        }
         let va = self.view(ArchReg::from(ra), bundle);
         let budget = self.cfg.max_serial_adds();
         let usable = va.adds <= budget;
@@ -105,9 +99,6 @@ impl Optimizer {
             Inst::Jmp { ra, .. } => {
                 if req.mispredicted {
                     self.stats.engine.mispredicted_branches += 1;
-                }
-                if !self.cfg.enabled {
-                    return self.process_plain(d, RenamedClass::SimpleInt, bundle);
                 }
                 let va = self.view(ArchReg::from(ra), bundle);
                 let target_known =

@@ -45,7 +45,8 @@ pub const MAX_SRCS: usize = 2;
 /// Every ISA instruction reads at most [`MAX_SRCS`] registers, so the list
 /// lives entirely in the [`crate::Renamed`] record: the rename path
 /// performs no heap allocation per instruction and the pipeline can copy
-/// dependence lists around freely.
+/// dependence lists around freely. Slots past the end hold
+/// [`PhysReg::ZERO`] ([`padded`](Self::padded)).
 ///
 /// # Examples
 ///
@@ -102,6 +103,20 @@ impl SrcList {
     pub fn as_slice(&self) -> &[PhysReg] {
         &self.regs[..self.len as usize]
     }
+
+    /// The registers followed by [`PhysReg::ZERO`] up to [`MAX_SRCS`]: a
+    /// fixed-size form for a consumer that treats the zero register as
+    /// always ready.
+    ///
+    /// ```
+    /// use contopt::{PhysReg, SrcList};
+    /// let p = PhysReg::from_index(3);
+    /// assert_eq!(SrcList::one(p).padded(), [p, PhysReg::ZERO]);
+    /// ```
+    #[inline]
+    pub fn padded(&self) -> [PhysReg; MAX_SRCS] {
+        self.regs
+    }
 }
 
 impl std::ops::Deref for SrcList {
@@ -152,7 +167,6 @@ impl FromIterator<PhysReg> for SrcList {
 pub struct PregFile {
     refs: Vec<u32>,
     free: Vec<PhysReg>,
-    high_water: usize,
 }
 
 impl PregFile {
@@ -167,11 +181,7 @@ impl PregFile {
         let mut refs = vec![0u32; n];
         refs[0] = 1; // PhysReg::ZERO is never freed
         let free = (1..n).rev().map(|i| PhysReg(i as u32)).collect();
-        PregFile {
-            refs,
-            free,
-            high_water: 1,
-        }
+        PregFile { refs, free }
     }
 
     /// Total registers in the file.
@@ -184,18 +194,12 @@ impl PregFile {
         self.refs.len() - self.free.len()
     }
 
-    /// Largest number of simultaneously-live registers observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
     /// Allocates a register with an initial reference count of 1, or `None`
     /// if the pool is exhausted (the pipeline stalls rename in that case).
     pub fn alloc(&mut self) -> Option<PhysReg> {
         let p = self.free.pop()?;
         debug_assert_eq!(self.refs[p.index()], 0);
         self.refs[p.index()] = 1;
-        self.high_water = self.high_water.max(self.live_count());
         Some(p)
     }
 
@@ -285,16 +289,5 @@ mod tests {
         let p = f.alloc().unwrap();
         f.release(p);
         f.release(p);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut f = PregFile::new(8);
-        let a = f.alloc().unwrap();
-        let b = f.alloc().unwrap();
-        f.release(a);
-        f.release(b);
-        assert_eq!(f.high_water(), 3); // zero reg + two live
-        assert_eq!(f.live_count(), 1);
     }
 }

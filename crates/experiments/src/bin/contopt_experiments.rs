@@ -599,7 +599,7 @@ fn run_file(
 fn run_fuzz(count: u64, seed: u64, scenarios_dir: &Path) -> ExitCode {
     eprintln!(
         "contopt-experiments: fuzzing {count} program(s) from seed {seed} \
-         (emulator vs baseline vs all-passes)"
+         (emulator vs baseline vs feedback vs all-passes)"
     );
     let summary = contopt_sim::fuzz::run(count, seed, |s, failed| {
         if failed {
@@ -610,7 +610,7 @@ fn run_fuzz(count: u64, seed: u64, scenarios_dir: &Path) -> ExitCode {
     });
     if summary.failures.is_empty() {
         println!(
-            "fuzz: {} program(s) agree across emulator, baseline, and optimized pipelines",
+            "fuzz: {} program(s) agree across emulator, baseline, feedback, and optimized pipelines",
             summary.ran
         );
         return ExitCode::SUCCESS;

@@ -23,7 +23,8 @@
 //! Each of its three structures yields exactly the order of the plain
 //! model it stands for — FIFO queues, a priority queue of completions
 //! keyed by `(cycle, seq)`, and a scan of every scheduler in every
-//! cycle — so no report depends on it:
+//! cycle — and its shortcuts skip only work that would change nothing, so
+//! no report depends on it:
 //!
 //! - **One instruction window.** Every instruction lives in one ring of
 //!   slots indexed by `seq & mask`, from the emulator step that produces it
@@ -59,10 +60,20 @@
 //!   could first issue, so a skipped scan is one that would have issued
 //!   nothing. A scan that does run is the plain one, so oldest-first
 //!   order and unit/port arbitration are those of the plain model.
+//! - **Idle stages return early.** A stage with nothing to do returns
+//!   before its per-cycle setup: completion when the cycle's calendar
+//!   bucket is empty, rename when the fetch queue is empty or its head is
+//!   not yet ready, and issue when every scheduler's wake bound is in the
+//!   future. In each case the full stage would have changed nothing.
+//! - **Two source tags per scheduler entry.** A scheduler entry keeps
+//!   exactly two source tags, padded with the zero register
+//!   (`SrcList::padded`). The zero register is never allocated, so its
+//!   ready cycle stays 0 (`dispatch` debug-asserts it), and an entry's
+//!   readiness is two loads and two `max`, with no loop over its sources.
 
 use crate::config::MachineConfig;
 use crate::stats::PipelineStats;
-use contopt::{Optimizer, RenameReq, Renamed, RenamedClass, SrcList};
+use contopt::{Optimizer, PhysReg, RenameReq, Renamed, RenamedClass, SrcList, MAX_SRCS};
 use contopt_bpred::Predictor;
 use contopt_emu::{ArchSnapshot, DynInst, Emulator};
 use contopt_isa::{ArchReg, ExecClass, Inst, Program, Reg, STACK_TOP};
@@ -102,7 +113,8 @@ struct Slot {
 struct SchedEntry {
     seq: u64,
     earliest: u64,
-    srcs: SrcList,
+    /// The source tags, padded with the always-ready zero register.
+    srcs: [PhysReg; MAX_SRCS],
     class: RenamedClass,
     addr_known: bool,
 }
@@ -110,10 +122,12 @@ struct SchedEntry {
 impl SchedEntry {
     /// First cycle the scheduler delay and the operands let the entry
     /// issue; `u64::MAX` while a producer has not issued.
+    #[inline]
     fn ready(&self, ready_at: &[u64]) -> u64 {
-        self.srcs
-            .iter()
-            .fold(self.earliest, |t, p| t.max(ready_at[p.index()]))
+        let [a, b] = self.srcs;
+        self.earliest
+            .max(ready_at[a.index()])
+            .max(ready_at[b.index()])
     }
 }
 
@@ -167,6 +181,11 @@ impl Calendar {
         let bucket = (at.max(now + 1) & self.bucket_mask) as usize;
         self.links[(seq & self.slot_mask) as usize] = (at, self.heads[bucket]);
         self.heads[bucket] = seq;
+    }
+
+    /// Whether no event is filed in the bucket of cycle `now`.
+    fn idle(&self, now: u64) -> bool {
+        self.heads[(now & self.bucket_mask) as usize] == NO_EVENT
     }
 
     /// Moves the events due at `now` into `due`, sorted by
@@ -535,6 +554,11 @@ impl Machine {
     }
 
     fn rename_and_dispatch(&mut self) {
+        if self.rename_seq == self.fetch_seq
+            || self.slots[self.slot(self.rename_seq)].rename_ready > self.cycle
+        {
+            return; // nothing has left the front end
+        }
         let mut rob_free = self.cfg.rob_entries - (self.rename_seq - self.retire_seq) as usize;
         // Scheduler slots are reserved against the *unoptimized* class; the
         // optimizer occasionally moves an instruction to the int scheduler
@@ -609,6 +633,11 @@ impl Machine {
         let now = self.cycle;
         let i = self.slot(seq);
         let ren = &self.slots[i].ren;
+        debug_assert_eq!(
+            self.ready_at[PhysReg::ZERO.index()],
+            0,
+            "the zero register pads source tags, so it is always ready"
+        );
         if let (Some(dst), true) = (ren.dst, ren.dst_new) {
             self.ready_at[dst.index()] = u64::MAX;
         }
@@ -642,7 +671,7 @@ impl Machine {
                 let entry = SchedEntry {
                     seq,
                     earliest: now + self.cfg.sched_delay,
-                    srcs: ren.srcs,
+                    srcs: ren.srcs.padded(),
                     class,
                     addr_known: ren.addr_known,
                 };
@@ -670,6 +699,9 @@ impl Machine {
 
     fn issue(&mut self) {
         let now = self.cycle;
+        if self.sched_wake.iter().all(|&wake| now < wake) {
+            return; // no scheduler can issue yet
+        }
         let mut fu_left = [
             self.cfg.simple_int_fus,
             self.cfg.complex_int_fus,
@@ -762,6 +794,9 @@ impl Machine {
 
     #[expect(clippy::expect_used, reason = "writers always produce a result value")]
     fn process_completions(&mut self) {
+        if self.calendar.idle(self.cycle) {
+            return;
+        }
         self.calendar.drain(self.cycle);
         for k in 0..self.calendar.due.len() {
             let (t, seq) = self.calendar.due[k];

@@ -1,12 +1,14 @@
 //! Differential fuzzing oracle for the continuous-optimization machine.
 //!
 //! Random — but *bounded* — programs are generated from a seed and run
-//! three ways: on the functional emulator (the architectural reference),
-//! on the baseline pipeline, and on the all-passes optimized pipeline.
-//! All three must commit the identical architectural outcome
-//! ([`ArchSnapshot`]): register files, memory content, and the retired
-//! instruction stream. The optimizer is allowed to change *when* things
-//! happen, never *what* is computed.
+//! four ways: on the functional emulator (the architectural reference)
+//! and on one pipeline per rename path ([`machines`]): the baseline,
+//! whose disabled optimizer renames through its plain path; Figure 9's
+//! feedback machine, which runs the engine without CP/RA; and the
+//! all-passes optimized machine. All four must commit the identical
+//! architectural outcome ([`ArchSnapshot`]): register files, memory
+//! content, and the retired instruction stream. The optimizer is allowed
+//! to change *when* things happen, never *what* is computed.
 //!
 //! Each generated program also round-trips through the text assembler
 //! (`asm_text::parse(asm_text::emit(p)) == p`), so a fuzz run doubles as
@@ -26,6 +28,7 @@
 
 use crate::json::ToJson;
 use crate::scenario::{ProgramSpec, Scenario, ScenarioConfig, VerifyPolicy};
+use contopt::OptimizerConfig;
 use contopt_emu::{ArchSnapshot, Emulator, Step, STREAM_DIGEST_INIT};
 use contopt_isa::{analysis, asm_text, f, r, Asm, Program, DATA_BASE};
 use contopt_pipeline::{Machine, MachineConfig};
@@ -376,6 +379,18 @@ fn pipeline_run(p: &Arc<Program>, cfg: MachineConfig, label: &str) -> Result<Arc
     })
 }
 
+/// The machines the oracle runs, one per rename path: the baseline (the
+/// disabled optimizer's plain renamer), Figure 9's `feedback` machine (the
+/// engine without CP/RA), and the all-passes `optimized` machine.
+pub fn machines() -> [(&'static str, MachineConfig); 3] {
+    let feedback = MachineConfig::default_paper().with_optimizer(OptimizerConfig::feedback_only());
+    [
+        ("baseline", MachineConfig::default_paper()),
+        ("feedback", feedback),
+        ("optimized", MachineConfig::default_with_optimizer()),
+    ]
+}
+
 /// Checks one program against the full fuzz oracle: the static verifier
 /// must report *nothing* — no errors, no warnings — and then
 /// [`check_exec`] must pass.
@@ -387,8 +402,9 @@ pub fn check_program(p: &Program) -> Result<(), String> {
     check_exec(p)
 }
 
-/// The execution half of the oracle: assembler round-trip exact, and all
-/// three executions committing the identical architectural outcome. The
+/// The execution half of the oracle: assembler round-trip exact, and the
+/// emulator and every one of [`machines`] committing the identical
+/// architectural outcome. The
 /// minimizer shrinks against this alone, so shrinking converges on the
 /// behavioural divergence instead of wandering to any program the
 /// analyzer happens to flag.
@@ -401,15 +417,13 @@ pub fn check_exec(p: &Program) -> Result<(), String> {
         Err(e) => return Err(format!("emitted text failed to re-assemble: {e}")),
     }
     let p = Arc::new(p.clone());
-    // 2. Three-way execution.
+    // 2. The emulator against every machine.
     let oracle = reference(&p)?;
-    let baseline = pipeline_run(&p, MachineConfig::default_paper(), "baseline")?;
-    let optimized = pipeline_run(&p, MachineConfig::default_with_optimizer(), "optimized")?;
-    if let Some(d) = oracle.diff(&baseline, ("emulator", "baseline")) {
-        return Err(d);
-    }
-    if let Some(d) = oracle.diff(&optimized, ("emulator", "optimized")) {
-        return Err(d);
+    for (label, cfg) in machines() {
+        let state = pipeline_run(&p, cfg, label)?;
+        if let Some(d) = oracle.diff(&state, ("emulator", label)) {
+            return Err(d);
+        }
     }
     Ok(())
 }
@@ -512,9 +526,9 @@ pub fn minimize(seed: u64, detail: String) -> Failure {
 }
 
 /// A conformance scenario pinning a fuzz failure: the minimized program
-/// shipped as an inline `"programs"` block, run under both the baseline
-/// and the all-passes machine. Checked in under `scenarios/`, it keeps
-/// the regression covered forever.
+/// shipped as an inline `"programs"` block, run under each of the
+/// oracle's [`machines`]. Checked in under `scenarios/`, it keeps the
+/// regression covered forever.
 ///
 /// The static verifier's verdict on the minimized program becomes the
 /// scenario's [`VerifyPolicy`]: a clean program is pinned `"clean"` (any
@@ -533,20 +547,20 @@ pub fn conformance_scenario(fail: &Failure) -> Result<Scenario, crate::scenario:
         VerifyPolicy::AllowWarnings
     };
     let spec = ProgramSpec::inline_with(&name, asm_text::emit(&fail.program), verify)?;
-    let mk = |label: &str, machine: MachineConfig| ScenarioConfig {
-        label: label.to_string(),
-        machine,
-        workloads: vec![name.clone()],
-    };
+    let configs = machines()
+        .into_iter()
+        .map(|(label, machine)| ScenarioConfig {
+            label: label.to_string(),
+            machine,
+            workloads: vec![name.clone()],
+        })
+        .collect();
     Ok(Scenario {
-        name: name.clone(),
+        name,
         insts: MAX_DYN_INSTS,
         ablation: None,
         programs: vec![spec],
-        configs: vec![
-            mk("baseline", MachineConfig::default_paper()),
-            mk("optimized", MachineConfig::default_with_optimizer()),
-        ],
+        configs,
     })
 }
 
@@ -798,6 +812,20 @@ mod tests {
     }
 
     #[test]
+    fn the_oracle_runs_fig9s_machines() {
+        // Figure 9's three machines cover the three rename paths: the
+        // plain renamer, the engine without CP/RA, and every pass.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let fig9 = Scenario::load(format!("{dir}/fig9.json")).unwrap();
+        let labels = ["baseline", "feedback", "feedback+opt"];
+        for (cfg, (label, (_, machine))) in fig9.configs.iter().zip(labels.iter().zip(machines())) {
+            assert_eq!(cfg.label, *label);
+            let key = |m: &MachineConfig| crate::CellKey::new(m, "k", None);
+            assert_eq!(key(&cfg.machine), key(&machine), "{label}");
+        }
+    }
+
+    #[test]
     fn conformance_scenario_round_trips_and_runs() {
         let fail = Failure {
             seed: 42,
@@ -805,6 +833,9 @@ mod tests {
             program: program_for_seed(42),
         };
         let sc = conformance_scenario(&fail).unwrap();
+        // One machine per rename path, as the oracle runs them.
+        let labels: Vec<&str> = sc.configs.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["baseline", "feedback", "optimized"]);
         let text = sc.to_json().pretty();
         let parsed = Scenario::parse(&text).unwrap();
         // JSON round-trip is byte-identical (a disabled optimizer block

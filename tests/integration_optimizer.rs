@@ -8,11 +8,12 @@
 // lints, which police the library crates.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use contopt_sim::isa::{r, Asm, Program};
+use contopt_sim::emu::{DynInst, Emulator, Step};
+use contopt_sim::isa::{r, ArchReg, Asm, Program, Reg, STACK_TOP};
 use contopt_sim::workloads::SplitMix64;
 use contopt_sim::{
-    sym_add, sym_add_imm, sym_shl, sym_sub, MachineConfig, OptimizerConfig, PhysReg, Report,
-    SimSession, SymValue,
+    sym_add, sym_add_imm, sym_shl, sym_sub, MachineConfig, Optimizer, OptimizerConfig, PhysReg,
+    RenameReq, Renamed, RenamedClass, Report, SimSession, SymValue,
 };
 use std::sync::Arc;
 
@@ -390,6 +391,93 @@ fn feedback_alone_is_weaker_than_optimization() {
         opt.speedup_over(&base).unwrap(),
         fb.speedup_over(&base).unwrap()
     );
+}
+
+// ---- the plain renamer against the engine ---------------------------------
+
+/// Completes a renamed instruction at once, as the repository benchmark's
+/// rename replay does: a consumer releases its sources, and a new
+/// destination reports its value and drops the producer claim.
+fn complete_at_once(opt: &mut Optimizer, ren: &Renamed, d: &DynInst, now: u64) {
+    if ren.class != RenamedClass::Done {
+        for &p in &ren.srcs {
+            opt.release(p);
+        }
+    }
+    if let (Some(dst), true) = (ren.dst, ren.dst_new) {
+        opt.complete(dst, ren.early_value.or(d.result).unwrap(), now);
+        opt.release(dst);
+    }
+}
+
+/// A disabled optimizer renames through its own plain path; the engine
+/// with every mechanism switched off is the reference it stands for. Both
+/// rename the first 200k instructions of every kernel, in bundles of
+/// four, and must agree on every record, every counter and the number of
+/// live registers after every bundle.
+#[test]
+fn the_plain_renamer_matches_the_engine_with_every_mechanism_off() {
+    let off = OptimizerConfig {
+        enabled: true,
+        optimize: false,
+        value_feedback: false,
+        extra_stages: 0,
+        enable_rle_sf: false,
+        enable_reassociation: false,
+        enable_branch_inference: false,
+        enable_early_exec: false,
+        ..OptimizerConfig::default()
+    };
+    let machine = MachineConfig::default_paper();
+    let initial = |a: ArchReg| {
+        if a == ArchReg::from(Reg::SP) {
+            STACK_TOP
+        } else {
+            0
+        }
+    };
+    let suite = contopt_sim::workloads::suite();
+    assert_eq!(suite.len(), 24);
+    for w in suite {
+        let mut plain = Optimizer::new(OptimizerConfig::baseline(), machine.preg_count, initial);
+        let mut engine = Optimizer::new(off, machine.preg_count, initial);
+        let mut emu = Emulator::new(w.program);
+        let mut reqs = Vec::with_capacity(machine.fetch_width);
+        let (mut now, mut stepped, mut halted) = (0, 0, false);
+        while !halted && stepped < 200_000 {
+            reqs.clear();
+            while reqs.len() < machine.fetch_width && stepped < 200_000 {
+                let Step::Inst(d) = emu.step().unwrap() else {
+                    halted = true;
+                    break;
+                };
+                stepped += 1;
+                // Some branches must count as mispredicted; every other
+                // instruction's flag must be ignored alike.
+                reqs.push(RenameReq {
+                    d,
+                    mispredicted: d.seq % 5 == 0,
+                });
+            }
+            let want = engine.rename_bundle(now, &reqs);
+            let got = plain.rename_bundle(now, &reqs);
+            assert_eq!(got, want, "{} at cycle {now}", w.name);
+            assert_eq!(got.len(), reqs.len(), "{}: rename stalled", w.name);
+            for (ren, req) in got.iter().zip(&reqs) {
+                complete_at_once(&mut plain, ren, &req.d, now);
+                complete_at_once(&mut engine, ren, &req.d, now);
+            }
+            assert_eq!(plain.pass_stats(), engine.pass_stats(), "{}", w.name);
+            assert_eq!(
+                plain.pregs().live_count(),
+                engine.pregs().live_count(),
+                "{} at cycle {now}",
+                w.name
+            );
+            now += 1;
+        }
+        assert!(plain.stats().mispredicted_branches > 0, "{}", w.name);
+    }
 }
 
 // ---- symbolic-algebra properties ------------------------------------------
