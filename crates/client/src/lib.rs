@@ -256,7 +256,9 @@ impl Client {
         // Shipped programs must be self-contained on the wire: a "file"
         // source resolves against *this* host's filesystem, so its
         // assembled form travels as canonical inline text instead.
-        let scenario = scenario.with_inlined_programs();
+        let scenario = scenario
+            .with_inlined_programs()
+            .map_err(ProtocolError::Scenario)?;
         self.submit(Message::SubmitScenario { jobs, scenario })
     }
 

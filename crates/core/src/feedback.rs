@@ -127,18 +127,9 @@ impl FeedbackQueue {
         });
     }
 
-    /// Pops every message that has arrived by `now`.
-    pub fn drain_ready(&mut self, now: u64) -> impl Iterator<Item = Feedback> + '_ {
-        let mut n = 0;
-        while n < self.q.len() && self.q[n].arrives_at <= now {
-            n += 1;
-        }
-        self.q.drain(..n)
-    }
-
-    /// Pops the oldest message if it has arrived by `now`. Allocation-free
-    /// alternative to [`drain_ready`](Self::drain_ready) for callers that
-    /// interleave popping with table updates.
+    /// Pops the oldest message if it has arrived by `now`; callers drain
+    /// by popping until `None`, interleaving each pop with their table
+    /// updates.
     pub fn pop_ready(&mut self, now: u64) -> Option<Feedback> {
         if self.q.front()?.arrives_at <= now {
             self.q.pop_front()
@@ -161,12 +152,18 @@ mod tests {
         PhysReg::from_index(i)
     }
 
+    /// Every message that has arrived by `now`, popped as production
+    /// drains the queue.
+    fn drain(q: &mut FeedbackQueue, now: u64) -> Vec<Feedback> {
+        std::iter::from_fn(|| q.pop_ready(now)).collect()
+    }
+
     #[test]
     fn respects_transmission_delay() {
         let mut q = FeedbackQueue::new();
         q.push(p(1), 11, 10, 5);
-        assert_eq!(q.drain_ready(14).count(), 0);
-        let got: Vec<_> = q.drain_ready(15).collect();
+        assert_eq!(drain(&mut q, 14).len(), 0);
+        let got = drain(&mut q, 15);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].preg, p(1));
         assert_eq!(got[0].value, 11);
@@ -178,7 +175,7 @@ mod tests {
         q.push(p(1), 1, 10, 1);
         q.push(p(2), 2, 10, 1);
         q.push(p(3), 3, 12, 1);
-        let got: Vec<_> = q.drain_ready(11).map(|f| f.preg).collect();
+        let got: Vec<_> = drain(&mut q, 11).iter().map(|f| f.preg).collect();
         assert_eq!(got, vec![p(1), p(2)]);
         assert_eq!(q.in_flight(), 1);
     }
@@ -187,7 +184,7 @@ mod tests {
     fn zero_delay_is_same_cycle() {
         let mut q = FeedbackQueue::new();
         q.push(p(4), 9, 7, 0);
-        assert_eq!(q.drain_ready(7).count(), 1);
+        assert_eq!(drain(&mut q, 7).len(), 1);
     }
 
     // ---- the index against the full scan ----------------------------------

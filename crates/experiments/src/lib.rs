@@ -68,5 +68,5 @@ pub use scenario::{
 pub use tables::{table1, table2, table3, Table1, Table1Row, Table2, Table3, Table3Row};
 pub use verify::{
     render_json as render_verify_json, render_text as render_verify_text, verify_file,
-    verify_files, FileVerdict, ProgramVerdict, VerifyOutcome,
+    verify_files, FileVerdict, VerifyOutcome,
 };

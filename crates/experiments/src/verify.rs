@@ -8,21 +8,23 @@
 //! * `2` — warning-severity findings only, without `--allow-warnings`;
 //! * `3` — a file could not be read at all.
 //!
-//! Scenario files are loaded *leniently* here: verification findings are
-//! enumerated and reported even where [`Scenario::load`] would refuse to
-//! load the file, so CI output names every finding instead of stopping
-//! at the first. Per-program [`VerifyPolicy`] is honored: a `"skip"`
-//! program is reported but never gates, and a `"clean"` program's
-//! warnings gate as errors — `--verify` is always at least as strict as
-//! the loader.
+//! Every program comes through the scenario loader's intake,
+//! [`ProgramSpec`]: a bare `.s` file becomes a spec named by its stem
+//! under the default policy. Scenario files are decoded *leniently* here:
+//! structure and semantics are enforced, but no program refuses the
+//! file, so CI output names every finding instead of stopping at the
+//! first. Each program gates by its [`VerifyPolicy`]'s
+//! [`verdict`](VerifyPolicy::verdict), the loader's own ladder: a
+//! `"skip"` program is reported but never gates, and a `"clean"`
+//! program's warnings gate as errors — `--verify` is always at least as
+//! strict as the loader.
 
-use contopt_sim::isa::{asm_text, AnalysisReport};
-use contopt_sim::{JsonValue, Scenario, ScenarioError, ToJson, VerifyPolicy};
+use contopt_sim::{JsonValue, ProgramSpec, Scenario, ScenarioError, ToJson, Verdict, VerifyPolicy};
 use std::path::Path;
 
 /// The aggregate severity of a verification run, ordered by how loudly
 /// CI should fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum VerifyOutcome {
     /// No findings that gate (clean, allowed warnings, or skipped).
     Clean,
@@ -44,36 +46,6 @@ impl VerifyOutcome {
             VerifyOutcome::Unreadable => 3,
         }
     }
-
-    fn rank(self) -> u8 {
-        match self {
-            VerifyOutcome::Clean => 0,
-            VerifyOutcome::Warnings => 1,
-            VerifyOutcome::Errors => 2,
-            VerifyOutcome::Unreadable => 3,
-        }
-    }
-
-    /// The more severe of two outcomes.
-    pub fn merge(self, other: VerifyOutcome) -> VerifyOutcome {
-        if other.rank() > self.rank() {
-            other
-        } else {
-            self
-        }
-    }
-}
-
-/// One verified program inside a file.
-#[derive(Debug, Clone)]
-pub struct ProgramVerdict {
-    /// The program's name (the `.s` file stem for bare assembler files).
-    pub name: String,
-    /// The program's declared [`VerifyPolicy`] (`AllowWarnings` for bare
-    /// `.s` files, which declare none).
-    pub policy: VerifyPolicy,
-    /// The analyzer's findings.
-    pub report: AnalysisReport,
 }
 
 /// The verification result for one input file.
@@ -84,102 +56,56 @@ pub struct FileVerdict {
     /// Why the file could not be verified at all (I/O or parse failure);
     /// `programs` is empty when set.
     pub failure: Option<String>,
-    /// Per-program verdicts, in declaration order.
-    pub programs: Vec<ProgramVerdict>,
+    /// The file's programs, in declaration order, each with its policy
+    /// and report.
+    pub programs: Vec<ProgramSpec>,
     /// This file's aggregate outcome under the run's warning policy.
     pub outcome: VerifyOutcome,
-}
-
-/// How one program's report gates, under its policy and the run-wide
-/// `--allow-warnings` escape hatch.
-fn program_outcome(v: &ProgramVerdict, allow_warnings: bool) -> VerifyOutcome {
-    match v.policy {
-        VerifyPolicy::Skip => VerifyOutcome::Clean,
-        _ if v.report.has_errors() => VerifyOutcome::Errors,
-        VerifyPolicy::Clean if !v.report.is_clean() => VerifyOutcome::Errors,
-        _ if !v.report.warnings.is_empty() && !allow_warnings => VerifyOutcome::Warnings,
-        _ => VerifyOutcome::Clean,
-    }
 }
 
 /// Verifies one input file — `.s` assembler text by extension, a
 /// scenario JSON file otherwise.
 pub fn verify_file(path: &Path, allow_warnings: bool) -> FileVerdict {
     let shown = path.display().to_string();
+    let failed = |failure: String, outcome| FileVerdict {
+        path: shown.clone(),
+        failure: Some(failure),
+        programs: Vec::new(),
+        outcome,
+    };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
-        Err(e) => {
-            return FileVerdict {
-                path: shown,
-                failure: Some(format!("cannot read: {e}")),
-                programs: Vec::new(),
-                outcome: VerifyOutcome::Unreadable,
-            }
-        }
+        Err(e) => return failed(format!("cannot read: {e}"), VerifyOutcome::Unreadable),
     };
     let programs = if path.extension().is_some_and(|x| x == "s") {
         let name = path
             .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| shown.clone());
-        match asm_text::parse_and_verify(&text) {
-            Ok((_, report)) => vec![ProgramVerdict {
-                name,
-                policy: VerifyPolicy::default(),
-                report,
-            }],
-            Err(e) => {
-                return FileVerdict {
-                    path: shown,
-                    failure: Some(format!("assembler: {e}")),
-                    programs: Vec::new(),
-                    outcome: VerifyOutcome::Errors,
-                }
-            }
-        }
+            .map_or_else(|| shown.clone(), |s| s.to_string_lossy().into_owned());
+        ProgramSpec::inline(name, text).map(|spec| vec![spec])
     } else {
-        match scenario_verdicts(&text, path.parent()) {
-            Ok(programs) => programs,
-            Err(e) => {
-                return FileVerdict {
-                    path: shown,
-                    failure: Some(e.to_string()),
-                    programs: Vec::new(),
-                    outcome: VerifyOutcome::Errors,
-                }
-            }
-        }
+        JsonValue::parse(&text)
+            .map_err(ScenarioError::from)
+            .and_then(|doc| Scenario::from_json(&doc, path.parent()))
+            .and_then(|sc| sc.validate().map(|()| sc.programs))
+    };
+    let programs = match programs {
+        Ok(programs) => programs,
+        Err(e) => return failed(e.to_string(), VerifyOutcome::Errors),
     };
     let outcome = programs
         .iter()
-        .map(|v| program_outcome(v, allow_warnings))
-        .fold(VerifyOutcome::Clean, VerifyOutcome::merge);
+        .map(|p| match p.verify.verdict(&p.report) {
+            Verdict::Errors => VerifyOutcome::Errors,
+            Verdict::Warnings if !allow_warnings => VerifyOutcome::Warnings,
+            _ => VerifyOutcome::Clean,
+        })
+        .fold(VerifyOutcome::Clean, VerifyOutcome::max);
     FileVerdict {
         path: shown,
         failure: None,
         programs,
         outcome,
     }
-}
-
-/// Parses a scenario leniently — structure and semantics are enforced,
-/// but verification verdicts are *collected*, not load-gated — and
-/// returns one verdict per shipped program.
-fn scenario_verdicts(
-    text: &str,
-    base: Option<&Path>,
-) -> Result<Vec<ProgramVerdict>, ScenarioError> {
-    let sc = Scenario::from_json(&JsonValue::parse(text)?, base)?;
-    sc.validate()?;
-    Ok(sc
-        .programs
-        .iter()
-        .map(|spec| ProgramVerdict {
-            name: spec.name.clone(),
-            policy: spec.verify,
-            report: spec.verify_report(),
-        })
-        .collect())
 }
 
 /// Verifies every path and returns the verdicts with the run's combined
@@ -195,7 +121,7 @@ pub fn verify_files(
     let outcome = verdicts
         .iter()
         .map(|v| v.outcome)
-        .fold(VerifyOutcome::Clean, VerifyOutcome::merge);
+        .fold(VerifyOutcome::Clean, VerifyOutcome::max);
     (verdicts, outcome)
 }
 
@@ -212,7 +138,7 @@ pub fn render_text(v: &FileVerdict) -> String {
         return out;
     }
     for p in &v.programs {
-        let skip = if p.policy == VerifyPolicy::Skip {
+        let skip = if p.verify == VerifyPolicy::Skip {
             " [policy: skip]"
         } else {
             ""
@@ -248,7 +174,7 @@ pub fn render_json(verdicts: &[FileVerdict], outcome: VerifyOutcome) -> JsonValu
             JsonValue::arr(v.programs.iter().map(|p| {
                 JsonValue::obj([
                     ("name", p.name.as_str().into()),
-                    ("policy", p.policy.as_str().into()),
+                    ("policy", p.verify.as_str().into()),
                     ("report", p.report.to_json()),
                 ])
             })),

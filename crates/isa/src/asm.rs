@@ -72,17 +72,6 @@ impl Program {
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
     }
-
-    /// A human-readable disassembly listing of the whole code segment.
-    pub fn disassemble(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (i, inst) in self.insts.iter().enumerate() {
-            let pc = self.code_base + 4 * i as u64;
-            let _ = writeln!(out, "{pc:#08x}:  {inst}");
-        }
-        out
-    }
 }
 
 /// Position of a token in assembly source text (1-based line and column).
@@ -788,17 +777,5 @@ mod tests {
         assert!(p.inst_at(p.code_base + 8).is_none());
         assert!(p.inst_at(p.code_base + 1).is_none());
         assert!(p.inst_at(p.code_base - 4).is_none());
-    }
-
-    #[test]
-    fn disassemble_lists_every_instruction() {
-        let mut a = Asm::new();
-        a.li(r(1), 5);
-        a.halt();
-        let p = a.finish().unwrap();
-        let d = p.disassemble();
-        assert_eq!(d.lines().count(), 2);
-        assert!(d.contains("lda"));
-        assert!(d.contains("halt"));
     }
 }

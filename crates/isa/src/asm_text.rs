@@ -51,7 +51,7 @@
 
 use crate::analysis::{self, AnalysisReport};
 use crate::asm::{AsmError, AsmErrorKind, Program, Span, CODE_BASE, DATA_BASE};
-use crate::inst::{Inst, Operand};
+use crate::inst::{load_mnemonic, Inst, Operand};
 use crate::opcode::{AluOp, Cond, FpCmpOp, FpOp, MemSize};
 use crate::reg::{FReg, Reg};
 use std::collections::HashMap;
@@ -81,19 +81,6 @@ pub fn mnemonics() -> Vec<&'static str> {
     out.extend(["br", "bsr", "jmp", "halt", "nop"]);
     out.extend(["li", "mov", "fmov", "ret"]);
     out
-}
-
-fn load_mnemonic(size: MemSize, signed: bool) -> &'static str {
-    match (size, signed) {
-        (MemSize::Byte, false) => "ldb",
-        (MemSize::Byte, true) => "ldbs",
-        (MemSize::Word, false) => "ldw",
-        (MemSize::Word, true) => "ldws",
-        (MemSize::Long, false) => "ldl",
-        (MemSize::Long, true) => "ldls",
-        (MemSize::Quad, false) => "ldq",
-        (MemSize::Quad, true) => "ldqs",
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -839,8 +826,9 @@ fn parse_int(tok: Tok<'_>) -> Result<i64, AsmError> {
 
 /// Renders a [`Program`] as canonical assembly text that [`parse`] maps
 /// back to an identical `Program` (the round-trip the workload-suite tests
-/// pin). Branch targets inside the code segment become `L<index>` labels;
-/// each data segment is emitted behind an explicit `.org`.
+/// pin). Each instruction is written as its [`Inst`] `Display` writes it,
+/// except that branch targets inside the code segment become `L<index>`
+/// labels; each data segment is emitted behind an explicit `.org`.
 pub fn emit(p: &Program) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ".text");
@@ -861,7 +849,9 @@ pub fn emit(p: &Program) -> String {
         if label_idx.binary_search(&i).is_ok() {
             let _ = writeln!(out, "L{i}:");
         }
-        let _ = writeln!(out, "        {}", render_inst(p, inst));
+        out.push_str("        ");
+        let _ = inst.write_text(&mut out, &|t| target_index(p, t));
+        out.push('\n');
     }
     if label_idx.binary_search(&p.insts.len()).is_ok() {
         let _ = writeln!(out, "L{}:", p.insts.len());
@@ -892,53 +882,6 @@ fn target_index(p: &Program, target: u64) -> Option<usize> {
     }
     let idx = ((target - p.code_base) / 4) as usize;
     (idx <= p.insts.len()).then_some(idx)
-}
-
-fn render_target(p: &Program, target: u64) -> String {
-    match target_index(p, target) {
-        Some(idx) => format!("L{idx}"),
-        None => format!("{target:#x}"),
-    }
-}
-
-fn render_inst(p: &Program, inst: &Inst) -> String {
-    match inst {
-        Inst::Alu { op, ra, rb, rc } => {
-            let rb = match rb {
-                Operand::Reg(r) => r.to_string(),
-                Operand::Imm(v) => v.to_string(),
-            };
-            format!("{} {ra}, {rb}, {rc}", op.mnemonic())
-        }
-        Inst::Lda { rc, rb, disp } => format!("lda {rc}, {disp}({rb})"),
-        Inst::Ld {
-            size,
-            signed,
-            rc,
-            rb,
-            disp,
-        } => format!("{} {rc}, {disp}({rb})", load_mnemonic(*size, *signed)),
-        Inst::St { size, ra, rb, disp } => format!("st{} {ra}, {disp}({rb})", size.suffix()),
-        Inst::FLd { fc, rb, disp } => format!("ldt {fc}, {disp}({rb})"),
-        Inst::FSt { fa, rb, disp } => format!("stt {fa}, {disp}({rb})"),
-        Inst::FAlu { op, fa, fb, fc } => match op {
-            FpOp::Cpys if fa == fb => format!("fmov {fa}, {fc}"),
-            FpOp::Sqrtt if fa == fb => format!("sqrtt {fa}, {fc}"),
-            _ => format!("{} {fa}, {fb}, {fc}", op.mnemonic()),
-        },
-        Inst::FCmp { op, fa, fb, rc } => format!("{} {fa}, {fb}, {rc}", op.mnemonic()),
-        Inst::Itof { ra, fc } => format!("itof {ra}, {fc}"),
-        Inst::Ftoi { fa, rc } => format!("ftoi {fa}, {rc}"),
-        Inst::Br { cond, ra, target } => {
-            format!("{} {ra}, {}", cond.mnemonic(), render_target(p, *target))
-        }
-        Inst::Bru { target } => format!("br {}", render_target(p, *target)),
-        Inst::Bsr { rd, target } => format!("bsr {rd}, {}", render_target(p, *target)),
-        Inst::Jmp { rd, ra } if *rd == Reg::R31 && *ra == Reg::RA => "ret".to_string(),
-        Inst::Jmp { rd, ra } => format!("jmp {rd}, ({ra})"),
-        Inst::Halt => "halt".to_string(),
-        Inst::Nop => "nop".to_string(),
-    }
 }
 
 /// Emits one data segment as the widest directive its address and length
@@ -982,7 +925,7 @@ fn emit_segment(out: &mut String, addr: u64, bytes: &[u8]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::asm::Asm;
     use crate::reg::{f, r};
@@ -1021,8 +964,8 @@ mod tests {
         assert_eq!(p, a.finish().unwrap());
     }
 
-    #[test]
-    fn every_instruction_form_round_trips() {
+    /// A program holding every instruction form the assembler writes.
+    pub(crate) fn every_instruction_form() -> Program {
         let mut a = Asm::new();
         let quads = a.data_quads(&[1, u64::MAX]);
         a.data_longs(&[7, 8, 9]);
@@ -1084,7 +1027,12 @@ mod tests {
         a.nop();
         a.label("end");
         a.halt();
-        let p = a.finish().unwrap();
+        a.finish().unwrap()
+    }
+
+    #[test]
+    fn every_instruction_form_round_trips() {
+        let p = every_instruction_form();
         let text = emit(&p);
         let reparsed = parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert_eq!(reparsed, p, "round-trip through:\n{text}");

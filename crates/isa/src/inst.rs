@@ -39,7 +39,7 @@ impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Operand::Reg(r) => write!(f, "{r}"),
-            Operand::Imm(v) => write!(f, "#{v}"),
+            Operand::Imm(v) => write!(f, "{v}"),
         }
     }
 }
@@ -343,41 +343,86 @@ impl Inst {
     }
 }
 
+/// The text assembler's canonical syntax, with branch targets as absolute
+/// hex addresses: `asm_text::parse` of the text gives the instruction
+/// back.
 impl fmt::Display for Inst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_text(f, &|_| None)
+    }
+}
+
+impl Inst {
+    /// Writes this instruction in the text assembler's canonical syntax,
+    /// each branch target as the `L<index>` label `label` maps it to, or
+    /// as an absolute hex address.
+    pub(crate) fn write_text(
+        &self,
+        out: &mut impl fmt::Write,
+        label: &dyn Fn(u64) -> Option<usize>,
+    ) -> fmt::Result {
+        let target = |t: u64| label(t).map_or_else(|| format!("{t:#x}"), |i| format!("L{i}"));
         match *self {
-            Inst::Alu { op, ra, rb, rc } => write!(f, "{op} {ra}, {rb} -> {rc}"),
-            Inst::Lda { rc, rb, disp } => write!(f, "lda {disp}({rb}) -> {rc}"),
+            Inst::Alu { op, ra, rb, rc } => write!(out, "{op} {ra}, {rb}, {rc}"),
+            Inst::Lda { rc, rb, disp } => write!(out, "lda {rc}, {disp}({rb})"),
             Inst::Ld {
                 size,
                 signed,
                 rc,
                 rb,
                 disp,
-            } => {
-                let s = if signed && size != MemSize::Quad {
-                    "s"
-                } else {
-                    ""
-                }; // ldq is inherently full-width
-                write!(f, "ld{}{s} {disp}({rb}) -> {rc}", size.suffix())
-            }
+            } => write!(out, "{} {rc}, {disp}({rb})", load_mnemonic(size, signed)),
             Inst::St { size, ra, rb, disp } => {
-                write!(f, "st{} {ra} -> {disp}({rb})", size.suffix())
+                write!(out, "st{} {ra}, {disp}({rb})", size.suffix())
             }
-            Inst::FLd { fc, rb, disp } => write!(f, "ldt {disp}({rb}) -> {fc}"),
-            Inst::FSt { fa, rb, disp } => write!(f, "stt {fa} -> {disp}({rb})"),
-            Inst::FAlu { op, fa, fb, fc } => write!(f, "{op} {fa}, {fb} -> {fc}"),
-            Inst::FCmp { op, fa, fb, rc } => write!(f, "{op} {fa}, {fb} -> {rc}"),
-            Inst::Itof { ra, fc } => write!(f, "itof {ra} -> {fc}"),
-            Inst::Ftoi { fa, rc } => write!(f, "ftoi {fa} -> {rc}"),
-            Inst::Br { cond, ra, target } => write!(f, "{cond} {ra}, {target:#x}"),
-            Inst::Bru { target } => write!(f, "br {target:#x}"),
-            Inst::Bsr { rd, target } => write!(f, "bsr {rd}, {target:#x}"),
-            Inst::Jmp { rd, ra } => write!(f, "jmp {rd}, ({ra})"),
-            Inst::Halt => write!(f, "halt"),
-            Inst::Nop => write!(f, "nop"),
+            Inst::FLd { fc, rb, disp } => write!(out, "ldt {fc}, {disp}({rb})"),
+            Inst::FSt { fa, rb, disp } => write!(out, "stt {fa}, {disp}({rb})"),
+            Inst::FAlu {
+                op: FpOp::Cpys,
+                fa,
+                fb,
+                fc,
+            } if fa == fb => write!(out, "fmov {fa}, {fc}"),
+            Inst::FAlu {
+                op: FpOp::Sqrtt,
+                fa,
+                fb,
+                fc,
+            } if fa == fb => write!(out, "sqrtt {fa}, {fc}"),
+            Inst::FAlu { op, fa, fb, fc } => write!(out, "{op} {fa}, {fb}, {fc}"),
+            Inst::FCmp { op, fa, fb, rc } => write!(out, "{op} {fa}, {fb}, {rc}"),
+            Inst::Itof { ra, fc } => write!(out, "itof {ra}, {fc}"),
+            Inst::Ftoi { fa, rc } => write!(out, "ftoi {fa}, {rc}"),
+            Inst::Br {
+                cond,
+                ra,
+                target: t,
+            } => write!(out, "{cond} {ra}, {}", target(t)),
+            Inst::Bru { target: t } => write!(out, "br {}", target(t)),
+            Inst::Bsr { rd, target: t } => write!(out, "bsr {rd}, {}", target(t)),
+            Inst::Jmp {
+                rd: Reg::R31,
+                ra: Reg::RA,
+            } => write!(out, "ret"),
+            Inst::Jmp { rd, ra } => write!(out, "jmp {rd}, ({ra})"),
+            Inst::Halt => write!(out, "halt"),
+            Inst::Nop => write!(out, "nop"),
         }
+    }
+}
+
+/// The text syntax's load mnemonic: `ld` + size letter, plus `s` when the
+/// load sign-extends.
+pub(crate) fn load_mnemonic(size: MemSize, signed: bool) -> &'static str {
+    match (size, signed) {
+        (MemSize::Byte, false) => "ldb",
+        (MemSize::Byte, true) => "ldbs",
+        (MemSize::Word, false) => "ldw",
+        (MemSize::Word, true) => "ldws",
+        (MemSize::Long, false) => "ldl",
+        (MemSize::Long, true) => "ldls",
+        (MemSize::Quad, false) => "ldq",
+        (MemSize::Quad, true) => "ldqs",
     }
 }
 
@@ -472,13 +517,12 @@ mod tests {
 
     #[test]
     fn display_roundtrip_smoke() {
-        let i = Inst::Alu {
-            op: AluOp::S4Addq,
-            ra: r(1),
-            rb: Operand::Imm(8),
-            rc: r(2),
-        };
-        assert_eq!(i.to_string(), "s4addq r1, #8 -> r2");
+        // Each instruction's text is the assembler's syntax: parsing it
+        // gives the instruction back, for every form.
+        for inst in crate::asm_text::tests::every_instruction_form().insts {
+            let back = crate::asm_text::parse(&inst.to_string());
+            assert_eq!(back.map(|p| p.insts), Ok(vec![inst]), "{inst}");
+        }
         let ld = Inst::Ld {
             size: MemSize::Long,
             signed: true,
@@ -486,7 +530,13 @@ mod tests {
             rb: r(2),
             disp: 4,
         };
-        assert_eq!(ld.to_string(), "ldls 4(r2) -> r1");
+        assert_eq!(ld.to_string(), "ldls r1, 4(r2)");
+        let br = Inst::Br {
+            cond: Cond::Ne,
+            ra: r(3),
+            target: 0x1010,
+        };
+        assert_eq!(br.to_string(), "bne r3, 0x1010");
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl AluOp {
         }
     }
 
-    /// The mnemonic used by the disassembler.
+    /// The mnemonic of the text syntax.
     pub fn mnemonic(self) -> &'static str {
         match self {
             AluOp::Addq => "addq",
@@ -193,7 +193,7 @@ impl FpOp {
         }
     }
 
-    /// The mnemonic used by the disassembler.
+    /// The mnemonic of the text syntax.
     pub fn mnemonic(self) -> &'static str {
         match self {
             FpOp::Addt => "addt",
@@ -238,7 +238,7 @@ impl FpCmpOp {
         }
     }
 
-    /// The mnemonic used by the disassembler.
+    /// The mnemonic of the text syntax.
     pub fn mnemonic(self) -> &'static str {
         match self {
             FpCmpOp::Teq => "cmpteq",
@@ -312,7 +312,7 @@ impl Cond {
         }
     }
 
-    /// The mnemonic used by the disassembler.
+    /// The mnemonic of the text syntax.
     pub fn mnemonic(self) -> &'static str {
         match self {
             Cond::Eq => "beq",

@@ -92,24 +92,6 @@ impl MachineConfig {
         }
     }
 
-    /// The fetch-bound machine of §5.3: scheduler entries doubled
-    /// (four 16-entry schedulers), making the front end the bottleneck.
-    pub fn fetch_bound() -> MachineConfig {
-        MachineConfig {
-            scheduler_entries: 16,
-            ..MachineConfig::default_paper()
-        }
-    }
-
-    /// The execution-bound machine of §5.3: fetch/decode/rename widened
-    /// from 4 to 8, making the execution core the bottleneck.
-    pub fn exec_bound() -> MachineConfig {
-        MachineConfig {
-            fetch_width: 8,
-            ..MachineConfig::default_paper()
-        }
-    }
-
     /// Applies an optimizer configuration, returning the modified machine.
     pub fn with_optimizer(mut self, opt: OptimizerConfig) -> MachineConfig {
         self.optimizer = opt;
@@ -247,9 +229,12 @@ mod tests {
 
     #[test]
     fn machine_model_variants() {
-        assert_eq!(MachineConfig::fetch_bound().scheduler_entries, 16);
-        assert_eq!(MachineConfig::exec_bound().fetch_width, 8);
-        assert_eq!(MachineConfig::default_paper().rob_entries, 160);
+        // §5.3's machines (scenarios/fig8.json) double the 8-entry
+        // schedulers or widen the 4-wide front end of Table 2's machine.
+        let paper = MachineConfig::default_paper();
+        assert_eq!(paper.scheduler_entries, 8);
+        assert_eq!(paper.fetch_width, 4);
+        assert_eq!(paper.rob_entries, 160);
     }
 
     #[test]
@@ -275,9 +260,12 @@ mod tests {
 
     #[test]
     fn scalar_field_bridge_round_trips() {
-        // exec_bound differs from the default in fetch_width; replaying
-        // its scalar fields onto a default must reproduce it.
-        let src = MachineConfig::exec_bound();
+        // An 8-wide front end differs from the default in fetch_width;
+        // replaying its scalar fields onto a default must reproduce it.
+        let src = MachineConfig {
+            fetch_width: 8,
+            ..MachineConfig::default_paper()
+        };
         let mut dst = MachineConfig::default_paper();
         for (name, value) in src.scalar_fields() {
             dst.set_scalar_field(name, value).unwrap();

@@ -27,7 +27,7 @@
 //! checked-in conformance [`Scenario`] via [`conformance_scenario`].
 
 use crate::json::ToJson;
-use crate::scenario::{ProgramSpec, Scenario, ScenarioConfig, VerifyPolicy};
+use crate::scenario::{ProgramSpec, Scenario, ScenarioConfig, Verdict, VerifyPolicy};
 use contopt::OptimizerConfig;
 use contopt_emu::{ArchSnapshot, Emulator, Step, STREAM_DIGEST_INIT};
 use contopt_isa::{analysis, asm_text, f, r, Asm, Program, DATA_BASE};
@@ -530,23 +530,19 @@ pub fn minimize(seed: u64, detail: String) -> Failure {
 /// oracle's [`machines`]. Checked in under `scenarios/`, it keeps the
 /// regression covered forever.
 ///
-/// The static verifier's verdict on the minimized program becomes the
-/// scenario's [`VerifyPolicy`]: a clean program is pinned `"clean"` (any
-/// future finding on it is a regression), warnings pin the default
-/// tolerance, and a program the analyzer rejects — minimization may
-/// strip the seeding that kept it well-formed — ships `"skip"` so the
-/// reproducer still loads.
+/// The program ships under the strictest [`VerifyPolicy`] whose
+/// [`verdict`](VerifyPolicy::verdict) on its report does not refuse it: a
+/// clean program is pinned `"clean"` (any future finding on it is a
+/// regression), warnings pin the default tolerance, and a program the
+/// analyzer rejects — minimization may strip the seeding that kept it
+/// well-formed — ships `"skip"` so the reproducer still loads.
 pub fn conformance_scenario(fail: &Failure) -> Result<Scenario, crate::scenario::ScenarioError> {
     let name = format!("fuzz_{}", fail.seed);
-    let report = analysis::verify(&fail.program);
-    let verify = if report.has_errors() {
-        VerifyPolicy::Skip
-    } else if report.is_clean() {
-        VerifyPolicy::Clean
-    } else {
-        VerifyPolicy::AllowWarnings
-    };
-    let spec = ProgramSpec::inline_with(&name, asm_text::emit(&fail.program), verify)?;
+    let mut spec = ProgramSpec::inline(&name, asm_text::emit(&fail.program))?;
+    spec.verify = [VerifyPolicy::Clean, VerifyPolicy::AllowWarnings]
+        .into_iter()
+        .find(|policy| policy.verdict(&spec.report) != Verdict::Errors)
+        .unwrap_or(VerifyPolicy::Skip);
     let configs = machines()
         .into_iter()
         .map(|(label, machine)| ScenarioConfig {

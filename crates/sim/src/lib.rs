@@ -56,7 +56,7 @@ pub use json::{Expected, Fields, JsonError, JsonErrorKind, JsonValue, ToJson};
 pub use report::{Report, SpeedupError};
 pub use scenario::{
     check_program_names, file_stem, machine_from_json, machine_to_json, AblationSpec,
-    ProgramSource, ProgramSpec, Scenario, ScenarioConfig, ScenarioError, VerifyPolicy,
+    ProgramSource, ProgramSpec, Scenario, ScenarioConfig, ScenarioError, Verdict, VerifyPolicy,
     ALL_WORKLOADS, SCENARIO_VERSION,
 };
 pub use session::{

@@ -33,20 +33,25 @@
 //! then list the program's name in `"workloads"` like any built-in
 //! benchmark.
 //!
-//! Shipped programs are statically verified at load time by
-//! [`contopt_isa::analysis`]: error-severity findings (use-before-init,
-//! wild jumps, out-of-bounds accesses, provably infinite loops…) fail the
-//! load with [`ScenarioError::ProgramVerification`]. The optional
-//! `"verify"` key tunes this per program: `"allow-warnings"` (the
-//! default), `"clean"` (warnings fail too), or `"skip"` (no verification —
-//! used by conformance reproducers whose whole point is to pin a
-//! pathological program).
+//! A [`ProgramSpec`] is the one intake for program text: it assembles
+//! the text once with [`asm_text::parse_and_verify`] and keeps the
+//! [`contopt_isa::analysis`] report, whose findings carry `line:col`
+//! spans whether the text was inline or read from a file. The optional
+//! `"verify"` key picks the program's [`VerifyPolicy`], whose
+//! [`verdict`](VerifyPolicy::verdict) is the one ladder from a report to
+//! clean, warnings or errors; a program whose verdict is errors fails the
+//! load with [`ScenarioError::ProgramVerification`]. The policies are
+//! `"allow-warnings"` (the default: error-severity findings such as
+//! use-before-init, wild jumps, out-of-bounds accesses or provably
+//! infinite loops refuse), `"clean"` (warnings refuse too) and `"skip"`
+//! (nothing refuses — used by conformance reproducers whose whole point is
+//! to pin a pathological program).
 
 use crate::json::{Expected, Fields, JsonError, JsonValue, ToJson};
 use crate::session::validate_machine;
 use crate::{Error, MachineConfig, OptimizerConfig};
 use contopt::{ConfigFieldError, ConfigScalar};
-use contopt_isa::{analysis, asm_text, AnalysisReport, Program};
+use contopt_isa::{asm_text, AnalysisReport, Program};
 use contopt_workloads::{Suite, Workload};
 use std::fmt;
 use std::path::Path;
@@ -78,7 +83,9 @@ pub struct Scenario {
     pub configs: Vec<ScenarioConfig>,
 }
 
-/// One program a scenario ships (an entry of the `"programs"` block).
+/// One program a scenario ships (an entry of the `"programs"` block),
+/// assembled and statically verified once, when it is built: the one
+/// intake for program text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramSpec {
     /// The name configurations refer to; must not shadow a Table 1
@@ -86,29 +93,44 @@ pub struct ProgramSpec {
     pub name: String,
     /// Where the assembler text comes from.
     pub source: ProgramSource,
-    /// How strictly the static verifier's verdict gates the load (the
+    /// How strictly [`report`](Self::report) gates the program (the
     /// optional `"verify"` key; defaults to
     /// [`VerifyPolicy::AllowWarnings`]).
     pub verify: VerifyPolicy,
     /// The assembled program.
     pub program: Arc<Program>,
+    /// The static verifier's findings, each spanned `line:col` in the
+    /// text the program was assembled from.
+    pub report: AnalysisReport,
 }
 
-/// How strictly a shipped program's static-verification verdict is
-/// enforced at scenario load time (the optional `"verify"` key of a
-/// `"programs"` entry).
+/// How strictly a shipped program's static-verification report gates it
+/// (the optional `"verify"` key of a `"programs"` entry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum VerifyPolicy {
-    /// Error-severity findings fail the load; warnings are tolerated.
-    /// The default, and omitted from the canonical serialization.
+    /// Error-severity findings refuse the program; warnings are
+    /// tolerated. The default, and omitted from the canonical
+    /// serialization.
     #[default]
     AllowWarnings,
-    /// Any finding at all — error or warning — fails the load.
+    /// Any finding at all — error or warning — refuses the program.
     Clean,
-    /// Skip verification entirely. Used by conformance reproducers whose
+    /// Nothing refuses the program. Used by conformance reproducers whose
     /// whole point is to pin a pathological program the analyzer would
     /// reject.
     Skip,
+}
+
+/// What a static-verification report comes to under a [`VerifyPolicy`],
+/// from least to most severe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Verdict {
+    /// No finding the policy looks at.
+    Clean,
+    /// Warning-severity findings only, which the policy tolerates.
+    Warnings,
+    /// Findings the policy refuses the program for.
+    Errors,
 }
 
 impl VerifyPolicy {
@@ -131,6 +153,21 @@ impl VerifyPolicy {
             _ => None,
         }
     }
+
+    /// The one ladder from a report to a verdict, which the scenario
+    /// loader, the `submit_plan` decoder, `--verify` and the fuzzer's
+    /// conformance reproducers all read: under `Skip` every report is
+    /// clean; otherwise an error is errors, a warning is errors under
+    /// `Clean` and warnings under `AllowWarnings`, and no finding is clean.
+    pub fn verdict(self, report: &AnalysisReport) -> Verdict {
+        match self {
+            VerifyPolicy::Skip => Verdict::Clean,
+            _ if report.has_errors() => Verdict::Errors,
+            _ if report.warnings.is_empty() => Verdict::Clean,
+            VerifyPolicy::Clean => Verdict::Errors,
+            VerifyPolicy::AllowWarnings => Verdict::Warnings,
+        }
+    }
 }
 
 /// Where a shipped program's assembler text lives.
@@ -144,72 +181,62 @@ pub enum ProgramSource {
 
 impl ProgramSpec {
     /// Builds an inline spec under the default verification policy,
-    /// assembling `source` immediately.
+    /// assembling and verifying `source` immediately.
     pub fn inline(
         name: impl Into<String>,
         source: impl Into<String>,
     ) -> Result<ProgramSpec, ScenarioError> {
-        ProgramSpec::inline_with(name, source, VerifyPolicy::default())
+        let source = source.into();
+        let inline = ProgramSource::Inline(source.clone());
+        ProgramSpec::assemble(name.into(), &source, inline, VerifyPolicy::default())
     }
 
-    /// Builds an inline spec with an explicit verification policy,
-    /// assembling `source` immediately (the policy gates later loads, not
-    /// this assembly).
-    pub fn inline_with(
-        name: impl Into<String>,
-        source: impl Into<String>,
+    /// The one intake: assembles `text` once, keeping the spanned report
+    /// of [`asm_text::parse_and_verify`].
+    fn assemble(
+        name: String,
+        text: &str,
+        source: ProgramSource,
         verify: VerifyPolicy,
     ) -> Result<ProgramSpec, ScenarioError> {
-        let name = name.into();
-        let source = source.into();
-        let program = assemble(&name, &source)?;
-        Ok(ProgramSpec {
-            name,
-            source: ProgramSource::Inline(source),
-            verify,
-            program,
-        })
-    }
-
-    /// Statically verifies the assembled program — with source spans when
-    /// the text is inline — regardless of the [`VerifyPolicy`].
-    pub fn verify_report(&self) -> AnalysisReport {
-        match &self.source {
-            ProgramSource::Inline(text) => asm_text::parse_and_verify(text)
-                .map_or_else(|_| analysis::verify(&self.program), |(_, r)| r),
-            ProgramSource::File(_) => analysis::verify(&self.program),
+        match asm_text::parse_and_verify(text) {
+            Ok((program, report)) => Ok(ProgramSpec {
+                name,
+                source,
+                verify,
+                program: Arc::new(program),
+                report,
+            }),
+            Err(e) => Err(ScenarioError::Program {
+                name,
+                detail: e.to_string(),
+            }),
         }
     }
 
-    /// Enforces this program's [`VerifyPolicy`] against its static
-    /// verification report: error-severity findings always fail, and a
-    /// [`VerifyPolicy::Clean`] program fails on warnings too. `Ok` under
-    /// [`VerifyPolicy::Skip`].
+    /// Refuses this program when its policy's
+    /// [`verdict`](VerifyPolicy::verdict) on its report is
+    /// [`Verdict::Errors`], naming the first finding that refuses it (an
+    /// error, or under [`VerifyPolicy::Clean`] a warning) and the counts.
     pub fn verify_under_policy(&self) -> Result<(), ScenarioError> {
-        if self.verify == VerifyPolicy::Skip {
+        let report = &self.report;
+        if self.verify.verdict(report) != Verdict::Errors {
             return Ok(());
         }
-        let report = self.verify_report();
-        let first: Option<String> =
-            report
-                .errors
-                .first()
-                .map(|e| e.to_string())
-                .or_else(|| match self.verify {
-                    VerifyPolicy::Clean => report.warnings.first().map(|w| w.to_string()),
-                    _ => None,
-                });
-        match first {
-            Some(first) => Err(ScenarioError::ProgramVerification {
-                name: self.name.clone(),
-                detail: format!(
-                    "{first} ({} error(s), {} warning(s))",
-                    report.errors.len(),
-                    report.warnings.len()
-                ),
-            }),
-            None => Ok(()),
-        }
+        let first = report
+            .errors
+            .first()
+            .map(ToString::to_string)
+            .or_else(|| report.warnings.first().map(ToString::to_string))
+            .unwrap_or_default();
+        Err(ScenarioError::ProgramVerification {
+            name: self.name.clone(),
+            detail: format!(
+                "{first} ({} error(s), {} warning(s))",
+                report.errors.len(),
+                report.warnings.len()
+            ),
+        })
     }
 
     /// This program as a runnable workload (suite [`Suite::Kernel`]).
@@ -221,15 +248,6 @@ impl ProgramSpec {
             program: Arc::clone(&self.program),
         }
     }
-}
-
-fn assemble(name: &str, source: &str) -> Result<Arc<Program>, ScenarioError> {
-    asm_text::parse(source)
-        .map(Arc::new)
-        .map_err(|e| ScenarioError::Program {
-            name: name.to_string(),
-            detail: e.to_string(),
-        })
 }
 
 /// Interns a scenario-program name so it can live in [`Workload::name`]
@@ -530,39 +548,34 @@ impl Scenario {
     }
 
     /// Decodes a scenario document with [`from_json`](Self::from_json),
-    /// then [`validate`](Self::validate)s it and gates its programs with
-    /// [`verify_programs`](Self::verify_programs): the one path scenario
-    /// files and wire submissions take.
+    /// then [`validate`](Self::validate)s it and refuses it at the first
+    /// program whose report its policy rules errors
+    /// ([`ProgramSpec::verify_under_policy`]): the one path scenario files
+    /// and wire submissions take.
     pub fn decode(doc: &JsonValue, base: Option<&Path>) -> Result<Scenario, ScenarioError> {
         let sc = Scenario::from_json(doc, base)?;
         sc.validate()?;
-        sc.verify_programs()?;
+        for spec in &sc.programs {
+            spec.verify_under_policy()?;
+        }
         Ok(sc)
     }
 
-    /// Statically verifies every shipped program against its
-    /// [`VerifyPolicy`]: error-severity findings always fail, and a
-    /// [`VerifyPolicy::Clean`] program fails on warnings too.
-    pub fn verify_programs(&self) -> Result<(), ScenarioError> {
-        for spec in &self.programs {
-            spec.verify_under_policy()?;
-        }
-        Ok(())
-    }
-
-    /// This scenario with every `"file"`-sourced program converted to an
-    /// inline source carrying the canonical [`asm_text::emit`] rendering
-    /// of its assembled program — the self-contained form wire
-    /// submissions need (a file path relative to the scenario is
-    /// meaningless on another host).
-    pub fn with_inlined_programs(&self) -> Scenario {
+    /// This scenario with every `"file"`-sourced program rebuilt from the
+    /// canonical [`asm_text::emit`] rendering of its assembled program as
+    /// inline text, so each spec equals what decoding it gives — the
+    /// self-contained form wire submissions need (a file path relative to
+    /// the scenario is meaningless on another host).
+    pub fn with_inlined_programs(&self) -> Result<Scenario, ScenarioError> {
         let mut sc = self.clone();
         for spec in &mut sc.programs {
-            if let ProgramSource::File(_) = &spec.source {
-                spec.source = ProgramSource::Inline(asm_text::emit(&spec.program));
+            if let ProgramSource::File(_) = spec.source {
+                let verify = spec.verify;
+                *spec = ProgramSpec::inline(spec.name.clone(), asm_text::emit(&spec.program))?;
+                spec.verify = verify;
             }
         }
-        sc
+        Ok(sc)
     }
 
     /// Every cell of this scenario as `(configuration, workload name)`,
@@ -747,9 +760,9 @@ impl ToJson for AblationSpec {
 }
 
 impl ProgramSpec {
-    /// Parses and assembles one `"programs"` entry (`at` names the entry
-    /// in diagnostics, e.g. `programs[0]`). A `"file"` source is read
-    /// relative to `base`; without a base it is an error, so a wire
+    /// Parses, assembles and verifies one `"programs"` entry (`at` names
+    /// the entry in diagnostics, e.g. `programs[0]`). A `"file"` source is
+    /// read relative to `base`; without a base it is an error, so a wire
     /// submission must inline its text first.
     pub fn from_json(
         doc: &JsonValue,
@@ -774,12 +787,12 @@ impl ProgramSpec {
             _ => return Err(expected(at, "exactly one of \"source\" or \"file\"")),
         };
         let name = need(name, at, "a \"name\" field")?.to_string();
-        let program = match (&source, base) {
-            (ProgramSource::Inline(text), _) => assemble(&name, text)?,
+        let text = match (&source, base) {
+            (ProgramSource::Inline(text), _) => text.clone(),
             (ProgramSource::File(rel), Some(base)) => {
                 let path = base.join(rel);
                 match std::fs::read_to_string(&path) {
-                    Ok(text) => assemble(&name, &text)?,
+                    Ok(text) => text,
                     Err(e) => {
                         let detail = format!("{}: {e}", path.display());
                         return Err(ScenarioError::Program { name, detail });
@@ -795,12 +808,7 @@ impl ProgramSpec {
                 })
             }
         };
-        Ok(ProgramSpec {
-            name,
-            source,
-            verify,
-            program,
-        })
+        ProgramSpec::assemble(name, &text, source, verify)
     }
 }
 
@@ -1387,6 +1395,14 @@ mod tests {
             *loaded.programs[0].program,
             asm_text::parse(SPIN_SRC).unwrap()
         );
+        // Inlining rebuilds the spec from its emitted text, so it equals
+        // what decoding the inlined scenario gives.
+        let inlined = loaded.with_inlined_programs().unwrap();
+        assert!(matches!(
+            inlined.programs[0].source,
+            ProgramSource::Inline(_)
+        ));
+        assert_eq!(Scenario::parse(&inlined.canonical_json()).unwrap(), inlined);
         // Parsing the same text has no directory to read the file from,
         // so decoding it fails with a typed error.
         assert!(matches!(

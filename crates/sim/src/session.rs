@@ -121,11 +121,11 @@ impl SimBuilder {
             return Err(Error::ZeroInstructionBudget);
         }
 
-        let (program, name) = match self.workload {
+        let program = match self.workload {
             WorkloadSpec::None => return Err(Error::MissingWorkload),
-            WorkloadSpec::Program(p) => (p, None),
+            WorkloadSpec::Program(p) => p,
             WorkloadSpec::Named(n) => match contopt_workloads::build(&n) {
-                Some(w) => (w.program, Some(n)),
+                Some(w) => w.program,
                 None => return Err(Error::UnknownWorkload(n)),
             },
         };
@@ -133,7 +133,6 @@ impl SimBuilder {
         Ok(SimSession {
             cfg,
             program,
-            name,
             insts: self.insts,
         })
     }
@@ -254,7 +253,6 @@ pub(crate) fn validate_machine(cfg: &MachineConfig) -> Result<(), Error> {
 pub struct SimSession {
     cfg: MachineConfig,
     program: Arc<Program>,
-    name: Option<String>,
     insts: u64,
 }
 
@@ -267,11 +265,6 @@ impl SimSession {
     /// The full machine configuration this session simulates.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// The workload name, when the session was built from the suite.
-    pub fn workload_name(&self) -> Option<&str> {
-        self.name.as_deref()
     }
 
     /// The bound program.
@@ -317,7 +310,7 @@ mod tests {
         let r = s.run();
         assert_eq!(r.pipeline.retired, 12); // li + 5 x (subq, bne) + halt
         assert_eq!(r.insts_budget, 1_000);
-        assert!(s.workload_name().is_none());
+        assert_eq!(*s.program(), tiny_program());
     }
 
     #[test]
@@ -327,7 +320,10 @@ mod tests {
             .insts(20_000)
             .build()
             .unwrap();
-        assert_eq!(s.workload_name(), Some("twf"));
+        assert_eq!(
+            s.program(),
+            &*contopt_workloads::build("twf").unwrap().program
+        );
         let a = s.run();
         let b = s.run();
         assert_eq!(a.pipeline.cycles, b.pipeline.cycles);

@@ -245,15 +245,6 @@ pub fn build(name: &str) -> Option<Workload> {
     suite().into_iter().find(|w| w.name == name)
 }
 
-/// The names of all benchmarks in a suite, in Table 1 order.
-pub fn names_in(s: Suite) -> Vec<&'static str> {
-    suite()
-        .into_iter()
-        .filter(|w| w.suite == s)
-        .map(|w| w.name)
-        .collect()
-}
-
 /// The names of all 24 benchmarks, in suite order.
 pub fn names() -> Vec<&'static str> {
     suite().into_iter().map(|w| w.name).collect()
@@ -306,6 +297,13 @@ mod tests {
 
     #[test]
     fn suite_composition_matches_table1() {
+        let names_in = |s: Suite| -> Vec<&str> {
+            suite()
+                .into_iter()
+                .filter(|w| w.suite == s)
+                .map(|w| w.name)
+                .collect()
+        };
         assert_eq!(names_in(Suite::SpecInt).len(), 10);
         assert_eq!(names_in(Suite::SpecFp).len(), 6);
         assert_eq!(names_in(Suite::MediaBench).len(), 6);

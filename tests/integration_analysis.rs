@@ -11,7 +11,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use contopt_sim::isa::{analysis, asm_text};
-use contopt_sim::ToJson;
+use contopt_sim::{JsonValue, Scenario, ToJson};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -141,4 +141,68 @@ fn verify_cli_maps_verdicts_to_exit_codes() {
         String::from_utf8_lossy(&out.stdout).contains("\"exit_code\": 3"),
         "{out:?}"
     );
+}
+
+/// `--verify PATH [--json]`: the exit code and stdout, with `PATH`
+/// replaced by `<path>` so one program's outputs compare across files.
+fn verify_cli(path: &Path, json: bool) -> (Option<i32>, String) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_contopt-experiments"));
+    cmd.arg("--verify").arg(path);
+    if json {
+        cmd.arg("--json");
+    }
+    let out = cmd.output().expect("driver runs");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    (
+        out.status.code(),
+        stdout.replace(&path.display().to_string(), "<path>"),
+    )
+}
+
+#[test]
+fn one_program_text_reports_the_same_findings_from_every_intake() {
+    // The same text as a bare .s file, as a scenario's "file" program and
+    // as a scenario's inline "source": every intake assembles it once and
+    // keeps the same spanned findings.
+    let text = std::fs::read_to_string(corpus_dir().join("use_before_init.s")).unwrap();
+    let dir = std::env::temp_dir().join(format!("contopt-intake-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let asm = dir.join("prog.s");
+    std::fs::write(&asm, &text).unwrap();
+    let scenario = |file: &str, program: String| {
+        let path = dir.join(file);
+        std::fs::write(
+            &path,
+            format!(
+                r#"{{"version": 1, "name": "s", "insts": 1,
+                "programs": [{{"name": "prog", {program}}}],
+                "configs": [{{"label": "a", "workloads": ["prog"], "machine": {{}}}}]}}"#
+            ),
+        )
+        .unwrap();
+        path
+    };
+    let from_file = scenario("file.json", r#""file": "prog.s""#.to_string());
+    let source = JsonValue::from(text.as_str());
+    let inline = scenario("inline.json", format!(r#""source": {source}"#));
+
+    // The loader refuses both with the same spanned finding.
+    let refusal = |path: &Path| Scenario::load(path).unwrap_err().to_string();
+    assert_eq!(refusal(&from_file), refusal(&inline));
+    assert!(
+        refusal(&from_file).contains("error[use_before_init] 5:9 (inst 0 @ 0x1000)"),
+        "{}",
+        refusal(&from_file)
+    );
+
+    // --verify prints the same findings and exit code for all three.
+    for json in [false, true] {
+        let expected = verify_cli(&inline, json);
+        assert_eq!(verify_cli(&from_file, json), expected, "json: {json}");
+        assert_eq!(verify_cli(&asm, json), expected, "json: {json}");
+        assert_eq!(expected.0, Some(1));
+    }
+    let (_, json) = verify_cli(&from_file, true);
+    assert!(json.contains(r#""line": 8"#), "{json}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,7 +13,7 @@ use contopt_experiments::{
     FigureError, Lab,
 };
 use contopt_sim::workloads::Suite;
-use contopt_sim::{MachineConfig, Scenario, ToJson};
+use contopt_sim::{machine_to_json, MachineConfig, Scenario, ToJson};
 use std::path::Path;
 
 const INSTS: u64 = 60_000;
@@ -103,8 +103,33 @@ fn table3_percentages_are_sane_and_paper_shaped() {
 
 #[test]
 fn fig8_exec_bound_benefits_most_from_optimization() {
+    let sc = scenario("fig8");
+    // §5.3's machines: Table 2's with the schedulers doubled (fetch bound)
+    // or the front end widened to 8 (exec bound), compared in the
+    // canonical form the scenario file stores.
+    let machine = |label: &str| {
+        let cfg = sc.configs.iter().find(|c| c.label == label).unwrap();
+        machine_to_json(&cfg.machine).to_string()
+    };
+    let paper = MachineConfig::default_paper();
+    let fetch_bound = MachineConfig {
+        scheduler_entries: 16,
+        ..paper
+    };
+    let exec_bound = MachineConfig {
+        fetch_width: 8,
+        ..paper
+    };
+    assert_eq!(
+        machine("fetch bound"),
+        machine_to_json(&fetch_bound).to_string()
+    );
+    assert_eq!(
+        machine("exec bound"),
+        machine_to_json(&exec_bound).to_string()
+    );
     let mut lab = Lab::new(INSTS);
-    let f = fig8(&mut lab, &scenario("fig8")).unwrap();
+    let f = fig8(&mut lab, &sc).unwrap();
     assert_eq!(f.labels.len(), 5);
     for s in [Suite::SpecInt, Suite::SpecFp, Suite::MediaBench] {
         let bars = f.suite(s);

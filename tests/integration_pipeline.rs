@@ -118,7 +118,11 @@ fn mispredict_penalty_matches_table2() {
 fn wider_exec_bound_machine_is_not_slower() {
     let w = contopt_sim::workloads::build("mgd").unwrap();
     let base = run(MachineConfig::default_paper(), w.program.clone(), 200_000);
-    let wide = run(MachineConfig::exec_bound(), w.program.clone(), 200_000);
+    let exec_bound = MachineConfig {
+        fetch_width: 8,
+        ..MachineConfig::default_paper()
+    };
+    let wide = run(exec_bound, w.program.clone(), 200_000);
     assert!(
         wide.pipeline.cycles <= base.pipeline.cycles + base.pipeline.cycles / 20,
         "8-wide fetch should not slow down: {} vs {}",
@@ -131,7 +135,11 @@ fn wider_exec_bound_machine_is_not_slower() {
 fn bigger_schedulers_do_not_hurt() {
     let w = contopt_sim::workloads::build("mcf").unwrap();
     let base = run(MachineConfig::default_paper(), w.program.clone(), 200_000);
-    let fb = run(MachineConfig::fetch_bound(), w.program.clone(), 200_000);
+    let fetch_bound = MachineConfig {
+        scheduler_entries: 16,
+        ..MachineConfig::default_paper()
+    };
+    let fb = run(fetch_bound, w.program.clone(), 200_000);
     assert!(fb.pipeline.cycles <= base.pipeline.cycles + base.pipeline.cycles / 20);
 }
 

@@ -37,8 +37,20 @@ fn all_workloads_retire_identically_on_all_machines() {
             "feedback-only",
             MachineConfig::default_paper().with_optimizer(OptimizerConfig::feedback_only()),
         ),
-        ("fetch-bound", MachineConfig::fetch_bound()),
-        ("exec-bound", MachineConfig::exec_bound()),
+        (
+            "fetch-bound",
+            MachineConfig {
+                scheduler_entries: 16,
+                ..MachineConfig::default_paper()
+            },
+        ),
+        (
+            "exec-bound",
+            MachineConfig {
+                fetch_width: 8,
+                ..MachineConfig::default_paper()
+            },
+        ),
     ];
     for w in suite() {
         let mut retired = Vec::new();
