@@ -718,6 +718,17 @@ mod tests {
     }
 
     #[test]
+    fn generated_programs_are_pinned() {
+        // The canonical text of seeds 1..=500 folded into one digest: a
+        // generator change that alters any program, its RNG draws, labels
+        // or data segment included, shows here.
+        let digest = (1..=500).fold(STREAM_DIGEST_INIT, |h, seed| {
+            contopt_emu::fnv1a(h, asm_text::emit(&program_for_seed(seed)).as_bytes())
+        });
+        assert_eq!(digest, 0xf559_2960_d86a_098c);
+    }
+
+    #[test]
     fn generated_programs_are_bounded_and_varied() {
         let mut total = 0u64;
         let mut any_loop = false;

@@ -9,8 +9,8 @@
 // lints, which police the library crates.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use contopt_sim::emu::{ArchSnapshot, DynInst, Emulator, Step, STREAM_DIGEST_INIT};
-use contopt_sim::isa::{Inst, Program};
+use contopt_sim::emu::{fnv1a, ArchSnapshot, DynInst, Emulator, Step, STREAM_DIGEST_INIT};
+use contopt_sim::isa::{asm_text, Inst, Program};
 use contopt_sim::workloads::{suite, Suite, CHECKSUM_ADDR};
 use contopt_sim::{MachineConfig, OptimizerConfig, Report, SimSession};
 use std::sync::Arc;
@@ -215,4 +215,17 @@ fn stream_and_image_digests_are_pinned() {
         digest = d.fold_digest(digest);
     }
     assert_eq!(digest, 0xac91_80ab_b426_5d23);
+}
+
+#[test]
+fn suite_programs_are_pinned() {
+    // Each workload's name and canonical text folded into one digest.
+    // `emit` writes the code base, the entry, every instruction and one
+    // `.org` per data segment, so a layout change that moves a label,
+    // merges or splits a data segment, or reorders the suite shows here.
+    let digest = suite().iter().fold(STREAM_DIGEST_INIT, |h, w| {
+        let h = fnv1a(h, w.name.as_bytes());
+        fnv1a(h, asm_text::emit(&w.program).as_bytes())
+    });
+    assert_eq!(digest, 0x36f7_d954_def5_8408);
 }
