@@ -123,7 +123,7 @@ impl Optimizer {
         let dst_a = d.inst.dst().expect("forwarding checked dst");
         // The stored register value, evaluated with the oracle.
         let stored = data.eval_with(|p| self.oracle[p.index()]);
-        let loaded = extend(truncate(stored, size), size, signedness(&d.inst));
+        let loaded = size.extend(size.truncate(stored), signedness(&d.inst));
         if Some(loaded) != d.result {
             // Stale entry (speculative unknown-address store wrote this
             // location since) or a width-change mismatch: reject.
@@ -251,45 +251,4 @@ impl Optimizer {
 
 fn signedness(inst: &Inst) -> bool {
     matches!(inst, Inst::Ld { signed: true, .. })
-}
-
-#[inline]
-fn truncate(v: u64, size: MemSize) -> u64 {
-    match size {
-        MemSize::Byte => v & 0xff,
-        MemSize::Word => v & 0xffff,
-        MemSize::Long => v & 0xffff_ffff,
-        MemSize::Quad => v,
-    }
-}
-
-#[inline]
-fn extend(raw: u64, size: MemSize, signed: bool) -> u64 {
-    if !signed {
-        return raw;
-    }
-    match size {
-        MemSize::Byte => raw as u8 as i8 as i64 as u64,
-        MemSize::Word => raw as u16 as i16 as i64 as u64,
-        MemSize::Long => raw as u32 as i32 as i64 as u64,
-        MemSize::Quad => raw,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn truncate_and_extend_match_memory_semantics() {
-        assert_eq!(truncate(0x1234_5678_9abc_def0, MemSize::Byte), 0xf0);
-        assert_eq!(truncate(0x1234_5678_9abc_def0, MemSize::Word), 0xdef0);
-        assert_eq!(truncate(0x1234_5678_9abc_def0, MemSize::Long), 0x9abc_def0);
-        assert_eq!(extend(0xf0, MemSize::Byte, true), 0xffff_ffff_ffff_fff0);
-        assert_eq!(extend(0xf0, MemSize::Byte, false), 0xf0);
-        assert_eq!(
-            extend(0x9abc_def0, MemSize::Long, true),
-            0xffff_ffff_9abc_def0
-        );
-    }
 }

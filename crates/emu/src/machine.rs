@@ -2,7 +2,7 @@
 
 use crate::dyninst::DynInst;
 use crate::mem_image::MemImage;
-use contopt_isa::{Inst, MemSize, Operand, Program, Reg, STACK_TOP};
+use contopt_isa::{Inst, Operand, Program, Reg, STACK_TOP};
 use std::fmt;
 use std::sync::Arc;
 
@@ -231,7 +231,7 @@ impl Emulator {
             } => {
                 let addr = self.reg(rb).wrapping_add(disp as u64);
                 let raw = self.mem.read_le(addr, size.bytes());
-                let v = extend(raw, size, signed);
+                let v = size.extend(raw, signed);
                 self.write_reg(rc, v);
                 result = Some(v);
                 eff_addr = Some(addr);
@@ -241,7 +241,7 @@ impl Emulator {
                 let v = self.reg(ra);
                 self.mem.write_le(addr, v, size.bytes());
                 eff_addr = Some(addr);
-                store_value = Some(truncate(v, size));
+                store_value = Some(size.truncate(v));
             }
             Inst::FLd { fc, rb, disp } => {
                 let addr = self.reg(rb).wrapping_add(disp as u64);
@@ -366,29 +366,6 @@ impl Emulator {
                 }
             }
         }
-    }
-}
-
-#[inline]
-fn extend(raw: u64, size: MemSize, signed: bool) -> u64 {
-    if !signed {
-        return raw;
-    }
-    match size {
-        MemSize::Byte => raw as u8 as i8 as i64 as u64,
-        MemSize::Word => raw as u16 as i16 as i64 as u64,
-        MemSize::Long => raw as u32 as i32 as i64 as u64,
-        MemSize::Quad => raw,
-    }
-}
-
-#[inline]
-fn truncate(v: u64, size: MemSize) -> u64 {
-    match size {
-        MemSize::Byte => v & 0xff,
-        MemSize::Word => v & 0xffff,
-        MemSize::Long => v & 0xffff_ffff,
-        MemSize::Quad => v,
     }
 }
 

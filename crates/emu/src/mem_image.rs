@@ -129,10 +129,6 @@ impl MemImage {
     pub fn write_u16(&mut self, addr: u64, v: u16) {
         self.write_le(addr, v as u64, 2);
     }
-    /// Writes a `u32`.
-    pub fn write_u32(&mut self, addr: u64, v: u32) {
-        self.write_le(addr, v as u64, 4);
-    }
     /// Writes a `u64`.
     pub fn write_u64(&mut self, addr: u64, v: u64) {
         self.write_le(addr, v, 8);

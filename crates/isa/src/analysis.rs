@@ -395,6 +395,9 @@ struct Cfg {
 /// Context shared by the analysis stages.
 struct Analyzer<'a> {
     prog: &'a Program,
+    /// One past the last code address; it fits in a `u64`, so no code
+    /// address computed below it overflows.
+    code_end: u64,
     spans: &'a [Span],
     errors: Vec<AnalysisError>,
     warnings: Vec<AnalysisWarning>,
@@ -431,8 +434,7 @@ impl<'a> Analyzer<'a> {
 
     /// Valid instruction index for a branch target, or a `WildJump` error.
     fn target_index(&mut self, index: usize, target: u64) -> Option<usize> {
-        let base = self.prog.code_base;
-        let end = base + 4 * self.prog.len() as u64;
+        let (base, end) = (self.prog.code_base, self.code_end);
         if target < base || target >= end {
             self.error(
                 ErrorKind::WildJump,
@@ -873,6 +875,22 @@ fn dominates(idom: &[Option<usize>], dom: usize, mut b: usize) -> bool {
 // Entry points
 // ---------------------------------------------------------------------------
 
+/// The report of a program that cannot be walked at all: one `bad_entry`
+/// error.
+fn bad_entry(p: &Program, detail: String) -> AnalysisReport {
+    AnalysisReport {
+        insts: p.len(),
+        errors: vec![AnalysisError {
+            kind: ErrorKind::BadEntry,
+            index: 0,
+            pc: p.entry,
+            span: None,
+            detail,
+        }],
+        ..AnalysisReport::default()
+    }
+}
+
 /// Verifies a program, attributing findings to instruction indices only.
 pub fn verify(p: &Program) -> AnalysisReport {
     verify_with_spans(p, &[])
@@ -882,8 +900,24 @@ pub fn verify(p: &Program) -> AnalysisReport {
 /// [`crate::asm_text::parse_with_spans`]), so findings point back at source
 /// lines.
 pub fn verify_with_spans(p: &Program, spans: &[Span]) -> AnalysisReport {
+    if p.is_empty() {
+        return bad_entry(p, "program has no instructions".to_string());
+    }
+    let (base, entry) = (p.code_base, p.entry);
+    let Some(code_end) = base.checked_add(4 * p.len() as u64) else {
+        let detail = format!("code segment at {base:#x} runs past the top of memory");
+        return bad_entry(p, detail);
+    };
+    if entry < base || entry >= code_end || (entry - base) % 4 != 0 {
+        let detail = format!(
+            "entry pc {entry:#x} is outside the code segment [{base:#x}, {code_end:#x}) or misaligned"
+        );
+        return bad_entry(p, detail);
+    }
+    let entry_idx = ((entry - base) / 4) as usize;
     let mut a = Analyzer {
         prog: p,
+        code_end,
         spans,
         errors: Vec::new(),
         warnings: Vec::new(),
@@ -892,35 +926,6 @@ pub fn verify_with_spans(p: &Program, spans: &[Span]) -> AnalysisReport {
         insts: p.len(),
         ..AnalysisReport::default()
     };
-    if p.is_empty() {
-        a.errors.push(AnalysisError {
-            kind: ErrorKind::BadEntry,
-            index: 0,
-            pc: p.entry,
-            span: None,
-            detail: "program has no instructions".to_string(),
-        });
-        report.errors = a.errors;
-        return report;
-    }
-    let code_end = p.code_base + 4 * p.len() as u64;
-    let entry_idx =
-        if p.entry < p.code_base || p.entry >= code_end || (p.entry - p.code_base) % 4 != 0 {
-            a.errors.push(AnalysisError {
-                kind: ErrorKind::BadEntry,
-                index: 0,
-                pc: p.entry,
-                span: None,
-                detail: format!(
-                "entry pc {:#x} is outside the code segment [{:#x}, {code_end:#x}) or misaligned",
-                p.entry, p.code_base
-            ),
-            });
-            report.errors = a.errors;
-            return report;
-        } else {
-            ((p.entry - p.code_base) / 4) as usize
-        };
 
     let cfg = a.build_cfg(entry_idx);
     let entry_block = cfg.block_of[entry_idx];

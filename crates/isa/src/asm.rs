@@ -1,10 +1,11 @@
-//! A small in-memory assembler for building test programs and synthetic
-//! workloads.
+//! The in-memory assembler: the one place a program is laid out.
 //!
 //! [`Asm`] is a builder: emit instructions through mnemonic-named methods,
 //! place labels with [`Asm::label`], reserve and initialize data with the
-//! `data_*` methods, and finally call [`Asm::finish`] to resolve branch
-//! targets and obtain a [`Program`].
+//! `data_*` methods, and finally call [`Asm::finish`] to resolve label
+//! references and obtain a [`Program`]. The workloads and the fuzzer call
+//! it directly; the text assembler ([`crate::asm_text`]) parses into it.
+//! `docs/ISA.md` ("Layout") gives the rules both follow.
 //!
 //! # Examples
 //!
@@ -78,7 +79,8 @@ impl Program {
 ///
 /// Errors raised by the builder API ([`Asm`]) carry no span — they have no
 /// source text — while every error from the text assembler
-/// ([`crate::asm_text::parse`]) points at the offending token.
+/// ([`crate::asm_text::parse`]) points at the offending token, except
+/// [`AsmErrorKind::CodeOverflow`], which concerns the program as a whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// 1-based source line.
@@ -116,6 +118,10 @@ pub enum AsmErrorKind {
     BadOperand,
     /// An unknown or malformed assembler directive.
     BadDirective,
+    /// The code segment runs past the top of the address space: its base
+    /// plus 4 bytes per instruction exceeds `u64::MAX`. The token is the
+    /// code base.
+    CodeOverflow,
 }
 
 /// Error produced when assembly fails: the error kind, the offending token
@@ -172,6 +178,7 @@ impl fmt::Display for AsmError {
             AsmErrorKind::BadImmediate => "invalid or out-of-range immediate",
             AsmErrorKind::BadOperand => "malformed operand",
             AsmErrorKind::BadDirective => "unknown or malformed directive",
+            AsmErrorKind::CodeOverflow => "code segment runs past the top of memory from base",
         };
         write!(f, "{what} `{}`", self.token)
     }
@@ -179,19 +186,47 @@ impl fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
-enum Fixup {
-    Br { idx: usize, label: String },
+/// Where a label is bound.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    /// An instruction index; its address follows from the final code base.
+    Code(usize),
+    /// An absolute data address.
+    Addr(u64),
+    /// Not yet: a data label waits for the next placement's alignment.
+    Pending,
 }
 
-/// The program builder. See the [crate documentation](crate) for an example.
+/// A label reference: the branch target, or the `li` displacement, of
+/// instruction `idx`. [`Asm::finish`] resolves it.
+struct Ref {
+    idx: usize,
+    label: String,
+    span: Option<Span>,
+}
+
+/// The program builder, and the one layout engine: the text assembler
+/// ([`crate::asm_text`]) hands it each instruction, label and data
+/// placement it parses. See the [crate documentation](crate) for an
+/// example.
 pub struct Asm {
     code_base: u64,
+    /// The entry PC when it is not the code base.
+    entry: Option<u64>,
     insts: Vec<Inst>,
-    labels: HashMap<String, usize>,
-    fixups: Vec<Fixup>,
+    /// Closed data segments, in placement order.
     data: Vec<(u64, Vec<u8>)>,
-    data_cursor: u64,
-    duplicate: Option<String>,
+    /// The open data segment: a text placement that needs no padding
+    /// extends it.
+    open: Option<(u64, Vec<u8>)>,
+    /// Where the next placement goes, before its alignment.
+    cursor: u64,
+    labels: HashMap<String, Bound>,
+    /// The labels bound [`Bound::Pending`], in declaration order.
+    pending: Vec<String>,
+    refs: Vec<Ref>,
+    /// The first duplicate label a builder call defined; `finish` reports it.
+    duplicate: Option<AsmError>,
 }
 
 impl Default for Asm {
@@ -204,32 +239,24 @@ impl Asm {
     /// Creates an assembler with the default memory layout
     /// ([`CODE_BASE`], [`DATA_BASE`]).
     pub fn new() -> Asm {
-        Asm::with_bases(CODE_BASE, DATA_BASE)
-    }
-
-    /// Creates an assembler with explicit code and data base addresses.
-    pub fn with_bases(code_base: u64, data_base: u64) -> Asm {
         Asm {
-            code_base,
+            code_base: CODE_BASE,
+            entry: None,
             insts: Vec::new(),
-            labels: HashMap::new(),
-            fixups: Vec::new(),
             data: Vec::new(),
-            data_cursor: data_base,
+            open: None,
+            cursor: DATA_BASE,
+            labels: HashMap::new(),
+            pending: Vec::new(),
+            refs: Vec::new(),
             duplicate: None,
         }
     }
 
-    /// The PC of the *next* instruction to be emitted.
-    pub fn here(&self) -> u64 {
-        self.code_base + 4 * self.insts.len() as u64
-    }
-
     /// Defines `name` at the current position.
     pub fn label(&mut self, name: &str) -> &mut Asm {
-        let idx = self.insts.len();
-        if self.labels.insert(name.to_string(), idx).is_some() && self.duplicate.is_none() {
-            self.duplicate = Some(name.to_string());
+        if let Err(e) = self.define(name, false) {
+            self.duplicate.get_or_insert(e);
         }
         self
     }
@@ -242,51 +269,121 @@ impl Asm {
 
     // ---- data section -------------------------------------------------
 
-    /// Aligns the data cursor to `align` bytes (a power of two).
-    pub fn data_align(&mut self, align: u64) -> &mut Asm {
-        debug_assert!(align.is_power_of_two());
-        self.data_cursor = (self.data_cursor + align - 1) & !(align - 1);
-        self
-    }
-
-    /// Places raw bytes in the data segment, returning their base address.
+    /// Places raw bytes in a data segment of their own, returning their
+    /// base address.
     pub fn data_bytes(&mut self, bytes: &[u8]) -> u64 {
-        let addr = self.data_cursor;
-        self.data.push((addr, bytes.to_vec()));
-        self.data_cursor += bytes.len() as u64;
-        addr
+        self.place(1, bytes.to_vec(), false)
     }
 
     /// Places an array of little-endian quadwords, 8-byte aligned; returns
     /// its base address.
     pub fn data_quads(&mut self, vals: &[u64]) -> u64 {
-        self.data_align(8);
-        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.data_bytes(&bytes)
+        let bytes = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        self.place(8, bytes, false)
     }
 
     /// Places an array of little-endian longwords, 4-byte aligned; returns
     /// its base address.
     pub fn data_longs(&mut self, vals: &[u32]) -> u64 {
-        self.data_align(4);
-        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.data_bytes(&bytes)
+        let bytes = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        self.place(4, bytes, false)
     }
 
     /// Places an array of doubles, 8-byte aligned; returns its base address.
     pub fn data_f64s(&mut self, vals: &[f64]) -> u64 {
-        self.data_align(8);
-        let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-        self.data_bytes(&bytes)
+        let bytes = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        self.place(8, bytes, false)
     }
 
     /// Reserves `len` zeroed bytes, 8-byte aligned; returns the base address.
     pub fn data_zeros(&mut self, len: u64) -> u64 {
-        self.data_align(8);
-        let addr = self.data_cursor;
-        self.data.push((addr, vec![0u8; len as usize]));
-        self.data_cursor += len;
+        self.place(8, vec![0u8; len as usize], false)
+    }
+
+    /// Places `bytes` at the cursor aligned to `align` (a power of two),
+    /// binds the pending labels to their address, and returns it. With
+    /// `extend`, a placement that needs no padding extends the open
+    /// segment; otherwise it opens a segment of its own.
+    pub(crate) fn place(&mut self, align: u64, bytes: Vec<u8>, extend: bool) -> u64 {
+        // Saturating: a pathological `.org` near u64::MAX must degrade to
+        // overlapping-segment nonsense, not arithmetic overflow.
+        let addr = self.cursor.saturating_add(align - 1) & !(align - 1);
+        if addr != self.cursor || !extend {
+            self.seek(None);
+        }
+        self.bind_pending(Bound::Addr(addr));
+        self.cursor = addr.saturating_add(bytes.len() as u64);
+        match &mut self.open {
+            Some((_, buf)) => buf.extend_from_slice(&bytes),
+            None => self.open = Some((addr, bytes)),
+        }
         addr
+    }
+
+    // ---- layout directives of the text assembler -----------------------
+
+    /// Defines `name` at the next instruction, or, for a `data` label, at
+    /// the next placement after its alignment.
+    pub(crate) fn define(&mut self, name: &str, data: bool) -> Result<(), AsmError> {
+        let at = if data {
+            self.pending.push(name.to_string());
+            Bound::Pending
+        } else {
+            Bound::Code(self.insts.len())
+        };
+        match self.labels.insert(name.to_string(), at) {
+            Some(_) => Err(AsmError::duplicate_label(name)),
+            None => Ok(()),
+        }
+    }
+
+    /// Binds the labels still waiting for a placement to the next
+    /// instruction: labels that end a data section name the code after it.
+    pub(crate) fn bind_pending_to_code(&mut self) {
+        self.bind_pending(Bound::Code(self.insts.len()));
+    }
+
+    fn bind_pending(&mut self, at: Bound) {
+        for name in self.pending.drain(..) {
+            self.labels.insert(name, at);
+        }
+    }
+
+    /// Moves the code segment to `base`, unless an instruction already
+    /// depends on it (then `None`).
+    pub(crate) fn set_code_base(&mut self, base: u64) -> Option<()> {
+        self.insts.is_empty().then(|| self.code_base = base)
+    }
+
+    /// Sets the entry PC (the code base by default).
+    pub(crate) fn set_entry(&mut self, entry: u64) {
+        self.entry = Some(entry);
+    }
+
+    /// Closes the open data segment and moves the cursor to `addr` (or
+    /// leaves it, given `None`): the next placement opens a new segment.
+    pub(crate) fn seek(&mut self, addr: Option<u64>) {
+        if let Some(seg) = self.open.take() {
+            self.data.push(seg);
+        }
+        self.cursor = addr.unwrap_or(self.cursor);
+    }
+
+    /// Closes the open data segment and aligns the cursor to `align` (a
+    /// power of two).
+    pub(crate) fn align(&mut self, align: u64) {
+        self.seek(Some(self.cursor.saturating_add(align - 1) & !(align - 1)));
+    }
+
+    /// Makes the next instruction's branch target, or its `li`
+    /// displacement, the address of `label`, resolved by
+    /// [`finish`](Asm::finish).
+    pub(crate) fn refer(&mut self, label: &str, span: Option<Span>) {
+        self.refs.push(Ref {
+            idx: self.insts.len(),
+            label: label.to_string(),
+            span,
+        });
     }
 
     // ---- integer ALU ---------------------------------------------------
@@ -548,12 +645,9 @@ impl Asm {
 
     // ---- control flow ------------------------------------------------------
 
-    fn branch(&mut self, cond: Cond, ra: Reg, label: &str) -> &mut Asm {
-        let idx = self.insts.len();
-        self.fixups.push(Fixup::Br {
-            idx,
-            label: label.to_string(),
-        });
+    /// Branch to `label` if `cond` holds for `ra`.
+    pub fn branch(&mut self, cond: Cond, ra: Reg, label: &str) -> &mut Asm {
+        self.refer(label, None);
         self.emit(Inst::Br {
             cond,
             ra,
@@ -588,21 +682,13 @@ impl Asm {
 
     /// Unconditional branch to `label`.
     pub fn br(&mut self, label: &str) -> &mut Asm {
-        let idx = self.insts.len();
-        self.fixups.push(Fixup::Br {
-            idx,
-            label: label.to_string(),
-        });
+        self.refer(label, None);
         self.emit(Inst::Bru { target: 0 })
     }
 
     /// Call: `rd = pc + 4`, jump to `label`.
     pub fn bsr(&mut self, rd: Reg, label: &str) -> &mut Asm {
-        let idx = self.insts.len();
-        self.fixups.push(Fixup::Br {
-            idx,
-            label: label.to_string(),
-        });
+        self.refer(label, None);
         self.emit(Inst::Bsr { rd, target: 0 })
     }
 
@@ -626,47 +712,57 @@ impl Asm {
         self.emit(Inst::Nop)
     }
 
-    /// The absolute address a label will have (labels must already be
-    /// defined).
+    /// The absolute address of a label that is already defined.
     ///
     /// # Errors
     ///
     /// Returns an [`AsmErrorKind::UndefinedLabel`] error if `name` has not
     /// been defined.
     pub fn label_addr(&self, name: &str) -> Result<u64, AsmError> {
-        self.labels
-            .get(name)
-            .map(|&idx| self.code_base + 4 * idx as u64)
-            .ok_or_else(|| AsmError::undefined_label(name))
+        match self.labels.get(name) {
+            Some(Bound::Code(idx)) => Ok(self.code_base + 4 * *idx as u64),
+            Some(Bound::Addr(addr)) => Ok(*addr),
+            Some(Bound::Pending) | None => Err(AsmError::undefined_label(name)),
+        }
     }
 
-    /// Resolves all fixups and produces the final [`Program`].
+    /// Closes the last data segment, binds the labels still pending to the
+    /// cursor, resolves every label reference, and produces the final
+    /// [`Program`].
     ///
     /// # Errors
     ///
-    /// Returns an error if any branch references an undefined label, or if a
-    /// label was defined more than once.
+    /// Returns an error if a label was defined more than once, if the code
+    /// segment runs past the top of the address space, or if a reference
+    /// names an undefined label (the first such reference, with its span).
     pub fn finish(mut self) -> Result<Program, AsmError> {
         if let Some(dup) = self.duplicate.take() {
-            return Err(AsmError::duplicate_label(dup));
+            return Err(dup);
         }
-        for fixup in &self.fixups {
-            let Fixup::Br { idx, label } = fixup;
-            let target_idx = *self
-                .labels
-                .get(label)
-                .ok_or_else(|| AsmError::undefined_label(label.clone()))?;
-            let target = self.code_base + 4 * target_idx as u64;
-            match &mut self.insts[*idx] {
-                Inst::Br { target: t, .. }
-                | Inst::Bru { target: t }
-                | Inst::Bsr { target: t, .. } => *t = target,
-                other => unreachable!("fixup on non-branch {other:?}"),
+        self.seek(None);
+        self.bind_pending(Bound::Addr(self.cursor));
+        // Every code address below is `code_base + 4 × index`, with the
+        // index at most the instruction count.
+        let code_bytes = 4 * self.insts.len() as u64;
+        if self.code_base.checked_add(code_bytes).is_none() {
+            let base = format!("{:#x}", self.code_base);
+            return Err(AsmError::new(AsmErrorKind::CodeOverflow, base));
+        }
+        for r in std::mem::take(&mut self.refs) {
+            let addr = self
+                .label_addr(&r.label)
+                .map_err(|e| AsmError { span: r.span, ..e })?;
+            match &mut self.insts[r.idx] {
+                Inst::Br { target, .. } | Inst::Bru { target } | Inst::Bsr { target, .. } => {
+                    *target = addr
+                }
+                Inst::Lda { disp, .. } => *disp = addr as i64,
+                other => unreachable!("label reference on {other:?}"),
             }
         }
         Ok(Program {
             code_base: self.code_base,
-            entry: self.code_base,
+            entry: self.entry.unwrap_or(self.code_base),
             insts: self.insts,
             data: self.data,
         })

@@ -1,9 +1,12 @@
 //! The text assembler: `.s`-style source ↔ [`Program`].
 //!
 //! [`parse`] turns assembly text into a [`Program`] with
-//! line/column-spanned [`AsmError`]s; [`emit`] renders a [`Program`] back
+//! line/column-spanned [`AsmError`]s. It is a front end to the
+//! [`Asm`] builder: it tokenizes, reads directives and
+//! operands, and encodes mnemonics, while the `Asm` lays out every label,
+//! label reference and data segment. [`emit`] renders a [`Program`] back
 //! to canonical text such that `parse(emit(p)) == p` for every program the
-//! [`Asm`](crate::Asm) builder can produce (the workload suite's
+//! [`Asm`] builder can produce (the workload suite's
 //! round-trip tests pin this).
 //!
 //! # Syntax
@@ -50,11 +53,10 @@
 //! ```
 
 use crate::analysis::{self, AnalysisReport};
-use crate::asm::{AsmError, AsmErrorKind, Program, Span, CODE_BASE, DATA_BASE};
+use crate::asm::{Asm, AsmError, AsmErrorKind, Program, Span};
 use crate::inst::{load_mnemonic, Inst, Operand};
 use crate::opcode::{AluOp, Cond, FpCmpOp, FpOp, MemSize};
 use crate::reg::{FReg, Reg};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Every mnemonic the text assembler accepts, in documentation order:
@@ -87,39 +89,14 @@ pub fn mnemonics() -> Vec<&'static str> {
 // Parsing
 // ---------------------------------------------------------------------------
 
-/// Where a label is bound.
-#[derive(Debug, Clone, Copy)]
-enum LabelVal {
-    /// Instruction index (address resolves once `code_base` is final).
-    Code(usize),
-    /// Absolute data address.
-    Addr(u64),
-}
-
-/// Which field of an instruction a pending label reference patches.
-#[derive(Debug, Clone, Copy)]
-enum Patch {
-    /// `Br`/`Bru`/`Bsr` target.
-    BranchTarget,
-    /// `Lda` displacement (the `li rc, label` form).
-    LdaDisp,
-}
-
+/// The text front end: tokens, directives and operands in, [`Asm`] calls
+/// out. Every label, reference and data segment is laid out by the `Asm`.
 struct Parser {
     mode: Mode,
-    code_base: u64,
-    entry: Option<u64>,
-    insts: Vec<Inst>,
-    /// Source position of each instruction's mnemonic, parallel to `insts`.
+    asm: Asm,
+    /// Source position of each instruction's mnemonic, parallel to the
+    /// instructions.
     spans: Vec<Span>,
-    data: Vec<(u64, Vec<u8>)>,
-    /// Open data segment being appended to, if any.
-    current: Option<(u64, Vec<u8>)>,
-    cursor: u64,
-    labels: HashMap<String, LabelVal>,
-    /// Labels seen but not yet bound to a position.
-    pending: Vec<(String, u32, u32)>,
-    fixups: Vec<(usize, Patch, String, u32, u32)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +114,13 @@ struct Tok<'a> {
 }
 
 impl Tok<'_> {
+    fn span(&self) -> Span {
+        Span {
+            line: self.line,
+            col: self.col,
+        }
+    }
+
     fn err(&self, kind: AsmErrorKind) -> AsmError {
         AsmError::new(kind, self.text).at(self.line, self.col)
     }
@@ -163,22 +147,14 @@ pub fn parse(src: &str) -> Result<Program, AsmError> {
 pub fn parse_with_spans(src: &str) -> Result<(Program, Vec<Span>), AsmError> {
     let mut p = Parser {
         mode: Mode::Code,
-        code_base: CODE_BASE,
-        entry: None,
-        insts: Vec::new(),
+        asm: Asm::new(),
         spans: Vec::new(),
-        data: Vec::new(),
-        current: None,
-        cursor: DATA_BASE,
-        labels: HashMap::new(),
-        pending: Vec::new(),
-        fixups: Vec::new(),
     };
     for (line_idx, raw) in src.lines().enumerate() {
         let line_no = (line_idx + 1) as u32;
         p.line(raw, line_no)?;
     }
-    p.finish()
+    Ok((p.asm.finish()?, p.spans))
 }
 
 /// Parses assembly text, then lints the resulting program with the static
@@ -218,11 +194,10 @@ impl Parser {
             if let Some(colon) = rest.find(':') {
                 let head = &rest[..colon];
                 if is_ident(head) {
-                    self.define_label(Tok {
-                        text: head,
-                        line: line_no,
-                        col: offset as u32 + 1,
-                    })?;
+                    let (col, data) = (offset as u32 + 1, self.mode == Mode::Data);
+                    self.asm
+                        .define(head, data)
+                        .map_err(|e| e.at(line_no, col))?;
                     offset += colon + 1;
                     rest = &rest[colon + 1..];
                     continue;
@@ -251,62 +226,6 @@ impl Parser {
         }
     }
 
-    fn define_label(&mut self, tok: Tok<'_>) -> Result<(), AsmError> {
-        if self.labels.contains_key(tok.text)
-            || self.pending.iter().any(|(name, _, _)| name == tok.text)
-        {
-            return Err(tok.err(AsmErrorKind::DuplicateLabel));
-        }
-        self.pending.push((tok.text.to_string(), tok.line, tok.col));
-        // Code labels bind immediately (the next instruction index is
-        // already known); data labels wait for the next directive so that
-        // its alignment is applied first.
-        if self.mode == Mode::Code {
-            self.bind_pending(LabelVal::Code(self.insts.len()));
-        }
-        Ok(())
-    }
-
-    fn bind_pending(&mut self, val: LabelVal) {
-        for (name, _, _) in self.pending.drain(..) {
-            self.labels.insert(name, val);
-        }
-    }
-
-    /// Closes the open data segment, if any.
-    fn close_segment(&mut self) {
-        if let Some(seg) = self.current.take() {
-            self.data.push(seg);
-        }
-    }
-
-    /// Appends `bytes` at the cursor aligned to `align`, opening a new
-    /// segment when alignment padding would be needed (mirroring the
-    /// [`Asm`](crate::Asm) builder, which starts one segment per `data_*`
-    /// call).
-    fn place(&mut self, align: u64, bytes: &[u8]) {
-        // Saturating: a pathological `.org` near u64::MAX must degrade to
-        // overlapping-segment nonsense, not arithmetic overflow.
-        let aligned = self.cursor.saturating_add(align - 1) & !(align - 1);
-        if aligned != self.cursor {
-            self.close_segment();
-            self.cursor = aligned;
-        }
-        self.bind_pending(LabelVal::Addr(self.cursor));
-        match &mut self.current {
-            Some((_, buf)) => buf.extend_from_slice(bytes),
-            None => self.current = Some((self.cursor, bytes.to_vec())),
-        }
-        self.cursor = self.cursor.saturating_add(bytes.len() as u64);
-    }
-
-    fn switch_mode(&mut self, mode: Mode) {
-        if self.mode == Mode::Code && mode == Mode::Data {
-            self.bind_pending(LabelVal::Code(self.insts.len()));
-        }
-        self.mode = mode;
-    }
-
     fn directive(&mut self, word: Tok<'_>, args: &[Tok<'_>]) -> Result<(), AsmError> {
         let need_addr = |args: &[Tok<'_>]| -> Result<u64, AsmError> {
             let [tok] = args else {
@@ -316,37 +235,35 @@ impl Parser {
         };
         match word.text {
             ".text" => {
-                self.close_segment();
-                self.switch_mode(Mode::Code);
+                self.mode = Mode::Code;
+                self.asm.bind_pending_to_code();
                 if !args.is_empty() {
                     self.set_code_base(word, need_addr(args)?)?;
                 }
             }
             ".data" => {
-                self.close_segment();
-                self.switch_mode(Mode::Data);
-                if !args.is_empty() {
-                    self.cursor = need_addr(args)?;
-                }
+                self.mode = Mode::Data;
+                let addr = if args.is_empty() {
+                    None
+                } else {
+                    Some(need_addr(args)?)
+                };
+                self.asm.seek(addr);
             }
             ".org" => {
                 let addr = need_addr(args)?;
                 match self.mode {
                     Mode::Code => self.set_code_base(word, addr)?,
-                    Mode::Data => {
-                        self.close_segment();
-                        self.cursor = addr;
-                    }
+                    Mode::Data => self.asm.seek(Some(addr)),
                 }
             }
-            ".entry" => self.entry = Some(need_addr(args)?),
+            ".entry" => self.asm.set_entry(need_addr(args)?),
             ".align" => {
                 let n = need_addr(args)?;
                 if self.mode != Mode::Data || !n.is_power_of_two() {
                     return Err(word.err(AsmErrorKind::BadDirective));
                 }
-                self.close_segment();
-                self.cursor = self.cursor.saturating_add(n - 1) & !(n - 1);
+                self.asm.align(n);
             }
             ".zero" => {
                 if self.mode != Mode::Data {
@@ -359,7 +276,7 @@ impl Parser {
                 if n > 8 << 20 {
                     return Err(word.err(AsmErrorKind::BadImmediate));
                 }
-                self.place(8, &vec![0u8; n as usize]);
+                self.asm.place(8, vec![0u8; n as usize], true);
             }
             ".quad" | ".long" | ".word" | ".byte" => {
                 if self.mode != Mode::Data {
@@ -385,7 +302,7 @@ impl Parser {
                     }
                     bytes.extend_from_slice(&(v as u64).to_le_bytes()[..width]);
                 }
-                self.place(align, &bytes);
+                self.asm.place(align, bytes, true);
             }
             ".double" => {
                 if self.mode != Mode::Data {
@@ -399,7 +316,7 @@ impl Parser {
                         .map_err(|_| tok.err(AsmErrorKind::BadImmediate))?;
                     bytes.extend_from_slice(&v.to_le_bytes());
                 }
-                self.place(8, &bytes);
+                self.asm.place(8, bytes, true);
             }
             _ => return Err(word.err(AsmErrorKind::BadDirective)),
         }
@@ -407,26 +324,18 @@ impl Parser {
     }
 
     fn set_code_base(&mut self, word: Tok<'_>, addr: u64) -> Result<(), AsmError> {
-        // The code base can only move while no instruction depends on it.
-        if !self.insts.is_empty() {
-            return Err(word.err(AsmErrorKind::BadDirective));
-        }
-        self.code_base = addr;
-        Ok(())
+        let moved = self.asm.set_code_base(addr);
+        moved.ok_or_else(|| word.err(AsmErrorKind::BadDirective))
     }
 
     fn instruction(&mut self, word: Tok<'_>, args: &[Tok<'_>]) -> Result<(), AsmError> {
         if self.mode != Mode::Code {
             return Err(word.err(AsmErrorKind::UnknownMnemonic));
         }
-        self.bind_pending(LabelVal::Code(self.insts.len()));
         let mnem = word.text.to_ascii_lowercase();
         let inst = self.encode(&mnem, word, args)?;
-        self.insts.push(inst);
-        self.spans.push(Span {
-            line: word.line,
-            col: word.col,
-        });
+        self.asm.emit(inst);
+        self.spans.push(word.span());
         Ok(())
     }
 
@@ -517,13 +426,7 @@ impl Parser {
                 count(2)?;
                 let rc = parse_reg(args[0])?;
                 let disp = if is_ident(args[1].text) {
-                    self.fixups.push((
-                        self.insts.len(),
-                        Patch::LdaDisp,
-                        args[1].text.to_string(),
-                        args[1].line,
-                        args[1].col,
-                    ));
+                    self.asm.refer(args[1].text, Some(args[1].span()));
                     0
                 } else {
                     parse_int(args[1])?
@@ -681,56 +584,11 @@ impl Parser {
     /// Branch target: a label or an absolute address literal.
     fn branch_target(&mut self, tok: Tok<'_>) -> Result<u64, AsmError> {
         if is_ident(tok.text) {
-            self.fixups.push((
-                self.insts.len(),
-                Patch::BranchTarget,
-                tok.text.to_string(),
-                tok.line,
-                tok.col,
-            ));
+            self.asm.refer(tok.text, Some(tok.span()));
             Ok(0)
         } else {
             Ok(parse_int(tok)? as u64)
         }
-    }
-
-    fn finish(mut self) -> Result<(Program, Vec<Span>), AsmError> {
-        self.close_segment();
-        match self.mode {
-            Mode::Code => self.bind_pending(LabelVal::Code(self.insts.len())),
-            Mode::Data => self.bind_pending(LabelVal::Addr(self.cursor)),
-        }
-        let resolve = |labels: &HashMap<String, LabelVal>,
-                       code_base: u64,
-                       name: &str,
-                       line: u32,
-                       col: u32|
-         -> Result<u64, AsmError> {
-            match labels.get(name) {
-                Some(LabelVal::Code(idx)) => Ok(code_base + 4 * *idx as u64),
-                Some(LabelVal::Addr(a)) => Ok(*a),
-                None => Err(AsmError::undefined_label(name).at(line, col)),
-            }
-        };
-        for (idx, patch, name, line, col) in &self.fixups {
-            let addr = resolve(&self.labels, self.code_base, name, *line, *col)?;
-            match (patch, &mut self.insts[*idx]) {
-                (Patch::BranchTarget, Inst::Br { target, .. })
-                | (Patch::BranchTarget, Inst::Bru { target })
-                | (Patch::BranchTarget, Inst::Bsr { target, .. }) => *target = addr,
-                (Patch::LdaDisp, Inst::Lda { disp, .. }) => *disp = addr as i64,
-                (_, other) => unreachable!("fixup on {other:?}"),
-            }
-        }
-        Ok((
-            Program {
-                code_base: self.code_base,
-                entry: self.entry.unwrap_or(self.code_base),
-                insts: self.insts,
-                data: self.data,
-            },
-            self.spans,
-        ))
     }
 }
 
@@ -927,7 +785,7 @@ fn emit_segment(out: &mut String, addr: u64, bytes: &[u8]) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::asm::Asm;
+    use crate::asm::{CODE_BASE, DATA_BASE};
     use crate::reg::{f, r};
 
     #[test]
@@ -1191,13 +1049,16 @@ pub(crate) mod tests {
 
     #[test]
     fn org_and_entry_round_trip() {
-        let mut a = Asm::with_bases(0x2000, 0x20_0000);
-        a.data_quads(&[9]);
-        a.label("top");
-        a.nop();
-        a.br("top");
-        a.halt();
-        let mut p = a.finish().unwrap();
+        let mut p = parse(
+            ".text 0x2000
+            top:    nop
+                    br top
+                    halt
+            .data 0x200000
+                    .quad 9",
+        )
+        .unwrap();
+        assert_eq!((p.code_base, p.data[0].0), (0x2000, 0x20_0000));
         p.entry = p.code_base + 4;
         let text = emit(&p);
         assert!(text.contains(".org 0x2000"), "{text}");
@@ -1273,6 +1134,30 @@ pub(crate) mod tests {
                 "docs/ISA.md is missing the value of {name} ({val:#x})"
             );
         }
+    }
+
+    #[test]
+    fn code_past_the_top_of_memory_is_refused() {
+        // Resolving `next` would compute `code_base + 4 × 1` past 2^64.
+        let err = parse_and_verify(".text 0xfffffffffffffffc\n br next\nnext: halt").unwrap_err();
+        assert_eq!(err.kind, AsmErrorKind::CodeOverflow);
+        assert_eq!(err.token, "0xfffffffffffffffc");
+        // Six instructions 16 bytes below the top: the text is refused, and
+        // the verifier, handed the same program, reports a bad entry
+        // rather than computing where the segment ends.
+        let src = format!(".text 0xfffffffffffffff0\n{}", "        nop\n".repeat(6));
+        let err = parse_and_verify(&src).unwrap_err();
+        assert_eq!(err.kind, AsmErrorKind::CodeOverflow);
+        let base = 0xffff_ffff_ffff_fff0;
+        let p = Program {
+            code_base: base,
+            insts: vec![Inst::Nop; 6],
+            data: Vec::new(),
+            entry: base,
+        };
+        let report = analysis::verify(&p);
+        assert_eq!(report.errors.len(), 1);
+        assert_eq!(report.errors[0].kind, analysis::ErrorKind::BadEntry);
     }
 
     #[test]

@@ -300,12 +300,6 @@ impl Inst {
         matches!(self, Inst::St { .. } | Inst::FSt { .. })
     }
 
-    /// Whether this is a memory operation (load or store).
-    #[inline]
-    pub fn is_mem(&self) -> bool {
-        self.is_load() || self.is_store()
-    }
-
     /// Whether this instruction can change control flow.
     #[inline]
     pub fn is_control(&self) -> bool {

@@ -368,6 +368,34 @@ impl MemSize {
             MemSize::Quad => "q",
         }
     }
+
+    /// The register value a load of this size produces from the `raw`
+    /// bytes it read: sign-extended when `signed`, else as read. The
+    /// emulator's loads and the optimizer's store-to-load forwarding both
+    /// extend through here, so a forwarded value equals the loaded one.
+    #[inline]
+    pub fn extend(self, raw: u64, signed: bool) -> u64 {
+        if !signed {
+            return raw;
+        }
+        match self {
+            MemSize::Byte => raw as u8 as i8 as i64 as u64,
+            MemSize::Word => raw as u16 as i16 as i64 as u64,
+            MemSize::Long => raw as u32 as i32 as i64 as u64,
+            MemSize::Quad => raw,
+        }
+    }
+
+    /// The low bytes of `v` that a store of this size writes.
+    #[inline]
+    pub fn truncate(self, v: u64) -> u64 {
+        match self {
+            MemSize::Byte => v & 0xff,
+            MemSize::Word => v & 0xffff,
+            MemSize::Long => v & 0xffff_ffff,
+            MemSize::Quad => v,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -442,5 +470,19 @@ mod tests {
         assert_eq!(MemSize::Word.bytes(), 2);
         assert_eq!(MemSize::Long.bytes(), 4);
         assert_eq!(MemSize::Quad.bytes(), 8);
+    }
+
+    #[test]
+    fn truncate_and_extend_match_memory_semantics() {
+        let v = 0x1234_5678_9abc_def0;
+        assert_eq!(MemSize::Byte.truncate(v), 0xf0);
+        assert_eq!(MemSize::Word.truncate(v), 0xdef0);
+        assert_eq!(MemSize::Long.truncate(v), 0x9abc_def0);
+        assert_eq!(MemSize::Byte.extend(0xf0, true), 0xffff_ffff_ffff_fff0);
+        assert_eq!(MemSize::Byte.extend(0xf0, false), 0xf0);
+        assert_eq!(
+            MemSize::Long.extend(0x9abc_def0, true),
+            0xffff_ffff_9abc_def0
+        );
     }
 }

@@ -14,6 +14,11 @@
 //! (`asm_text::parse(asm_text::emit(p)) == p`), so a fuzz run doubles as
 //! assembler conformance testing.
 //!
+//! A program is generated as a plan: straight-line [`Inst`]s drawn from
+//! the opcode tables, plus two control shapes, forward skips and counted
+//! loops. The [`Asm`] builder lays the plan out, as it lays out every
+//! workload.
+//!
 //! Generated programs terminate by construction: control flow is limited
 //! to forward skips and counted loops whose counter register is reserved
 //! while the body is generated, every memory access lands inside a
@@ -30,7 +35,10 @@ use crate::json::ToJson;
 use crate::scenario::{ProgramSpec, Scenario, ScenarioConfig, Verdict, VerifyPolicy};
 use contopt::OptimizerConfig;
 use contopt_emu::{ArchSnapshot, Emulator, Step, STREAM_DIGEST_INIT};
-use contopt_isa::{analysis, asm_text, f, r, Asm, Program, DATA_BASE};
+use contopt_isa::{
+    analysis, asm_text, f, r, AluOp, Asm, Cond, FReg, FpCmpOp, FpOp, Inst, MemSize, Operand,
+    Program, Reg, DATA_BASE,
+};
 use contopt_pipeline::{Machine, MachineConfig};
 use contopt_workloads::SplitMix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,30 +59,14 @@ const ARENA: u64 = 4096;
 /// every shrunken candidate is still well-formed by construction.
 #[derive(Debug, Clone, PartialEq)]
 enum GenOp {
-    /// `li rc, imm`.
-    Li { rc: u8, imm: i64 },
-    /// A three-operand integer op; `imm` replaces the second source.
-    Alu {
-        which: u8,
-        ra: u8,
-        rb: u8,
-        imm: Option<i64>,
-        rc: u8,
-    },
-    /// An aligned load from the arena.
-    Load { width: u8, rc: u8, off: u64 },
-    /// An aligned store into the arena.
-    Store { width: u8, ra: u8, off: u64 },
-    /// A three-operand FP op.
-    FAlu { which: u8, fa: u8, fb: u8, fc: u8 },
-    /// An FP compare into an integer register.
-    FCmp { which: u8, fa: u8, fb: u8, rc: u8 },
-    /// Int → FP move-and-convert.
-    Itof { ra: u8, fc: u8 },
-    /// FP → int truncation.
-    Ftoi { fa: u8, rc: u8 },
+    /// A straight-line instruction, emitted as it is.
+    Inst(Inst),
     /// A conditional forward branch over `body`.
-    Skip { cond: u8, ra: u8, body: Vec<GenOp> },
+    Skip {
+        cond: Cond,
+        ra: Reg,
+        body: Vec<GenOp>,
+    },
     /// A counted loop: `body` runs exactly `count` times (the counter
     /// register is not in the generator's pool, so bodies cannot
     /// perturb it).
@@ -87,12 +79,35 @@ const POOL: [u8; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 const ARENA_REG: u8 = 20;
 const COUNTER_REG: u8 = 21;
 
-fn pick_reg(rng: &mut SplitMix64) -> u8 {
-    POOL[rng.below(POOL.len() as u64) as usize]
+/// The integer operations in the order the generator draws them: the
+/// order of [`AluOp::ALL`] with `mulq` moved up to index 11, so that every
+/// seed keeps the program it has always had.
+const ALU_DRAW: [AluOp; 17] = [
+    AluOp::Addq,
+    AluOp::Subq,
+    AluOp::And,
+    AluOp::Or,
+    AluOp::Xor,
+    AluOp::Bic,
+    AluOp::Sll,
+    AluOp::Srl,
+    AluOp::Sra,
+    AluOp::S4Addq,
+    AluOp::S8Addq,
+    AluOp::Mulq,
+    AluOp::CmpEq,
+    AluOp::CmpLt,
+    AluOp::CmpLe,
+    AluOp::CmpUlt,
+    AluOp::CmpUle,
+];
+
+fn pick_reg(rng: &mut SplitMix64) -> Reg {
+    r(POOL[rng.below(POOL.len() as u64) as usize])
 }
 
-fn pick_freg(rng: &mut SplitMix64) -> u8 {
-    1 + rng.below(4) as u8 // f1..f4
+fn pick_freg(rng: &mut SplitMix64) -> FReg {
+    f(1 + rng.below(4) as u8) // f1..f4
 }
 
 fn pick_imm(rng: &mut SplitMix64) -> i64 {
@@ -104,53 +119,70 @@ fn pick_imm(rng: &mut SplitMix64) -> i64 {
     }
 }
 
-/// One non-control op.
-fn straight_op(rng: &mut SplitMix64) -> GenOp {
+/// `li rc, imm`.
+fn li(rc: Reg, imm: i64) -> Inst {
+    Inst::Lda {
+        rc,
+        rb: Reg::R31,
+        disp: imm,
+    }
+}
+
+/// An 8-aligned arena offset, which fits an access of any width.
+fn pick_off(rng: &mut SplitMix64) -> i64 {
+    (rng.below(ARENA / 8 - 1) * 8) as i64
+}
+
+/// One non-control instruction. The draws happen in the order written,
+/// so a seed always yields the program it has always yielded.
+fn straight_op(rng: &mut SplitMix64) -> Inst {
     match rng.below(10) {
-        0 => GenOp::Li {
-            rc: pick_reg(rng),
-            imm: pick_imm(rng),
-        },
-        1..=3 => GenOp::Alu {
-            which: rng.below(17) as u8,
-            ra: pick_reg(rng),
-            rb: pick_reg(rng),
-            imm: (rng.below(3) == 0).then(|| pick_imm(rng)),
-            rc: pick_reg(rng),
-        },
-        4 => {
-            let width = 1u8 << rng.below(4); // 1, 2, 4, 8
-            GenOp::Load {
-                width,
+        0 => li(pick_reg(rng), pick_imm(rng)),
+        1..=3 => {
+            let op = ALU_DRAW[rng.below(17) as usize];
+            let (ra, rb) = (pick_reg(rng), pick_reg(rng));
+            // An immediate replaces the register operand drawn before it.
+            let rb = match rng.below(3) {
+                0 => Operand::Imm(pick_imm(rng)),
+                _ => Operand::Reg(rb),
+            };
+            Inst::Alu {
+                op,
+                ra,
+                rb,
                 rc: pick_reg(rng),
-                off: rng.below(ARENA / 8 - 1) * 8, // 8-aligned fits any width
             }
         }
-        5 => {
-            let width = 1u8 << rng.below(4);
-            GenOp::Store {
-                width,
-                ra: pick_reg(rng),
-                off: rng.below(ARENA / 8 - 1) * 8,
-            }
-        }
-        6 => GenOp::FAlu {
-            which: rng.below(4) as u8,
+        4 => Inst::Ld {
+            size: MemSize::ALL[rng.below(4) as usize],
+            signed: false,
+            rc: pick_reg(rng),
+            rb: r(ARENA_REG),
+            disp: pick_off(rng),
+        },
+        5 => Inst::St {
+            size: MemSize::ALL[rng.below(4) as usize],
+            ra: pick_reg(rng),
+            rb: r(ARENA_REG),
+            disp: pick_off(rng),
+        },
+        6 => Inst::FAlu {
+            op: FpOp::ALL[rng.below(4) as usize], // addt, subt, mult, divt
             fa: pick_freg(rng),
             fb: pick_freg(rng),
             fc: pick_freg(rng),
         },
-        7 => GenOp::FCmp {
-            which: rng.below(3) as u8,
+        7 => Inst::FCmp {
+            op: FpCmpOp::ALL[rng.below(3) as usize],
             fa: pick_freg(rng),
             fb: pick_freg(rng),
             rc: pick_reg(rng),
         },
-        8 => GenOp::Itof {
+        8 => Inst::Itof {
             ra: pick_reg(rng),
             fc: pick_freg(rng),
         },
-        _ => GenOp::Ftoi {
+        _ => Inst::Ftoi {
             fa: pick_freg(rng),
             rc: pick_reg(rng),
         },
@@ -158,7 +190,7 @@ fn straight_op(rng: &mut SplitMix64) -> GenOp {
 }
 
 fn body(rng: &mut SplitMix64, len: u64) -> Vec<GenOp> {
-    (0..len).map(|_| straight_op(rng)).collect()
+    (0..len).map(|_| GenOp::Inst(straight_op(rng))).collect()
 }
 
 /// The deterministic generator plan for a seed.
@@ -169,13 +201,10 @@ fn plan(seed: u64) -> Vec<GenOp> {
     // generated op can ever read an uninitialized register. The static
     // verifier holds fuzz programs to the fully-clean standard.
     for &rc in &POOL {
-        ops.push(GenOp::Li {
-            rc,
-            imm: pick_imm(&mut rng),
-        });
+        ops.push(GenOp::Inst(li(r(rc), pick_imm(&mut rng))));
     }
-    for fc in 1..=4u8 {
-        ops.push(GenOp::Itof { ra: fc, fc });
+    for n in 1..=4u8 {
+        ops.push(GenOp::Inst(Inst::Itof { ra: r(n), fc: f(n) }));
     }
     let blocks = 3 + rng.below(6);
     for _ in 0..blocks {
@@ -188,7 +217,8 @@ fn plan(seed: u64) -> Vec<GenOp> {
                 });
             }
             1 => {
-                let (cond, ra, len) = (rng.below(6) as u8, pick_reg(&mut rng), 1 + rng.below(4));
+                let cond = Cond::ALL[rng.below(6) as usize];
+                let (ra, len) = (pick_reg(&mut rng), 1 + rng.below(4));
                 ops.push(GenOp::Skip {
                     cond,
                     ra,
@@ -207,100 +237,14 @@ fn plan(seed: u64) -> Vec<GenOp> {
 // ---- lowering ------------------------------------------------------------
 
 fn emit_op(a: &mut Asm, op: &GenOp, label: &mut u32) {
-    let ri = |n: u8| r(n);
     match op {
-        GenOp::Li { rc, imm } => {
-            a.li(ri(*rc), *imm);
-        }
-        GenOp::Alu {
-            which,
-            ra,
-            rb,
-            imm,
-            rc,
-        } => {
-            let (ra, rc) = (ri(*ra), ri(*rc));
-            macro_rules! alu {
-                ($m:ident) => {
-                    match imm {
-                        Some(i) => a.$m(ra, *i, rc),
-                        None => a.$m(ra, ri(*rb), rc),
-                    }
-                };
-            }
-            match which % 17 {
-                0 => alu!(addq),
-                1 => alu!(subq),
-                2 => alu!(and),
-                3 => alu!(or),
-                4 => alu!(xor),
-                5 => alu!(bic),
-                6 => alu!(sll),
-                7 => alu!(srl),
-                8 => alu!(sra),
-                9 => alu!(s4addq),
-                10 => alu!(s8addq),
-                11 => alu!(mulq),
-                12 => alu!(cmpeq),
-                13 => alu!(cmplt),
-                14 => alu!(cmple),
-                15 => alu!(cmpult),
-                _ => alu!(cmpule),
-            };
-        }
-        GenOp::Load { width, rc, off } => {
-            let (rc, b, off) = (ri(*rc), ri(ARENA_REG), *off as i64);
-            match width {
-                1 => a.ldbu(rc, b, off),
-                2 => a.ldw(rc, b, off),
-                4 => a.ldl(rc, b, off),
-                _ => a.ldq(rc, b, off),
-            };
-        }
-        GenOp::Store { width, ra, off } => {
-            let (ra, b, off) = (ri(*ra), ri(ARENA_REG), *off as i64);
-            match width {
-                1 => a.stb(ra, b, off),
-                2 => a.stw(ra, b, off),
-                4 => a.stl(ra, b, off),
-                _ => a.stq(ra, b, off),
-            };
-        }
-        GenOp::FAlu { which, fa, fb, fc } => {
-            let (fa, fb, fc) = (f(*fa), f(*fb), f(*fc));
-            match which % 4 {
-                0 => a.addt(fa, fb, fc),
-                1 => a.subt(fa, fb, fc),
-                2 => a.mult(fa, fb, fc),
-                _ => a.divt(fa, fb, fc),
-            };
-        }
-        GenOp::FCmp { which, fa, fb, rc } => {
-            let (fa, fb, rc) = (f(*fa), f(*fb), ri(*rc));
-            match which % 3 {
-                0 => a.cmpteq(fa, fb, rc),
-                1 => a.cmptlt(fa, fb, rc),
-                _ => a.cmptle(fa, fb, rc),
-            };
-        }
-        GenOp::Itof { ra, fc } => {
-            a.itof(ri(*ra), f(*fc));
-        }
-        GenOp::Ftoi { fa, rc } => {
-            a.ftoi(f(*fa), ri(*rc));
+        GenOp::Inst(inst) => {
+            a.emit(*inst);
         }
         GenOp::Skip { cond, ra, body } => {
             let name = format!("S{}", *label);
             *label += 1;
-            let ra = ri(*ra);
-            match cond % 6 {
-                0 => a.beq(ra, &name),
-                1 => a.bne(ra, &name),
-                2 => a.blt(ra, &name),
-                3 => a.ble(ra, &name),
-                4 => a.bgt(ra, &name),
-                _ => a.bge(ra, &name),
-            };
+            a.branch(*cond, *ra, &name);
             for op in body {
                 emit_op(a, op, label);
             }
@@ -738,7 +682,7 @@ mod tests {
             any_loop |= ops.iter().any(|o| matches!(o, GenOp::Loop { .. }));
             any_mem |= ops
                 .iter()
-                .any(|o| matches!(o, GenOp::Load { .. } | GenOp::Store { .. }));
+                .any(|o| matches!(o, GenOp::Inst(Inst::Ld { .. } | Inst::St { .. })));
             let snap = reference(&Arc::new(build(&ops))).expect("terminates");
             assert!(snap.retired < MAX_DYN_INSTS);
             total += snap.retired;
@@ -776,7 +720,7 @@ mod tests {
         let has_store = |ops: &[GenOp]| -> bool {
             fn walk(ops: &[GenOp]) -> bool {
                 ops.iter().any(|o| match o {
-                    GenOp::Store { .. } => true,
+                    GenOp::Inst(Inst::St { .. }) => true,
                     GenOp::Skip { body, .. } | GenOp::Loop { body, .. } => walk(body),
                     _ => false,
                 })
@@ -793,7 +737,7 @@ mod tests {
         };
         let min = minimize_with(ops, &|cand| has_store(cand));
         assert_eq!(min.len(), 1, "exactly the store survives: {min:?}");
-        assert!(matches!(min[0], GenOp::Store { .. }));
+        assert!(matches!(min[0], GenOp::Inst(Inst::St { .. })));
     }
 
     #[test]

@@ -9,11 +9,14 @@ line to the line that closes it. Every other line counts: blank lines,
 comments, and the doc comment above a test-only item included.
 
 Prints the count per crate (`examples` for the examples) and the total.
+With `--base REV`, prints each crate's count at REV (read through
+`git show`), its count in the working tree, and the difference.
 
-Usage: python3 tools/prod_lines.py [REPO_ROOT]
+Usage: python3 tools/prod_lines.py [--base REV] [REPO_ROOT]
 """
 
 import os
+import subprocess
 import sys
 
 TEST_ATTR = "#[cfg(test)]"
@@ -132,23 +135,61 @@ def owner(rel):
     return parts[1] if parts[0] == "crates" else parts[0]
 
 
-def main():
-    root = sys.argv[1] if len(sys.argv) > 1 else os.path.join(os.path.dirname(__file__), "..")
+def counted(rel):
+    """Whether the file at repo-relative path `rel` is production Rust."""
+    parts = rel.split("/")
+    return parts[0] in ("crates", "examples") and rel.endswith(".rs") and "tests" not in parts[:-1]
+
+
+def tree_counts(root):
+    """Production lines per crate in the working tree under `root`."""
     counts = {}
     for top in ("crates", "examples"):
         for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
             dirnames[:] = sorted(d for d in dirnames if d != "tests")
             for name in sorted(filenames):
-                if not name.endswith(".rs"):
-                    continue
-                path = os.path.join(dirpath, name)
-                with open(path, encoding="utf-8") as f:
-                    n = production_lines(f.read())
-                key = owner(os.path.relpath(path, root))
-                counts[key] = counts.get(key, 0) + n
-    for key in sorted(counts):
-        print(f"{key:<12} {counts[key]:>7}")
-    print(f"{'total':<12} {sum(counts.values()):>7}")
+                rel = os.path.relpath(os.path.join(dirpath, name), root).replace(os.sep, "/")
+                if counted(rel):
+                    with open(os.path.join(root, rel), encoding="utf-8") as f:
+                        key = owner(rel)
+                        counts[key] = counts.get(key, 0) + production_lines(f.read())
+    return counts
+
+
+def rev_counts(root, rev):
+    """Production lines per crate at git revision `rev`."""
+    git = ["git", "-C", root]
+    files = subprocess.run(
+        git + ["ls-tree", "-r", "--name-only", rev, "--", "crates", "examples"],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    counts = {}
+    for rel in filter(counted, files):
+        text = subprocess.run(
+            git + ["show", f"{rev}:{rel}"], check=True, capture_output=True, text=True
+        ).stdout
+        counts[owner(rel)] = counts.get(owner(rel), 0) + production_lines(text)
+    return counts
+
+
+def main():
+    args = sys.argv[1:]
+    base = None
+    if args[:1] == ["--base"] and len(args) > 1:
+        base, args = args[1], args[2:]
+    root = args[0] if args else os.path.join(os.path.dirname(__file__), "..")
+    counts = tree_counts(root)
+    if base is None:
+        for key in sorted(counts):
+            print(f"{key:<12} {counts[key]:>7}")
+        print(f"{'total':<12} {sum(counts.values()):>7}")
+        return
+    before = rev_counts(root, base)
+    rows = [(k, before.get(k, 0), counts.get(k, 0)) for k in sorted(set(before) | set(counts))]
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    print(f"{'':<12} {base:>9} {'tree':>9} {'delta':>7}")
+    for key, old, new in rows:
+        print(f"{key:<12} {old:>9} {new:>9} {new - old:>+7}")
 
 
 if __name__ == "__main__":
